@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from typing import Any, Mapping
 
 from .core import (
@@ -36,7 +37,6 @@ from .core import (
 )
 from .consistent_mass import (
     ApproxBox,
-    GlobalResult,
     global_l1_mass,
     global_l2_mass,
     global_linf_mass,
@@ -94,11 +94,20 @@ def _comparison_tolerance() -> float:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """JSON object hook: a repeated key is an error, never a silent overwrite."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        repeated = next(key for key, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise CliError(f"key {repeated!r} appears twice in an object", EXIT_PARSE)
+    return doc
+
+
 def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
     """Parse an input document, renormalizing near-unit mass sums with a warning."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read input document: {exc}", EXIT_PARSE) from None
     if not isinstance(raw, dict) or "frame" not in raw or "masses" not in raw:
@@ -112,7 +121,7 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
         frame = Frame(tuple(labels))
         masses: dict[int, float] = {}
         for key, value in raw["masses"].items():
-            if not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise EvidenceError(f"mass of {key!r} is not a number")
             mask = frame.parse_subset(key)
             if mask == 0:
@@ -161,7 +170,7 @@ def _round12(value: Any) -> Any:
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(_round12(doc), indent=2) + "\n"
+    text = json.dumps(_round12(doc), indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -256,29 +265,25 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 
     kind = SpaceKind.MASS_N1 if rep == "n1" else SpaceKind.MASS_N2
 
-    def partial_payload(x: str) -> dict:
-        if space == "mass":
-            if norm == "l1":
-                return _payload_pointwise(partial_l1_mass(m, x), tol)
-            if norm == "l2":
-                return _payload_pointwise(partial_l2_mass(m, x, kind), tol)
-            return _payload_mass_box(partial_linf_mass(m, x), args.vertices, tol)
-        if norm in ("l1", "l2"):
-            return _payload_focused(focused_transform(m, x), norm, tol)
-        return _payload_gamma_box(partial_linf_belief(m, x), args.vertices, tol)
+    select, solve = {
+        ("l1", "mass"): (global_l1_mass, partial_l1_mass),
+        ("l2", "mass"): (
+            lambda m, t: global_l2_mass(m, kind, t),
+            lambda m, x: partial_l2_mass(m, x, kind),
+        ),
+        ("linf", "mass"): (global_linf_mass, partial_linf_mass),
+        ("l1", "belief"): (global_l1_belief, focused_transform),
+        ("l2", "belief"): (global_l2_belief, focused_transform),
+        ("linf", "belief"): (global_linf_belief, partial_linf_belief),
+    }[norm, space]
 
-    def global_result() -> GlobalResult:
+    def payload(partial) -> dict:
+        if norm == "linf":
+            box_payload = _payload_mass_box if space == "mass" else _payload_gamma_box
+            return box_payload(partial, args.vertices, tol)
         if space == "mass":
-            if norm == "l1":
-                return global_l1_mass(m, tol)
-            if norm == "l2":
-                return global_l2_mass(m, kind, tol)
-            return global_linf_mass(m, tol)
-        if norm == "l1":
-            return global_l1_belief(m, tol)
-        if norm == "l2":
-            return global_l2_belief(m, tol)
-        return global_linf_belief(m, tol)
+            return _payload_pointwise(partial, tol)
+        return _payload_focused(partial, norm, tol)
 
     doc = {
         "command": "approximate",
@@ -289,14 +294,14 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     }
     if args.focus is not None:
         doc["focus"] = args.focus
-        doc["result"] = partial_payload(args.focus)
+        doc["result"] = payload(solve(m, args.focus))
     else:
-        result = global_result()
+        result = select(m, tol)
         doc["focus"] = "global"
         doc["result"] = {
             "criterion": {lbl: result.criterion_values[lbl] for lbl in frame.elements},
             "optima": list(result.optima),
-            "partials": {lbl: partial_payload(lbl) for lbl in result.optima},
+            "partials": {lbl: payload(result.payloads[lbl]) for lbl in result.optima},
         }
     _emit(doc, args.out)
     return EXIT_OK
@@ -320,11 +325,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_KIND_LABEL = {
-    SpaceKind.MASS_N1: "mass-n1",
-    SpaceKind.MASS_N2: "mass-n2",
-    SpaceKind.BELIEF: "belief",
-}
 _NORM_LABEL = {1: "l1", 2: "l2", math.inf: "linf"}
 
 
@@ -356,7 +356,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports.append(
                 {
                     "norm": _NORM_LABEL[p],
-                    "space": _KIND_LABEL[kind],
+                    "space": kind.value,
                     "focus": x,
                     "oracle_distance": rep.oracle_distance,
                     "closed_form_distance": rep.closed_form_distance,
@@ -370,7 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.append(
             {
                 "norm": _NORM_LABEL[p],
-                "space": _KIND_LABEL[kind],
+                "space": kind.value,
                 "library_optima": list(result.optima),
                 "oracle_distances": {x: by_focus[x].oracle_distance for x in frame.elements},
                 "agree": agree,

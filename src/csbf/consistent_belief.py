@@ -11,6 +11,14 @@ triangular "gamma" coordinates, where ``gamma(A)`` accumulates the mass
 shifts of the ultrafilter members inside A.  The box midpoint maps back to
 the focused transform through Moebius inversion on the sublattice of sets
 containing x.
+
+:func:`gamma_to_mass` is one O((n-1) 2^(n-1)) Moebius transform.  Each
+criterion is one O(n 2^n) transform of ``b = zeta(m)`` read at the coatoms
+``x^c``, for all n elements at once; the focused transform reuses it:
+
+    L1            zeta(b)[x^c]
+    L2            zeta(b**2)[x^c]    (squared)
+    Linf          b[x^c]
 """
 
 from __future__ import annotations
@@ -27,11 +35,14 @@ from .core import (
     MassFunction,
     PseudoMassFunction,
     belief_from_mass,
+    coatoms,
     contour,
-    iter_submasks,
+    mobius_transform,
     superset_sum_transform,
+    ultrafilter,
+    zeta_transform,
 )
-from .consistent_mass import TIE_TOL, GlobalResult, argmin_elements
+from .consistent_mass import TIE_TOL, GlobalResult, select_optima
 from .geometry import EmbeddingSpace, SpaceKind, embed
 from .sampling import random_mass_function
 
@@ -54,20 +65,11 @@ class FocusedTransform:
     distance_l2: float
 
 
-def _belief_table(m: MassFunction) -> np.ndarray:
-    return belief_from_mass(m).belief
-
-
-def _outside_belief_sums(belief: np.ndarray, frame: Frame, xbit: int) -> tuple[float, float]:
-    """Sum and sum of squares of b(A) over subsets A of the complement of x."""
-    comp = frame.complement(xbit)
-    total = 0.0
-    squares = 0.0
-    for sub in iter_submasks(comp):
-        v = float(belief[sub])
-        total += v
-        squares += v * v
-    return total, squares
+def _outside_belief(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and sum of squares of b(A) over the subsets A of each x^c, in frame order."""
+    belief = belief_from_mass(m).belief
+    at = coatoms(m.frame)
+    return zeta_transform(belief)[at], zeta_transform(belief * belief)[at]
 
 
 def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
@@ -78,8 +80,9 @@ def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
     for mask, v in m.masses.items():
         masses[mask | xbit] = masses.get(mask | xbit, 0.0) + v
     result = MassFunction(frame, masses)
-    total, squares = _outside_belief_sums(_belief_table(m), frame, xbit)
-    return FocusedTransform(x, result, total, math.sqrt(squares))
+    total, squares = _outside_belief(m)
+    i = frame.index_of(x)
+    return FocusedTransform(x, result, float(total[i]), math.sqrt(squares[i]))
 
 
 def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = CHECK_TOL) -> bool:
@@ -107,26 +110,14 @@ def global_l1_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[
     The criterion is the total belief of the subsets missing x, which is NOT
     in general minimized by the maximal-plausibility element.
     """
-    frame = m.frame
-    belief = _belief_table(m)
-    criterion = {
-        lbl: _outside_belief_sums(belief, frame, frame.singleton(lbl))[0]
-        for lbl in frame.elements
-    }
-    optima = argmin_elements(frame, criterion, tie_tol)
-    return GlobalResult(optima, {lbl: focused_transform(m, lbl) for lbl in optima}, criterion)
+    values = _outside_belief(m)[0]
+    return select_optima(m.frame, values, lambda lbl: focused_transform(m, lbl), tie_tol)
 
 
 def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[FocusedTransform]:
     """Global L2 pick in belief coordinates; criterion values are squared distances."""
-    frame = m.frame
-    belief = _belief_table(m)
-    criterion = {
-        lbl: _outside_belief_sums(belief, frame, frame.singleton(lbl))[1]
-        for lbl in frame.elements
-    }
-    optima = argmin_elements(frame, criterion, tie_tol)
-    return GlobalResult(optima, {lbl: focused_transform(m, lbl) for lbl in optima}, criterion)
+    values = _outside_belief(m)[1]
+    return select_optima(m.frame, values, lambda lbl: focused_transform(m, lbl), tie_tol)
 
 
 @dataclass(frozen=True)
@@ -186,17 +177,12 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     """
     frame = m.frame
     xbit = frame.singleton(x)
-    belief = _belief_table(m)
-    radius = float(belief[frame.complement(xbit)])
-    lower: dict[int, float] = {}
-    upper: dict[int, float] = {}
-    for sub in iter_submasks(frame.complement(xbit)):
-        mask = sub | xbit
-        if mask == frame.full_mask:
-            continue
-        inside = float(belief[sub])  # total mass of subsets of A avoiding x
-        lower[mask] = -radius - inside
-        upper[mask] = radius - inside
+    belief = belief_from_mass(m).belief
+    radius = float(belief[frame.full_mask ^ xbit])
+    members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
+    inside = belief[np.array(members, dtype=np.intp) ^ xbit]  # b(A minus x)
+    lower = dict(zip(members, (-radius - inside).tolist()))
+    upper = dict(zip(members, (radius - inside).tolist()))
     return GammaBox(x, m, lower, upper, radius)
 
 
@@ -212,30 +198,20 @@ def gamma_to_mass(box: GammaBox, gamma_point: Mapping[int, float]) -> PseudoMass
         raise ValueError("gamma point lies outside the solution box")
     frame = box.frame
     xbit = frame.singleton(box.focus)
-    masses: dict[int, float] = {}
-    acc = 0.0
-    for mask in box.lower:
-        rest = mask ^ xbit
-        shift = 0.0
-        for sub in iter_submasks(rest):
-            sign = -1.0 if (rest ^ sub).bit_count() & 1 else 1.0
-            shift += sign * gamma_point[sub | xbit]
-        value = box.source.value(mask) - shift
-        masses[mask] = value
-        acc += value
-    masses[frame.full_mask] = 1.0 - acc
-    return PseudoMassFunction(frame, masses)
+    gamma = np.zeros(frame.n_subsets)
+    gamma[list(gamma_point)] = list(gamma_point.values())
+    shift = mobius_transform(gamma.reshape(-1, 2, xbit)[:, 1, :].ravel())
+    members = ultrafilter(frame, box.focus)
+    values = box.source.as_array()[list(members)] - shift
+    # Largest mask first: numpy adds up to 7 terms in order, as a running sum would.
+    values[-1] = 1.0 - values[-2::-1].sum()
+    return PseudoMassFunction(frame, dict(zip(members, values.tolist())))
 
 
 def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[GammaBox]:
     """Global Linf pick in belief coordinates: maximal-plausibility element(s)."""
-    frame = m.frame
-    belief = _belief_table(m)
-    criterion = {
-        lbl: float(belief[frame.complement(frame.singleton(lbl))]) for lbl in frame.elements
-    }
-    optima = argmin_elements(frame, criterion, tie_tol)
-    return GlobalResult(optima, {lbl: partial_linf_belief(m, lbl) for lbl in optima}, criterion)
+    values = belief_from_mass(m).belief[coatoms(m.frame)]
+    return select_optima(m.frame, values, lambda lbl: partial_linf_belief(m, lbl), tie_tol)
 
 
 def find_global_l1_counterexample(

@@ -16,6 +16,14 @@ Closed forms in mass coordinates:
   box barycenter is the L1 solution.
 * L2 in the ``mass-n1`` embedding: spread the outside mass evenly over all
   ``2^(n-1)`` ultrafilter members.
+
+Each criterion is one O(n 2^n) lattice transform of the dense mass vector m,
+read at the coatoms ``x^c`` for all n elements; partial solutions reuse it:
+
+    L1            zeta(m)[x^c]
+    L2 mass-n2    zeta(m**2)[x^c]                                (squared)
+    L2 mass-n1    zeta(m**2)[x^c] + zeta(m)[x^c]**2 / 2^(n-1)    (squared)
+    Linf          submax(m)[x^c]
 """
 
 from __future__ import annotations
@@ -23,9 +31,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Generic, Iterator, Mapping, TypeVar
+from typing import Callable, Generic, Iterator, Mapping, TypeVar
 
-from .core import Frame, MassFunction, PseudoMassFunction, ultrafilter
+import numpy as np
+
+from .core import (
+    Frame,
+    MassFunction,
+    PseudoMassFunction,
+    coatoms,
+    submax_transform,
+    ultrafilter,
+    zeta_transform,
+)
 from .geometry import EmbeddingSpace, SpaceKind
 
 #: Tie tolerance when collecting globally optimal elements.
@@ -130,8 +148,26 @@ def argmin_elements(frame: Frame, criterion: Mapping[str, float], tie_tol: float
     return tuple(lbl for lbl in frame.elements if criterion[lbl] <= best + tie_tol)
 
 
-def _outside_masses(m: PseudoMassFunction, xbit: int) -> list[float]:
-    return [v for mask, v in m.masses.items() if not mask & xbit]
+def select_optima(
+    frame: Frame, values: np.ndarray, solve: Callable[[str], P], tie_tol: float
+) -> GlobalResult[P]:
+    """Every element tying the minimal criterion value, with its partial solution."""
+    criterion = dict(zip(frame.elements, values.tolist()))
+    optima = argmin_elements(frame, criterion, tie_tol)
+    return GlobalResult(optima, {lbl: solve(lbl) for lbl in optima}, criterion)
+
+
+def _moved(m: PseudoMassFunction) -> np.ndarray:
+    """Mass outside each element's ultrafilter, ``b(x^c) = zeta(m)[x^c]``."""
+    return zeta_transform(m.as_array())[coatoms(m.frame)]
+
+
+def _keep_and_move(m: MassFunction, xbit: int, moved: float) -> MassFunction:
+    """Ultrafilter masses kept, the outside mass ``moved`` added to the full frame."""
+    full = m.frame.full_mask
+    masses = {mask: v for mask, v in m.masses.items() if mask & xbit}
+    masses[full] = masses.get(full, 0.0) + moved
+    return MassFunction(m.frame, masses)
 
 
 def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
@@ -141,25 +177,14 @@ def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
     full frame.  Always admissible.
     """
     frame = m.frame
-    xbit = frame.singleton(x)
-    moved = sum(_outside_masses(m, xbit))
-    masses = {mask: v for mask, v in m.masses.items() if mask & xbit and mask != frame.full_mask}
-    masses[frame.full_mask] = m.value(frame.full_mask) + moved
-    result = MassFunction(frame, masses)
-    space = EmbeddingSpace(SpaceKind.MASS_N2, frame)
-    return PartialApprox(x, result, moved, space)
+    moved = float(_moved(m)[frame.index_of(x)])
+    result = _keep_and_move(m, frame.singleton(x), moved)
+    return PartialApprox(x, result, moved, EmbeddingSpace(SpaceKind.MASS_N2, frame))
 
 
 def global_l1_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[PartialApprox]:
     """Global L1 pick: the maximal-plausibility element(s)."""
-    frame = m.frame
-    criterion = {lbl: sum(_outside_masses(m, frame.singleton(lbl))) for lbl in frame.elements}
-    optima = argmin_elements(frame, criterion, tie_tol)
-    return GlobalResult(optima, {lbl: partial_l1_mass(m, lbl) for lbl in optima}, criterion)
-
-
-def _max_outside(m: MassFunction, xbit: int) -> float:
-    return max(_outside_masses(m, xbit), default=0.0)
+    return select_optima(m.frame, _moved(m), lambda lbl: partial_l1_mass(m, lbl), tie_tol)
 
 
 def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
@@ -171,36 +196,35 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     """
     frame = m.frame
     xbit = frame.singleton(x)
-    slack = _max_outside(m, xbit)
-    members = [mask for mask in ultrafilter(frame, x) if mask != frame.full_mask]
-    lower = {mask: m.value(mask) - slack for mask in members}
-    upper = {mask: m.value(mask) + slack for mask in members}
-    barycenter = partial_l1_mass(m, x).result
-    assert isinstance(barycenter, MassFunction)
+    arr = m.as_array()
+    slack = float(submax_transform(arr)[frame.full_mask ^ xbit])
+    members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
+    inside = arr[list(members)]
+    lower = dict(zip(members, (inside - slack).tolist()))
+    upper = dict(zip(members, (inside + slack).tolist()))
+    barycenter = _keep_and_move(m, xbit, float(_moved(m)[frame.index_of(x)]))
     return ApproxBox(x, lower, upper, barycenter, slack)
 
 
 def global_linf_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[ApproxBox]:
     """Global Linf pick: minimize the maximal mass outside the ultrafilter."""
-    frame = m.frame
-    criterion = {lbl: _max_outside(m, frame.singleton(lbl)) for lbl in frame.elements}
-    optima = argmin_elements(frame, criterion, tie_tol)
-    return GlobalResult(optima, {lbl: partial_linf_mass(m, lbl) for lbl in optima}, criterion)
+    values = submax_transform(m.as_array())[coatoms(m.frame)]
+    return select_optima(m.frame, values, lambda lbl: partial_linf_mass(m, lbl), tie_tol)
 
 
-def _l2_criterion(m: MassFunction, xbit: int, kind: SpaceKind) -> float:
-    """Squared L2 distance from m to its partial L2 solution in ``kind``.
+def _l2_criterion(m: MassFunction, kind: SpaceKind) -> np.ndarray:
+    """Squared L2 distance from m to each partial L2 solution in ``kind``.
 
     In ``mass-n2`` the projection leaves every free coordinate untouched, so
     only the fixed outside coordinates contribute; ``mass-n1`` adds the full
     frame coordinate, which absorbs the moved mass spread over the whole
     ultrafilter.
     """
-    outside = _outside_masses(m, xbit)
-    moved = sum(outside)
-    squares = sum(v * v for v in outside)
+    arr = m.as_array()
+    squares = zeta_transform(arr * arr)[coatoms(m.frame)]
     if kind is SpaceKind.MASS_N2:
         return squares
+    moved = _moved(m)
     return moved * moved / (1 << (m.frame.size - 1)) + squares
 
 
@@ -212,16 +236,17 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
     Either way ``distance`` is the attained L2 norm in that embedding.
     """
     frame = m.frame
-    xbit = frame.singleton(x)
+    i = frame.index_of(x)
+    moved = float(_moved(m)[i])
     if kind is SpaceKind.MASS_N2:
-        result = partial_l1_mass(m, x).result
+        result = _keep_and_move(m, frame.singleton(x), moved)
     elif kind is SpaceKind.MASS_N1:
-        share = sum(_outside_masses(m, xbit)) / (1 << (frame.size - 1))
-        masses = {mask: m.value(mask) + share for mask in ultrafilter(frame, x)}
-        result = MassFunction(frame, masses)
+        members = ultrafilter(frame, x)
+        shared = m.as_array()[list(members)] + moved / (1 << (frame.size - 1))
+        result = MassFunction(frame, dict(zip(members, shared.tolist())))
     else:
         raise ValueError("L2 mass approximation needs a mass embedding, got belief")
-    distance = math.sqrt(_l2_criterion(m, xbit, kind))
+    distance = math.sqrt(_l2_criterion(m, kind)[i])
     return PartialApprox(x, result, distance, EmbeddingSpace(kind, frame))
 
 
@@ -233,8 +258,6 @@ def global_l2_mass(
     Criterion values are the squared distances, built from the sum and the
     sum of squares of the masses outside each ultrafilter.
     """
-    frame = m.frame
-    criterion = {lbl: _l2_criterion(m, frame.singleton(lbl), kind) for lbl in frame.elements}
-    optima = argmin_elements(frame, criterion, tie_tol)
-    payloads = {lbl: partial_l2_mass(m, lbl, kind) for lbl in optima}
-    return GlobalResult(optima, payloads, criterion)
+    return select_optima(
+        m.frame, _l2_criterion(m, kind), lambda lbl: partial_l2_mass(m, lbl, kind), tie_tol
+    )

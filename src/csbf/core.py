@@ -11,9 +11,10 @@ makes the fast zeta / Moebius transforms over the subset lattice possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -114,21 +115,10 @@ class Frame:
             raise EvidenceError(f"subset mask {mask} out of range for frame of size {self.size}")
 
 
-def iter_submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def ultrafilter(frame: Frame, label: str) -> tuple[int, ...]:
     """All subsets containing the given element, in ascending mask order."""
     xbit = frame.singleton(label)
-    rest = frame.full_mask ^ xbit
-    return tuple(sorted(xbit | sub for sub in iter_submasks(rest)))
+    return tuple(np.arange(frame.n_subsets).reshape(-1, 2, xbit)[:, 1, :].ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +127,17 @@ def ultrafilter(frame: Frame, label: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def zeta_transform(values: np.ndarray) -> np.ndarray:
-    """Cumulative subset sums: out[A] = sum of values[B] over B a subset of A."""
+def _lattice_copy(values: np.ndarray) -> tuple[np.ndarray, int]:
     out = np.array(values, dtype=float)
     n = out.size.bit_length() - 1
     if out.size != 1 << n:
         raise ValueError("array length must be a power of two")
+    return out, n
+
+
+def zeta_transform(values: np.ndarray) -> np.ndarray:
+    """Cumulative subset sums: out[A] = sum of values[B] over B a subset of A."""
+    out, n = _lattice_copy(values)
     for i in range(n):
         v = out.reshape(-1, 2, 1 << i)
         v[:, 1, :] += v[:, 0, :]
@@ -151,26 +146,37 @@ def zeta_transform(values: np.ndarray) -> np.ndarray:
 
 def mobius_transform(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zeta_transform`."""
-    out = np.array(values, dtype=float)
-    n = out.size.bit_length() - 1
-    if out.size != 1 << n:
-        raise ValueError("array length must be a power of two")
+    out, n = _lattice_copy(values)
     for i in range(n):
         v = out.reshape(-1, 2, 1 << i)
         v[:, 1, :] -= v[:, 0, :]
     return out
 
 
+def submax_transform(values: np.ndarray) -> np.ndarray:
+    """Cumulative subset maxima: out[A] = max of values[B] over B a subset of A."""
+    out, n = _lattice_copy(values)
+    for i in range(n):
+        v = out.reshape(-1, 2, 1 << i)
+        np.maximum(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return out
+
+
 def superset_sum_transform(values: np.ndarray) -> np.ndarray:
     """Cumulative superset sums: out[A] = sum of values[B] over B a superset of A."""
-    out = np.array(values, dtype=float)
-    n = out.size.bit_length() - 1
-    if out.size != 1 << n:
-        raise ValueError("array length must be a power of two")
+    out, n = _lattice_copy(values)
     for i in range(n):
         v = out.reshape(-1, 2, 1 << i)
         v[:, 0, :] += v[:, 1, :]
     return out
+
+
+def coatoms(frame: Frame) -> np.ndarray:
+    """Masks of the complements ``x^c = full ^ (1 << i)``, in frame order.
+
+    A transform read at these indices gives one criterion value per element.
+    """
+    return np.array([frame.full_mask ^ (1 << i) for i in range(frame.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +200,10 @@ class PseudoMassFunction:
         cleaned: dict[int, float] = {}
         for mask, value in self.masses.items():
             self.frame.check_mask(mask)
+            if not math.isfinite(value):
+                raise EvidenceError(
+                    f"mass of {self.frame.format_subset(mask)!r} is not finite: {value!r}"
+                )
             if mask == 0:
                 if abs(value) > MASS_SUM_TOL:
                     raise EvidenceError("the empty set may not carry mass")
@@ -331,5 +341,5 @@ def contour(m: PseudoMassFunction) -> dict[str, float]:
     values = {}
     for i, label in enumerate(m.frame.elements):
         bit = 1 << i
-        values[label] = sum(v for mask, v in m.masses.items() if mask & bit)
+        values[label] = sum((v for mask, v in m.masses.items() if mask & bit), 0.0)
     return values

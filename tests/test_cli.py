@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from csbf.cli import main
 
 TERNARY = os.path.join(os.path.dirname(__file__), "..", "data", "ternary.json")
@@ -240,6 +242,40 @@ class TestOutputContracts:
         assert code == 2
 
 
+    def test_every_real_is_a_float(self, capsys, tmp_path):
+        # consistent on x: the outside sums of x are empty, and must print as 0.0
+        consistent = {"frame": ["x", "y", "z"], "masses": {"x": 0.5, "x,y": 0.5}}
+        path = write_doc(tmp_path, "consistent.json", consistent)
+        modes = [
+            ["--norm", "l1", "--space", "mass"],
+            ["--norm", "l2", "--space", "mass", "--rep", "n1"],
+            ["--norm", "l2", "--space", "mass", "--rep", "n2"],
+            ["--norm", "linf", "--space", "mass"],
+            ["--norm", "l1", "--space", "belief"],
+            ["--norm", "l2", "--space", "belief"],
+            ["--norm", "linf", "--space", "belief"],
+        ]
+        argvs = [["inspect", path]]
+        for mode in modes:
+            for target in (["--global"], ["--focus", "x"], ["--focus", "z"]):
+                argvs.append(["approximate", path, *mode, *target])
+        for argv in argvs:
+            doc, _ = run_json(capsys, argv)
+            assert list(iter_ints(doc)) == [], argv
+
+
+def iter_ints(node, path=""):
+    """Paths of JSON integers; bools are not integers here."""
+    if type(node) is int:
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from iter_ints(value, f"{path}/{key}")
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from iter_ints(item, f"{path}[{i}]")
+
+
 class TestInspect:
     def test_running_example(self, capsys):
         doc, _ = run_json(capsys, ["inspect", TERNARY])
@@ -293,6 +329,36 @@ class TestParseFailures:
         )
         code, _, _ = run(capsys, ["inspect", str(path)])
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "masses, named",
+        [
+            ('{"x": NaN, "y": 1.0}', "'x'"),
+            ('{"x": Infinity, "y": -Infinity}', "'x'"),
+            ('{"x": 1.0, "y": Infinity}', "inf"),
+            ('{"x": true, "y": false}', "'x'"),
+            ('{"x": 0.5, "y": 0.5, "x,y": false}', "'x,y'"),
+            ('{"x": 0.5, "x": 0.5, "y": 0.5}', "'x'"),
+        ],
+    )
+    def test_bad_values_exit_2_with_no_output(self, capsys, tmp_path, masses, named):
+        path = tmp_path / "bad.json"
+        path.write_text('{"frame": ["x", "y"], "masses": ' + masses + "}")
+        for argv in (
+            ["approximate", str(path), "--norm", "l1", "--space", "mass", "--global"],
+            ["inspect", str(path)],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert named in err
+
+    def test_duplicate_top_level_key(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"frame": ["x", "y"], "frame": ["x"], "masses": {"x": 1.0}}')
+        code, out, err = run(capsys, ["inspect", str(path)])
+        assert (code, out) == (2, "")
+        assert "'frame'" in err
 
 
 class TestVerify:

@@ -82,6 +82,15 @@ class TestMassFunction:
         with pytest.raises(EvidenceError):
             MassFunction(frame, {1: -1e-6, 3: 1.0 + 1e-6})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass_rejected(self, bad):
+        frame = Frame(("x", "y"))
+        for cls in (MassFunction, PseudoMassFunction):
+            with pytest.raises(EvidenceError, match="not finite"):
+                cls(frame, {1: bad, 2: 1.0})
+            with pytest.raises(EvidenceError, match="not finite"):
+                cls(frame, {0: bad, 2: 1.0})
+
     def test_pseudo_admissibility_flag(self):
         frame = Frame(("x", "y"))
         pseudo = PseudoMassFunction(frame, {1: -0.25, 3: 1.25})
