@@ -22,7 +22,9 @@ import math
 import os
 import sys
 from collections import Counter
-from typing import Any, Mapping
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Mapping, Sequence
 
 from .core import (
     EvidenceError,
@@ -157,20 +159,74 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _round12(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
+def _reals(values) -> list[str]:
+    """JSON text of each real, rounded to 12 significant digits; C-level loops."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return list(map(repr, map(float, map(format, values, repeat(".12g")))))
+
+
+def _float_rows(items: list) -> bool:
+    """True when every item is a list of floats, all of one nonzero length."""
+    return (
+        _all_of_type(items, list)
+        and len(set(map(len, items))) == 1
+        and _all_of_type(chain.from_iterable(items), float)
+    )
+
+
+def _all_of_type(items, kind: type) -> bool:
+    """True when every item (at least one) is exactly of type ``kind``."""
+    return set(map(type, items)) == {kind}
+
+
+def _dumps(value: Any, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, every real rounded by :func:`_reals`.
+
+    Object keys must be strings.  A dict whose values are all floats, or
+    all float lists of one length, is written with one join, so a
+    ``{subset: real}`` or ``{subset: [lo, hi]}`` block costs a few C-level
+    passes rather than Python calls per entry.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return _reals([value])[0]
     if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = list(value.values())
+        if _all_of_type(items, float):
+            texts = _reals(items)
+        elif _float_rows(items):
+            # every value a float list of one length: one template per row
+            deeper = inner + "  "
+            row = f"[\n{deeper}" + f",\n{deeper}".join(["{}"] * len(items[0])) + f"\n{inner}]"
+            texts = map(row.format, *map(_reals, zip(*items)))
+        else:
+            texts = (_dumps(v, inner) for v in items)
+        body = f",\n{inner}".join(map("{}: {}".format, map(encode_basestring_ascii, value), texts))
+        return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        texts = (_dumps(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(_round12(doc), indent=2, allow_nan=False) + "\n"
+    text = _dumps(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -178,8 +234,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _mass_block(m: PseudoMassFunction, masks) -> dict[str, float]:
-    return {m.frame.format_subset(mask): m.value(mask) for mask in masks}
+def _mass_block(m: PseudoMassFunction, masks: Sequence[int]) -> dict[str, float]:
+    return dict(zip(m.frame.format_subsets(masks), map(m.masses.get, masks, repeat(0.0))))
 
 
 def _point_payload(m: PseudoMassFunction, focus: str, tol: float) -> dict:
@@ -191,7 +247,9 @@ def _point_payload(m: PseudoMassFunction, focus: str, tol: float) -> dict:
 
 
 def _interval_block(frame: Frame, lower: Mapping[int, float], upper: Mapping[int, float]) -> dict:
-    return {frame.format_subset(mask): [lower[mask], upper[mask]] for mask in sorted(lower)}
+    masks = sorted(lower)
+    rows = [[lower[mask], upper[mask]] for mask in masks]
+    return dict(zip(frame.format_subsets(masks), rows))
 
 
 def _payload_mass_box(box: ApproxBox, vertices: bool, tol: float) -> dict:
@@ -310,15 +368,15 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     frame, m, echo = load_input(args.input)
     view = belief_from_mass(m)
-    masks = range(1, frame.n_subsets)
+    labels = frame.format_subsets(range(1, frame.n_subsets))
     doc = {
         "command": "inspect",
         "input": echo,
         "focal_elements": _mass_block(m, m.focal_elements()),
         "core": frame.format_subset(core_of(m)),
         "consistent": is_consistent(m),
-        "belief": {frame.format_subset(a): view.belief_of(a) for a in masks},
-        "plausibility": {frame.format_subset(a): view.plausibility_of(a) for a in masks},
+        "belief": dict(zip(labels, view.belief[1:].tolist())),
+        "plausibility": dict(zip(labels, view.plausibility[1:].tolist())),
         "contour": contour(m),
     }
     _emit(doc, args.out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +61,14 @@ class Frame:
                 raise EvidenceError(
                     f"frame element {label!r} may not contain commas or outer whitespace"
                 )
+        # Label tables, kept out of the dataclass fields (so out of eq, hash
+        # and repr): label -> bit, and the text of every subset of the low
+        # and of the high half of the elements, at most 2 * 2^12 strings.
+        low_bits = (len(elements) + 1) // 2
+        object.__setattr__(self, "_bits", {lbl: 1 << i for i, lbl in enumerate(elements)})
+        object.__setattr__(self, "_low_bits", low_bits)
+        object.__setattr__(self, "_low_labels", _subset_labels(elements[:low_bits]))
+        object.__setattr__(self, "_high_labels", _subset_labels(elements[low_bits:]))
 
     @property
     def size(self) -> int:
@@ -76,13 +84,13 @@ class Frame:
         return self.n_subsets - 1
 
     def index_of(self, label: str) -> int:
-        try:
-            return self.elements.index(label)
-        except ValueError:
-            raise EvidenceError(f"unknown frame element {label!r}") from None
+        return self.singleton(label).bit_length() - 1
 
     def singleton(self, label: str) -> int:
-        return 1 << self.index_of(label)
+        try:
+            return self._bits[label]
+        except (KeyError, TypeError):
+            raise EvidenceError(f"unknown frame element {label!r}") from None
 
     def subset(self, labels: Iterable[str]) -> int:
         mask = 0
@@ -96,15 +104,33 @@ class Frame:
 
     def format_subset(self, mask: int) -> str:
         """Canonical text form: labels comma-joined in frame order, '' for the empty set."""
-        return ",".join(self.labels_of(mask))
+        return self.format_subsets((mask,))[0]
+
+    def format_subsets(self, masks: Sequence[int]) -> list[str]:
+        """:meth:`format_subset` of each mask: two table reads and a join per mask."""
+        if masks:
+            self.check_mask(min(masks))
+            self.check_mask(max(masks))
+        low, high, shift = self._low_labels, self._high_labels, self._low_bits
+        low_mask = (1 << shift) - 1
+        # labels hold no commas, so stripping drops only an unused separator
+        return [f"{low[m & low_mask]},{high[m >> shift]}".strip(",") for m in masks]
 
     def parse_subset(self, text: str) -> int:
-        labels = [part.strip() for part in text.split(",")]
-        if any(not lbl for lbl in labels):
-            raise EvidenceError(f"malformed subset key {text!r}")
-        if len(set(labels)) != len(labels):
+        parts = text.split(",")
+        try:
+            mask = sum(map(self._bits.__getitem__, parts))
+        except KeyError:
+            labels = [part.strip() for part in parts]
+            if any(not lbl for lbl in labels):
+                raise EvidenceError(f"malformed subset key {text!r}") from None
+            if len(set(labels)) != len(labels):
+                raise EvidenceError(f"subset key {text!r} repeats an element") from None
+            return self.subset(labels)
+        # distinct bits add without carries, so a repeat shows as lost bits
+        if mask.bit_count() != len(parts):
             raise EvidenceError(f"subset key {text!r} repeats an element")
-        return self.subset(labels)
+        return mask
 
     def complement(self, mask: int) -> int:
         self.check_mask(mask)
@@ -113,6 +139,14 @@ class Frame:
     def check_mask(self, mask: int) -> None:
         if not 0 <= mask < self.n_subsets:
             raise EvidenceError(f"subset mask {mask} out of range for frame of size {self.size}")
+
+
+def _subset_labels(labels: tuple[str, ...]) -> list[str]:
+    """Text of every subset of ``labels``, indexed by bitmask over them."""
+    table = [""]
+    for label in labels:
+        table += [f"{text},{label}" if text else label for text in table]
+    return table
 
 
 def ultrafilter(frame: Frame, label: str) -> tuple[int, ...]:
@@ -198,8 +232,10 @@ class PseudoMassFunction:
 
     def __post_init__(self) -> None:
         cleaned: dict[int, float] = {}
+        n_subsets = self.frame.n_subsets
         for mask, value in self.masses.items():
-            self.frame.check_mask(mask)
+            if not 0 <= mask < n_subsets:
+                self.frame.check_mask(mask)
             if not math.isfinite(value):
                 raise EvidenceError(
                     f"mass of {self.frame.format_subset(mask)!r} is not finite: {value!r}"

@@ -361,6 +361,59 @@ class TestParseFailures:
         assert "'frame'" in err
 
 
+MALFORMED = {
+    "unknown element": ('{"frame": ["x", "y"], "masses": {"x,q": 1.0}}', "unknown frame element 'q'"),
+    "empty key": ('{"frame": ["x", "y"], "masses": {"": 1.0}}', "malformed subset key ''"),
+    "empty label in key": (
+        '{"frame": ["x", "y"], "masses": {"x,,y": 1.0}}', "malformed subset key 'x,,y'"
+    ),
+    "repeated label in key": (
+        '{"frame": ["x", "y"], "masses": {"x,x": 1.0}}', "subset key 'x,x' repeats an element"
+    ),
+    "one subset under two keys": (
+        '{"frame": ["x", "y"], "masses": {"x,y": 0.5, "y,x": 0.5}}', "subset 'y,x' appears twice"
+    ),
+    "frame not a list": ('{"frame": "xy", "masses": {"x": 1.0}}', "'frame' must be a list"),
+    "frame label with a comma": (
+        '{"frame": ["x,y", "z"], "masses": {"z": 1.0}}', "may not contain commas"
+    ),
+    "duplicate frame labels": ('{"frame": ["x", "x"], "masses": {"x": 1.0}}', "must be unique"),
+    "25-element frame": (
+        json.dumps({"frame": [f"e{i}" for i in range(25)], "masses": {"e0": 1.0}}),
+        "between 1 and 24 elements, got 25",
+    ),
+    "masses not an object": ('{"frame": ["x", "y"], "masses": [1.0]}', "'masses' must be an object"),
+    "string mass": ('{"frame": ["x", "y"], "masses": {"x": "1.0"}}', "mass of 'x' is not a number"),
+    "boolean mass": ('{"frame": ["x", "y"], "masses": {"x": true}}', "mass of 'x' is not a number"),
+    "NaN mass": ('{"frame": ["x", "y"], "masses": {"x": NaN, "y": 1.0}}', "not finite"),
+    "repeated key": (
+        '{"frame": ["x", "y"], "masses": {"x": 0.5, "x": 0.5}}', "key 'x' appears twice"
+    ),
+    "negative mass": ('{"frame": ["x", "y"], "masses": {"x": -0.2, "x,y": 1.2}}', "negative mass"),
+    "mass sum 0.9": ('{"frame": ["x", "y"], "masses": {"x": 0.9}}', "must sum to 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2_naming_the_cause(capsys, tmp_path, case):
+    text, cause = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (
+        ["inspect", str(path)],
+        ["approximate", str(path), "--norm", "linf", "--space", "belief", "--global"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert cause in err, err
+
+
+def test_subset_key_whitespace_and_order_normalized(capsys, tmp_path):
+    path = write_doc(tmp_path, "loose.json", {"frame": ["x", "y"], "masses": {" y , x": 1.0}})
+    doc, _ = run_json(capsys, ["inspect", path])
+    assert doc["input"]["masses"] == {"x,y": 1.0}
+
+
 class TestVerify:
     def test_running_example_passes(self, capsys):
         doc, _ = run_json(capsys, ["verify", TERNARY, "--restarts", "4"])

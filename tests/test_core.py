@@ -64,6 +64,73 @@ class TestFrame:
             frame.labels_of(4)
 
 
+def definitional_text(frame: Frame, mask: int) -> str:
+    return ",".join(lbl for i, lbl in enumerate(frame.elements) if mask >> i & 1)
+
+
+class TestFrameLabels:
+    """The label tables against the definitional join in frame order."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_mask_up_to_ten_elements(self, n):
+        frame = Frame(tuple(f"e{i}" for i in range(n)))
+        masks = range(frame.n_subsets)
+        texts = [definitional_text(frame, mask) for mask in masks]
+        assert frame.format_subsets(masks) == texts
+        assert [frame.format_subset(mask) for mask in masks] == texts
+        assert [frame.parse_subset(text) for text in texts[1:]] == list(masks)[1:]
+
+    @pytest.mark.parametrize("n", [23, 24])
+    def test_random_masks_on_large_frames(self, n):
+        frame = Frame(tuple(f"label{i}" for i in range(n)))
+        rng = np.random.default_rng(n)
+        masks = [0, 1, frame.full_mask, 1 << (n - 1)]
+        masks += rng.integers(1, frame.n_subsets, size=1000).tolist()
+        texts = [definitional_text(frame, mask) for mask in masks]
+        assert frame.format_subsets(masks) == texts
+        assert [frame.format_subset(mask) for mask in masks] == texts
+        assert [frame.parse_subset(text) for text in texts[1:]] == masks[1:]
+        shuffled = [", ".join(reversed(text.split(","))) for text in texts[1:]]
+        assert [frame.parse_subset(text) for text in shuffled] == masks[1:]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24])
+    def test_out_of_range_masks_rejected(self, n):
+        frame = Frame(tuple(f"e{i}" for i in range(n)))
+        for mask in (-1, frame.n_subsets):
+            with pytest.raises(EvidenceError, match="out of range"):
+                frame.format_subset(mask)
+            with pytest.raises(EvidenceError, match="out of range"):
+                frame.format_subsets([1, mask, 0])
+
+    def test_parse_errors(self):
+        frame = Frame(("x", "y", "z"))
+        cases = {
+            "q": "unknown frame element 'q'",
+            "x, q": "unknown frame element 'q'",
+            "": "malformed subset key ''",
+            "x,,y": "malformed subset key 'x,,y'",
+            "x,": "malformed subset key 'x,'",
+            "x,x": "subset key 'x,x' repeats an element",
+            "x, x": "subset key 'x, x' repeats an element",
+            "x,y,x": "subset key 'x,y,x' repeats an element",
+        }
+        for text, message in cases.items():
+            with pytest.raises(EvidenceError) as info:
+                frame.parse_subset(text)
+            assert str(info.value) == message
+        assert frame.parse_subset(" y , x") == 0b011
+        assert frame.index_of("z") == 2
+        with pytest.raises(EvidenceError, match="unknown frame element"):
+            frame.index_of("q")
+
+    def test_tables_stay_out_of_eq_hash_and_repr(self):
+        a, b = Frame(("x", "y", "z")), Frame(["x", "y", "z"])
+        assert a == b and hash(a) == hash(b)
+        assert a != Frame(("x", "z", "y"))
+        assert repr(a) == "Frame(elements=('x', 'y', 'z'))"
+        assert {a: 1}[b] == 1
+
+
 class TestMassFunction:
     def test_sum_must_be_one(self):
         frame = Frame(("x", "y"))

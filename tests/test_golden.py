@@ -1,0 +1,98 @@
+"""Exact stdout of the CLI on fixed documents, compared byte for byte.
+
+The expected files live in ``tests/golden/``.  Regenerate them only when an
+output change is intended, with::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+``tests/golden/n6.json`` is a seeded six-element document whose masses are
+full-precision Dirichlet draws; it is regenerated only if it is missing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from csbf.cli import main
+
+ROOT = Path(__file__).resolve().parent
+GOLDEN = ROOT / "golden"
+TERNARY = ROOT.parent / "data" / "ternary.json"
+N6 = GOLDEN / "n6.json"
+
+MODES = {
+    "l1-mass": ["--norm", "l1", "--space", "mass"],
+    "l2-mass-n1": ["--norm", "l2", "--space", "mass", "--rep", "n1"],
+    "l2-mass-n2": ["--norm", "l2", "--space", "mass", "--rep", "n2"],
+    "linf-mass": ["--norm", "linf", "--space", "mass"],
+    "l1-belief": ["--norm", "l1", "--space", "belief"],
+    "l2-belief": ["--norm", "l2", "--space", "belief"],
+    "linf-belief": ["--norm", "linf", "--space", "belief"],
+}
+
+
+def cases() -> dict[str, list[str]]:
+    """Golden file name -> CLI argv."""
+    out: dict[str, list[str]] = {}
+    ternary = str(TERNARY)
+    for name, mode in MODES.items():
+        out[f"ternary-{name}-global"] = ["approximate", ternary, *mode, "--global"]
+        for x in ("x", "y", "z"):
+            out[f"ternary-{name}-{x}"] = ["approximate", ternary, *mode, "--focus", x]
+    for name in ("linf-mass", "linf-belief"):
+        out[f"ternary-{name}-x-vertices"] = [
+            "approximate", ternary, *MODES[name], "--focus", "x", "--vertices"
+        ]
+    out["ternary-inspect"] = ["inspect", ternary]
+    out["ternary-verify"] = ["verify", ternary]
+    for name, mode in MODES.items():
+        out[f"n6-{name}-global"] = ["approximate", str(N6), *mode, "--global"]
+    out["n6-inspect"] = ["inspect", str(N6)]
+    return out
+
+
+CASES = cases()
+
+
+def stdout_of(argv: list[str]) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden_bytes(name):
+    expected = (GOLDEN / f"{name}.json").read_bytes()
+    assert stdout_of(CASES[name]) == expected
+
+
+def write_n6() -> None:
+    import numpy as np
+
+    from csbf.core import Frame
+    from csbf.sampling import random_mass_function
+
+    frame = Frame(("a", "b", "c", "d", "e", "f"))
+    m = random_mass_function(frame, np.random.default_rng(2014), full_support=True)
+    doc = {
+        "frame": list(frame.elements),
+        "masses": {frame.format_subset(mask): v for mask, v in sorted(m.masses.items())},
+    }
+    N6.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    if not N6.exists():
+        write_n6()
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.json").write_bytes(stdout_of(argv))
+    print(f"wrote {len(CASES)} golden files to {GOLDEN}", file=sys.stderr)

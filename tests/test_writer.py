@@ -1,0 +1,111 @@
+"""The CLI's JSON writer against the json-module reference it replaced."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from csbf.cli import _dumps, _emit
+
+
+def round12(value):
+    """Every float rounded to 12 significant digits; tuples become lists."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round12(v) for v in value]
+    return value
+
+
+def reference(doc) -> str:
+    return json.dumps(round12(doc), indent=2, allow_nan=False)
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-310,
+    1e16, -1e16, 1e15, 1e12, 1e-7, 1e-5, 1e-4, 0.1, 0.7, 1.0, -1.0,
+    0.99999999999996, 9.99999999999996e11, 9.999999999999996e15, 123456789012.5,
+    1.7976931348623157e308,
+]
+SPECIAL_TEXT = ['"', "\\", "\n\t\r\x00\x1f\x7f", "é", "x,y", " ", "\U0001f600", 'a"b\\c']
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+reals = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+texts = st.text(max_size=8) | st.sampled_from(SPECIAL_TEXT)
+scalars = reals | st.integers() | st.booleans() | st.none() | texts
+real_rows = st.integers(1, 3).flatmap(
+    lambda k: st.dictionaries(texts, st.lists(reals, min_size=k, max_size=k), max_size=5)
+)
+documents = st.recursive(
+    scalars | st.lists(reals, max_size=5) | st.dictionaries(texts, reals, max_size=5) | real_rows,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+def poison(bad):
+    """Documents holding ``bad`` at some depth, beside finite values."""
+    return st.one_of(
+        st.builds(lambda xs, i: xs[:i] + [bad] + xs[i:], st.lists(reals, max_size=4), st.integers(0, 4)),
+        st.builds(lambda d, k: {**d, k: bad}, st.dictionaries(texts, reals, max_size=4), texts),
+        st.builds(lambda d, k: {**d, k: [0.5, bad]}, st.dictionaries(texts, st.lists(reals, min_size=2, max_size=2), max_size=4), texts),
+        st.builds(lambda d, k: {**d, k: bad}, st.dictionaries(texts, documents, max_size=3), texts),
+    )
+
+
+nested_poison = st.sampled_from(NONFINITE).flatmap(
+    lambda bad: st.recursive(
+        poison(bad),
+        lambda inner: st.builds(lambda a, x, b: [a, x, b], documents, inner, documents)
+        | st.builds(lambda d, k, x: {**d, k: x}, st.dictionaries(texts, documents, max_size=3), texts, inner),
+        max_leaves=4,
+    )
+)
+
+
+@given(documents)
+@settings(max_examples=400, deadline=None)
+def test_matches_json_reference(doc):
+    assert _dumps(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("value", SPECIAL_FLOATS)
+def test_special_floats(value):
+    for doc in (value, [value], {"k": value}, {"k": [value, -value]}, {"k": {"j": value}}):
+        assert _dumps(doc) == reference(doc)
+
+
+def test_empty_containers_and_text():
+    doc = {"": {}, "a": [], "b": [[], {}], "c": SPECIAL_TEXT, **{t: t for t in SPECIAL_TEXT}}
+    assert _dumps(doc) == reference(doc)
+
+
+@given(nested_poison)
+@settings(max_examples=100, deadline=None)
+def test_non_finite_raises(doc):
+    with pytest.raises(ValueError):
+        reference(doc)
+    with pytest.raises(ValueError):
+        _dumps(doc)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_emit_refuses_non_finite(bad, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        _emit({"result": {"masses": {"x": 0.5, "y": bad}}}, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_writes_reference_plus_newline(tmp_path):
+    doc = {"masses": {"x": 0.1 + 0.2, "x,y": 0.7}, "flag": True, "rows": {"x": [0.0, -0.0]}}
+    target = tmp_path / "out.json"
+    _emit(doc, str(target))
+    assert target.read_text(encoding="utf-8") == reference(doc) + "\n"
