@@ -2,7 +2,7 @@
 
 Represents mass assignments on finite frames, embeds them in mass or belief
 coordinates, and computes the consistent belief function(s) closest to a
-given one under the L1, L2 and Linf norms, together with a brute-force
+given one under the L1, L2 and Linf norms, together with an exact
 oracle that verifies every closed form.
 """
 

@@ -393,23 +393,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(
             f"verification needs a frame of at most {MAX_ORACLE_FRAME} elements", EXIT_FRAME
         )
-    grid_step = args.grid_step if args.grid_step is not None else (0.02 if frame.size <= 3 else 0.1)
-    try:
-        cfg = OracleConfig(grid_step=grid_step, random_restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_FLAGS) from None
-
+    cfg = OracleConfig()
     reports = []
     checks = []
     all_ok = True
     for p, kind in SUPPORTED_PAIRS:
         by_focus = {}
         for x in frame.elements:
-            try:
-                rep = brute_force_partial(m, x, p, kind, cfg)
-            except ValueError as exc:
-                raise CliError(str(exc), EXIT_FLAGS) from None
-            by_focus[x] = rep
+            rep = by_focus[x] = brute_force_partial(m, x, p, kind, cfg)
             all_ok &= rep.converged
             reports.append(
                 {
@@ -437,14 +428,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "command": "verify",
         "input": echo,
-        "config": {
-            "grid_step": cfg.grid_step,
-            "refinement_rounds": cfg.refinement_rounds,
-            "random_restarts": cfg.random_restarts,
-            "seed": cfg.seed,
-            "tolerance": cfg.tolerance,
-            "match_tolerance": cfg.match_tolerance,
-        },
+        "config": {"match_tolerance": cfg.match_tolerance},
         "reports": reports,
         "global_checks": checks,
         "all_ok": all_ok,
@@ -479,11 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--out", default=None)
     p_inspect.set_defaults(func=cmd_inspect)
 
-    p_verify = sub.add_parser("verify", help="brute-force check of every closed form")
+    p_verify = sub.add_parser("verify", help="exact check of every closed form")
     p_verify.add_argument("input")
-    p_verify.add_argument("--grid-step", type=float, default=None)
-    p_verify.add_argument("--restarts", type=int, default=16)
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -374,8 +374,10 @@ def is_consistent(m: PseudoMassFunction) -> bool:
 
 def contour(m: PseudoMassFunction) -> dict[str, float]:
     """Plausibility of each singleton: pl(x) = total mass of sets containing x."""
-    values = {}
-    for i, label in enumerate(m.frame.elements):
-        bit = 1 << i
-        values[label] = sum((v for mask, v in m.masses.items() if mask & bit), 0.0)
-    return values
+    # Builtin sum over the masses in dict order, as a per-element loop would.
+    masks = np.fromiter(m.masses.keys(), dtype=np.int64, count=len(m.masses))
+    vals = np.fromiter(m.masses.values(), dtype=float, count=len(m.masses))
+    return {
+        label: sum(vals[(masks & (1 << i)) != 0].tolist(), 0.0)
+        for i, label in enumerate(m.frame.elements)
+    }

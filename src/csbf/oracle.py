@@ -1,13 +1,22 @@
-"""Brute-force verification of the closed-form approximations.
+"""Exact verification of the closed-form approximations.
 
 The oracle minimizes an Lp distance over one component of the consistent
 region directly: candidates are *admissible* mass functions supported on the
-ultrafilter of the focus element, parametrized by their masses on the proper
-ultrafilter members (the full frame absorbs normalization).  Minimization is
-a dense lattice scan over that simplex followed by shrinking neighborhood
-refinements and random restarts; for L2 an exact pairwise coordinate descent
-polishes the incumbent.  Nothing here reuses the closed forms being checked,
-they enter only in the final comparison.
+ultrafilter of the focus element, parametrized by their weights w >= 0,
+sum(w) = 1, on the ultrafilter members.  On frames of at most
+``MAX_ORACLE_FRAME`` elements that simplex has at most 8 vertices, so each
+problem is solved exactly, with numpy alone:
+
+* L1 and Linf are linear programs, solved by a dense two-phase tableau
+  simplex under Bland's rule (L1: ``V^T w - u+ + u- = t``, minimize the sum
+  of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``).
+* L2 has a unique minimizer, which solves the KKT system of its own support;
+  every nonempty support is solved (15 at n = 3, 255 at n = 4) and the
+  nearest solution with nonnegative weights is kept.
+
+The reported distance is recomputed from the weights found.  Nothing here
+reuses the closed forms being checked, they enter only in the final
+comparison.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -36,16 +46,16 @@ from .consistent_belief import (
     global_linf_belief,
     partial_linf_belief,
 )
-from .geometry import EmbeddingSpace, SpaceKind, embed
+from .geometry import EmbeddingSpace, PointVector, SpaceKind, embed, lp_distance
 
 #: Largest frame the oracle will grind through.
 MAX_ORACLE_FRAME = 4
 
-#: Hard cap on initial lattice size; exceeding it asks for a coarser step.
-LATTICE_CAP = 4_000_000
+#: Pivots one simplex phase may take before giving up.
+LP_MAX_PIVOTS = 1000
 
-#: Full neighborhood products above this size fall back to coordinate sweeps.
-NEIGHBORHOOD_CAP = 20_000
+#: Pivot, ratio-test and reduced-cost threshold; tableau entries are O(1).
+_LP_EPS = 1e-12
 
 #: Norm/space pairs with a closed form to compare against.
 SUPPORTED_PAIRS: tuple[tuple[float, SpaceKind], ...] = (
@@ -65,25 +75,16 @@ class FrameTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    grid_step: float = 0.02
-    refinement_rounds: int = 3
-    shrink: float = 0.2
-    random_restarts: int = 16
-    tolerance: float = 1e-6
-    seed: int = 0
+    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.grid_step <= 0 or self.tolerance <= 0:
-            raise ValueError("grid_step and tolerance must be positive")
-
-    @property
-    def final_step(self) -> float:
-        return self.grid_step * self.shrink**self.refinement_rounds
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
 
     @property
     def match_tolerance(self) -> float:
-        """How closely the incumbent must reproduce the closed-form distance."""
-        return max(self.tolerance, 10.0 * self.final_step)
+        """How closely the oracle must reproduce the closed-form distance."""
+        return self.tolerance
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,9 @@ def library_global(
 
 
 # ---------------------------------------------------------------------------
-# Candidate parametrization: q holds the masses of the proper ultrafilter
-# members (ascending mask order); the full frame takes 1 - sum(q).
+# Candidate parametrization: w holds the masses of the ultrafilter members
+# (ascending mask order, the full frame last), w >= 0 and sum(w) = 1; the
+# candidate's embedding is w @ V.
 # ---------------------------------------------------------------------------
 
 
@@ -174,8 +176,7 @@ def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
     members[i]; the full frame is always the last member.
     """
     space = EmbeddingSpace(kind, frame)
-    members = [mask for mask in ultrafilter(frame, x) if mask != frame.full_mask]
-    members.append(frame.full_mask)
+    members = ultrafilter(frame, x)
     dim = space.dimension
     v = np.zeros((len(members), dim))
     for i, member in enumerate(members):
@@ -187,135 +188,119 @@ def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
             if member <= dim:
                 v[i, member - 1] = 1.0
     v.setflags(write=False)
-    return tuple(members), v
+    return members, v
 
 
-@lru_cache(maxsize=64)
-def _simplex_lattice(dim: int, steps: int) -> np.ndarray:
-    """Integer lattice points of the simplex: c >= 0 componentwise, sum <= steps."""
-    if dim == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    blocks = []
-    for first in range(steps + 1):
-        rest = _simplex_lattice(dim - 1, steps - first)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    out = np.vstack(blocks)
-    out.setflags(write=False)
-    return out
+def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    basis[row] = col
 
 
-@lru_cache(maxsize=16)
-def _offset_grid(dim: int, span: int = 5) -> np.ndarray:
-    axes = np.meshgrid(*([np.arange(-span, span + 1)] * dim), indexing="ij")
-    out = np.stack([a.ravel() for a in axes], axis=1).astype(np.int64)
-    out.setflags(write=False)
-    return out
+def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
+    """Pivot until no reduced cost in the first ``n_cols`` columns is negative.
 
-
-class _SimplexObjective:
-    """Vectorized Lp distance from the target to candidates Q on the simplex."""
-
-    def __init__(self, target: np.ndarray, e_matrix: np.ndarray, base: np.ndarray, p: float):
-        self.target = target
-        self.e_matrix = e_matrix
-        self.base = base
-        self.p = p
-
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        diff = (q @ self.e_matrix + self.base) - self.target
-        if diff.shape[1] == 0:
-            return np.zeros(diff.shape[0])
-        if self.p == 1:
-            return np.abs(diff).sum(axis=1)
-        if self.p == 2:
-            return np.sqrt((diff * diff).sum(axis=1))
-        return np.abs(diff).max(axis=1)
-
-    def best(self, q: np.ndarray) -> tuple[np.ndarray, float]:
-        values = self(q)
-        idx = int(np.argmin(values))
-        return q[idx].copy(), float(values[idx])
-
-
-def _feasible(q: np.ndarray) -> np.ndarray:
-    ok = (q.min(axis=1, initial=0.0) >= -1e-12) & (q.sum(axis=1) <= 1.0 + 1e-12)
-    return np.clip(q[ok], 0.0, None)
-
-
-def _refine(
-    objective: _SimplexObjective, center: np.ndarray, value: float, cfg: OracleConfig
-) -> tuple[np.ndarray, float]:
-    """Shrinking neighborhood search around an incumbent."""
-    dim = center.size
-    if dim == 0:
-        return center, value
-    full_grid = 11**dim <= NEIGHBORHOOD_CAP
-    for r in range(cfg.refinement_rounds + 1):
-        step = cfg.grid_step * cfg.shrink**r
-        if full_grid:
-            cand = _feasible(center + _offset_grid(dim) * step)
-            best_q, best_v = objective.best(cand)
-            if best_v < value:
-                center, value = best_q, best_v
-        else:
-            # Coordinate lines plus pairwise transfers keep the candidate
-            # count polynomial when the full offset product is too large.
-            for _ in range(3):
-                offsets = np.arange(-5, 6) * step
-                for i in range(dim):
-                    cand = np.tile(center, (offsets.size, 1))
-                    cand[:, i] += offsets
-                    best_q, best_v = objective.best(_feasible(cand))
-                    if best_v < value:
-                        center, value = best_q, best_v
-                for i in range(dim):
-                    for j in range(i + 1, dim):
-                        cand = np.tile(center, (offsets.size, 1))
-                        cand[:, i] += offsets
-                        cand[:, j] -= offsets
-                        best_q, best_v = objective.best(_feasible(cand))
-                        if best_v < value:
-                            center, value = best_q, best_v
-    return center, value
-
-
-def _pairwise_descent(
-    objective: _SimplexObjective, members_v: np.ndarray, q: np.ndarray, tol: float
-) -> np.ndarray:
-    """Exact coordinate descent for the L2 objective over the full simplex.
-
-    Works on the complete weight vector (absorber included) and moves mass
-    between coordinate pairs, solving each one-dimensional quadratic exactly.
+    Bland's rule: the first improving column enters and ratio-test ties leave
+    by smallest basic index, so the phase cannot cycle; the pivot cap only
+    catches a tableau gone numerically wrong.
     """
-    k = members_v.shape[0]
-    w = np.empty(k)
-    w[:-1] = q
-    w[-1] = 1.0 - q.sum()
-    for _ in range(200):
-        coords = w @ members_v
-        residual = objective.target - coords
-        improved = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                u = members_v[i] - members_v[j]
-                uu = float(u @ u)
-                if uu == 0.0:
-                    continue
-                t = float(residual @ u) / uu
-                t = min(max(t, -w[i]), w[j])
-                if t == 0.0:
-                    continue
-                gain = 2.0 * t * float(residual @ u) - uu * t * t
-                if gain <= 0.0:
-                    continue
-                w[i] += t
-                w[j] -= t
-                residual = residual - t * u
-                improved += gain
-        if improved < tol * tol:
-            break
-    return np.clip(w[:-1], 0.0, None)
+    for _ in range(LP_MAX_PIVOTS):
+        entering = np.flatnonzero(tab[-1, :n_cols] < -_LP_EPS)
+        if entering.size == 0:
+            return
+        col = entering[0]
+        rows = np.flatnonzero(tab[:-1, col] > _LP_EPS)
+        ratios = tab[rows, -1] / tab[rows, col]
+        ties = rows[ratios <= ratios.min() + _LP_EPS]
+        _pivot(tab, basis, ties[np.argmin(basis[ties])], col)
+    raise RuntimeError(f"simplex did not finish within {LP_MAX_PIVOTS} pivots")
+
+
+def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+    """A minimizer of ``c @ z`` subject to ``a_eq @ z = b_eq``, ``z >= 0``.
+
+    Two-phase dense tableau simplex; the program must be feasible and bounded.
+    The last tableau row holds the reduced costs, the last column the values.
+    """
+    m, n = a_eq.shape
+    sign = np.where(b_eq < 0, -1.0, 1.0)
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a_eq * sign[:, None]
+    tab[:m, n:-1] = np.eye(m)
+    tab[:m, -1] = b_eq * sign
+    # Phase 1 minimizes the sum of the artificial columns, which start basic.
+    tab[-1] = -tab[:m].sum(axis=0)
+    tab[-1, n:-1] = 0.0
+    basis = np.arange(n, n + m)
+    _simplex_phase(tab, basis, n)
+    for row in np.flatnonzero(basis >= n):
+        cols = np.flatnonzero(np.abs(tab[row, :n]) > _LP_EPS)
+        if cols.size:  # an all-zero row is redundant and stays so
+            _pivot(tab, basis, row, cols[0])
+    tab = np.delete(tab, np.s_[n:-1], axis=1)
+    basic = basis < n
+    tab[-1] = np.append(c, 0.0)
+    tab[-1] -= c[basis[basic]] @ tab[:-1][basic]
+    _simplex_phase(tab, basis, n)
+    basic = basis < n
+    z = np.zeros(n)
+    z[basis[basic]] = tab[:-1, -1][basic]
+    return z
+
+
+def _lp_weights(v: np.ndarray, target: np.ndarray, p: float) -> np.ndarray:
+    """Ultrafilter weights minimizing the L1 or Linf distance, as one LP."""
+    k, d = v.shape
+    eye, zeros = np.eye(d), np.zeros((d, d))
+    if p == 1:
+        # V^T w - u+ + u- = t; minimize sum(u+) + sum(u-).
+        a = np.block([[v.T, -eye, eye], [np.ones((1, k)), np.zeros((1, 2 * d))]])
+        b = np.append(target, 1.0)
+        c = np.r_[np.zeros(k), np.ones(2 * d)]
+    else:
+        # V^T w - s + r+ = t and -V^T w - s + r- = -t bound |V^T w - t| by s;
+        # minimize s.
+        ones = np.ones((d, 1))
+        a = np.block([
+            [v.T, -ones, eye, zeros],
+            [-v.T, -ones, zeros, eye],
+            [np.ones((1, k)), np.zeros((1, 1 + 2 * d))],
+        ])
+        b = np.r_[target, -target, 1.0]
+        c = np.zeros(k + 1 + 2 * d)
+        c[k] = 1.0
+    return _lp_min(c, a, b)[:k]
+
+
+def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Ultrafilter weights minimizing the L2 distance.
+
+    The minimizer solves the KKT system of the equality-constrained problem on
+    its own support S, ``[[E_S E_S^T, 1], [1^T, 0]] [w; lam] = [E_S t; 1]``, so
+    the best nonnegative solution over every nonempty support is exact.  The
+    categorical embeddings are affinely independent, so each system is regular.
+    """
+    k = v.shape[0]
+    best, best_dist = None, math.inf
+    for size in range(1, k + 1):
+        supports = np.array(list(combinations(range(k), size)))
+        e = v[supports]
+        kkt = np.ones((len(supports), size + 1, size + 1))
+        kkt[:, :size, :size] = e @ e.transpose(0, 2, 1)
+        kkt[:, size, size] = 0.0
+        rhs = np.ones((len(supports), size + 1, 1))
+        rhs[:, :size, 0] = e @ target
+        sol = np.linalg.solve(kkt, rhs)[:, :size, 0]
+        w = np.zeros((len(supports), k))
+        np.put_along_axis(w, supports, sol, axis=1)
+        dist = np.linalg.norm(w @ v - target, axis=1)
+        dist[sol.min(axis=1) < -_LP_EPS] = math.inf
+        i = int(np.argmin(dist))
+        if dist[i] < best_dist:
+            best, best_dist = w[i], dist[i]
+    return best
 
 
 def brute_force_partial(
@@ -325,11 +310,10 @@ def brute_force_partial(
     space: EmbeddingSpace | SpaceKind,
     cfg: OracleConfig = OracleConfig(),
 ) -> OracleReport:
-    """Minimize the Lp distance over one consistent component by search.
+    """Minimize the Lp distance over one consistent component exactly.
 
-    The search is deterministic for a fixed config (restart draws come from
-    the config seed).  The report always carries the gap against the closed
-    form; ``converged`` is false when the gap exceeds the match tolerance.
+    The report always carries the gap against the closed form; ``converged``
+    is false when the gap exceeds the match tolerance.
     """
     frame = m.frame
     if frame.size > MAX_ORACLE_FRAME:
@@ -339,44 +323,17 @@ def brute_force_partial(
     kind = _as_kind(space)
     emb_space = EmbeddingSpace(kind, frame)
     members, v = _categorical_coords_matrix(frame, x, kind)
-    dim = len(members) - 1  # free coordinates, full frame absorbed
-    e_matrix = v[:-1] - v[-1]
-    target = embed(m, emb_space).coords
-    objective = _SimplexObjective(target, e_matrix, v[-1].copy(), p)
-
-    steps = max(1, round(1.0 / cfg.grid_step))
-    if math.comb(steps + dim, dim) > LATTICE_CAP:
-        raise ValueError(
-            f"initial lattice would hold {math.comb(steps + dim, dim)} points; "
-            "increase grid_step"
-        )
-    lattice = _simplex_lattice(dim, steps) * (1.0 / steps)
-    best_q, best_v = objective.best(lattice)
-    best_q, best_v = _refine(objective, best_q, best_v, cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.random_restarts):
-        start = rng.dirichlet(np.ones(dim + 1))[:dim]
-        q, value = _refine(objective, start, float(objective(start[None, :])[0]), cfg)
-        if value < best_v:
-            best_q, best_v = q, value
-
-    if p == 2:
-        q = _pairwise_descent(objective, v, best_q, cfg.tolerance)
-        value = float(objective(q[None, :])[0])
-        if value < best_v:
-            best_q, best_v = q, value
-
-    masses = {mask: float(val) for mask, val in zip(members[:-1], best_q)}
-    masses[frame.full_mask] = 1.0 - float(best_q.sum())
-    point = MassFunction(frame, masses)
+    target = embed(m, emb_space)
+    w = _l2_weights(v, target.coords) if p == 2 else _lp_weights(v, target.coords, p)
+    distance = lp_distance(PointVector(emb_space, w @ v), target, p)
+    point = MassFunction(frame, dict(zip(members, w.tolist())))
     closed_distance, _ = closed_form_partial(m, x, p, kind)
-    gap = abs(best_v - closed_distance)
+    gap = abs(distance - closed_distance)
     return OracleReport(
         focus=x,
         norm=p,
         space=emb_space,
-        oracle_distance=best_v,
+        oracle_distance=distance,
         closed_form_distance=closed_distance,
         oracle_point=point,
         max_gap=gap,

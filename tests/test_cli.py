@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from csbf.cli import main
 
-TERNARY = os.path.join(os.path.dirname(__file__), "..", "data", "ternary.json")
+HERE = os.path.dirname(__file__)
+TERNARY = os.path.join(HERE, "..", "data", "ternary.json")
+VERIFY_N4 = os.path.join(HERE, "fixtures", "verify_n4_seed410.json")
+SRC = os.path.join(HERE, "..", "src")
 
 
 def write_doc(tmp_path, name, doc):
@@ -214,7 +219,7 @@ class TestOutputContracts:
         assert doc2["result"] == doc["result"]
 
     def test_verify_output_is_byte_stable(self, capsys, tmp_path):
-        argv = ["verify", TERNARY, "--restarts", "2", "--grid-step", "0.05"]
+        argv = ["verify", TERNARY]
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
@@ -416,12 +421,40 @@ def test_subset_key_whitespace_and_order_normalized(capsys, tmp_path):
 
 class TestVerify:
     def test_running_example_passes(self, capsys):
-        doc, _ = run_json(capsys, ["verify", TERNARY, "--restarts", "4"])
+        doc, _ = run_json(capsys, ["verify", TERNARY])
         assert doc["all_ok"] is True
         assert len(doc["reports"]) == 21
         assert all(r["converged"] for r in doc["reports"])
         assert all(c["agree"] for c in doc["global_checks"])
         assert all(c["library_optima"] == ["y"] for c in doc["global_checks"])
+
+    def test_seed410_n4_document_passes_exactly(self, capsys):
+        # A random n = 4 document on which a search oracle missed the L1
+        # belief optimum by 0.017.
+        doc, _ = run_json(capsys, ["verify", VERIFY_N4])
+        assert doc["all_ok"] is True
+        assert doc["config"] == {"match_tolerance": 1e-9}
+        assert len(doc["reports"]) == 28
+        assert max(r["max_gap"] for r in doc["reports"]) <= 1e-9
+
+    @pytest.mark.parametrize("flag", ["--grid-step", "--restarts", "--seed"])
+    def test_search_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", TERNARY, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_verify_does_not_import_scipy(self):
+        code = (
+            "import sys; from csbf.cli import main; "
+            f"assert main(['verify', {TERNARY!r}, '--out', {os.devnull!r}]) == 0; "
+            "assert not any(name.split('.')[0] == 'scipy' for name in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_frame_too_large(self, capsys, tmp_path):
         path = write_doc(
@@ -439,7 +472,7 @@ class TestVerify:
             "tie.json",
             {"frame": ["x", "y", "z"], "masses": {"x": 0.2, "y": 0.2, "x,y": 0.6}},
         )
-        doc, _ = run_json(capsys, ["verify", path, "--restarts", "4"])
+        doc, _ = run_json(capsys, ["verify", path])
         l1_check = next(
             c for c in doc["global_checks"] if c["norm"] == "l1" and c["space"] == "mass-n2"
         )

@@ -312,6 +312,29 @@ def test_plausibility_duality(m):
         assert abs(view.plausibility_of(a) + view.belief_of(frame.complement(a)) - 1.0) < 1e-12
 
 
+def contour_by_loop(m):
+    """Reference contour: per element, a builtin sum over the masses in dict order."""
+    return {
+        label: sum((v for mask, v in m.masses.items() if mask >> i & 1), 0.0)
+        for i, label in enumerate(m.frame.elements)
+    }
+
+
+@given(mass_functions(max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_contour_is_the_loop_sum_bit_for_bit(m):
+    assert contour(m) == contour_by_loop(m)
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_full_support_contour_is_the_loop_sum_bit_for_bit(n):
+    from csbf.sampling import random_mass_function
+
+    frame = Frame(tuple(f"e{i}" for i in range(n)))
+    m = random_mass_function(frame, np.random.default_rng(n), full_support=True)
+    assert contour(m) == contour_by_loop(m)
+
+
 @given(mass_functions())
 @settings(max_examples=100, deadline=None)
 def test_consistency_iff_full_contour(m):

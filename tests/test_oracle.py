@@ -1,44 +1,49 @@
 import math
 
+import numpy as np
 import pytest
 
 from csbf import (
+    EmbeddingSpace,
     FrameTooLargeError,
     MassFunction,
     OracleConfig,
     SpaceKind,
     brute_force_partial,
+    embed,
     exhaustive_global_check,
     partial_linf_mass,
+    ultrafilter,
 )
+from csbf import oracle
 from csbf.oracle import SUPPORTED_PAIRS
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
 
-FAST_CFG = OracleConfig(random_restarts=4)
+CFG = OracleConfig()
 
 
 class TestBruteForcePartial:
     def test_running_example_l1_mass(self, ternary):
-        report = brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2, FAST_CFG)
-        assert report.oracle_distance == pytest.approx(0.4, abs=FAST_CFG.match_tolerance)
+        report = brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2, CFG)
+        assert report.oracle_distance == pytest.approx(0.4, abs=CFG.match_tolerance)
         assert report.converged
 
     def test_vacuous_is_its_own_approximation(self):
         frame = frame_of_size(3)
         m = MassFunction.vacuous(frame)
         for p, kind in SUPPORTED_PAIRS:
-            report = brute_force_partial(m, "x", p, kind, FAST_CFG)
+            report = brute_force_partial(m, "x", p, kind, CFG)
             assert report.oracle_distance == pytest.approx(0.0, abs=1e-12)
             assert report.oracle_point.allclose(m, tol=1e-9)
 
     def test_l2_belief_point_matches_focused_transform(self, ternary):
         from csbf import focused_transform
 
-        report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF, FAST_CFG)
+        report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF, CFG)
         expected = focused_transform(ternary, "x").result
-        assert report.oracle_point.allclose(expected, tol=1e-4)
+        assert report.oracle_point.allclose(expected, tol=1e-9)
 
     def test_closed_form_never_beaten(self, rng):
         frame = frame_of_size(3)
@@ -46,24 +51,21 @@ class TestBruteForcePartial:
             m = random_mass_function(frame, rng)
             for p, kind in SUPPORTED_PAIRS:
                 for label in frame.elements:
-                    report = brute_force_partial(m, label, p, kind, FAST_CFG)
-                    assert report.oracle_distance >= report.closed_form_distance - FAST_CFG.tolerance
-                    assert report.oracle_distance <= (
-                        report.closed_form_distance + 10 * FAST_CFG.grid_step
-                    )
+                    report = brute_force_partial(m, label, p, kind, CFG)
+                    assert abs(report.oracle_distance - report.closed_form_distance) <= 1e-9
 
     def test_linf_incumbent_lies_in_the_box(self, rng):
         frame = frame_of_size(3)
         for _ in range(5):
             m = random_mass_function(frame, rng)
             for label in frame.elements:
-                report = brute_force_partial(m, label, math.inf, SpaceKind.MASS_N2, FAST_CFG)
+                report = brute_force_partial(m, label, math.inf, SpaceKind.MASS_N2, CFG)
                 box = partial_linf_mass(m, label)
-                assert box.contains(report.oracle_point, tol=FAST_CFG.match_tolerance)
+                assert box.contains(report.oracle_point, tol=CFG.match_tolerance)
 
     def test_deterministic_for_fixed_seed(self, ternary):
-        a = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF, FAST_CFG)
-        b = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF, FAST_CFG)
+        a = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF, CFG)
+        b = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF, CFG)
         assert a.oracle_distance == b.oracle_distance
         assert a.oracle_point.allclose(b.oracle_point, tol=0.0)
 
@@ -71,21 +73,44 @@ class TestBruteForcePartial:
         frame = frame_of_size(5)
         m = MassFunction.vacuous(frame)
         with pytest.raises(FrameTooLargeError):
-            brute_force_partial(m, "x", 1, SpaceKind.MASS_N2, FAST_CFG)
+            brute_force_partial(m, "x", 1, SpaceKind.MASS_N2, CFG)
 
-    def test_explosive_lattice_rejected(self):
-        frame = frame_of_size(4)
-        m = MassFunction.vacuous(frame)
-        with pytest.raises(ValueError, match="grid_step"):
-            brute_force_partial(m, "x", 1, SpaceKind.MASS_N2, OracleConfig(grid_step=0.02))
+    def test_lp_pivot_cap_raises(self, ternary, monkeypatch):
+        monkeypatch.setattr(oracle, "LP_MAX_PIVOTS", 1)
+        with pytest.raises(RuntimeError, match="1 pivots"):
+            brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2, CFG)
+
+    @pytest.mark.parametrize(
+        "c, a, b, expected",
+        [
+            # max x1 + x2 s.t. x1 + 2 x2 <= 4 and 3 x1 + x2 <= 6, with slacks;
+            # the second row is negated, so its right-hand side starts negative.
+            ([-1, -1, 0, 0], [[1, 2, 1, 0], [-3, -1, 0, -1]], [4, -6], [1.6, 1.2, 0, 0]),
+            # Phase 1 leaves x1 basic; phase 2 must price it out to reach x2.
+            ([2, 1], [[1, 1]], [1], [0, 1]),
+            # One feasible point; phase 1 ends with an artificial basic at zero
+            # in a row that must be pivoted onto an original column.
+            ([2, 2, 2], [[1, -2, 0], [-2, 0, -2], [2, 2, -2]], [-2, -4, 8], [2, 2, 0]),
+        ],
+    )
+    def test_lp_min_on_small_programs(self, c, a, b, expected):
+        z = oracle._lp_min(*(np.array(u, dtype=float) for u in (c, a, b)))
+        assert z == pytest.approx(expected, abs=1e-12)
+
+    def test_l2_weights_stay_on_the_simplex(self):
+        # Unit masses on {x} and on the frame {x, y}, in mass-n2 coordinates:
+        # the target (2, -1) projects onto their affine hull at w = (2, -1),
+        # so the nearest point of the simplex is the vertex {x}.
+        v = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert oracle._l2_weights(v, np.array([2.0, -1.0])) == pytest.approx([1.0, 0.0])
 
     def test_four_element_frame_with_coarse_grid(self, rng):
         frame = frame_of_size(4)
         m = random_mass_function(frame, rng)
-        cfg = OracleConfig(grid_step=0.1, random_restarts=4)
         for p, kind in SUPPORTED_PAIRS:
-            report = brute_force_partial(m, "x", p, kind, cfg)
-            assert report.converged, (p, kind, report.max_gap)
+            for label in frame.elements:
+                report = brute_force_partial(m, label, p, kind, CFG)
+                assert report.converged, (p, kind, label, report.max_gap)
 
 
 class TestExhaustiveGlobalCheck:
@@ -93,7 +118,7 @@ class TestExhaustiveGlobalCheck:
         from csbf.oracle import library_global
 
         for p, kind in SUPPORTED_PAIRS:
-            assert exhaustive_global_check(ternary, p, kind, FAST_CFG)
+            assert exhaustive_global_check(ternary, p, kind, CFG)
             assert library_global(ternary, p, kind).optima == ("y",)
 
     def test_uniform_bayesian_ties_every_singleton(self):
@@ -101,15 +126,71 @@ class TestExhaustiveGlobalCheck:
         m = MassFunction.from_labels(frame, {"x": 1 / 3, "y": 1 / 3, "z": 1 / 3})
         for p, kind in SUPPORTED_PAIRS:
             reports = {
-                lbl: brute_force_partial(m, lbl, p, kind, FAST_CFG) for lbl in frame.elements
+                lbl: brute_force_partial(m, lbl, p, kind, CFG) for lbl in frame.elements
             }
             distances = [r.oracle_distance for r in reports.values()]
-            assert max(distances) - min(distances) <= FAST_CFG.match_tolerance
-            assert exhaustive_global_check(m, p, kind, FAST_CFG)
+            assert max(distances) - min(distances) <= CFG.match_tolerance
+            assert exhaustive_global_check(m, p, kind, CFG)
 
     def test_random_draws_agree(self, rng):
         frame = frame_of_size(3)
         for _ in range(3):
             m = random_mass_function(frame, rng)
             for p, kind in SUPPORTED_PAIRS:
-                assert exhaustive_global_check(m, p, kind, FAST_CFG)
+                assert exhaustive_global_check(m, p, kind, CFG)
+
+
+def _linprog_distance(m, x, p, kind):
+    """The same partial problem in inequality form, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    frame = m.frame
+    space = EmbeddingSpace(kind, frame)
+    v = np.array(
+        [embed(MassFunction(frame, {a: 1.0}), space).coords for a in ultrafilter(frame, x)]
+    )
+    t = embed(m, space).coords
+    k, d = v.shape
+    n_err = d if p == 1 else 1  # one bound per coordinate, or one for all
+    spread = np.eye(d) if p == 1 else np.ones((d, 1))
+    # -e <= V^T w - t <= e, sum(w) = 1, over z = (w, e) >= 0; minimize sum(e)
+    a_ub = np.block([[v.T, -spread], [-v.T, -spread]])
+    b_ub = np.r_[t, -t]
+    a_eq = np.r_[np.ones(k), np.zeros(n_err)][None, :]
+    c = np.r_[np.zeros(k), np.ones(n_err)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("size, seed", [(3, 7), (4, 8)])
+def test_lp_optimum_matches_scipy_highs(size, seed):
+    pytest.importorskip("scipy.optimize")
+    frame = frame_of_size(size)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        m = random_mass_function(frame, rng)
+        for p in (1, math.inf):
+            for kind in (SpaceKind.MASS_N2, SpaceKind.BELIEF):
+                for label in frame.elements:
+                    ours = brute_force_partial(m, label, p, kind, CFG).oracle_distance
+                    assert ours == pytest.approx(_linprog_distance(m, label, p, kind), abs=1e-9)
+
+
+def test_lp_min_matches_scipy_highs_on_random_programs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(2014)
+    solved = 0
+    while solved < 300:
+        # Small integer programs with a known feasible point: many are degenerate.
+        m, n = rng.integers(1, 4), rng.integers(2, 6)
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = a @ rng.integers(0, 3, size=n)
+        c = rng.integers(-1, 3, size=n).astype(float)
+        ref = linprog(c, A_eq=a, b_eq=b, method="highs")
+        if ref.status != 0:  # unbounded
+            continue
+        z = oracle._lp_min(c, a, b)
+        assert z.min() >= -1e-12 and a @ z == pytest.approx(b, abs=1e-9)
+        assert c @ z == pytest.approx(ref.fun, abs=1e-9)
+        solved += 1
