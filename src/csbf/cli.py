@@ -26,6 +26,8 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     EvidenceError,
     Frame,
@@ -75,6 +77,9 @@ EXIT_FRAME = 5
 
 INGEST_SUM_TOL = 1e-6
 MAX_VERTEX_COORDS = 12
+#: Shortest block of reals that :func:`_reals` deduplicates with numpy.
+SMALL_BLOCK = 32
+_NON_FINITE = "Out of range float values are not JSON compliant"
 
 
 class CliError(Exception):
@@ -159,11 +164,41 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _reals(values) -> list[str]:
-    """JSON text of each real, rounded to 12 significant digits; C-level loops."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError("Out of range float values are not JSON compliant")
-    return list(map(repr, map(float, map(format, values, repeat(".12g")))))
+def _real(v: float) -> str:
+    """JSON text of ``v`` rounded to 12 significant digits: ``repr(float(format(v, ".12g")))``.
+
+    A decimal of at most 12 significant digits survives the round trip
+    through a double, so ``repr`` spells it with the same digits as
+    ``format``.  The spellings differ only for integral values (``repr``
+    adds ``.0``), for 1e12 <= |v| < 1e16 (``repr`` writes them
+    positionally; caught by ``e+1``) and for subnormals, whose precision is
+    below 15 digits (caught by ``e-3``); those take the ``repr`` path.
+    """
+    text = format(v, ".12g")
+    if ("." in text or "e" in text) and "e+1" not in text and "e-3" not in text:
+        return text
+    return repr(float(text))
+
+
+def _reals(values: Sequence[float]) -> list[str]:
+    """:func:`_real` of each value, formatting each distinct bit pattern once.
+
+    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.
+    A block shorter than :data:`SMALL_BLOCK` is formatted value by value:
+    there the numpy pass costs more than it saves, and skipping it keeps
+    numpy's sort code out of small calls such as ``verify`` (about 0.5 MB
+    of resident memory per process).
+    """
+    if len(values) < SMALL_BLOCK:
+        if not all(map(math.isfinite, values)):
+            raise ValueError(_NON_FINITE)
+        return list(map(_real, values))
+    arr = np.array(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(_NON_FINITE)
+    bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(_real, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _float_rows(items: list) -> bool:
@@ -181,12 +216,14 @@ def _all_of_type(items, kind: type) -> bool:
 
 
 def _dumps(value: Any, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, every real rounded by :func:`_reals`.
+    """``json.dumps(value, indent=2, allow_nan=False)``, every real rounded by :func:`_real`.
 
     Object keys must be strings.  A dict whose values are all floats, or
-    all float lists of one length, is written with one join, so a
+    all float lists of one length, is written with one join, its reals
+    formatted by :func:`_reals` (once per distinct value), so a
     ``{subset: real}`` or ``{subset: [lo, hi]}`` block costs a few C-level
-    passes rather than Python calls per entry.
+    passes plus one ``format`` call per distinct real.  A scalar float is
+    written by :func:`_real` directly.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -199,7 +236,9 @@ def _dumps(value: Any, indent: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _reals([value])[0]
+        if not math.isfinite(value):
+            raise ValueError(_NON_FINITE)
+        return _real(value)
     if isinstance(value, dict):
         if not value:
             return "{}"

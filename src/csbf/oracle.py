@@ -349,8 +349,9 @@ def globals_agree(
     """Tolerance-aware set agreement between library and oracle argmins.
 
     Every library optimum must be oracle-optimal within the match tolerance,
-    and every strict oracle argmin must be library-optimal within it, both
-    measured on the attained distances (same scale on both sides).
+    and every oracle-optimal element (within the same tolerance) must be
+    closed-form-optimal within it, both measured on the attained distances
+    (same scale on both sides).
     """
     tol = cfg.match_tolerance
     closed = {x: r.closed_form_distance for x, r in reports.items()}
@@ -359,8 +360,7 @@ def globals_agree(
     oracle_min = min(oracle.values())
     oracle_loose = {x for x, d in oracle.items() if d <= oracle_min + tol}
     closed_loose = {x for x, d in closed.items() if d <= closed_min + tol}
-    oracle_strict = {x for x, d in oracle.items() if d <= oracle_min + 1e-9}
-    return set(result.optima) <= oracle_loose and oracle_strict <= closed_loose
+    return set(result.optima) <= oracle_loose and oracle_loose <= closed_loose
 
 
 def exhaustive_global_check(

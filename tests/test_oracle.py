@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ class TestExhaustiveGlobalCheck:
             m = random_mass_function(frame, rng)
             for p, kind in SUPPORTED_PAIRS:
                 assert exhaustive_global_check(m, p, kind, CFG)
+
+
+@pytest.mark.parametrize(
+    "optima, oracle_d, closed_d, agree",
+    [
+        (("x",), (0.1, 0.2), (0.1, 0.2), True),
+        (("y",), (0.1, 0.2), (0.1, 0.2), False),  # library optimum not oracle-optimal
+        (("x",), (0.1, 0.1 + 1e-10), (0.1, 0.3), False),  # oracle tie the closed form misses
+        (("x", "y"), (0.1, 0.1 + 1e-10), (0.1, 0.1 + 5e-10), True),
+        (("x",), (0.1, 0.1 + 1e-8), (0.1, 0.3), True),  # beyond the match tolerance
+    ],
+)
+def test_globals_agree_compares_tolerant_argmin_sets(optima, oracle_d, closed_d, agree):
+    reports = {
+        x: SimpleNamespace(oracle_distance=o, closed_form_distance=c)
+        for x, o, c in zip("xy", oracle_d, closed_d)
+    }
+    assert oracle.globals_agree(SimpleNamespace(optima=optima), reports, CFG) is agree
 
 
 def _linprog_distance(m, x, p, kind):

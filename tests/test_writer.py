@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csbf.cli import _dumps, _emit
+from csbf.cli import _dumps, _emit, _real
 
 
 def round12(value):
@@ -51,6 +51,19 @@ documents = st.recursive(
 )
 
 
+# Output blocks repeat a few values many times: zeros off the focus's
+# supersets and shared interval bounds.  Pools of at most six values, some
+# mixing the spellings the writer must keep apart or route through ``repr``.
+MIXED_POOLS = [
+    [0.0, -0.0],
+    [0.0, -0.0, 5e-324, -5e-324],
+    [5e-324, 1.5e-310, 1e12, 123456789012.5, 9.999999999999996e15, 1e16],
+    [0.99999999999996, 1.0, 0.0, -0.0, 1e-7, 9.99999999999996e11],
+]
+pools = st.lists(reals, min_size=1, max_size=6) | st.sampled_from(MIXED_POOLS)
+repeated_reals = pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+
+
 def poison(bad):
     """Documents holding ``bad`` at some depth, beside finite values."""
     return st.one_of(
@@ -75,6 +88,54 @@ nested_poison = st.sampled_from(NONFINITE).flatmap(
 @settings(max_examples=400, deadline=None)
 def test_matches_json_reference(doc):
     assert _dumps(doc) == reference(doc)
+
+
+@given(repeated_reals)
+@settings(max_examples=200, deadline=None)
+def test_repeated_values_match_json_reference(values):
+    keys = [f"k{i}" for i in range(len(values))]
+    for doc in (
+        dict(zip(keys, values)),
+        dict(zip(keys, ([v, -v] for v in values))),
+        values,
+    ):
+        assert _dumps(doc) == reference(doc)
+
+
+def test_long_block_keeps_rare_values_and_finds_nan():
+    values = [0.0] * 2**15
+    values[7] = -0.0
+    values[30000] = 5e-324
+    block = {f"k{i}": v for i, v in enumerate(values)}
+    assert _dumps(block) == reference(block)
+    block["k20000"] = math.nan
+    with pytest.raises(ValueError):
+        _dumps(block)
+
+
+def _decades():
+    """10^e for e in -325..308, its neighbours and 9.9999999999995·10^e."""
+    for e in range(-325, 309):
+        for v in (float(f"1e{e}"), float(f"9.9999999999995e{e}")):
+            yield from (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+DECADES = [v for v in _decades() if math.isfinite(v)]
+
+
+def real_reference(v):
+    return repr(float(format(v, ".12g")))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=1000, deadline=None)
+def test_real_matches_repr_of_rounded(v):
+    assert _real(v) == real_reference(v)
+
+
+def test_real_matches_repr_at_every_decade():
+    bad = [v for v in DECADES + [-v for v in DECADES] if _real(v) != real_reference(v)]
+    assert not bad, bad[:5]
 
 
 @pytest.mark.parametrize("value", SPECIAL_FLOATS)
