@@ -77,8 +77,6 @@ EXIT_FRAME = 5
 
 INGEST_SUM_TOL = 1e-6
 MAX_VERTEX_COORDS = 12
-#: Shortest block of reals that :func:`_reals` deduplicates with numpy.
-SMALL_BLOCK = 32
 _NON_FINITE = "Out of range float values are not JSON compliant"
 
 
@@ -184,15 +182,7 @@ def _reals(values: Sequence[float]) -> list[str]:
     """:func:`_real` of each value, formatting each distinct bit pattern once.
 
     Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.
-    A block shorter than :data:`SMALL_BLOCK` is formatted value by value:
-    there the numpy pass costs more than it saves, and skipping it keeps
-    numpy's sort code out of small calls such as ``verify`` (about 0.5 MB
-    of resident memory per process).
     """
-    if len(values) < SMALL_BLOCK:
-        if not all(map(math.isfinite, values)):
-            raise ValueError(_NON_FINITE)
-        return list(map(_real, values))
     arr = np.array(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(_NON_FINITE)
