@@ -11,7 +11,7 @@ digits, which keeps repeated runs byte-identical.
 
 Exit codes: 0 ok, 1 verification found a gap, 2 unreadable or invalid input,
 3 invalid flag combination, 4 unknown focus element, 5 frame too large to
-verify.
+verify, 6 output file cannot be written.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from collections import Counter
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
@@ -74,6 +73,7 @@ EXIT_PARSE = 2
 EXIT_FLAGS = 3
 EXIT_FOCUS = 4
 EXIT_FRAME = 5
+EXIT_WRITE = 6
 
 INGEST_SUM_TOL = 1e-6
 MAX_VERTEX_COORDS = 12
@@ -94,8 +94,8 @@ def _comparison_tolerance() -> float:
         value = float(raw)
     except ValueError:
         raise CliError(f"CSBF_TOLERANCE is not a number: {raw!r}", EXIT_PARSE) from None
-    if value <= 0:
-        raise CliError("CSBF_TOLERANCE must be positive", EXIT_PARSE)
+    if not 0 < value < math.inf:
+        raise CliError(f"CSBF_TOLERANCE must be finite and positive, got {raw!r}", EXIT_PARSE)
     return value
 
 
@@ -113,7 +113,7 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read input document: {exc}", EXIT_PARSE) from None
     if not isinstance(raw, dict) or "frame" not in raw or "masses" not in raw:
         raise CliError("input document needs 'frame' and 'masses'", EXIT_PARSE)
@@ -129,8 +129,6 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise EvidenceError(f"mass of {key!r} is not a number")
             mask = frame.parse_subset(key)
-            if mask == 0:
-                raise EvidenceError("the empty set may not carry mass")
             if mask in masses:
                 raise EvidenceError(f"subset {key!r} appears twice")
             masses[mask] = float(value)
@@ -178,42 +176,71 @@ def _real(v: float) -> str:
     return repr(float(text))
 
 
-def _reals(values: Sequence[float]) -> list[str]:
-    """:func:`_real` of each value, formatting each distinct bit pattern once.
+def _reals(values: np.ndarray) -> np.ndarray:
+    """:func:`_real` of each value as an object array, each distinct bit pattern formatted once.
 
     Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.
     """
-    arr = np.array(values, dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(_NON_FINITE)
     bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
     texts = np.array(list(map(_real, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    return texts[inverse.reshape(arr.shape)]
 
 
-def _float_rows(items: list) -> bool:
-    """True when every item is a list of floats, all of one nonzero length."""
-    return (
-        _all_of_type(items, list)
-        and len(set(map(len, items))) == 1
-        and _all_of_type(chain.from_iterable(items), float)
-    )
+class _Block:
+    """A ``{subset: real}`` or ``{subset: [real, ...]}`` object, held as arrays.
+
+    ``values`` has one entry (1-D) or one row (2-D) per mask, in output order.
+    A plain class, since building a dataclass costs about 0.8 ms at import,
+    paid by every CLI call (2-vCPU Xeon VM, Python 3.11).
+    """
+
+    __slots__ = ("frame", "masks", "values")
+
+    def __init__(self, frame: Frame, masks: np.ndarray, values: np.ndarray):
+        self.frame, self.masks, self.values = frame, masks, values
 
 
-def _all_of_type(items, kind: type) -> bool:
-    """True when every item (at least one) is exactly of type ``kind``."""
-    return set(map(type, items)) == {kind}
+def _json_escape(text: str) -> str:
+    """JSON string body of ``text``, escaped to ASCII as ``json`` does, without quotes."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
+def _block_text(block: _Block, indent: str) -> str:
+    """JSON text of a block: one object array of pieces and one join.
+
+    Key texts come from :meth:`Frame.gather_texts`, escaped once per label
+    table entry; reals from :func:`_reals`, formatted once per distinct value.
+    """
+    heads, tails = block.frame.gather_texts(block.masks, _json_escape)
+    if not len(heads):
+        return "{}"
+    inner = indent + "  "
+    reals = _reals(block.values)
+    columns = [f",\n{inner}\"", heads, tails]
+    if reals.ndim == 1:
+        columns += ['": ', reals]
+    else:
+        deeper = inner + "  "
+        columns.append(f'": [\n{deeper}')
+        for j in range(reals.shape[1]):
+            columns += [f",\n{deeper}", reals[:, j]] if j else [reals[:, j]]
+        columns.append(f"\n{inner}]")
+    pieces = np.empty((len(heads), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        pieces[:, j] = column
+    pieces[0, 0] = f"\n{inner}\""  # no comma before the first entry
+    return "{" + "".join(pieces.ravel().tolist()) + f"\n{indent}}}"
 
 
 def _dumps(value: Any, indent: str = "") -> str:
     """``json.dumps(value, indent=2, allow_nan=False)``, every real rounded by :func:`_real`.
 
-    Object keys must be strings.  A dict whose values are all floats, or
-    all float lists of one length, is written with one join, its reals
-    formatted by :func:`_reals` (once per distinct value), so a
-    ``{subset: real}`` or ``{subset: [lo, hi]}`` block costs a few C-level
-    passes plus one ``format`` call per distinct real.  A scalar float is
-    written by :func:`_real` directly.
+    Object keys must be strings.  A :class:`_Block` is written as the
+    ``{subset: value}`` object it stands for by :func:`_block_text`; a
+    scalar float by :func:`_real` directly.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -229,20 +256,13 @@ def _dumps(value: Any, indent: str = "") -> str:
         if not math.isfinite(value):
             raise ValueError(_NON_FINITE)
         return _real(value)
+    if isinstance(value, _Block):
+        return _block_text(value, indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
-        items = list(value.values())
-        if _all_of_type(items, float):
-            texts = _reals(items)
-        elif _float_rows(items):
-            # every value a float list of one length: one template per row
-            deeper = inner + "  "
-            row = f"[\n{deeper}" + f",\n{deeper}".join(["{}"] * len(items[0])) + f"\n{inner}]"
-            texts = map(row.format, *map(_reals, zip(*items)))
-        else:
-            texts = (_dumps(v, inner) for v in items)
+        texts = (_dumps(v, inner) for v in value.values())
         body = f",\n{inner}".join(map("{}: {}".format, map(encode_basestring_ascii, value), texts))
         return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(value, (list, tuple)):
@@ -257,14 +277,24 @@ def _dumps(value: Any, indent: str = "") -> str:
 def _emit(doc: dict, out_path: str | None) -> None:
     text = _dumps(doc) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output: {exc}", EXIT_WRITE) from None
     else:
         sys.stdout.write(text)
 
 
-def _mass_block(m: PseudoMassFunction, masks: Sequence[int]) -> dict[str, float]:
-    return dict(zip(m.frame.format_subsets(masks), map(m.masses.get, masks, repeat(0.0))))
+def _mass_block(m: PseudoMassFunction, masks: Sequence[int]) -> _Block:
+    masks = np.asarray(masks, dtype=np.int64)
+    return _Block(m.frame, masks, m.as_array()[masks])
+
+
+def _element_block(frame: Frame, by_label: Mapping[str, float]) -> _Block:
+    """``{element: real}`` as a block of singleton masks, in frame order."""
+    values = np.array([by_label[lbl] for lbl in frame.elements], dtype=np.float64)
+    return _Block(frame, 1 << np.arange(frame.size, dtype=np.int64), values)
 
 
 def _point_payload(m: PseudoMassFunction, focus: str, tol: float) -> dict:
@@ -275,10 +305,10 @@ def _point_payload(m: PseudoMassFunction, focus: str, tol: float) -> dict:
     }
 
 
-def _interval_block(frame: Frame, lower: Mapping[int, float], upper: Mapping[int, float]) -> dict:
+def _interval_block(frame: Frame, lower: Mapping[int, float], upper: Mapping[int, float]) -> _Block:
     masks = sorted(lower)
-    rows = [[lower[mask], upper[mask]] for mask in masks]
-    return dict(zip(frame.format_subsets(masks), rows))
+    bounds = np.array([list(map(lower.__getitem__, masks)), list(map(upper.__getitem__, masks))])
+    return _Block(frame, np.asarray(masks, dtype=np.int64), bounds.T)
 
 
 def _payload_mass_box(box: ApproxBox, vertices: bool, tol: float) -> dict:
@@ -386,7 +416,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         result = select(m, tol)
         doc["focus"] = "global"
         doc["result"] = {
-            "criterion": {lbl: result.criterion_values[lbl] for lbl in frame.elements},
+            "criterion": _element_block(frame, result.criterion_values),
             "optima": list(result.optima),
             "partials": {lbl: payload(result.payloads[lbl]) for lbl in result.optima},
         }
@@ -397,16 +427,16 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     frame, m, echo = load_input(args.input)
     view = belief_from_mass(m)
-    labels = frame.format_subsets(range(1, frame.n_subsets))
+    nonempty = np.arange(1, frame.n_subsets, dtype=np.int64)
     doc = {
         "command": "inspect",
         "input": echo,
         "focal_elements": _mass_block(m, m.focal_elements()),
         "core": frame.format_subset(core_of(m)),
         "consistent": is_consistent(m),
-        "belief": dict(zip(labels, view.belief[1:].tolist())),
-        "plausibility": dict(zip(labels, view.plausibility[1:].tolist())),
-        "contour": contour(m),
+        "belief": _Block(frame, nonempty, view.belief[1:]),
+        "plausibility": _Block(frame, nonempty, view.plausibility[1:]),
+        "contour": _element_block(frame, contour(m)),
     }
     _emit(doc, args.out)
     return EXIT_OK
@@ -450,7 +480,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "norm": _NORM_LABEL[p],
                 "space": kind.value,
                 "library_optima": list(result.optima),
-                "oracle_distances": {x: by_focus[x].oracle_distance for x in frame.elements},
+                "oracle_distances": _element_block(
+                    frame, {x: by_focus[x].oracle_distance for x in frame.elements}
+                ),
                 "agree": agree,
             }
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,13 +62,15 @@ class Frame:
                     f"frame element {label!r} may not contain commas or outer whitespace"
                 )
         # Label tables, kept out of the dataclass fields (so out of eq, hash
-        # and repr): label -> bit, and the text of every subset of the low
-        # and of the high half of the elements, at most 2 * 2^12 strings.
+        # and repr): label -> bit, the text of every subset of the low and of
+        # the high half of the elements (at most 2 * 2^12 strings), and the
+        # gather tables built from them, one pair per escape function.
         low_bits = (len(elements) + 1) // 2
         object.__setattr__(self, "_bits", {lbl: 1 << i for i, lbl in enumerate(elements)})
         object.__setattr__(self, "_low_bits", low_bits)
         object.__setattr__(self, "_low_labels", _subset_labels(elements[:low_bits]))
         object.__setattr__(self, "_high_labels", _subset_labels(elements[low_bits:]))
+        object.__setattr__(self, "_gather_tables", {})
 
     @property
     def size(self) -> int:
@@ -107,14 +109,40 @@ class Frame:
         return self.format_subsets((mask,))[0]
 
     def format_subsets(self, masks: Sequence[int]) -> list[str]:
-        """:meth:`format_subset` of each mask: two table reads and a join per mask."""
-        if masks:
-            self.check_mask(min(masks))
-            self.check_mask(max(masks))
-        low, high, shift = self._low_labels, self._high_labels, self._low_bits
-        low_mask = (1 << shift) - 1
-        # labels hold no commas, so stripping drops only an unused separator
-        return [f"{low[m & low_mask]},{high[m >> shift]}".strip(",") for m in masks]
+        """:meth:`format_subset` of each mask."""
+        heads, tails = self.gather_texts(masks)
+        return (heads + tails).tolist()
+
+    def gather_texts(
+        self, masks: Sequence[int], escape: Callable[[str], str] = str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Two object arrays whose elementwise sums are the masks' subset texts.
+
+        The texts come from the two half-frame label tables, two fancy
+        indexes per call.  ``escape`` is applied once to each table entry and
+        to the separating comma (once per frame and escape function), so the
+        sums are the escaped texts when ``escape`` maps a concatenation to the
+        concatenation of its images (as JSON string escaping does, without
+        the quotes).
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        if masks.size:
+            self.check_mask(int(masks.min()))
+            self.check_mask(int(masks.max()))
+        tables = self._gather_tables.get(escape)
+        if tables is None:
+            low = [escape(text) for text in self._low_labels]
+            sep = escape(",")
+            # the low part of mask m is low[m & low_mask], followed by the
+            # comma (second half of the table) when m has high-half labels too
+            tables = self._gather_tables[escape] = (
+                np.array(low + [""] + [text + sep for text in low[1:]], dtype=object),
+                np.array([escape(text) for text in self._high_labels], dtype=object),
+            )
+        heads, tails = tables
+        shift = self._low_bits
+        high = masks >> shift
+        return heads[(masks & ((1 << shift) - 1)) + (high != 0) * (1 << shift)], tails[high]
 
     def parse_subset(self, text: str) -> int:
         parts = text.split(",")
@@ -279,8 +307,10 @@ class PseudoMassFunction:
     def as_array(self) -> np.ndarray:
         """Dense mass vector indexed by subset mask (length 2^n)."""
         arr = np.zeros(self.frame.n_subsets)
-        for mask, value in self.masses.items():
-            arr[mask] = value
+        count = len(self.masses)
+        arr[np.fromiter(self.masses.keys(), np.int64, count)] = np.fromiter(
+            self.masses.values(), float, count
+        )
         return arr
 
     @classmethod

@@ -199,11 +199,24 @@ class TestApproximate:
         assert doc["result"]["optima"] == ["x", "y"]
 
     def test_bad_tolerance_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CSBF_TOLERANCE", "lots")
-        code, _, _ = run(
-            capsys, ["approximate", TERNARY, "--norm", "l1", "--space", "mass", "--global"]
+        for raw in ("lots", "nan", "inf", "-inf", "0", "-1e-9"):
+            monkeypatch.setenv("CSBF_TOLERANCE", raw)
+            code, out, err = run(
+                capsys, ["approximate", TERNARY, "--norm", "l1", "--space", "mass", "--global"]
+            )
+            assert (code, out) == (2, ""), raw
+            assert "CSBF_TOLERANCE" in err, raw
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys,
+            ["approximate", TERNARY, "--norm", "l1", "--space", "mass", "--global",
+             "--out", str(target)],
         )
-        assert code == 2
+        assert (code, out) == (6, "")
+        assert err.startswith("error: cannot write output: ")
+        assert not target.parent.exists()
 
 
 class TestOutputContracts:
@@ -322,6 +335,20 @@ class TestParseFailures:
         path.write_text("{not json")
         code, _, _ = run(capsys, ["inspect", str(path)])
         assert code == 2
+
+    def test_non_utf8_bytes(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"frame": ["x"], "masses": {"x": 1.0}}')
+        code, out, err = run(capsys, ["inspect", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read input document: ")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, ["inspect", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read input document: ")
 
     def test_unknown_element_in_key(self, capsys, tmp_path):
         path = write_doc(tmp_path, "bad.json", {"frame": ["x", "y"], "masses": {"x,q": 1.0}})

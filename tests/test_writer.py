@@ -1,13 +1,20 @@
-"""The CLI's JSON writer against the json-module reference it replaced."""
+"""The CLI's JSON writer against the json-module reference it replaced.
+
+Plain documents are checked directly; a ``_Block`` (subset masks and reals
+held as arrays) against the reference of the ``{subset: value}`` dict it
+stands for.
+"""
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csbf.cli import _dumps, _emit, _real
+from csbf.cli import _Block, _dumps, _emit, _real
+from csbf.core import EvidenceError, Frame
 
 
 def round12(value):
@@ -90,27 +97,88 @@ def test_matches_json_reference(doc):
     assert _dumps(doc) == reference(doc)
 
 
+def block_reference(frame, masks, values):
+    """The ``{subset: value}`` dict a block stands for, keys joined label by label."""
+    keys = [",".join(lbl for i, lbl in enumerate(frame.elements) if m >> i & 1) for m in masks]
+    return dict(zip(keys, np.asarray(values).tolist()))
+
+
+# Labels that need JSON escaping; Frame refuses commas and outer whitespace.
+LABEL_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "a", "b"]
+labels = st.text(st.sampled_from(LABEL_CHARS), min_size=1, max_size=3).filter(
+    lambda text: text == text.strip()
+)
+frames = st.lists(labels, min_size=1, max_size=7, unique=True).map(lambda lbls: Frame(tuple(lbls)))
+
+
+@st.composite
+def blocks(draw):
+    """(frame, masks, values): masks with empty low or high halves, pooled reals."""
+    frame = draw(frames)
+    low_bits = (frame.size + 1) // 2
+    low = st.integers(0, (1 << low_bits) - 1)
+    high = st.integers(0, frame.full_mask >> low_bits).map(lambda h: h << low_bits)
+    mask = st.integers(0, frame.full_mask) | low | high
+    masks = draw(st.lists(mask, min_size=1, max_size=frame.n_subsets, unique=True))
+    pool = draw(pools)
+    width = draw(st.sampled_from([None, 1, 2]))
+    shape = (len(masks),) if width is None else (len(masks), width)
+    size = len(masks) * (width or 1)
+    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return frame, masks, np.array(values, dtype=np.float64).reshape(shape)
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_block_matches_json_reference(case):
+    frame, masks, values = case
+    block = _Block(frame, np.array(masks, dtype=np.int64), values)
+    expected = block_reference(frame, masks, values)
+    assert _dumps(block) == reference(expected)
+    assert _dumps({"a": [block, 0.5]}) == reference({"a": [expected, 0.5]})
+
+
+@given(blocks(), st.sampled_from(NONFINITE), st.data())
+@settings(max_examples=50, deadline=None)
+def test_block_refuses_non_finite_and_out_of_range(case, bad, data):
+    frame, masks, values = case
+    poisoned = values.copy()
+    poisoned.flat[data.draw(st.integers(0, values.size - 1))] = bad
+    with pytest.raises(ValueError):
+        _dumps(_Block(frame, np.array(masks, dtype=np.int64), poisoned))
+    outside = data.draw(st.sampled_from([-1, frame.n_subsets]))
+    masks = masks[:-1] + [outside]
+    with pytest.raises(EvidenceError, match="out of range"):
+        _dumps(_Block(frame, np.array(masks, dtype=np.int64), values))
+
+
+def test_empty_block():
+    block = _Block(Frame(("x", "y")), np.array([], dtype=np.int64), np.array([]))
+    assert _dumps({"b": block}) == reference({"b": {}})
+
+
 @given(repeated_reals)
 @settings(max_examples=200, deadline=None)
 def test_repeated_values_match_json_reference(values):
-    keys = [f"k{i}" for i in range(len(values))]
-    for doc in (
-        dict(zip(keys, values)),
-        dict(zip(keys, ([v, -v] for v in values))),
-        values,
-    ):
-        assert _dumps(doc) == reference(doc)
+    frame = Frame(tuple(f"e{i}" for i in range(9)))
+    masks = np.arange(len(values), dtype=np.int64)[::-1]
+    rows = np.column_stack([values, np.negative(values)])
+    for block_values in (np.array(values), rows):
+        block = _Block(frame, masks, block_values)
+        assert _dumps(block) == reference(block_reference(frame, masks, block_values))
+    assert _dumps(values) == reference(values)
 
 
 def test_long_block_keeps_rare_values_and_finds_nan():
-    values = [0.0] * 2**15
+    frame = Frame(tuple(f"e{i}" for i in range(15)))
+    values = np.zeros(2**15)
     values[7] = -0.0
     values[30000] = 5e-324
-    block = {f"k{i}": v for i, v in enumerate(values)}
-    assert _dumps(block) == reference(block)
-    block["k20000"] = math.nan
+    masks = np.arange(2**15, dtype=np.int64)
+    assert _dumps(_Block(frame, masks, values)) == reference(block_reference(frame, masks, values))
+    values[20000] = math.nan
     with pytest.raises(ValueError):
-        _dumps(block)
+        _dumps(_Block(frame, masks, values))
 
 
 def _decades():
