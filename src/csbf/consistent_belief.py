@@ -24,7 +24,6 @@ criterion is one O(n 2^n) transform of ``b = zeta(m)`` read at the coatoms
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from .core import (
     Frame,
+    FrozenRecord,
     MassFunction,
     PseudoMassFunction,
     belief_from_mass,
@@ -50,8 +50,7 @@ from .sampling import random_mass_function
 CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FocusedTransform:
+class FocusedTransform(FrozenRecord):
     """Focused consistent transform: mass of B moves to ``B union {x}``.
 
     This is simultaneously the partial L1 and the partial L2 projection in
@@ -59,10 +58,10 @@ class FocusedTransform:
     values of the respective norms.
     """
 
-    focus: str
-    result: MassFunction
-    distance_l1: float
-    distance_l2: float
+    def __init__(
+        self, focus: str, result: MassFunction, distance_l1: float, distance_l2: float
+    ) -> None:
+        self._set(focus, result, distance_l1, distance_l2)
 
 
 def _outside_belief(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +119,7 @@ def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[
     return select_optima(m.frame, values, lambda lbl: focused_transform(m, lbl), tie_tol)
 
 
-@dataclass(frozen=True)
-class GammaBox:
+class GammaBox(FrozenRecord):
     """Linf solution family in belief coordinates, boxed in gamma variables.
 
     One gamma coordinate per proper subset A containing x; each ranges over
@@ -130,15 +128,17 @@ class GammaBox:
     function is kept so gamma points can be mapped back to mass coordinates.
     """
 
-    focus: str
-    source: MassFunction
-    lower: Mapping[int, float]
-    upper: Mapping[int, float]
-    distance: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", MappingProxyType(dict(self.lower)))
-        object.__setattr__(self, "upper", MappingProxyType(dict(self.upper)))
+    def __init__(
+        self,
+        focus: str,
+        source: MassFunction,
+        lower: Mapping[int, float],
+        upper: Mapping[int, float],
+        distance: float,
+    ) -> None:
+        self._set(
+            focus, source, MappingProxyType(dict(lower)), MappingProxyType(dict(upper)), distance
+        )
 
     @property
     def frame(self) -> Frame:
@@ -161,12 +161,13 @@ class GammaBox:
         ]
 
     def contains(self, gamma_point: Mapping[int, float], tol: float = CHECK_TOL) -> bool:
-        if set(gamma_point) != set(self.lower):
+        if gamma_point.keys() != self.lower.keys():
             return False
-        return all(
-            self.lower[mask] - tol <= gamma_point[mask] <= self.upper[mask] + tol
-            for mask in self.lower
-        )
+        count = len(self.lower)
+        point = np.fromiter(map(gamma_point.__getitem__, self.lower), float, count)
+        lower = np.fromiter(self.lower.values(), float, count)
+        upper = np.fromiter(map(self.upper.__getitem__, self.lower), float, count)
+        return bool(((lower - tol <= point) & (point <= upper + tol)).all())
 
 
 def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:

@@ -29,7 +29,6 @@ read at the coatoms ``x^c`` for all n elements; partial solutions reuse it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Generic, Iterator, Mapping, TypeVar
 
@@ -37,6 +36,7 @@ import numpy as np
 
 from .core import (
     Frame,
+    FrozenRecord,
     MassFunction,
     PseudoMassFunction,
     coatoms,
@@ -52,21 +52,19 @@ TIE_TOL = 1e-9
 P = TypeVar("P")
 
 
-@dataclass(frozen=True)
-class PartialApprox:
+class PartialApprox(FrozenRecord):
     """Best consistent approximation supported on one ultrafilter.
 
     ``distance`` is the attained norm value, measured in ``space``.
     """
 
-    focus: str
-    result: PseudoMassFunction
-    distance: float
-    space: EmbeddingSpace
+    def __init__(
+        self, focus: str, result: PseudoMassFunction, distance: float, space: EmbeddingSpace
+    ) -> None:
+        self._set(focus, result, distance, space)
 
 
-@dataclass(frozen=True)
-class ApproxBox:
+class ApproxBox(FrozenRecord):
     """Axis-aligned interval family of Linf-optimal mass assignments.
 
     Intervals cover every ultrafilter member except the full frame, whose
@@ -75,15 +73,17 @@ class ApproxBox:
     :meth:`admissible_intervals` gives the view intersected with [0, 1].
     """
 
-    focus: str
-    lower: Mapping[int, float]
-    upper: Mapping[int, float]
-    barycenter: MassFunction
-    distance: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", MappingProxyType(dict(self.lower)))
-        object.__setattr__(self, "upper", MappingProxyType(dict(self.upper)))
+    def __init__(
+        self,
+        focus: str,
+        lower: Mapping[int, float],
+        upper: Mapping[int, float],
+        barycenter: MassFunction,
+        distance: float,
+    ) -> None:
+        self._set(
+            focus, MappingProxyType(dict(lower)), MappingProxyType(dict(upper)), barycenter, distance
+        )
 
     @property
     def frame(self) -> Frame:
@@ -123,8 +123,7 @@ class ApproxBox:
         return PseudoMassFunction(frame, values)
 
 
-@dataclass(frozen=True)
-class GlobalResult(Generic[P]):
+class GlobalResult(FrozenRecord, Generic[P]):
     """Globally optimal focus elements with their partial solutions.
 
     ``optima`` lists every element whose criterion value ties the minimum
@@ -132,14 +131,14 @@ class GlobalResult(Generic[P]):
     approximation for each optimum.
     """
 
-    optima: tuple[str, ...]
-    payloads: Mapping[str, P]
-    criterion_values: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payloads", MappingProxyType(dict(self.payloads)))
-        object.__setattr__(
-            self, "criterion_values", MappingProxyType(dict(self.criterion_values))
+    def __init__(
+        self,
+        optima: tuple[str, ...],
+        payloads: Mapping[str, P],
+        criterion_values: Mapping[str, float],
+    ) -> None:
+        self._set(
+            optima, MappingProxyType(dict(payloads)), MappingProxyType(dict(criterion_values))
         )
 
 

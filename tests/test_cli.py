@@ -1,16 +1,15 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from csbf.cli import main
 
+from conftest import run_python
+
 HERE = os.path.dirname(__file__)
 TERNARY = os.path.join(HERE, "..", "data", "ternary.json")
 VERIFY_N4 = os.path.join(HERE, "fixtures", "verify_n4_seed410.json")
-SRC = os.path.join(HERE, "..", "src")
 
 
 def write_doc(tmp_path, name, doc):
@@ -477,10 +476,7 @@ class TestVerify:
             f"assert main(['verify', {TERNARY!r}, '--out', {os.devnull!r}]) == 0; "
             "assert not any(name.split('.')[0] == 'scipy' for name in sys.modules)"
         )
-        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
 
     def test_frame_too_large(self, capsys, tmp_path):

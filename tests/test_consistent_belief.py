@@ -23,6 +23,7 @@ from csbf import (
     partial_linf_belief,
     verify_orthogonality,
 )
+from csbf.consistent_belief import CHECK_TOL
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
@@ -267,6 +268,25 @@ class TestGammaBox:
         point.pop(next(iter(point)))
         with pytest.raises(ValueError):
             gamma_to_mass(box, point)
+
+    def test_contains_allows_check_tolerance_and_any_key_order(self, rng):
+        m = random_mass_function(frame_of_size(4), rng, full_support=True)
+        box = partial_linf_belief(m, "y")
+        assert box.distance > 0.1
+        for corner in box.corners():
+            assert box.contains(dict(reversed(corner.items())))
+        for mask in box.lower:
+            for bound, sign in ((box.upper, 1.0), (box.lower, -1.0)):
+                point = box.midpoint()
+                point[mask] = bound[mask] + sign * CHECK_TOL / 2
+                assert box.contains(point)
+                point[mask] = bound[mask] + sign * CHECK_TOL * 2
+                assert not box.contains(point)
+                point[mask] = math.nan
+                assert not box.contains(point)
+        extra = box.midpoint()
+        extra[m.frame.full_mask] = 0.0
+        assert not box.contains(extra)
 
     def test_single_element_frame_degenerates_cleanly(self):
         frame = Frame(("x",))

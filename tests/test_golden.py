@@ -12,14 +12,19 @@ full-precision Dirichlet draws; it is regenerated only if it is missing.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from csbf.cli import main
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent
 GOLDEN = ROOT / "golden"
@@ -72,6 +77,53 @@ def stdout_of(argv: list[str]) -> bytes:
 def test_stdout_matches_golden_bytes(name):
     expected = (GOLDEN / f"{name}.json").read_bytes()
     assert stdout_of(CASES[name]) == expected
+
+
+# The real entry point, ``python -m csbf.cli``: ``cli.entry`` in a fresh
+# process, which also freezes the import graph out of the collector.
+
+
+def run_entry(argv: list[str]) -> subprocess.CompletedProcess:
+    return run_python("-m", "csbf.cli", *argv)
+
+
+@pytest.mark.parametrize("name", ["ternary-l1-mass-global", "ternary-verify"])
+def test_entry_point_stdout_matches_golden_bytes(name):
+    proc = run_entry(CASES[name])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_entry_point_malformed_document_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"frame": ["x", "y"], "masses": {"x": ')
+    proc = run_entry(["inspect", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"error: cannot read input document" in proc.stderr
+
+
+def test_entry_point_unwritable_out_exits_6(tmp_path):
+    proc = run_entry(["inspect", str(TERNARY), "--out", str(tmp_path / "missing" / "out.json")])
+    assert proc.returncode == 6
+    assert proc.stdout == b""
+    assert b"error: cannot write output" in proc.stderr
+
+
+def test_only_entry_freezes_the_collector():
+    before = gc.get_freeze_count()
+    stdout_of(CASES["ternary-inspect"])
+    assert gc.get_freeze_count() == before
+    code = (
+        "import atexit, gc, sys\n"
+        "from csbf.cli import entry\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['csbf', 'inspect', {str(TERNARY)!r}, '--out', {os.devnull!r}]\n"
+        "entry()\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) > 1000
 
 
 def write_n6() -> None:
