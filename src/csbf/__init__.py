@@ -57,7 +57,6 @@ from .oracle import (
     OracleReport,
     brute_force_partial,
     closed_form_partial,
-    exhaustive_global_check,
     library_global,
 )
 from .sampling import random_mass_function
@@ -88,7 +87,6 @@ __all__ = [
     "contour",
     "core_of",
     "embed",
-    "exhaustive_global_check",
     "find_global_l1_counterexample",
     "focused_transform",
     "gamma_to_mass",

@@ -306,10 +306,8 @@ def _point_payload(m: PseudoMassFunction, focus: str, tol: float) -> dict:
     }
 
 
-def _interval_block(frame: Frame, lower: Mapping[int, float], upper: Mapping[int, float]) -> _Block:
-    masks = sorted(lower)
-    bounds = np.array([list(map(lower.__getitem__, masks)), list(map(upper.__getitem__, masks))])
-    return _Block(frame, np.asarray(masks, dtype=np.int64), bounds.T)
+def _interval_block(box: ApproxBox | GammaBox, lo: np.ndarray, hi: np.ndarray) -> _Block:
+    return _Block(box.frame, box.members, np.column_stack((lo, hi)))
 
 
 def _payload_mass_box(box: ApproxBox, vertices: bool, tol: float) -> dict:
@@ -317,8 +315,8 @@ def _payload_mass_box(box: ApproxBox, vertices: bool, tol: float) -> dict:
     payload = {
         "space": SpaceKind.MASS_N2.value,
         "distance": box.distance,
-        "intervals": _interval_block(box.frame, box.lower, box.upper),
-        "admissible_intervals": _interval_block(box.frame, lo, hi),
+        "intervals": _interval_block(box, box.lower, box.upper),
+        "admissible_intervals": _interval_block(box, lo, hi),
         "admissible_clipped": clipped,
         "barycenter": _point_payload(box.barycenter, box.focus, tol),
     }
@@ -332,7 +330,7 @@ def _payload_gamma_box(box: GammaBox, vertices: bool, tol: float) -> dict:
     payload = {
         "space": SpaceKind.BELIEF.value,
         "distance": box.distance,
-        "gamma_intervals": _interval_block(box.frame, box.lower, box.upper),
+        "gamma_intervals": _interval_block(box, box.lower, box.upper),
         "barycenter": _point_payload(barycenter, box.focus, tol),
     }
     if vertices:

@@ -24,8 +24,6 @@ criterion is one O(n 2^n) transform of ``b = zeta(m)`` read at the coatoms
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .core import (
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import TIE_TOL, GlobalResult, select_optima
+from .consistent_mass import TIE_TOL, GlobalResult, box_arrays, box_corners, in_box, select_optima
 from .geometry import EmbeddingSpace, SpaceKind, embed
 from .sampling import random_mass_function
 
@@ -122,52 +120,43 @@ def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[
 class GammaBox(FrozenRecord):
     """Linf solution family in belief coordinates, boxed in gamma variables.
 
-    One gamma coordinate per proper subset A containing x; each ranges over
-    an interval of width ``2 * b(x^c)``.  The box degenerates to a point
-    exactly when the source is already consistent on x.  The source mass
-    function is kept so gamma points can be mapped back to mass coordinates.
+    One gamma coordinate per proper subset A containing x: ``members`` holds
+    these masks ascending, and ``lower`` and ``upper`` the bounds aligned with
+    them, all read-only arrays, so the box compares by identity.  Each
+    interval has width ``2 * b(x^c)``; the box degenerates to a point exactly
+    when the source is already consistent on x.  The source mass function is
+    kept so gamma points can be mapped back to mass coordinates.
     """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
         focus: str,
         source: MassFunction,
-        lower: Mapping[int, float],
-        upper: Mapping[int, float],
+        members: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
         distance: float,
     ) -> None:
-        self._set(
-            focus, source, MappingProxyType(dict(lower)), MappingProxyType(dict(upper)), distance
-        )
+        self._set(focus, source, *box_arrays(members, lower, upper), distance)
 
     @property
     def frame(self) -> Frame:
         return self.source.frame
 
-    def midpoint(self) -> dict[int, float]:
-        return {mask: (self.lower[mask] + self.upper[mask]) / 2.0 for mask in self.lower}
+    def midpoint(self) -> np.ndarray:
+        return (self.lower + self.upper) / 2.0
 
-    def corner(self, take_upper: Mapping[int, bool]) -> dict[int, float]:
-        return {
-            mask: (self.upper[mask] if take_upper[mask] else self.lower[mask])
-            for mask in self.lower
-        }
+    def corners(self) -> np.ndarray:
+        """Every box corner, one row each."""
+        return box_corners(self.lower, self.upper)
 
-    def corners(self) -> list[dict[int, float]]:
-        masks = sorted(self.lower)
-        return [
-            self.corner({mask: bool(choice >> i & 1) for i, mask in enumerate(masks)})
-            for choice in range(1 << len(masks))
-        ]
-
-    def contains(self, gamma_point: Mapping[int, float], tol: float = CHECK_TOL) -> bool:
-        if gamma_point.keys() != self.lower.keys():
+    def contains(self, gamma_point: np.ndarray, tol: float = CHECK_TOL) -> bool:
+        if np.shape(gamma_point) != self.lower.shape:
             return False
-        count = len(self.lower)
-        point = np.fromiter(map(gamma_point.__getitem__, self.lower), float, count)
-        lower = np.fromiter(self.lower.values(), float, count)
-        upper = np.fromiter(map(self.upper.__getitem__, self.lower), float, count)
-        return bool(((lower - tol <= point) & (point <= upper + tol)).all())
+        return in_box(self.lower, self.upper, gamma_point, tol)
 
 
 def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
@@ -181,14 +170,12 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     belief = belief_from_mass(m).belief
     radius = float(belief[frame.full_mask ^ xbit])
     members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = belief[np.array(members, dtype=np.intp) ^ xbit]  # b(A minus x)
-    lower = dict(zip(members, (-radius - inside).tolist()))
-    upper = dict(zip(members, (radius - inside).tolist()))
-    return GammaBox(x, m, lower, upper, radius)
+    inside = belief[members ^ xbit]  # b(A minus x)
+    return GammaBox(x, m, members, -radius - inside, radius - inside, radius)
 
 
-def gamma_to_mass(box: GammaBox, gamma_point: Mapping[int, float]) -> PseudoMassFunction:
-    """Map a gamma point of the box back to mass coordinates.
+def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
+    """Map a gamma point of the box, aligned with ``box.members``, back to mass coordinates.
 
     Moebius inversion on the sublattice of sets containing the focus turns
     the cumulative gamma values back into per-subset mass shifts, which are
@@ -197,16 +184,12 @@ def gamma_to_mass(box: GammaBox, gamma_point: Mapping[int, float]) -> PseudoMass
     """
     if not box.contains(gamma_point):
         raise ValueError("gamma point lies outside the solution box")
-    frame = box.frame
-    xbit = frame.singleton(box.focus)
-    gamma = np.zeros(frame.n_subsets)
-    gamma[list(gamma_point)] = list(gamma_point.values())
-    shift = mobius_transform(gamma.reshape(-1, 2, xbit)[:, 1, :].ravel())
-    members = ultrafilter(frame, box.focus)
-    values = box.source.as_array()[list(members)] - shift
+    shift = mobius_transform(np.append(gamma_point, 0.0))[:-1]
+    values = box.source.as_array()[box.members] - shift
+    masses = dict(zip(box.members.tolist(), values.tolist()))
     # Largest mask first: numpy adds up to 7 terms in order, as a running sum would.
-    values[-1] = 1.0 - values[-2::-1].sum()
-    return PseudoMassFunction(frame, dict(zip(members, values.tolist())))
+    masses[box.frame.full_mask] = 1.0 - values[::-1].sum()
+    return PseudoMassFunction(box.frame, masses)
 
 
 def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[GammaBox]:

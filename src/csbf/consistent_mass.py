@@ -67,23 +67,27 @@ class PartialApprox(FrozenRecord):
 class ApproxBox(FrozenRecord):
     """Axis-aligned interval family of Linf-optimal mass assignments.
 
-    Intervals cover every ultrafilter member except the full frame, whose
-    coordinate is always recovered by normalization.  Intervals are stored
-    unclipped, so parts of the box may be inadmissible (negative masses);
-    :meth:`admissible_intervals` gives the view intersected with [0, 1].
+    ``members`` are the ultrafilter masks except the full frame, ascending,
+    whose coordinate is always recovered by normalization; ``lower`` and
+    ``upper`` are aligned with them.  All three are read-only arrays, so the
+    box compares by identity.  Intervals are stored unclipped, so parts of the
+    box may be inadmissible (negative masses); :meth:`admissible_intervals`
+    gives the view intersected with [0, 1].
     """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
         focus: str,
-        lower: Mapping[int, float],
-        upper: Mapping[int, float],
+        members: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
         barycenter: MassFunction,
         distance: float,
     ) -> None:
-        self._set(
-            focus, MappingProxyType(dict(lower)), MappingProxyType(dict(upper)), barycenter, distance
-        )
+        self._set(focus, *box_arrays(members, lower, upper), barycenter, distance)
 
     @property
     def frame(self) -> Frame:
@@ -91,36 +95,53 @@ class ApproxBox(FrozenRecord):
 
     def midpoint_masses(self) -> PseudoMassFunction:
         """Interval midpoints, full frame taking the normalization remainder."""
-        return self._point({mask: (self.lower[mask] + self.upper[mask]) / 2.0 for mask in self.lower})
+        return self._point((self.lower + self.upper) / 2.0)
 
     def corners(self) -> Iterator[PseudoMassFunction]:
         """All box corners as (possibly pseudo) mass functions."""
-        masks = sorted(self.lower)
-        for choice in range(1 << len(masks)):
-            yield self._point(
-                {
-                    mask: (self.upper[mask] if choice >> i & 1 else self.lower[mask])
-                    for i, mask in enumerate(masks)
-                }
-            )
+        return map(self._point, box_corners(self.lower, self.upper))
 
-    def admissible_intervals(self) -> tuple[dict[int, float], dict[int, float], bool]:
+    def admissible_intervals(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """Intervals intersected with [0, 1], plus a flag when that clips anything."""
-        lo = {mask: max(0.0, v) for mask, v in self.lower.items()}
-        hi = {mask: min(1.0, v) for mask, v in self.upper.items()}
-        clipped = any(lo[m] > self.lower[m] or hi[m] < self.upper[m] for m in lo)
-        return lo, hi, clipped
+        lo, hi = np.maximum(0.0, self.lower), np.minimum(1.0, self.upper)
+        return lo, hi, bool((lo > self.lower).any() or (hi < self.upper).any())
 
     def contains(self, masses: PseudoMassFunction, tol: float = TIE_TOL) -> bool:
-        return all(
-            self.lower[mask] - tol <= masses.value(mask) <= self.upper[mask] + tol
-            for mask in self.lower
-        )
+        """Ultrafilter masses within their intervals, every mass outside within ``tol`` of 0."""
+        arr = masses.as_array()
+        outside = arr.reshape(-1, 2, self.frame.singleton(self.focus))[:, 0, :]
+        inside = arr[self.members]
+        return bool((np.abs(outside) <= tol).all()) and in_box(self.lower, self.upper, inside, tol)
 
-    def _point(self, values: dict[int, float]) -> PseudoMassFunction:
-        frame = self.frame
-        values[frame.full_mask] = 1.0 - sum(values.values())
-        return PseudoMassFunction(frame, values)
+    def _point(self, values: np.ndarray) -> PseudoMassFunction:
+        values = values.tolist()
+        masses = dict(zip(self.members.tolist(), values))
+        # builtin sum in ascending mask order, which the output's last digits depend on
+        masses[self.frame.full_mask] = 1.0 - sum(values)
+        return PseudoMassFunction(self.frame, masses)
+
+
+def box_arrays(
+    members: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only copies of a box's int64 masks and the float bounds aligned with them."""
+    arrays = np.array(members, np.int64), np.array(lower, float), np.array(upper, float)
+    for arr in arrays:
+        if arr.shape != (len(arrays[0]),):
+            raise ValueError("box bounds must be 1-D and aligned with the members")
+        arr.setflags(write=False)
+    return arrays
+
+
+def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Every corner of the box, one row each: bit i of the row number picks ``upper[i]``."""
+    picks = np.arange(1 << len(lower))[:, None] >> np.arange(len(lower)) & 1
+    return np.where(picks.astype(bool), upper, lower)
+
+
+def in_box(lower: np.ndarray, upper: np.ndarray, point: np.ndarray, tol: float) -> bool:
+    """``lower - tol <= point <= upper + tol`` everywhere; NaN is outside."""
+    return bool(((lower - tol <= point) & (point <= upper + tol)).all())
 
 
 class GlobalResult(FrozenRecord, Generic[P]):
@@ -198,11 +219,9 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     arr = m.as_array()
     slack = float(submax_transform(arr)[frame.full_mask ^ xbit])
     members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = arr[list(members)]
-    lower = dict(zip(members, (inside - slack).tolist()))
-    upper = dict(zip(members, (inside + slack).tolist()))
+    inside = arr[members]
     barycenter = _keep_and_move(m, xbit, float(_moved(m)[frame.index_of(x)]))
-    return ApproxBox(x, lower, upper, barycenter, slack)
+    return ApproxBox(x, members, inside - slack, inside + slack, barycenter, slack)
 
 
 def global_linf_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[ApproxBox]:
@@ -241,8 +260,8 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
         result = _keep_and_move(m, frame.singleton(x), moved)
     elif kind is SpaceKind.MASS_N1:
         members = ultrafilter(frame, x)
-        shared = m.as_array()[list(members)] + moved / (1 << (frame.size - 1))
-        result = MassFunction(frame, dict(zip(members, shared.tolist())))
+        shared = m.as_array()[members] + moved / (1 << (frame.size - 1))
+        result = MassFunction(frame, dict(zip(members.tolist(), shared.tolist())))
     else:
         raise ValueError("L2 mass approximation needs a mass embedding, got belief")
     distance = math.sqrt(_l2_criterion(m, kind)[i])

@@ -218,10 +218,15 @@ def _subset_labels(labels: tuple[str, ...]) -> list[str]:
     return table
 
 
-def ultrafilter(frame: Frame, label: str) -> tuple[int, ...]:
-    """All subsets containing the given element, in ascending mask order."""
+def ultrafilter(frame: Frame, label: str) -> np.ndarray:
+    """All subsets containing the given element, ascending, as a read-only int64 array.
+
+    The full frame is always the last, largest mask.
+    """
     xbit = frame.singleton(label)
-    return tuple(np.arange(frame.n_subsets).reshape(-1, 2, xbit)[:, 1, :].ravel().tolist())
+    members = np.arange(frame.n_subsets, dtype=np.int64).reshape(-1, 2, xbit)[:, 1, :].ravel()
+    members.setflags(write=False)
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
     members = ultrafilter(frame, x)
     dim = space.dimension
     v = np.zeros((len(members), dim))
-    for i, member in enumerate(members):
+    for i, member in enumerate(members.tolist()):
         if kind is SpaceKind.BELIEF:
             for coord in range(1, dim + 1):
                 if coord & member == member:
@@ -328,7 +328,7 @@ def brute_force_partial(
     target = embed(m, emb_space)
     w = _l2_weights(v, target.coords) if p == 2 else _lp_weights(v, target.coords, p)
     distance = lp_distance(PointVector(emb_space, w @ v), target, p)
-    point = MassFunction(frame, dict(zip(members, w.tolist())))
+    point = MassFunction(frame, dict(zip(members.tolist(), w.tolist())))
     closed_distance, _ = closed_form_partial(m, x, p, kind)
     gap = abs(distance - closed_distance)
     return OracleReport(
@@ -363,17 +363,3 @@ def globals_agree(
     oracle_loose = {x for x, d in oracle.items() if d <= oracle_min + tol}
     closed_loose = {x for x, d in closed.items() if d <= closed_min + tol}
     return set(result.optima) <= oracle_loose and oracle_loose <= closed_loose
-
-
-def exhaustive_global_check(
-    m: MassFunction,
-    p: float,
-    space: EmbeddingSpace | SpaceKind,
-    cfg: OracleConfig = OracleConfig(),
-) -> bool:
-    """Recompute all partial distances by brute force and compare argmin sets."""
-    kind = _as_kind(space)
-    reports = {
-        x: brute_force_partial(m, x, p, kind, cfg) for x in m.frame.elements
-    }
-    return globals_agree(library_global(m, p, kind), reports, cfg)

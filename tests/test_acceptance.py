@@ -105,9 +105,10 @@ def test_criterion_2_linf_mass_intervals_and_global():
     frame, m = ternary_example()
     box = partial_linf_mass(m, "x")
     expected = {"x": (-0.1, 0.5), "x,y": (0.1, 0.7), "x,z": (-0.3, 0.3)}
+    bounds = dict(zip(box.members.tolist(), zip(box.lower.tolist(), box.upper.tolist())))
     intervals_ok = all(
-        abs(box.lower[frame.parse_subset(k)] - lo) <= 1e-12
-        and abs(box.upper[frame.parse_subset(k)] - hi) <= 1e-12
+        abs(bounds[frame.parse_subset(k)][0] - lo) <= 1e-12
+        and abs(bounds[frame.parse_subset(k)][1] - hi) <= 1e-12
         for k, (lo, hi) in expected.items()
     )
     result = global_linf_mass(m)

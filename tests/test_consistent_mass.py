@@ -6,6 +6,7 @@ from csbf import (
     EmbeddingSpace,
     Frame,
     MassFunction,
+    PseudoMassFunction,
     SpaceKind,
     contour,
     embed,
@@ -89,8 +90,8 @@ class TestPartialLinf:
     def test_ternary_intervals(self, ternary, ternary_frame):
         box = partial_linf_mass(ternary, "x")
         intervals = {
-            ternary_frame.format_subset(mask): (box.lower[mask], box.upper[mask])
-            for mask in box.lower
+            ternary_frame.format_subset(mask): (lo, hi)
+            for mask, lo, hi in zip(box.members.tolist(), box.lower, box.upper)
         }
         assert intervals["x"] == pytest.approx((-0.1, 0.5), abs=1e-12)
         assert intervals["x,y"] == pytest.approx((0.1, 0.7), abs=1e-12)
@@ -102,8 +103,8 @@ class TestPartialLinf:
         m = MassFunction.from_labels(frame, {"x": 0.4, "x,y,z": 0.6})
         box = partial_linf_mass(m, "x")
         assert box.distance == 0.0
-        for mask in box.lower:
-            assert box.lower[mask] == box.upper[mask]
+        assert box.lower.size == 3
+        assert (box.lower == box.upper).all()
         assert box.midpoint_masses().allclose(m)
 
     def test_every_corner_attains_exactly_the_box_distance(self, ternary):
@@ -122,9 +123,7 @@ class TestPartialLinf:
         space = EmbeddingSpace(SpaceKind.MASS_N2, ternary.frame)
         origin = embed(ternary, space)
         frame = ternary.frame
-        from csbf import PseudoMassFunction
-
-        values = dict(lo)
+        values = dict(zip(box.members.tolist(), lo.tolist()))
         values[frame.full_mask] = 1.0 - sum(values.values())
         point = PseudoMassFunction(frame, values)
         assert box.contains(point)
@@ -132,14 +131,26 @@ class TestPartialLinf:
             box.distance, abs=1e-12
         )
 
+    def test_contains_rejects_mass_off_the_ultrafilter(self, ternary):
+        # ternary puts 0.4 on y and y,z, outside the ultrafilter of x, while
+        # its masses on x, x,y and x,z lie inside their intervals
+        box = partial_linf_mass(ternary, "x")
+        assert not box.contains(ternary)
+        assert box.contains(box.barycenter)
+        frame = ternary.frame
+        y, full = frame.singleton("y"), frame.full_mask
+        for stray, inside in ((1e-10, True), (-1e-10, True), (2e-9, False), (-2e-9, False)):
+            masses = dict(box.barycenter.masses)
+            masses[y], masses[full] = stray, masses[full] - stray
+            assert box.contains(PseudoMassFunction(frame, masses)) is inside, stray
+
     def test_interval_width_is_twice_the_distance(self, rng):
         frame = frame_of_size(3)
         for _ in range(50):
             m = random_mass_function(frame, rng)
             for label in frame.elements:
                 box = partial_linf_mass(m, label)
-                for mask in box.lower:
-                    width = box.upper[mask] - box.lower[mask]
+                for width in box.upper - box.lower:
                     assert width == pytest.approx(2 * box.distance, abs=1e-12)
 
     def test_barycenter_equals_partial_l1(self, rng):
@@ -223,7 +234,7 @@ class TestDegenerateFrames:
         pa = partial_l1_mass(m, "x")
         assert pa.distance == 0.0 and pa.result.allclose(m)
         box = partial_linf_mass(m, "x")
-        assert box.distance == 0.0 and not box.lower
+        assert box.distance == 0.0 and box.lower.size == 0
         assert box.midpoint_masses().allclose(m)
         for kind in (SpaceKind.MASS_N1, SpaceKind.MASS_N2):
             assert partial_l2_mass(m, "x", kind).result.allclose(m)

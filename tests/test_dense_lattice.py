@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csbf import (
+    ApproxBox,
+    GammaBox,
     MassFunction,
     PseudoMassFunction,
     SpaceKind,
+    core_of,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
@@ -90,8 +93,9 @@ def reference_gamma_to_mass(box, gamma_point):
     """Per-mask alternating sums over the sublattice, O(3^(n-1))."""
     frame = box.frame
     xbit = frame.singleton(box.focus)
+    gamma_point = dict(zip(box.members.tolist(), gamma_point.tolist()))
     masses = {}
-    for mask in box.lower:
+    for mask in gamma_point:
         rest = mask ^ xbit
         shift = 0.0
         for sub in submasks(rest):
@@ -132,17 +136,54 @@ def test_dense_gamma_to_mass_matches_the_reference_loop(m, seed):
     rng = np.random.default_rng(seed)
     x = m.frame.elements[int(rng.integers(m.frame.size))]
     box = partial_linf_belief(m, x)
-    masks = list(box.lower)
+    count = box.members.size
     points = [box.midpoint()]
     for _ in range(3):
-        points.append(box.corner({a: bool(rng.integers(2)) for a in masks}))
-        weights = rng.random(len(masks))
-        points.append(
-            {a: box.lower[a] + w * (box.upper[a] - box.lower[a]) for a, w in zip(masks, weights)}
-        )
+        points.append(np.where(rng.integers(2, size=count).astype(bool), box.upper, box.lower))
+        points.append(box.lower + rng.random(count) * (box.upper - box.lower))
     for point in points:
         dense = gamma_to_mass(box, point)
         assert dense.allclose(reference_gamma_to_mass(box, point), tol=TOL)
+
+
+@st.composite
+def consistent_mass_functions(draw, max_size=7):
+    """Masses only on supersets of a nonempty core, each at least 0.01 / 12."""
+    frame = frame_of_size(draw(st.integers(1, max_size)))
+    core = draw(st.integers(1, frame.full_mask))
+    supersets = st.integers(0, frame.full_mask).map(lambda a: a | core)
+    masks = draw(st.lists(supersets, min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(masks), max_size=len(masks)))
+    total = sum(weights)
+    return MassFunction(frame, {a: w / total for a, w in zip(masks, weights)})
+
+
+def partial_masses(payload):
+    """The mass functions a partial solution stands for; a box's are its center."""
+    if isinstance(payload, ApproxBox):
+        return [payload.barycenter, payload.midpoint_masses()]
+    if isinstance(payload, GammaBox):
+        return [gamma_to_mass(payload, payload.midpoint())]
+    return [payload.result]
+
+
+@given(consistent_mass_functions())
+@settings(max_examples=150, deadline=None)
+def test_consistent_inputs_are_fixed_points(m):
+    # every other element misses a focal set of mass >= 0.01 / 12, whose
+    # criterion contribution is far above the tie tolerance
+    core = tuple(x for i, x in enumerate(m.frame.elements) if core_of(m) >> i & 1)
+    for mode, select in SELECTORS.items():
+        result = select(m)
+        assert [result.criterion_values[x] for x in core] == [0.0] * len(core), mode
+        assert result.optima == core, mode
+        for x, payload in result.payloads.items():
+            if isinstance(payload, ApproxBox):
+                assert (payload.lower == payload.upper).all(), (mode, x)
+            if isinstance(payload, GammaBox):
+                assert (payload.upper - payload.lower == 0.0).all(), (mode, x)
+            for point in partial_masses(payload):
+                assert point.allclose(m, tol=TOL), (mode, x)
 
 
 @given(mass_functions(max_size=6))

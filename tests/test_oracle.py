@@ -12,17 +12,22 @@ from csbf import (
     SpaceKind,
     brute_force_partial,
     embed,
-    exhaustive_global_check,
     partial_linf_mass,
     ultrafilter,
 )
 from csbf import oracle
-from csbf.oracle import SUPPORTED_PAIRS
+from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
 
 CFG = OracleConfig()
+
+
+def oracle_agrees(m, p, kind):
+    """Brute-force every partial distance and compare argmin sets with the library's."""
+    reports = {x: brute_force_partial(m, x, p, kind, CFG) for x in m.frame.elements}
+    return globals_agree(library_global(m, p, kind), reports, CFG)
 
 
 class TestBruteForcePartial:
@@ -116,10 +121,8 @@ class TestBruteForcePartial:
 
 class TestExhaustiveGlobalCheck:
     def test_running_example_every_pair(self, ternary):
-        from csbf.oracle import library_global
-
         for p, kind in SUPPORTED_PAIRS:
-            assert exhaustive_global_check(ternary, p, kind, CFG)
+            assert oracle_agrees(ternary, p, kind)
             assert library_global(ternary, p, kind).optima == ("y",)
 
     def test_uniform_bayesian_ties_every_singleton(self):
@@ -131,14 +134,14 @@ class TestExhaustiveGlobalCheck:
             }
             distances = [r.oracle_distance for r in reports.values()]
             assert max(distances) - min(distances) <= CFG.match_tolerance
-            assert exhaustive_global_check(m, p, kind, CFG)
+            assert oracle_agrees(m, p, kind)
 
     def test_random_draws_agree(self, rng):
         frame = frame_of_size(3)
         for _ in range(3):
             m = random_mass_function(frame, rng)
             for p, kind in SUPPORTED_PAIRS:
-                assert exhaustive_global_check(m, p, kind, CFG)
+                assert oracle_agrees(m, p, kind)
 
 
 @pytest.mark.parametrize(
@@ -165,9 +168,8 @@ def _linprog_distance(m, x, p, kind):
 
     frame = m.frame
     space = EmbeddingSpace(kind, frame)
-    v = np.array(
-        [embed(MassFunction(frame, {a: 1.0}), space).coords for a in ultrafilter(frame, x)]
-    )
+    members = ultrafilter(frame, x).tolist()
+    v = np.array([embed(MassFunction(frame, {a: 1.0}), space).coords for a in members])
     t = embed(m, space).coords
     k, d = v.shape
     n_err = d if p == 1 else 1  # one bound per coordinate, or one for all

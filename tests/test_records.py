@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import csbf
@@ -26,7 +27,9 @@ from csbf import (
     embed,
     partial_l1_mass,
     partial_linf_belief,
+    partial_linf_mass,
 )
+from csbf.consistent_belief import GammaBox
 from csbf.oracle import _categorical_coords_matrix
 
 from conftest import run_python
@@ -132,3 +135,21 @@ def test_array_records_compare_by_identity(ternary):
     u, v = embed(ternary, space), embed(ternary, space)
     assert u == u and u != v
     assert {a: 1, u: 2}[a] == 1
+    for partial in (partial_linf_mass, partial_linf_belief):
+        box, twin = partial(ternary, "x"), partial(ternary, "x")
+        assert box == box and box != twin
+        assert {box: 1, twin: 2}[box] == 1
+
+
+def test_box_arrays_are_read_only_copies(ternary):
+    for box in (partial_linf_mass(ternary, "x"), partial_linf_belief(ternary, "x")):
+        assert box.members.dtype == np.int64 and box.lower.dtype == box.upper.dtype == float
+        for field in ("members", "lower", "upper"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(box, field)[0] = 0
+    members, lower, upper = np.array([1, 3, 5]), np.zeros(3), np.ones(3)
+    box = GammaBox("x", ternary, members, lower, upper, 0.5)
+    lower[0] = 9.0
+    assert box.lower[0] == 0.0 and lower.flags.writeable
+    with pytest.raises(ValueError, match="aligned"):
+        GammaBox("x", ternary, members, lower[:2], upper, 0.5)
