@@ -21,10 +21,11 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,7 +115,8 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and the int digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read input document: {exc}", EXIT_PARSE) from None
     if not isinstance(raw, dict) or "frame" not in raw or "masses" not in raw:
         raise CliError("input document needs 'frame' and 'masses'", EXIT_PARSE)
@@ -132,7 +134,10 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
             mask = frame.parse_subset(key)
             if mask in masses:
                 raise EvidenceError(f"subset {key!r} appears twice")
-            masses[mask] = float(value)
+            try:
+                masses[mask] = float(value)
+            except OverflowError:
+                raise EvidenceError(f"mass of {key!r} is too large for a float") from None
     except EvidenceError as exc:
         raise CliError(str(exc), EXIT_PARSE) from None
     total = sum(masses.values())
@@ -177,16 +182,25 @@ def _real(v: float) -> str:
     return repr(float(text))
 
 
+# Texts of "%.12g" that differ from repr's spelling; see :func:`_real`.
+_NOT_REPR = re.compile(r"^-?\d+$|^.*e(?:\+1|-3).*$", re.MULTILINE)
+
+
 def _reals(values: np.ndarray) -> np.ndarray:
     """:func:`_real` of each value as an object array, each distinct bit pattern formatted once.
 
-    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.
+    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.  The
+    distinct values are formatted by one ``%`` pass into newline-separated
+    text; only the lines :func:`_real` would send to ``repr`` are rewritten.
     """
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(_NON_FINITE)
     bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(_real, bits.view(np.float64).tolist())), dtype=object)
+    distinct = bits.view(np.float64).tolist()
+    text = "%.12g\n" * len(distinct) % tuple(distinct)
+    text = _NOT_REPR.sub(lambda match: repr(float(match[0])), text)
+    texts = np.array(text.split("\n")[:-1], dtype=object)
     return texts[inverse.reshape(arr.shape)]
 
 
@@ -210,7 +224,7 @@ def _json_escape(text: str) -> str:
 
 
 def _block_text(block: _Block, indent: str) -> str:
-    """JSON text of a block: one object array of pieces and one join.
+    """JSON text of a block, braces included: one object array of pieces and one join.
 
     Key texts come from :meth:`Frame.gather_texts`, escaped once per label
     table entry; reals from :func:`_reals`, formatted once per distinct value.
@@ -232,8 +246,59 @@ def _block_text(block: _Block, indent: str) -> str:
     pieces = np.empty((len(heads), len(columns)), dtype=object)
     for j, column in enumerate(columns):
         pieces[:, j] = column
-    pieces[0, 0] = f"\n{inner}\""  # no comma before the first entry
-    return "{" + "".join(pieces.ravel().tolist()) + f"\n{indent}}}"
+    pieces[0, 0] = f"{{\n{inner}\""  # the brace, and no comma before the first entry
+    pieces[-1, -1] += f"\n{indent}}}"
+    return "".join(pieces.ravel().tolist())
+
+
+def _write(value: Any, indent: str, append: Callable[[str], None]) -> None:
+    """Pass the JSON text of ``value`` to ``append`` in chunks; see :func:`_dumps`."""
+    if isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(_NON_FINITE)
+        append(_real(value))
+    elif isinstance(value, _Block):
+        append(_block_text(value, indent))
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key, item in value.items():
+            append(head + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, append)
+            head = ",\n" + inner
+        append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = indent + "  "
+        head = "[\n" + inner
+        for item in value:
+            append(head)
+            _write(item, inner, append)
+            head = ",\n" + inner
+        append(f"\n{indent}]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _chunks(value: Any, indent: str = "") -> list[str]:
+    chunks: list[str] = []
+    _write(value, indent, chunks.append)
+    return chunks
 
 
 def _dumps(value: Any, indent: str = "") -> str:
@@ -241,50 +306,26 @@ def _dumps(value: Any, indent: str = "") -> str:
 
     Object keys must be strings.  A :class:`_Block` is written as the
     ``{subset: value}`` object it stands for by :func:`_block_text`; a
-    scalar float by :func:`_real` directly.
+    scalar float by :func:`_real` directly.  The text is built as a list of
+    chunks, each block's text one chunk, and joined once.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(_NON_FINITE)
-        return _real(value)
-    if isinstance(value, _Block):
-        return _block_text(value, indent)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        texts = (_dumps(v, inner) for v in value.values())
-        body = f",\n{inner}".join(map("{}: {}".format, map(encode_basestring_ascii, value), texts))
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        texts = (_dumps(v, inner) for v in value)
-        return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return "".join(_chunks(value, indent))
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = _dumps(doc) + "\n"
-    if out_path:
-        try:
+    chunks = _chunks(doc)
+    chunks.append("\n")
+    text = "".join(chunks)
+    del chunks  # free the block texts before writing makes an encoded copy
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write output: {exc}", EXIT_WRITE) from None
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}", EXIT_WRITE) from None
 
 
 def _mass_block(m: PseudoMassFunction, masks: Sequence[int]) -> _Block:

@@ -420,6 +420,10 @@ MALFORMED = {
     "repeated key": (
         '{"frame": ["x", "y"], "masses": {"x": 0.5, "x": 0.5}}', "key 'x' appears twice"
     ),
+    "mass too large for a float": (
+        '{"frame": ["x", "y"], "masses": {"x": 1' + "0" * 400 + ', "y": 0.5}}',
+        "mass of 'x' is too large for a float",
+    ),
     "negative mass": ('{"frame": ["x", "y"], "masses": {"x": -0.2, "x,y": 1.2}}', "negative mass"),
     "mass sum 0.9": ('{"frame": ["x", "y"], "masses": {"x": 0.9}}', "must sum to 1"),
 }
@@ -437,6 +441,17 @@ def test_malformed_document_exits_2_naming_the_cause(capsys, tmp_path, case):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert cause in err, err
+
+
+def test_integer_beyond_the_digit_limit_exits_2(capsys, tmp_path):
+    # json refuses ints of more than 4,300 digits with a plain ValueError; an
+    # interpreter without that limit parses it and the float conversion fails
+    path = tmp_path / "long.json"
+    path.write_text('{"frame": ["x", "y"], "masses": {"x": 1' + "0" * 5000 + ', "y": 0.5}}')
+    for argv in (["inspect", str(path)], ["verify", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "cannot read input document" in err or "'x' is too large" in err, err
 
 
 def test_subset_key_whitespace_and_order_normalized(capsys, tmp_path):

@@ -131,6 +131,17 @@ class TestPartialLinf:
             box.distance, abs=1e-12
         )
 
+    def test_upper_clip_acts_on_rounding_alone(self):
+        # a mass sum above 1 within the ingest tolerance puts upper[0] above 1,
+        # while the lower clip has nothing to do
+        m = MassFunction(Frame(("x", "y")), {1: 0.5 + 5e-10, 2: 0.5})
+        box = partial_linf_mass(m, "x")
+        lo, hi, clipped = box.admissible_intervals()
+        assert box.upper[0] > 1.0
+        assert hi[0] == 1.0
+        assert (lo == box.lower).all()
+        assert clipped
+
     def test_contains_rejects_mass_off_the_ultrafilter(self, ternary):
         # ternary puts 0.4 on y and y,z, outside the ultrafilter of x, while
         # its masses on x, x,y and x,z lie inside their intervals

@@ -110,6 +110,24 @@ def test_entry_point_unwritable_out_exits_6(tmp_path):
     assert b"error: cannot write output" in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["ternary-l1-mass-global", "n6-inspect"])
+def test_entry_point_full_stdout_exits_6(name):
+    # the small output is still buffered when written and fails at the flush;
+    # the large one fails in the write itself
+    code = (
+        "import os, sys\n"
+        "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)\n"
+        "from csbf.cli import entry\n"
+        f"sys.argv = ['csbf', *{CASES[name]!r}]\n"
+        "entry()\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr.startswith(b"error: cannot write output: ")
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
+
+
 def test_only_entry_freezes_the_collector():
     before = gc.get_freeze_count()
     stdout_of(CASES["ternary-inspect"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csbf.cli import _Block, _dumps, _emit, _real
+from csbf.cli import _Block, _dumps, _emit, _real, _reals
 from csbf.core import EvidenceError, Frame
 
 
@@ -138,6 +138,34 @@ def test_block_matches_json_reference(case):
     assert _dumps({"a": [block, 0.5]}) == reference({"a": [expected, 0.5]})
 
 
+siblings = scalars | st.lists(reals, max_size=3) | st.dictionaries(texts, reals, max_size=3)
+
+
+@st.composite
+def nested_blocks(draw):
+    """(document, reference document): a block 1-6 levels deep in dicts and lists, with siblings."""
+    frame, masks, values = draw(blocks())
+    doc = _Block(frame, np.array(masks, dtype=np.int64), values)
+    expected = block_reference(frame, masks, values)
+    for _ in range(draw(st.integers(1, 6))):
+        before, after = draw(st.lists(siblings, max_size=2)), draw(st.lists(siblings, max_size=2))
+        if draw(st.booleans()):
+            doc, expected = before + [doc] + after, before + [expected] + after
+        else:
+            key = draw(texts)
+            head = {f"{key}<{i}": item for i, item in enumerate(before)}
+            tail = {f"{key}>{i}": item for i, item in enumerate(after)}
+            doc, expected = {**head, key: doc, **tail}, {**head, key: expected, **tail}
+    return doc, expected
+
+
+@given(nested_blocks())
+@settings(max_examples=200, deadline=None)
+def test_nested_block_matches_json_reference(case):
+    doc, expected = case
+    assert _dumps(doc) == reference(expected)
+
+
 @given(blocks(), st.sampled_from(NONFINITE), st.data())
 @settings(max_examples=50, deadline=None)
 def test_block_refuses_non_finite_and_out_of_range(case, bad, data):
@@ -204,6 +232,11 @@ def test_real_matches_repr_of_rounded(v):
 def test_real_matches_repr_at_every_decade():
     bad = [v for v in DECADES + [-v for v in DECADES] if _real(v) != real_reference(v)]
     assert not bad, bad[:5]
+
+
+def test_reals_match_real_at_every_decade():
+    values = np.array(DECADES + [-v for v in DECADES])
+    assert _reals(values).tolist() == list(map(_real, values.tolist()))
 
 
 @pytest.mark.parametrize("value", SPECIAL_FLOATS)
