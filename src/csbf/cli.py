@@ -21,7 +21,6 @@ import gc
 import json
 import math
 import os
-import re
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -182,25 +181,16 @@ def _real(v: float) -> str:
     return repr(float(text))
 
 
-# Texts of "%.12g" that differ from repr's spelling; see :func:`_real`.
-_NOT_REPR = re.compile(r"^-?\d+$|^.*e(?:\+1|-3).*$", re.MULTILINE)
-
-
 def _reals(values: np.ndarray) -> np.ndarray:
     """:func:`_real` of each value as an object array, each distinct bit pattern formatted once.
 
-    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.  The
-    distinct values are formatted by one ``%`` pass into newline-separated
-    text; only the lines :func:`_real` would send to ``repr`` are rewritten.
+    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.
     """
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(_NON_FINITE)
     bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
-    text = "%.12g\n" * len(distinct) % tuple(distinct)
-    text = _NOT_REPR.sub(lambda match: repr(float(match[0])), text)
-    texts = np.array(text.split("\n")[:-1], dtype=object)
+    texts = np.array(list(map(_real, bits.view(np.float64).tolist())), dtype=object)
     return texts[inverse.reshape(arr.shape)]
 
 
@@ -313,16 +303,19 @@ def _dumps(value: Any, indent: str = "") -> str:
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
+    """Write the JSON text of ``doc`` and a newline, chunk by chunk.
+
+    The document is never joined into one string: that would hold a second
+    copy of all of it beside the chunks.
+    """
     chunks = _chunks(doc)
     chunks.append("\n")
-    text = "".join(chunks)
-    del chunks  # free the block texts before writing makes an encoded copy
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:
         raise CliError(f"cannot write output: {exc}", EXIT_WRITE) from None
@@ -591,9 +584,18 @@ def entry() -> None:
     first: the collections during the call, and the one at interpreter
     shutdown, no longer walk the import graph.  :func:`main` leaves the
     collector alone, since it also runs inside longer-lived processes.
+
+    A failed stdout write leaves its bytes in stdout's buffer, and the flush
+    at interpreter shutdown would fail on them again (an "Exception ignored"
+    report and exit 120).  So after a write error fd 1 is pointed at the
+    null device, which takes them.  Without ``--out`` nothing else goes to
+    stdout; with it, stdout holds nothing.
     """
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    if code == EXIT_WRITE:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

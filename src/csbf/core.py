@@ -12,7 +12,6 @@ makes the fast zeta / Moebius transforms over the subset lattice possible.
 from __future__ import annotations
 
 import math
-from itertools import compress
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -301,58 +300,36 @@ class PseudoMassFunction(FrozenRecord):
     nonzero entries are stored; the empty set never carries mass.
     """
 
-    #: Whether masses in [-MASS_CLAMP_TOL, 0) are clamped to zero and lower ones rejected.
-    _proper = False
-
     def __init__(self, frame: Frame, masses: Mapping[int, float]) -> None:
-        # Whole-mapping checks; when one fails, the entry loop of
-        # _raise_first_fault names the first offending entry.
-        try:
-            ok = (
-                (not masses or (min(masses) >= 0 and max(masses) < frame.n_subsets))
-                and all(map(math.isfinite, masses.values()))
-                and (0 not in masses or abs(masses[0]) <= MASS_SUM_TOL)
-            )
-        except OverflowError:  # an int too large for a float
-            ok = False
-        if not ok:
-            self._raise_first_fault(frame, masses)
-        values = list(map(float, masses.values()))
-        # the nonzero entries, in order; compress reads a zero as false
-        if 0.0 in values:
-            cleaned = dict(compress(zip(masses, values), values))
-        else:
-            cleaned = dict(zip(masses, values))
-        cleaned.pop(0, None)
-        lowest = min(cleaned.values(), default=0.0) if self._proper else 0.0
-        if lowest < -MASS_CLAMP_TOL:
-            self._raise_first_fault(frame, masses)
-        if lowest < 0.0:  # clamp [-MASS_CLAMP_TOL, 0) to zero
-            cleaned = dict(compress(cleaned.items(), map((0.0).__lt__, cleaned.values())))
+        cleaned: dict[int, float] = {}
+        n_subsets = frame.n_subsets
+        for mask, value in masses.items():
+            if not 0 <= mask < n_subsets:
+                frame.check_mask(mask)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                raise EvidenceError(
+                    f"mass of {frame.format_subset(mask)!r} is too large for a float"
+                ) from None
+            if not finite:
+                raise EvidenceError(
+                    f"mass of {frame.format_subset(mask)!r} is not finite: {value!r}"
+                )
+            if mask == 0:
+                if abs(value) > MASS_SUM_TOL:
+                    raise EvidenceError("the empty set may not carry mass")
+                continue
+            value = self._ingest(float(value))
+            if value != 0.0:
+                cleaned[mask] = value
         total = sum(cleaned.values())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise EvidenceError(f"mass values must sum to 1, got {total!r}")
         self._set(frame, MappingProxyType(cleaned))
 
-    @classmethod
-    def _raise_first_fault(cls, frame: Frame, masses: Mapping[int, float]) -> None:
-        """Raise the error of the first entry of ``masses`` that breaks an invariant."""
-        for mask, value in masses.items():
-            frame.check_mask(mask)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise EvidenceError(
-                    f"mass of {frame.format_subset(mask)!r} is too large for a float"
-                ) from None
-            if not finite:
-                raise EvidenceError(f"mass of {frame.format_subset(mask)!r} is not finite: {value!r}")
-            if mask == 0:
-                if abs(value) > MASS_SUM_TOL:
-                    raise EvidenceError("the empty set may not carry mass")
-            elif cls._proper and value < -MASS_CLAMP_TOL:
-                raise EvidenceError(f"negative mass {float(value)!r}")
-        raise AssertionError("a whole-mapping check failed on no entry")
+    def _ingest(self, value: float) -> float:
+        return value
 
     def value(self, mask: int) -> float:
         self.frame.check_mask(mask)
@@ -403,7 +380,12 @@ class MassFunction(PseudoMassFunction):
     more negative is rejected.
     """
 
-    _proper = True
+    def _ingest(self, value: float) -> float:
+        if value < 0.0:
+            if value < -MASS_CLAMP_TOL:
+                raise EvidenceError(f"negative mass {value!r}")
+            return 0.0
+        return value
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":

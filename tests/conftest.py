@@ -42,13 +42,16 @@ def frame_of_size(n: int) -> Frame:
     return Frame(labels[:n])
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on ``args``, with this checkout's ``src`` on its path."""
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args``, with this checkout's ``src`` on its path.
+
+    ``env`` adds to or overrides the inherited environment.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         timeout=120,
     )

@@ -110,19 +110,29 @@ def test_entry_point_unwritable_out_exits_6(tmp_path):
     assert b"error: cannot write output" in proc.stderr
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+#: Python statements that point fd 1 at a target every write to fails on
+BROKEN_STDOUT = {
+    "full-device": "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)",
+    "closed-pipe": "r, w = os.pipe(); os.close(r); os.dup2(w, 1)",
+}
+
+
+@pytest.mark.parametrize("target", sorted(BROKEN_STDOUT))
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("name", ["ternary-l1-mass-global", "n6-inspect"])
-def test_entry_point_full_stdout_exits_6(name):
-    # the small output is still buffered when written and fails at the flush;
-    # the large one fails in the write itself
+def test_entry_point_failed_stdout_exits_6(name, unbuffered, target):
+    # buffered, the small output fails at the flush and leaves its bytes in
+    # the buffer for the flush at shutdown; the large one fails in the write
+    if target == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
     code = (
         "import os, sys\n"
-        "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)\n"
+        f"{BROKEN_STDOUT[target]}\n"
         "from csbf.cli import entry\n"
         f"sys.argv = ['csbf', *{CASES[name]!r}]\n"
         "entry()\n"
     )
-    proc = run_python("-c", code)
+    proc = run_python("-c", code, PYTHONUNBUFFERED=unbuffered)
     assert proc.returncode == 6, proc.stderr
     assert proc.stderr.startswith(b"error: cannot write output: ")
     assert proc.stderr.count(b"\n") == 1, proc.stderr

@@ -271,3 +271,22 @@ def test_emit_writes_reference_plus_newline(tmp_path):
     target = tmp_path / "out.json"
     _emit(doc, str(target))
     assert target.read_text(encoding="utf-8") == reference(doc) + "\n"
+
+
+def test_emit_writes_long_blocks_between_short_chunks(tmp_path, capsys):
+    # two blocks far longer than the runs of short chunks around them
+    frame = Frame(tuple("abcdefghij"))
+    masks = np.arange(1, frame.n_subsets, dtype=np.int64)
+    values = np.linspace(0.0, 1.0, len(masks))
+    rows = np.stack([values, -values], axis=1)
+    expected_masses = block_reference(frame, masks.tolist(), values)
+    expected_rows = block_reference(frame, masks.tolist(), rows)
+    doc = {"a": 1, "masses": _Block(frame, masks, values),
+           "b": [0.5, {"rows": _Block(frame, masks, rows)}], "c": None}
+    expected = reference({"a": 1, "masses": expected_masses,
+                          "b": [0.5, {"rows": expected_rows}], "c": None}) + "\n"
+    _emit(doc, None)
+    assert capsys.readouterr().out == expected
+    target = tmp_path / "out.json"
+    _emit(doc, str(target))
+    assert target.read_text(encoding="utf-8") == expected
