@@ -53,7 +53,6 @@ from .consistent_belief import (
 )
 from .oracle import (
     FrameTooLargeError,
-    OracleConfig,
     OracleReport,
     brute_force_partial,
     closed_form_partial,
@@ -74,7 +73,6 @@ __all__ = [
     "GammaBox",
     "GlobalResult",
     "MassFunction",
-    "OracleConfig",
     "OracleReport",
     "PartialApprox",
     "PointVector",

@@ -60,8 +60,8 @@ from .consistent_belief import (
 )
 from .geometry import SpaceKind
 from .oracle import (
+    MATCH_TOL,
     MAX_ORACLE_FRAME,
-    OracleConfig,
     SUPPORTED_PAIRS,
     brute_force_partial,
     globals_agree,
@@ -479,20 +479,18 @@ _NORM_LABEL = {1: "l1", 2: "l2", math.inf: "linf"}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _comparison_tolerance()
     frame, m, echo = load_input(args.input)
     if frame.size > MAX_ORACLE_FRAME:
         raise CliError(
             f"verification needs a frame of at most {MAX_ORACLE_FRAME} elements", EXIT_FRAME
         )
-    cfg = OracleConfig()
     reports = []
     checks = []
     all_ok = True
     for p, kind in SUPPORTED_PAIRS:
         by_focus = {}
         for x in frame.elements:
-            rep = by_focus[x] = brute_force_partial(m, x, p, kind, cfg)
+            rep = by_focus[x] = brute_force_partial(m, x, p, kind)
             all_ok &= rep.converged
             reports.append(
                 {
@@ -505,8 +503,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "converged": rep.converged,
                 }
             )
-        result = library_global(m, p, kind, tol)
-        agree = globals_agree(result, by_focus, cfg)
+        result = library_global(m, p, kind)
+        agree = globals_agree(result, by_focus)
         all_ok &= agree
         checks.append(
             {
@@ -522,7 +520,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "command": "verify",
         "input": echo,
-        "config": {"match_tolerance": cfg.match_tolerance},
+        "config": {"match_tolerance": MATCH_TOL},
         "reports": reports,
         "global_checks": checks,
         "all_ok": all_ok,

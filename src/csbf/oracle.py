@@ -16,7 +16,11 @@ problem is solved exactly, with numpy alone:
 
 The reported distance is recomputed from the weights found.  Nothing here
 reuses the closed forms being checked, they enter only in the final
-comparison.
+comparison.  One table maps each (norm, space) cell with a closed form to
+that closed form and to its global selector: ``SUPPORTED_PAIRS`` lists its
+keys, and ``closed_form_partial`` and ``library_global`` look it up.  Every
+comparison uses the one tolerance ``MATCH_TOL``: a distance converges when it
+is that close to the closed form, and both argmin sets tie within it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -56,32 +60,13 @@ LP_MAX_PIVOTS = 1000
 #: Pivot, ratio-test and reduced-cost threshold; tableau entries are O(1).
 _LP_EPS = 1e-12
 
-#: Norm/space pairs with a closed form to compare against.
-SUPPORTED_PAIRS: tuple[tuple[float, SpaceKind], ...] = (
-    (1, SpaceKind.MASS_N2),
-    (2, SpaceKind.MASS_N2),
-    (2, SpaceKind.MASS_N1),
-    (math.inf, SpaceKind.MASS_N2),
-    (1, SpaceKind.BELIEF),
-    (2, SpaceKind.BELIEF),
-    (math.inf, SpaceKind.BELIEF),
-)
+#: How closely the oracle must reproduce a closed-form distance, and the tie
+#: tolerance of the global argmin sets on both sides of the comparison.
+MATCH_TOL = 1e-9
 
 
 class FrameTooLargeError(ValueError):
     """The frame exceeds what exhaustive verification can handle."""
-
-
-class OracleConfig(FrozenRecord):
-    def __init__(self, tolerance: float = 1e-9) -> None:
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self._set(tolerance)
-
-    @property
-    def match_tolerance(self) -> float:
-        """How closely the oracle must reproduce the closed-form distance."""
-        return self.tolerance
 
 
 class OracleReport(FrozenRecord):
@@ -103,64 +88,66 @@ class OracleReport(FrozenRecord):
         )
 
 
-def _as_kind(space: EmbeddingSpace | SpaceKind) -> SpaceKind:
-    return space.kind if isinstance(space, EmbeddingSpace) else space
+#: (norm, space) -> (closed form, global selector).  A closed form maps
+#: (m, x) to the distance and a minimizer, for Linf the solution-set
+#: barycenter; a selector maps m to its GlobalResult.  Each row names the
+#: library functions inside a lambda, so they are read from this module's
+#: namespace at call time and wrapping a module attribute reaches these calls.
+_CELLS: dict[tuple[float, SpaceKind], tuple[Callable, Callable]] = {
+    (1, SpaceKind.MASS_N2): (
+        lambda m, x: ((pa := partial_l1_mass(m, x)).distance, pa.result),
+        lambda m: global_l1_mass(m, MATCH_TOL),
+    ),
+    (2, SpaceKind.MASS_N2): (
+        lambda m, x: ((pa := partial_l2_mass(m, x, SpaceKind.MASS_N2)).distance, pa.result),
+        lambda m: global_l2_mass(m, SpaceKind.MASS_N2, MATCH_TOL),
+    ),
+    (2, SpaceKind.MASS_N1): (
+        lambda m, x: ((pa := partial_l2_mass(m, x, SpaceKind.MASS_N1)).distance, pa.result),
+        lambda m: global_l2_mass(m, SpaceKind.MASS_N1, MATCH_TOL),
+    ),
+    (math.inf, SpaceKind.MASS_N2): (
+        lambda m, x: ((box := partial_linf_mass(m, x)).distance, box.barycenter),
+        lambda m: global_linf_mass(m, MATCH_TOL),
+    ),
+    (1, SpaceKind.BELIEF): (
+        lambda m, x: ((ft := focused_transform(m, x)).distance_l1, ft.result),
+        lambda m: global_l1_belief(m, MATCH_TOL),
+    ),
+    (2, SpaceKind.BELIEF): (
+        lambda m, x: ((ft := focused_transform(m, x)).distance_l2, ft.result),
+        lambda m: global_l2_belief(m, MATCH_TOL),
+    ),
+    (math.inf, SpaceKind.BELIEF): (
+        lambda m, x: (partial_linf_belief(m, x).distance, focused_transform(m, x).result),
+        lambda m: global_linf_belief(m, MATCH_TOL),
+    ),
+}
+
+#: Norm/space pairs with a closed form to compare against, in report order.
+SUPPORTED_PAIRS: tuple[tuple[float, SpaceKind], ...] = tuple(_CELLS)
+
+
+def _cell(p: float, space: SpaceKind, what: str) -> tuple[Callable, Callable]:
+    try:
+        return _CELLS[p, space]
+    except KeyError:
+        raise ValueError(f"no {what} for norm {p!r} in space {space.value!r}") from None
 
 
 def closed_form_partial(
-    m: MassFunction, x: str, p: float, space: EmbeddingSpace | SpaceKind
+    m: MassFunction, x: str, p: float, space: SpaceKind
 ) -> tuple[float, PseudoMassFunction]:
     """Library closed form for one (norm, space, focus): distance and a minimizer.
 
     For Linf the returned point is the solution-set barycenter.
     """
-    kind = _as_kind(space)
-    if kind is SpaceKind.MASS_N2:
-        if p == 1:
-            pa = partial_l1_mass(m, x)
-            return pa.distance, pa.result
-        if p == 2:
-            pa = partial_l2_mass(m, x, kind)
-            return pa.distance, pa.result
-        if p == math.inf:
-            box = partial_linf_mass(m, x)
-            return box.distance, box.barycenter
-    elif kind is SpaceKind.MASS_N1:
-        if p == 2:
-            pa = partial_l2_mass(m, x, kind)
-            return pa.distance, pa.result
-    elif kind is SpaceKind.BELIEF:
-        if p in (1, 2):
-            ft = focused_transform(m, x)
-            return (ft.distance_l1 if p == 1 else ft.distance_l2), ft.result
-        if p == math.inf:
-            box = partial_linf_belief(m, x)
-            return box.distance, focused_transform(m, x).result
-    raise ValueError(f"no closed form for norm {p!r} in space {kind.value!r}")
+    return _cell(p, space, "closed form")[0](m, x)
 
 
-def library_global(
-    m: MassFunction, p: float, space: EmbeddingSpace | SpaceKind, tie_tol: float = 1e-9
-) -> GlobalResult:
-    """The library's global selector for one (norm, space) pair."""
-    kind = _as_kind(space)
-    if kind is SpaceKind.MASS_N2:
-        if p == 1:
-            return global_l1_mass(m, tie_tol)
-        if p == 2:
-            return global_l2_mass(m, kind, tie_tol)
-        if p == math.inf:
-            return global_linf_mass(m, tie_tol)
-    elif kind is SpaceKind.MASS_N1 and p == 2:
-        return global_l2_mass(m, kind, tie_tol)
-    elif kind is SpaceKind.BELIEF:
-        if p == 1:
-            return global_l1_belief(m, tie_tol)
-        if p == 2:
-            return global_l2_belief(m, tie_tol)
-        if p == math.inf:
-            return global_linf_belief(m, tie_tol)
-    raise ValueError(f"no global selector for norm {p!r} in space {kind.value!r}")
+def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:
+    """The library's global selector for one (norm, space) pair, ties within ``MATCH_TOL``."""
+    return _cell(p, space, "global selector")[1](m)
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +296,25 @@ def brute_force_partial(
     m: MassFunction,
     x: str,
     p: float,
-    space: EmbeddingSpace | SpaceKind,
-    cfg: OracleConfig = OracleConfig(),
+    space: SpaceKind,
 ) -> OracleReport:
     """Minimize the Lp distance over one consistent component exactly.
 
     The report always carries the gap against the closed form; ``converged``
-    is false when the gap exceeds the match tolerance.
+    is false when the gap exceeds ``MATCH_TOL``.
     """
     frame = m.frame
     if frame.size > MAX_ORACLE_FRAME:
         raise FrameTooLargeError(
             f"brute-force verification supports frames of size <= {MAX_ORACLE_FRAME}"
         )
-    kind = _as_kind(space)
-    emb_space = EmbeddingSpace(kind, frame)
-    members, v = _categorical_coords_matrix(frame, x, kind)
+    emb_space = EmbeddingSpace(space, frame)
+    members, v = _categorical_coords_matrix(frame, x, space)
     target = embed(m, emb_space)
     w = _l2_weights(v, target.coords) if p == 2 else _lp_weights(v, target.coords, p)
     distance = lp_distance(PointVector(emb_space, w @ v), target, p)
     point = MassFunction(frame, dict(zip(members.tolist(), w.tolist())))
-    closed_distance, _ = closed_form_partial(m, x, p, kind)
+    closed_distance, _ = closed_form_partial(m, x, p, space)
     gap = abs(distance - closed_distance)
     return OracleReport(
         focus=x,
@@ -339,15 +324,11 @@ def brute_force_partial(
         closed_form_distance=closed_distance,
         oracle_point=point,
         max_gap=gap,
-        converged=gap <= cfg.match_tolerance,
+        converged=gap <= MATCH_TOL,
     )
 
 
-def globals_agree(
-    result: GlobalResult,
-    reports: Mapping[str, OracleReport],
-    cfg: OracleConfig,
-) -> bool:
+def globals_agree(result: GlobalResult, reports: Mapping[str, OracleReport]) -> bool:
     """Tolerance-aware set agreement between library and oracle argmins.
 
     Every library optimum must be oracle-optimal within the match tolerance,
@@ -355,11 +336,10 @@ def globals_agree(
     closed-form-optimal within it, both measured on the attained distances
     (same scale on both sides).
     """
-    tol = cfg.match_tolerance
     closed = {x: r.closed_form_distance for x, r in reports.items()}
     oracle = {x: r.oracle_distance for x, r in reports.items()}
     closed_min = min(closed.values())
     oracle_min = min(oracle.values())
-    oracle_loose = {x for x, d in oracle.items() if d <= oracle_min + tol}
-    closed_loose = {x for x, d in closed.items() if d <= closed_min + tol}
+    oracle_loose = {x for x, d in oracle.items() if d <= oracle_min + MATCH_TOL}
+    closed_loose = {x for x, d in closed.items() if d <= closed_min + MATCH_TOL}
     return set(result.optima) <= oracle_loose and oracle_loose <= closed_loose

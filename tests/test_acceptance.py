@@ -16,7 +16,6 @@ import numpy as np
 from csbf import (
     Frame,
     MassFunction,
-    OracleConfig,
     SpaceKind,
     belief_from_mass,
     brute_force_partial,
@@ -36,7 +35,7 @@ from csbf import (
     partial_linf_mass,
     verify_orthogonality,
 )
-from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
+from csbf.oracle import MATCH_TOL, SUPPORTED_PAIRS, globals_agree, library_global
 from csbf.sampling import random_mass_function
 
 from conftest import ACCEPTANCE_LINES, TERNARY_MASSES, frame_of_size
@@ -212,7 +211,6 @@ def test_criterion_6_orthogonality_and_lemma_indicator():
 
 
 def test_criterion_7_oracle_equivalence():
-    cfg = OracleConfig()
     distances_ok = True
     globals_ok = True
     details = []
@@ -225,12 +223,12 @@ def test_criterion_7_oracle_equivalence():
         for _ in range(draws):
             m = random_mass_function(frame, rng)
             for p, kind in SUPPORTED_PAIRS:
-                reports = {x: brute_force_partial(m, x, p, kind, cfg) for x in frame.elements}
+                reports = {x: brute_force_partial(m, x, p, kind) for x in frame.elements}
                 for report in reports.values():
                     worst_gap = max(worst_gap, report.max_gap)
-                    if report.max_gap > cfg.match_tolerance:
+                    if report.max_gap > MATCH_TOL:
                         distances_ok = False
-                if not globals_agree(library_global(m, p, kind), reports, cfg):
+                if not globals_agree(library_global(m, p, kind), reports):
                     globals_ok = False
         size_elapsed = time.perf_counter() - t0
         elapsed += size_elapsed
@@ -238,8 +236,8 @@ def test_criterion_7_oracle_equivalence():
     check(
         7,
         "oracle matches every closed form",
-        cfg.match_tolerance == 1e-9 and distances_ok and globals_ok and elapsed < 60.0,
-        f"{'; '.join(details)}; tol {cfg.match_tolerance:.0e}",
+        MATCH_TOL == 1e-9 and distances_ok and globals_ok and elapsed < 60.0,
+        f"{'; '.join(details)}; tol {MATCH_TOL:.0e}",
     )
 
 

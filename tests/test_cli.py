@@ -10,6 +10,7 @@ from conftest import run_python
 HERE = os.path.dirname(__file__)
 TERNARY = os.path.join(HERE, "..", "data", "ternary.json")
 VERIFY_N4 = os.path.join(HERE, "fixtures", "verify_n4_seed410.json")
+TERNARY_VERIFY = os.path.join(HERE, "golden", "ternary-verify.json")
 
 
 def write_doc(tmp_path, name, doc):
@@ -477,6 +478,15 @@ class TestVerify:
         assert doc["config"] == {"match_tolerance": 1e-9}
         assert len(doc["reports"]) == 28
         assert max(r["max_gap"] for r in doc["reports"]) <= 1e-9
+
+    def test_tolerance_env_leaves_verify_unchanged(self, capsys, monkeypatch):
+        # the comparison tolerance of ``approximate`` widens ties; verify keeps
+        # comparing at its own printed match tolerance
+        monkeypatch.setenv("CSBF_TOLERANCE", "0.25")
+        code, out, err = run(capsys, ["verify", TERNARY])
+        assert code == 0, err
+        with open(TERNARY_VERIFY, "rb") as fh:
+            assert out.encode("utf-8") == fh.read()
 
     @pytest.mark.parametrize("flag", ["--grid-step", "--restarts", "--seed"])
     def test_search_flags_are_gone(self, capsys, flag):

@@ -8,6 +8,7 @@ import pytest
 from csbf import (
     EmbeddingSpace,
     Frame,
+    GammaBox,
     MassFunction,
     SpaceKind,
     belief_from_mass,
@@ -285,6 +286,15 @@ class TestGammaBox:
                 assert not box.contains(point)
         assert not box.contains(np.append(box.midpoint(), 0.0))
         assert not box.contains(box.midpoint()[None, :])
+
+    def test_tolerance_edges_are_inside(self):
+        # dyadic bounds and tolerance: every edge sum below is exact
+        tol = 2.0**-4
+        m = MassFunction.vacuous(Frame(("x", "y")))
+        box = GammaBox("x", m, [1], [0.5], [0.75], 0.125)
+        for edge, away in ((0.5 - tol, -math.inf), (0.75 + tol, math.inf)):
+            assert box.contains(np.array([edge]), tol)
+            assert not box.contains(np.array([math.nextafter(edge, away)]), tol)
 
     def test_single_element_frame_degenerates_cleanly(self):
         frame = Frame(("x",))

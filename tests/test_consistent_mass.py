@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from csbf import (
+    ApproxBox,
     EmbeddingSpace,
     Frame,
     MassFunction,
@@ -19,6 +21,7 @@ from csbf import (
     partial_l2_mass,
     partial_linf_mass,
 )
+from csbf.consistent_mass import in_box
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
@@ -106,6 +109,9 @@ class TestPartialLinf:
         assert box.lower.size == 3
         assert (box.lower == box.upper).all()
         assert box.midpoint_masses().allclose(m)
+        lo, hi, clipped = box.admissible_intervals()
+        assert (lo == box.lower).all() and (hi == box.upper).all()
+        assert clipped is False
 
     def test_every_corner_attains_exactly_the_box_distance(self, ternary):
         space = EmbeddingSpace(SpaceKind.MASS_N2, ternary.frame)
@@ -154,6 +160,25 @@ class TestPartialLinf:
             masses = dict(box.barycenter.masses)
             masses[y], masses[full] = stray, masses[full] - stray
             assert box.contains(PseudoMassFunction(frame, masses)) is inside, stray
+
+    def test_tolerance_edges_are_inside(self):
+        # dyadic bounds and tolerance: every edge sum below is exact
+        tol, lower, upper = 2.0**-4, np.array([0.5]), np.array([0.75])
+        frame = Frame(("x", "y"))
+        box = ApproxBox("x", [1], lower, upper, MassFunction.vacuous(frame), 0.125)
+
+        def point(inside, stray=0.0):  # mass on x, on y (off the ultrafilter), rest on x,y
+            return PseudoMassFunction(frame, {1: inside, 2: stray, 3: 1.0 - inside - stray})
+
+        for edge, away in ((0.5 - tol, -math.inf), (0.75 + tol, math.inf)):
+            beyond = math.nextafter(edge, away)
+            assert in_box(lower, upper, np.array([edge]), tol)
+            assert not in_box(lower, upper, np.array([beyond]), tol)
+            assert box.contains(point(edge), tol)
+            assert not box.contains(point(beyond), tol)
+        for stray in (tol, -tol):
+            assert box.contains(point(0.625, stray), tol)
+            assert not box.contains(point(0.625, math.nextafter(stray, 2 * stray)), tol)
 
     def test_interval_width_is_twice_the_distance(self, rng):
         frame = frame_of_size(3)

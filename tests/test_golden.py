@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent
 GOLDEN = ROOT / "golden"
 TERNARY = ROOT.parent / "data" / "ternary.json"
 N6 = GOLDEN / "n6.json"
+CONSISTENT = ROOT / "fixtures" / "consistent.json"
 
 MODES = {
     "l1-mass": ["--norm", "l1", "--space", "mass"],
@@ -59,6 +60,10 @@ def cases() -> dict[str, list[str]]:
     for name, mode in MODES.items():
         out[f"n6-{name}-global"] = ["approximate", str(N6), *mode, "--global"]
     out["n6-inspect"] = ["inspect", str(N6)]
+    # consistent on x: a degenerate Linf box that no admissibility clip touches
+    out["consistent-linf-mass-x"] = [
+        "approximate", str(CONSISTENT), *MODES["linf-mass"], "--focus", "x"
+    ]
     return out
 
 

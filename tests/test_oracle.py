@@ -8,7 +8,6 @@ from csbf import (
     EmbeddingSpace,
     FrameTooLargeError,
     MassFunction,
-    OracleConfig,
     SpaceKind,
     brute_force_partial,
     embed,
@@ -16,38 +15,36 @@ from csbf import (
     ultrafilter,
 )
 from csbf import oracle
-from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
+from csbf.oracle import MATCH_TOL, SUPPORTED_PAIRS, globals_agree, library_global
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
 
-CFG = OracleConfig()
-
 
 def oracle_agrees(m, p, kind):
     """Brute-force every partial distance and compare argmin sets with the library's."""
-    reports = {x: brute_force_partial(m, x, p, kind, CFG) for x in m.frame.elements}
-    return globals_agree(library_global(m, p, kind), reports, CFG)
+    reports = {x: brute_force_partial(m, x, p, kind) for x in m.frame.elements}
+    return globals_agree(library_global(m, p, kind), reports)
 
 
 class TestBruteForcePartial:
     def test_running_example_l1_mass(self, ternary):
-        report = brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2, CFG)
-        assert report.oracle_distance == pytest.approx(0.4, abs=CFG.match_tolerance)
+        report = brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2)
+        assert report.oracle_distance == pytest.approx(0.4, abs=MATCH_TOL)
         assert report.converged
 
     def test_vacuous_is_its_own_approximation(self):
         frame = frame_of_size(3)
         m = MassFunction.vacuous(frame)
         for p, kind in SUPPORTED_PAIRS:
-            report = brute_force_partial(m, "x", p, kind, CFG)
+            report = brute_force_partial(m, "x", p, kind)
             assert report.oracle_distance == pytest.approx(0.0, abs=1e-12)
             assert report.oracle_point.allclose(m, tol=1e-9)
 
     def test_l2_belief_point_matches_focused_transform(self, ternary):
         from csbf import focused_transform
 
-        report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF, CFG)
+        report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
         expected = focused_transform(ternary, "x").result
         assert report.oracle_point.allclose(expected, tol=1e-9)
 
@@ -57,7 +54,7 @@ class TestBruteForcePartial:
             m = random_mass_function(frame, rng)
             for p, kind in SUPPORTED_PAIRS:
                 for label in frame.elements:
-                    report = brute_force_partial(m, label, p, kind, CFG)
+                    report = brute_force_partial(m, label, p, kind)
                     assert abs(report.oracle_distance - report.closed_form_distance) <= 1e-9
 
     def test_linf_incumbent_lies_in_the_box(self, rng):
@@ -65,13 +62,13 @@ class TestBruteForcePartial:
         for _ in range(5):
             m = random_mass_function(frame, rng)
             for label in frame.elements:
-                report = brute_force_partial(m, label, math.inf, SpaceKind.MASS_N2, CFG)
+                report = brute_force_partial(m, label, math.inf, SpaceKind.MASS_N2)
                 box = partial_linf_mass(m, label)
-                assert box.contains(report.oracle_point, tol=CFG.match_tolerance)
+                assert box.contains(report.oracle_point, tol=MATCH_TOL)
 
     def test_deterministic_for_fixed_seed(self, ternary):
-        a = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF, CFG)
-        b = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF, CFG)
+        a = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF)
+        b = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF)
         assert a.oracle_distance == b.oracle_distance
         assert a.oracle_point.allclose(b.oracle_point, tol=0.0)
 
@@ -79,12 +76,12 @@ class TestBruteForcePartial:
         frame = frame_of_size(5)
         m = MassFunction.vacuous(frame)
         with pytest.raises(FrameTooLargeError):
-            brute_force_partial(m, "x", 1, SpaceKind.MASS_N2, CFG)
+            brute_force_partial(m, "x", 1, SpaceKind.MASS_N2)
 
     def test_lp_pivot_cap_raises(self, ternary, monkeypatch):
         monkeypatch.setattr(oracle, "LP_MAX_PIVOTS", 1)
         with pytest.raises(RuntimeError, match="1 pivots"):
-            brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2, CFG)
+            brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2)
 
     @pytest.mark.parametrize(
         "c, a, b, expected",
@@ -115,7 +112,7 @@ class TestBruteForcePartial:
         m = random_mass_function(frame, rng)
         for p, kind in SUPPORTED_PAIRS:
             for label in frame.elements:
-                report = brute_force_partial(m, label, p, kind, CFG)
+                report = brute_force_partial(m, label, p, kind)
                 assert report.converged, (p, kind, label, report.max_gap)
 
 
@@ -130,10 +127,10 @@ class TestExhaustiveGlobalCheck:
         m = MassFunction.from_labels(frame, {"x": 1 / 3, "y": 1 / 3, "z": 1 / 3})
         for p, kind in SUPPORTED_PAIRS:
             reports = {
-                lbl: brute_force_partial(m, lbl, p, kind, CFG) for lbl in frame.elements
+                lbl: brute_force_partial(m, lbl, p, kind) for lbl in frame.elements
             }
             distances = [r.oracle_distance for r in reports.values()]
-            assert max(distances) - min(distances) <= CFG.match_tolerance
+            assert max(distances) - min(distances) <= MATCH_TOL
             assert oracle_agrees(m, p, kind)
 
     def test_random_draws_agree(self, rng):
@@ -142,6 +139,41 @@ class TestExhaustiveGlobalCheck:
             m = random_mass_function(frame, rng)
             for p, kind in SUPPORTED_PAIRS:
                 assert oracle_agrees(m, p, kind)
+
+
+def test_table_has_exactly_the_supported_cells(ternary):
+    for p, kind in SUPPORTED_PAIRS:
+        distance, point = oracle.closed_form_partial(ternary, "x", p, kind)
+        assert distance >= 0.0 and point.frame == ternary.frame
+        assert "x" in library_global(ternary, p, kind).criterion_values
+    for p, kind in ((1, SpaceKind.MASS_N1), (math.inf, SpaceKind.MASS_N1), (3, SpaceKind.MASS_N2)):
+        with pytest.raises(ValueError, match="no closed form"):
+            oracle.closed_form_partial(ternary, "x", p, kind)
+        with pytest.raises(ValueError, match="no global selector"):
+            library_global(ternary, p, kind)
+
+
+def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch):
+    # wrapping an attribute of this module must reach the calls the table makes
+    names = (
+        "partial_l1_mass", "partial_l2_mass", "partial_linf_mass", "focused_transform",
+        "partial_linf_belief", "global_l1_mass", "global_l2_mass", "global_linf_mass",
+        "global_l1_belief", "global_l2_belief", "global_linf_belief",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    for p, kind in SUPPORTED_PAIRS:
+        oracle.closed_form_partial(ternary, "x", p, kind)
+        library_global(ternary, p, kind)
+    assert all(calls.values()), calls
 
 
 @pytest.mark.parametrize(
@@ -159,7 +191,7 @@ def test_globals_agree_compares_tolerant_argmin_sets(optima, oracle_d, closed_d,
         x: SimpleNamespace(oracle_distance=o, closed_form_distance=c)
         for x, o, c in zip("xy", oracle_d, closed_d)
     }
-    assert oracle.globals_agree(SimpleNamespace(optima=optima), reports, CFG) is agree
+    assert oracle.globals_agree(SimpleNamespace(optima=optima), reports) is agree
 
 
 def _linprog_distance(m, x, p, kind):
@@ -194,7 +226,7 @@ def test_lp_optimum_matches_scipy_highs(size, seed):
         for p in (1, math.inf):
             for kind in (SpaceKind.MASS_N2, SpaceKind.BELIEF):
                 for label in frame.elements:
-                    ours = brute_force_partial(m, label, p, kind, CFG).oracle_distance
+                    ours = brute_force_partial(m, label, p, kind).oracle_distance
                     assert ours == pytest.approx(_linprog_distance(m, label, p, kind), abs=1e-9)
 
 

@@ -19,7 +19,6 @@ from csbf import (
     EmbeddingSpace,
     Frame,
     MassFunction,
-    OracleConfig,
     PartialApprox,
     PseudoMassFunction,
     SpaceKind,
@@ -109,14 +108,10 @@ def test_keyword_construction(ternary):
     space = EmbeddingSpace(kind=SpaceKind.MASS_N2, frame=frame)
     pa = PartialApprox(focus="x", result=ternary, distance=0.5, space=space)
     assert (pa.focus, pa.result, pa.distance, pa.space) == ("x", ternary, 0.5, space)
-    assert OracleConfig() == OracleConfig(tolerance=1e-9)
-    with pytest.raises(ValueError, match="positive"):
-        OracleConfig(tolerance=0.0)
 
 
 def test_repr_names_the_fields(ternary):
     frame = Frame(("x", "y"))
-    assert repr(OracleConfig()) == "OracleConfig(tolerance=1e-09)"
     assert repr(MassFunction.vacuous(frame)) == (
         "MassFunction(frame=Frame(elements=('x', 'y')), masses=mappingproxy({3: 1.0}))"
     )
