@@ -39,7 +39,10 @@ from .core import (
     is_consistent,
     ultrafilter,
 )
+# perfbench/spans.py also wraps the selectors and partial solvers at this
+# module's attributes, so they stay bound here; the commands run ``CELLS``.
 from .consistent_mass import (
+    TIE_TOL,
     ApproxBox,
     global_l1_mass,
     global_l2_mass,
@@ -60,9 +63,9 @@ from .consistent_belief import (
 )
 from .geometry import SpaceKind
 from .oracle import (
+    CELLS,
     MATCH_TOL,
     MAX_ORACLE_FRAME,
-    SUPPORTED_PAIRS,
     brute_force_partial,
     globals_agree,
     library_global,
@@ -77,6 +80,8 @@ EXIT_FRAME = 5
 EXIT_WRITE = 6
 
 INGEST_SUM_TOL = 1e-6
+#: ``--norm`` label -> p of the Lp norm, the first half of a ``CELLS`` key.
+NORMS = {"l1": 1, "l2": 2, "linf": math.inf}
 MAX_VERTEX_COORDS = 12
 _NON_FINITE = "Out of range float values are not JSON compliant"
 
@@ -90,7 +95,7 @@ class CliError(Exception):
 def _comparison_tolerance() -> float:
     raw = os.environ.get("CSBF_TOLERANCE")
     if raw is None:
-        return 1e-9
+        return TIE_TOL
     try:
         value = float(raw)
     except ValueError:
@@ -375,22 +380,6 @@ def _payload_gamma_box(box: GammaBox, vertices: bool, tol: float) -> dict:
     return payload
 
 
-def _payload_focused(ft: FocusedTransform, norm: str, tol: float) -> dict:
-    payload = _point_payload(ft.result, ft.focus, tol)
-    payload["space"] = SpaceKind.BELIEF.value
-    payload["distance"] = ft.distance_l1 if norm == "l1" else ft.distance_l2
-    payload["distance_l1"] = ft.distance_l1
-    payload["distance_l2"] = ft.distance_l2
-    return payload
-
-
-def _payload_pointwise(pa, tol: float) -> dict:
-    payload = _point_payload(pa.result, pa.focus, tol)
-    payload["space"] = pa.space.kind.value
-    payload["distance"] = pa.distance
-    return payload
-
-
 def cmd_approximate(args: argparse.Namespace) -> int:
     tol = _comparison_tolerance()
     frame, m, echo = load_input(args.input)
@@ -414,26 +403,21 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             raise CliError("frame too large for vertex enumeration", EXIT_FLAGS)
 
     kind = SpaceKind.MASS_N1 if rep == "n1" else SpaceKind.MASS_N2
-
-    select, solve = {
-        ("l1", "mass"): (global_l1_mass, partial_l1_mass),
-        ("l2", "mass"): (
-            lambda m, t: global_l2_mass(m, kind, t),
-            lambda m, x: partial_l2_mass(m, x, kind),
-        ),
-        ("linf", "mass"): (global_linf_mass, partial_linf_mass),
-        ("l1", "belief"): (global_l1_belief, focused_transform),
-        ("l2", "belief"): (global_l2_belief, focused_transform),
-        ("linf", "belief"): (global_linf_belief, partial_linf_belief),
-    }[norm, space]
+    if space == "belief":
+        kind = SpaceKind.BELIEF
+    cell = CELLS[NORMS[norm], kind]
 
     def payload(partial) -> dict:
-        if norm == "linf":
-            box_payload = _payload_mass_box if space == "mass" else _payload_gamma_box
-            return box_payload(partial, args.vertices, tol)
-        if space == "mass":
-            return _payload_pointwise(partial, tol)
-        return _payload_focused(partial, norm, tol)
+        if isinstance(partial, ApproxBox):
+            return _payload_mass_box(partial, args.vertices, tol)
+        if isinstance(partial, GammaBox):
+            return _payload_gamma_box(partial, args.vertices, tol)
+        distance, point = cell.closed(partial)
+        out = _point_payload(point, partial.focus, tol)
+        out.update(space=kind.value, distance=distance)
+        if isinstance(partial, FocusedTransform):
+            out.update(distance_l1=partial.distance_l1, distance_l2=partial.distance_l2)
+        return out
 
     doc = {
         "command": "approximate",
@@ -444,9 +428,9 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     }
     if args.focus is not None:
         doc["focus"] = args.focus
-        doc["result"] = payload(solve(m, args.focus))
+        doc["result"] = payload(cell.solve(m, args.focus))
     else:
-        result = select(m, tol)
+        result = cell.select(m, tol)
         doc["focus"] = "global"
         doc["result"] = {
             "criterion": _element_block(frame, result.criterion_values),
@@ -475,26 +459,24 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_NORM_LABEL = {1: "l1", 2: "l2", math.inf: "linf"}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     frame, m, echo = load_input(args.input)
     if frame.size > MAX_ORACLE_FRAME:
         raise CliError(
             f"verification needs a frame of at most {MAX_ORACLE_FRAME} elements", EXIT_FRAME
         )
+    labels = {p: norm for norm, p in NORMS.items()}
     reports = []
     checks = []
     all_ok = True
-    for p, kind in SUPPORTED_PAIRS:
+    for p, kind in CELLS:
         by_focus = {}
         for x in frame.elements:
             rep = by_focus[x] = brute_force_partial(m, x, p, kind)
             all_ok &= rep.converged
             reports.append(
                 {
-                    "norm": _NORM_LABEL[p],
+                    "norm": labels[p],
                     "space": kind.value,
                     "focus": x,
                     "oracle_distance": rep.oracle_distance,
@@ -508,7 +490,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         all_ok &= agree
         checks.append(
             {
-                "norm": _NORM_LABEL[p],
+                "norm": labels[p],
                 "space": kind.value,
                 "library_optima": list(result.optima),
                 "oracle_distances": _element_block(
@@ -538,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_approx = sub.add_parser("approximate", help="partial or global consistent approximation")
     p_approx.add_argument("input", help="path to a JSON input document")
-    p_approx.add_argument("--norm", choices=["l1", "l2", "linf"], required=True)
+    p_approx.add_argument("--norm", choices=list(NORMS), required=True)
     p_approx.add_argument("--space", choices=["mass", "belief"], required=True)
     p_approx.add_argument("--rep", choices=["n1", "n2"], default=None,
                           help="mass embedding for --norm l2 --space mass")

@@ -44,9 +44,6 @@ from .consistent_mass import TIE_TOL, GlobalResult, box_arrays, box_corners, in_
 from .geometry import EmbeddingSpace, SpaceKind, embed
 from .sampling import random_mass_function
 
-#: Default slack when checking orthogonality certificates and box membership.
-CHECK_TOL = 1e-9
-
 
 class FocusedTransform(FrozenRecord):
     """Focused consistent transform: mass of B moves to ``B union {x}``.
@@ -82,7 +79,7 @@ def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
     return FocusedTransform(x, result, float(total[i]), math.sqrt(squares[i]))
 
 
-def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = CHECK_TOL) -> bool:
+def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TIE_TOL) -> bool:
     """L2-optimality certificate for a focused transform.
 
     Checks that the belief-space residual is orthogonal to the categorical
@@ -153,7 +150,7 @@ class GammaBox(FrozenRecord):
         """Every box corner, one row each."""
         return box_corners(self.lower, self.upper)
 
-    def contains(self, gamma_point: np.ndarray, tol: float = CHECK_TOL) -> bool:
+    def contains(self, gamma_point: np.ndarray, tol: float = TIE_TOL) -> bool:
         if np.shape(gamma_point) != self.lower.shape:
             return False
         return in_box(self.lower, self.upper, gamma_point, tol)

@@ -6,7 +6,9 @@ exactly when element ``i`` of the frame belongs to the subset.  ``0`` is the
 empty set and ``frame.full_mask`` is the whole frame.  All set functions
 (mass, belief, plausibility) are indexed by these masks, which keeps subset,
 superset, intersection and complement queries at single word operations and
-makes the fast zeta / Moebius transforms over the subset lattice possible.
+makes the fast transforms over the subset lattice possible: zeta, Moebius,
+subset maximum and superset sum are one sweep over the bit axes, each with
+its own combining operation.
 """
 
 from __future__ import annotations
@@ -231,52 +233,47 @@ def ultrafilter(frame: Frame, label: str) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Lattice transforms.  Arrays are indexed by subset mask and must have
-# power-of-two length; each transform costs O(N log N).
+# power-of-two length; each transform is one O(N log N) sweep.
 # ---------------------------------------------------------------------------
 
 
-def _lattice_copy(values: np.ndarray) -> tuple[np.ndarray, int]:
+def _sweep(values: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """``op`` folded over the subsets of each mask, one pass per bit axis.
+
+    Pass i sets ``out[A] = op(out[A], out[A minus i])`` for every A holding bit i.
+    """
     out = np.array(values, dtype=float)
     n = out.size.bit_length() - 1
     if out.size != 1 << n:
         raise ValueError("array length must be a power of two")
-    return out, n
+    for i in range(n):
+        v = out.reshape(-1, 2, 1 << i)
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return out
 
 
 def zeta_transform(values: np.ndarray) -> np.ndarray:
     """Cumulative subset sums: out[A] = sum of values[B] over B a subset of A."""
-    out, n = _lattice_copy(values)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
-    return out
+    return _sweep(values, np.add)
 
 
 def mobius_transform(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zeta_transform`."""
-    out, n = _lattice_copy(values)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 1, :] -= v[:, 0, :]
-    return out
+    return _sweep(values, np.subtract)
 
 
 def submax_transform(values: np.ndarray) -> np.ndarray:
     """Cumulative subset maxima: out[A] = max of values[B] over B a subset of A."""
-    out, n = _lattice_copy(values)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        np.maximum(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
-    return out
+    return _sweep(values, np.maximum)
 
 
 def superset_sum_transform(values: np.ndarray) -> np.ndarray:
-    """Cumulative superset sums: out[A] = sum of values[B] over B a superset of A."""
-    out, n = _lattice_copy(values)
-    for i in range(n):
-        v = out.reshape(-1, 2, 1 << i)
-        v[:, 0, :] += v[:, 1, :]
-    return out
+    """Cumulative superset sums: out[A] = sum of values[B] over B a superset of A.
+
+    Complementing a mask reverses the index order, and the supersets of A are
+    the complements of the subsets of A's complement.
+    """
+    return np.ascontiguousarray(_sweep(values[::-1], np.add)[::-1])
 
 
 def coatoms(frame: Frame) -> np.ndarray:

@@ -16,11 +16,13 @@ problem is solved exactly, with numpy alone:
 
 The reported distance is recomputed from the weights found.  Nothing here
 reuses the closed forms being checked, they enter only in the final
-comparison.  One table maps each (norm, space) cell with a closed form to
-that closed form and to its global selector: ``SUPPORTED_PAIRS`` lists its
-keys, and ``closed_form_partial`` and ``library_global`` look it up.  Every
-comparison uses the one tolerance ``MATCH_TOL``: a distance converges when it
-is that close to the closed form, and both argmin sets tie within it.
+comparison.  ``CELLS`` is the package's one list of (norm, space) cells: each
+row holds the global selector, the partial solver and the closed form read
+off a partial.  The CLI's ``approximate`` and ``verify`` run from it;
+``SUPPORTED_PAIRS`` lists its keys, and ``closed_form_partial`` and
+``library_global`` look it up.  Every comparison uses the one tolerance
+``MATCH_TOL``: a distance converges when it is that close to the closed form,
+and both argmin sets tie within it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -42,6 +45,7 @@ from .consistent_mass import (
     partial_l2_mass,
     partial_linf_mass,
 )
+from . import consistent_belief
 from .consistent_belief import (
     focused_transform,
     global_l1_belief,
@@ -88,49 +92,65 @@ class OracleReport(FrozenRecord):
         )
 
 
-#: (norm, space) -> (closed form, global selector).  A closed form maps
-#: (m, x) to the distance and a minimizer, for Linf the solution-set
-#: barycenter; a selector maps m to its GlobalResult.  Each row names the
-#: library functions inside a lambda, so they are read from this module's
-#: namespace at call time and wrapping a module attribute reaches these calls.
-_CELLS: dict[tuple[float, SpaceKind], tuple[Callable, Callable]] = {
-    (1, SpaceKind.MASS_N2): (
-        lambda m, x: ((pa := partial_l1_mass(m, x)).distance, pa.result),
-        lambda m: global_l1_mass(m, MATCH_TOL),
+class Cell(FrozenRecord):
+    """One (norm, space) cell: ``select(m, tie_tol)`` is its global selector,
+    ``solve(m, x)`` its partial solver, and ``closed(partial)`` reads off a
+    partial's distance and a minimizer, for Linf the solution-set barycenter.
+    """
+
+    def __init__(self, select: Callable, solve: Callable, closed: Callable) -> None:
+        self._set(select, solve, closed)
+
+
+#: (norm, space) -> Cell, in report order: the package's one list of cells.
+#: The rows name the library functions inside lambdas, so they are read from
+#: this module's namespace (``gamma_to_mass`` from ``consistent_belief``'s) at
+#: call time, and wrapping a module attribute reaches these calls.
+CELLS: dict[tuple[float, SpaceKind], Cell] = {
+    (1, SpaceKind.MASS_N2): Cell(
+        lambda m, t: global_l1_mass(m, t),
+        lambda m, x: partial_l1_mass(m, x),
+        attrgetter("distance", "result"),
     ),
-    (2, SpaceKind.MASS_N2): (
-        lambda m, x: ((pa := partial_l2_mass(m, x, SpaceKind.MASS_N2)).distance, pa.result),
-        lambda m: global_l2_mass(m, SpaceKind.MASS_N2, MATCH_TOL),
+    (2, SpaceKind.MASS_N2): Cell(
+        lambda m, t: global_l2_mass(m, SpaceKind.MASS_N2, t),
+        lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N2),
+        attrgetter("distance", "result"),
     ),
-    (2, SpaceKind.MASS_N1): (
-        lambda m, x: ((pa := partial_l2_mass(m, x, SpaceKind.MASS_N1)).distance, pa.result),
-        lambda m: global_l2_mass(m, SpaceKind.MASS_N1, MATCH_TOL),
+    (2, SpaceKind.MASS_N1): Cell(
+        lambda m, t: global_l2_mass(m, SpaceKind.MASS_N1, t),
+        lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N1),
+        attrgetter("distance", "result"),
     ),
-    (math.inf, SpaceKind.MASS_N2): (
-        lambda m, x: ((box := partial_linf_mass(m, x)).distance, box.barycenter),
-        lambda m: global_linf_mass(m, MATCH_TOL),
+    (math.inf, SpaceKind.MASS_N2): Cell(
+        lambda m, t: global_linf_mass(m, t),
+        lambda m, x: partial_linf_mass(m, x),
+        attrgetter("distance", "barycenter"),
     ),
-    (1, SpaceKind.BELIEF): (
-        lambda m, x: ((ft := focused_transform(m, x)).distance_l1, ft.result),
-        lambda m: global_l1_belief(m, MATCH_TOL),
+    (1, SpaceKind.BELIEF): Cell(
+        lambda m, t: global_l1_belief(m, t),
+        lambda m, x: focused_transform(m, x),
+        attrgetter("distance_l1", "result"),
     ),
-    (2, SpaceKind.BELIEF): (
-        lambda m, x: ((ft := focused_transform(m, x)).distance_l2, ft.result),
-        lambda m: global_l2_belief(m, MATCH_TOL),
+    (2, SpaceKind.BELIEF): Cell(
+        lambda m, t: global_l2_belief(m, t),
+        lambda m, x: focused_transform(m, x),
+        attrgetter("distance_l2", "result"),
     ),
-    (math.inf, SpaceKind.BELIEF): (
-        lambda m, x: (partial_linf_belief(m, x).distance, focused_transform(m, x).result),
-        lambda m: global_linf_belief(m, MATCH_TOL),
+    (math.inf, SpaceKind.BELIEF): Cell(
+        lambda m, t: global_linf_belief(m, t),
+        lambda m, x: partial_linf_belief(m, x),
+        lambda box: (box.distance, consistent_belief.gamma_to_mass(box, box.midpoint())),
     ),
 }
 
 #: Norm/space pairs with a closed form to compare against, in report order.
-SUPPORTED_PAIRS: tuple[tuple[float, SpaceKind], ...] = tuple(_CELLS)
+SUPPORTED_PAIRS: tuple[tuple[float, SpaceKind], ...] = tuple(CELLS)
 
 
-def _cell(p: float, space: SpaceKind, what: str) -> tuple[Callable, Callable]:
+def _cell(p: float, space: SpaceKind, what: str) -> Cell:
     try:
-        return _CELLS[p, space]
+        return CELLS[p, space]
     except KeyError:
         raise ValueError(f"no {what} for norm {p!r} in space {space.value!r}") from None
 
@@ -142,12 +162,13 @@ def closed_form_partial(
 
     For Linf the returned point is the solution-set barycenter.
     """
-    return _cell(p, space, "closed form")[0](m, x)
+    cell = _cell(p, space, "closed form")
+    return cell.closed(cell.solve(m, x))
 
 
 def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:
     """The library's global selector for one (norm, space) pair, ties within ``MATCH_TOL``."""
-    return _cell(p, space, "global selector")[1](m)
+    return _cell(p, space, "global selector").select(m, MATCH_TOL)
 
 
 # ---------------------------------------------------------------------------

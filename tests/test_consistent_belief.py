@@ -24,7 +24,7 @@ from csbf import (
     partial_linf_belief,
     verify_orthogonality,
 )
-from csbf.consistent_belief import CHECK_TOL
+from csbf.consistent_mass import TIE_TOL
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
@@ -278,9 +278,9 @@ class TestGammaBox:
         for i in range(box.members.size):
             for bound, sign in ((box.upper, 1.0), (box.lower, -1.0)):
                 point = box.midpoint()
-                point[i] = bound[i] + sign * CHECK_TOL / 2
+                point[i] = bound[i] + sign * TIE_TOL / 2
                 assert box.contains(point)
-                point[i] = bound[i] + sign * CHECK_TOL * 2
+                point[i] = bound[i] + sign * TIE_TOL * 2
                 assert not box.contains(point)
                 point[i] = math.nan
                 assert not box.contains(point)

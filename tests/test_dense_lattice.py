@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from csbf import (
     ApproxBox,
+    Frame,
     GammaBox,
     MassFunction,
     PseudoMassFunction,
@@ -30,6 +31,7 @@ from csbf import (
 )
 from csbf.consistent_mass import TIE_TOL, argmin_elements
 from csbf.core import coatoms, submax_transform
+from csbf.oracle import CELLS
 
 from conftest import frame_of_size
 
@@ -241,3 +243,61 @@ def test_coatoms_are_the_complements_of_the_singletons():
     expected = [frame.complement(frame.singleton(x)) for x in frame.elements]
     assert coatoms(frame).tolist() == expected
     assert coatoms(frame_of_size(1)).tolist() == [0]
+
+
+@st.composite
+def relabelled_pairs(draw, max_size=6):
+    """One mass function on a frame and on a permutation of that frame.
+
+    The weights are small integers over their total, so two criterion values
+    either tie in exact arithmetic or differ by far more than the tie
+    tolerance: each frame's optima are then the same set whatever the
+    summation order.
+    """
+    frame = frame_of_size(draw(st.integers(2, max_size)))
+    permuted = Frame(draw(st.permutations(frame.elements)))
+    weights = draw(
+        st.dictionaries(st.integers(1, frame.full_mask), st.integers(1, 9), min_size=1, max_size=12)
+    )
+    total = sum(weights.values())
+    by_labels = {frame.labels_of(a): w / total for a, w in weights.items()}
+    return MassFunction.from_labels(frame, by_labels), MassFunction.from_labels(permuted, by_labels)
+
+
+def by_subset_label(frame, masks, values):
+    return {frozenset(frame.labels_of(a)): v for a, v in zip(masks, values)}
+
+
+def assert_same_by_label(first, second, what):
+    for key in first.keys() | second.keys():
+        assert abs(first.get(key, 0.0) - second.get(key, 0.0)) <= TOL, (what, sorted(key))
+
+
+@given(relabelled_pairs())
+@settings(max_examples=60, deadline=None)
+def test_every_cell_is_equivariant_under_relabelling(pair):
+    m, image = pair
+    for (p, kind), cell in CELLS.items():
+        where = (p, kind.value)
+        result, moved = cell.select(m, TIE_TOL), cell.select(image, TIE_TOL)
+        for x in m.frame.elements:
+            gap = abs(result.criterion_values[x] - moved.criterion_values[x])
+            assert gap <= TOL, (where, x)
+        assert set(result.optima) == set(moved.optima), where
+        for x in m.frame.elements:
+            partials = cell.solve(m, x), cell.solve(image, x)
+            (distance, point), (image_distance, image_point) = map(cell.closed, partials)
+            assert abs(distance - image_distance) <= TOL, (where, x)
+            assert_same_by_label(
+                by_subset_label(m.frame, point.masses, point.masses.values()),
+                by_subset_label(image.frame, image_point.masses, image_point.masses.values()),
+                (where, x),
+            )
+            if isinstance(partials[0], (ApproxBox, GammaBox)):
+                box, image_box = partials
+                for bound in ("lower", "upper"):
+                    assert_same_by_label(
+                        by_subset_label(m.frame, box.members, getattr(box, bound)),
+                        by_subset_label(image.frame, image_box.members, getattr(image_box, bound)),
+                        (where, x, bound),
+                    )

@@ -1,4 +1,8 @@
+import importlib.util
 import math
+import sys
+from importlib import import_module
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,14 +15,17 @@ from csbf import (
     SpaceKind,
     brute_force_partial,
     embed,
+    focused_transform,
+    gamma_to_mass,
     partial_linf_mass,
     ultrafilter,
 )
-from csbf import oracle
+from csbf import cli, consistent_belief, oracle
 from csbf.oracle import MATCH_TOL, SUPPORTED_PAIRS, globals_agree, library_global
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
+from test_golden import MODES, TERNARY
 
 
 def oracle_agrees(m, p, kind):
@@ -42,8 +49,6 @@ class TestBruteForcePartial:
             assert report.oracle_point.allclose(m, tol=1e-9)
 
     def test_l2_belief_point_matches_focused_transform(self, ternary):
-        from csbf import focused_transform
-
         report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
         expected = focused_transform(ternary, "x").result
         assert report.oracle_point.allclose(expected, tol=1e-9)
@@ -153,14 +158,15 @@ def test_table_has_exactly_the_supported_cells(ternary):
             library_global(ternary, p, kind)
 
 
-def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch):
-    # wrapping an attribute of this module must reach the calls the table makes
+def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch, capsys):
+    # wrapping an attribute of this module must reach the calls the table
+    # makes, from the oracle and from the CLI alike
     names = (
         "partial_l1_mass", "partial_l2_mass", "partial_linf_mass", "focused_transform",
         "partial_linf_belief", "global_l1_mass", "global_l2_mass", "global_linf_mass",
         "global_l1_belief", "global_l2_belief", "global_linf_belief",
     )
-    calls = dict.fromkeys(names, 0)
+    calls = dict.fromkeys((*names, "gamma_to_mass"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -170,10 +176,47 @@ def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch)
 
     for name in names:
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    monkeypatch.setattr(
+        consistent_belief, "gamma_to_mass", counted("gamma_to_mass", gamma_to_mass)
+    )
     for p, kind in SUPPORTED_PAIRS:
         oracle.closed_form_partial(ternary, "x", p, kind)
         library_global(ternary, p, kind)
     assert all(calls.values()), calls
+
+    calls.update(dict.fromkeys(calls, 0))
+    for mode in MODES.values():
+        for where in (["--focus", "x"], ["--global"]):
+            assert cli.main(["approximate", str(TERNARY), *mode, *where]) == 0
+    capsys.readouterr()
+    # perfbench's global-sparse run deletes consistent_belief.gamma_to_mass,
+    # so approximate must not go through that attribute
+    assert calls.pop("gamma_to_mass") == 0
+    assert all(calls.values()), calls
+
+
+def test_every_perfbench_hook_site_resolves(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # for its dataclasses
+    spec.loader.exec_module(spans)
+    sites = [site for sites in spans.HOOKS.values() for site in sites]
+    assert len(sites) > 20
+    missing = [f"{mod}.{attr}" for mod, attr in sites if not hasattr(import_module(mod), attr)]
+    assert missing == []
+
+
+def test_linf_belief_barycenter_is_the_focused_transform(rng):
+    # the Linf belief closed form maps the gamma box's midpoint back to
+    # masses; the focused transform is the same point in closed form
+    for n in range(2, 9):
+        frame = frame_of_size(n)
+        for _ in range(10):
+            m = random_mass_function(frame, rng)
+            for x in frame.elements:
+                _, point = oracle.closed_form_partial(m, x, math.inf, SpaceKind.BELIEF)
+                assert point.allclose(focused_transform(m, x).result, tol=1e-12)
 
 
 @pytest.mark.parametrize(
