@@ -41,7 +41,6 @@ from .core import (
     zeta_transform,
 )
 from .consistent_mass import TIE_TOL, GlobalResult, box_arrays, box_corners, in_box, select_optima
-from .geometry import EmbeddingSpace, SpaceKind, embed
 from .sampling import random_mass_function
 
 
@@ -69,11 +68,10 @@ def _outside_belief(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
 def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
     """Partial L1/L2 belief-space projection onto the ultrafilter of x."""
     frame = m.frame
-    xbit = frame.singleton(x)
-    masses: dict[int, float] = {}
-    for mask, v in m.masses.items():
-        masses[mask | xbit] = masses.get(mask | xbit, 0.0) + v
-    result = MassFunction(frame, masses)
+    by_x = m.as_array().reshape(-1, 2, frame.singleton(x))  # [:, 1, :] holds x, [:, 0, :] not
+    moved = np.zeros_like(by_x)
+    moved[:, 1, :] = by_x[:, 1, :] + by_x[:, 0, :]
+    result = MassFunction(frame, moved.ravel())
     total, squares = _outside_belief(m)
     i = frame.index_of(x)
     return FocusedTransform(x, result, float(total[i]), math.sqrt(squares[i]))
@@ -88,12 +86,10 @@ def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TIE
     """
     frame = m.frame
     xbit = frame.singleton(ft.focus)
-    space = EmbeddingSpace(SpaceKind.BELIEF, frame)
-    diff = embed(m, space).coords - embed(ft.result, space).coords
-    residual = np.zeros(frame.n_subsets)
-    residual[1 : space.dimension + 1] = diff
-    # <residual, b_B> = sum of residual over supersets of B (the full frame
-    # contributes zero because its coordinate is not part of the space).
+    residual = zeta_transform(m.as_array() - ft.result.as_array())
+    # <residual, b_B> = sum of residual over supersets of B; the full frame
+    # contributes zero because its coordinate is not part of the space.
+    residual[-1] = 0.0
     sums = superset_sum_transform(residual)
     return all(abs(sums[mask]) <= tol for mask in range(1, frame.full_mask) if mask & xbit)
 
@@ -183,10 +179,10 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
         raise ValueError("gamma point lies outside the solution box")
     shift = mobius_transform(np.append(gamma_point, 0.0))[:-1]
     values = box.source.as_array()[box.members] - shift
-    masses = dict(zip(box.members.tolist(), values.tolist()))
+    vector = np.bincount(box.members, weights=values, minlength=box.frame.n_subsets)
     # Largest mask first: numpy adds up to 7 terms in order, as a running sum would.
-    masses[box.frame.full_mask] = 1.0 - values[::-1].sum()
-    return PseudoMassFunction(box.frame, masses)
+    vector[-1] = 1.0 - values[::-1].sum()
+    return PseudoMassFunction(box.frame, vector)
 
 
 def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[GammaBox]:

@@ -114,11 +114,10 @@ class ApproxBox(FrozenRecord):
         return bool((np.abs(outside) <= tol).all()) and in_box(self.lower, self.upper, inside, tol)
 
     def _point(self, values: np.ndarray) -> PseudoMassFunction:
-        values = values.tolist()
-        masses = dict(zip(self.members.tolist(), values))
+        vector = np.bincount(self.members, weights=values, minlength=self.frame.n_subsets)
         # builtin sum in ascending mask order, which the output's last digits depend on
-        masses[self.frame.full_mask] = 1.0 - sum(values)
-        return PseudoMassFunction(self.frame, masses)
+        vector[-1] = 1.0 - sum(values.tolist())
+        return PseudoMassFunction(self.frame, vector)
 
 
 def box_arrays(
@@ -184,10 +183,10 @@ def _moved(m: PseudoMassFunction) -> np.ndarray:
 
 def _keep_and_move(m: MassFunction, xbit: int, moved: float) -> MassFunction:
     """Ultrafilter masses kept, the outside mass ``moved`` added to the full frame."""
-    full = m.frame.full_mask
-    masses = {mask: v for mask, v in m.masses.items() if mask & xbit}
-    masses[full] = masses.get(full, 0.0) + moved
-    return MassFunction(m.frame, masses)
+    vector = m.as_array().copy()
+    vector.reshape(-1, 2, xbit)[:, 0, :] = 0.0  # the masks without x
+    vector[-1] += moved
+    return MassFunction(m.frame, vector)
 
 
 def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
@@ -261,7 +260,7 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
     elif kind is SpaceKind.MASS_N1:
         members = ultrafilter(frame, x)
         shared = m.as_array()[members] + moved / (1 << (frame.size - 1))
-        result = MassFunction(frame, dict(zip(members.tolist(), shared.tolist())))
+        result = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
     else:
         raise ValueError("L2 mass approximation needs a mass embedding, got belief")
     distance = math.sqrt(_l2_criterion(m, kind)[i])

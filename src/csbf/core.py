@@ -13,7 +13,8 @@ its own combining operation.
 
 from __future__ import annotations
 
-import math
+import numbers
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -39,12 +40,11 @@ class EvidenceError(ValueError):
 class FrozenRecord:
     """Base of the package's immutable value classes.
 
-    The fields are the parameters of the subclass's ``__init__``, which
-    stores them, in order, with one call to :meth:`_set`.  Equality, hashing
-    and ``repr`` read the fields as a frozen dataclass's would, and
-    assignment raises.  These are plain classes because generating a
-    dataclass's methods costs about 1.2 ms per class at import, which every
-    CLI call pays (2-vCPU Xeon VM, Python 3.11).
+    The fields are the parameters of the subclass's ``__init__``, read back
+    as attributes.  Equality, hashing and ``repr`` read the fields as a
+    frozen dataclass's would, and assignment raises.  These are plain classes
+    because a dataclass's generated methods cost about 1.2 ms per class at
+    import, which every CLI call pays (2-vCPU Xeon VM, Python 3.11).
     """
 
     _fields: tuple[str, ...] = ()
@@ -64,7 +64,7 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _astuple(self) -> tuple:
-        return tuple(map(vars(self).__getitem__, self._fields))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -293,51 +293,55 @@ class PseudoMassFunction(FrozenRecord):
     """Normalized set function on the frame, negative values allowed.
 
     Improper ("pseudo") assignments arise as intermediate products of the
-    approximation machinery, e.g. corners of interval solution boxes.  Only
-    nonzero entries are stored; the empty set never carries mass.
+    approximation machinery, e.g. corners of interval solution boxes.
+    ``masses``, the vector indexed by subset mask (length 2^n) or a ``{mask:
+    mass}`` mapping, is checked in one numpy pass and stored as a read-only
+    copy of the vector (``-0.0`` as ``0.0``); the attribute ``masses`` holds
+    its nonzero entries in ascending mask order.
     """
 
-    def __init__(self, frame: Frame, masses: Mapping[int, float]) -> None:
-        cleaned: dict[int, float] = {}
-        n_subsets = frame.n_subsets
-        for mask, value in masses.items():
-            if not 0 <= mask < n_subsets:
-                frame.check_mask(mask)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                raise EvidenceError(
-                    f"mass of {frame.format_subset(mask)!r} is too large for a float"
-                ) from None
-            if not finite:
-                raise EvidenceError(
-                    f"mass of {frame.format_subset(mask)!r} is not finite: {value!r}"
-                )
-            if mask == 0:
-                if abs(value) > MASS_SUM_TOL:
-                    raise EvidenceError("the empty set may not carry mass")
-                continue
-            value = self._ingest(float(value))
-            if value != 0.0:
-                cleaned[mask] = value
-        total = sum(cleaned.values())
+    def __init__(self, frame: Frame, masses: Mapping[int, float] | np.ndarray) -> None:
+        if isinstance(masses, Mapping):
+            masses = _mass_vector(frame, masses.items())
+        vector = np.asarray(masses)
+        if vector.dtype.kind not in "biuf" or vector.shape != (frame.n_subsets,):
+            raise EvidenceError(
+                f"a mass vector must hold {frame.n_subsets} reals, not {vector.dtype}{vector.shape}"
+            )
+        vector = vector.astype(float)
+        if not np.isfinite(vector).all():
+            mask = int(np.argmin(np.isfinite(vector)))
+            text = frame.format_subset(mask)
+            raise EvidenceError(f"mass of {text!r} is not finite: {float(vector[mask])!r}")
+        if abs(vector[0]) > MASS_SUM_TOL:
+            raise EvidenceError("the empty set may not carry mass")
+        vector[0] = 0.0
+        self._ingest(vector)
+        vector += 0.0  # -0.0 + 0.0 is 0.0
+        total = float(vector.sum())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise EvidenceError(f"mass values must sum to 1, got {total!r}")
-        self._set(frame, MappingProxyType(cleaned))
+        vector.setflags(write=False)
+        vars(self).update(frame=frame, _vector=vector)
 
-    def _ingest(self, value: float) -> float:
-        return value
+    def _ingest(self, vector: np.ndarray) -> None:
+        """Check, and adjust in place, the finite masses this class admits."""
+
+    @cached_property
+    def masses(self) -> Mapping[int, float]:
+        nonzero = np.flatnonzero(self._vector)
+        return MappingProxyType(dict(zip(nonzero.tolist(), self._vector[nonzero].tolist())))
 
     def value(self, mask: int) -> float:
         self.frame.check_mask(mask)
-        return self.masses.get(mask, 0.0)
+        return float(self._vector[mask])
 
     def focal_elements(self) -> tuple[int, ...]:
         """Masks carrying mass beyond numerical noise, ascending."""
-        return tuple(sorted(m for m, v in self.masses.items() if abs(v) > FOCAL_EPS))
+        return tuple(np.flatnonzero(np.abs(self._vector) > FOCAL_EPS).tolist())
 
     def is_admissible(self, tol: float = MASS_CLAMP_TOL) -> bool:
-        return all(v >= -tol for v in self.masses.values())
+        return bool((self._vector >= -tol).all())
 
     @property
     def admissible(self) -> bool:
@@ -346,28 +350,38 @@ class PseudoMassFunction(FrozenRecord):
     def allclose(self, other: "PseudoMassFunction", tol: float = 1e-12) -> bool:
         if self.frame != other.frame:
             return False
-        keys = set(self.masses) | set(other.masses)
-        return all(abs(self.value(k) - other.value(k)) <= tol for k in keys)
+        return bool((np.abs(self._vector - other.as_array()) <= tol).all())
 
     def as_array(self) -> np.ndarray:
-        """Dense mass vector indexed by subset mask (length 2^n)."""
-        arr = np.zeros(self.frame.n_subsets)
-        count = len(self.masses)
-        arr[np.fromiter(self.masses.keys(), np.int64, count)] = np.fromiter(
-            self.masses.values(), float, count
-        )
-        return arr
+        """The stored mass vector, indexed by subset mask; read-only, the same array every call."""
+        return self._vector
 
     @classmethod
     def from_labels(cls, frame: Frame, assignment: Mapping[object, float]):
         """Build from label-keyed masses; keys are comma strings or label iterables."""
-        masses: dict[int, float] = {}
-        for key, value in assignment.items():
-            mask = frame.parse_subset(key) if isinstance(key, str) else frame.subset(key)
-            if mask in masses:
-                raise EvidenceError(f"duplicate subset {frame.format_subset(mask)!r}")
-            masses[mask] = value
-        return cls(frame, masses)
+        masks = [frame.parse_subset(k) if isinstance(k, str) else frame.subset(k) for k in assignment]
+        if len(set(masks)) < len(masks):
+            repeated = frame.format_subset(max(masks, key=masks.count))
+            raise EvidenceError(f"duplicate subset {repeated!r}")
+        return cls(frame, _mass_vector(frame, zip(masks, assignment.values())))
+
+
+def _mass_vector(frame: Frame, items: Iterable[tuple[object, object]]) -> np.ndarray:
+    """Dense mass vector of ``(mask, mass)`` pairs, each mask an integer."""
+    vector = np.zeros(frame.n_subsets)
+    for mask, value in items:
+        if not isinstance(mask, numbers.Integral):
+            raise EvidenceError(f"subset mask {mask!r} is not an integer")
+        frame.check_mask(mask)
+        if not isinstance(value, numbers.Real):  # numpy would parse strings and take None as NaN
+            raise EvidenceError(f"mass of {frame.format_subset(mask)!r} is not a number: {value!r}")
+        try:
+            vector[mask] = value
+        except OverflowError:  # an int too large for a float
+            raise EvidenceError(
+                f"mass of {frame.format_subset(mask)!r} is too large for a float"
+            ) from None
+    return vector
 
 
 class MassFunction(PseudoMassFunction):
@@ -377,16 +391,14 @@ class MassFunction(PseudoMassFunction):
     more negative is rejected.
     """
 
-    def _ingest(self, value: float) -> float:
-        if value < 0.0:
-            if value < -MASS_CLAMP_TOL:
-                raise EvidenceError(f"negative mass {value!r}")
-            return 0.0
-        return value
+    def _ingest(self, vector: np.ndarray) -> None:
+        if vector.min() < -MASS_CLAMP_TOL:
+            raise EvidenceError(f"negative mass {float(vector.min())!r}")
+        np.maximum(vector, 0.0, out=vector)
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
-        return cls(frame, {frame.full_mask: 1.0})
+        return cls(frame, np.arange(frame.n_subsets) == frame.full_mask)
 
 
 class BeliefView(FrozenRecord):
@@ -430,17 +442,12 @@ def belief_from_mass(m: PseudoMassFunction) -> BeliefView:
 
 def mass_from_belief(view: BeliefView) -> PseudoMassFunction:
     """Moebius inversion of a belief table back to a (possibly pseudo) mass."""
-    masses = mobius_transform(view.belief)
-    entries = {mask: float(v) for mask, v in enumerate(masses) if mask and v != 0.0}
-    return PseudoMassFunction(view.frame, entries)
+    return PseudoMassFunction(view.frame, mobius_transform(view.belief))
 
 
 def core_of(m: PseudoMassFunction) -> int:
     """Intersection of all focal elements; 0 when they share no element."""
-    core = m.frame.full_mask
-    for mask in m.focal_elements():
-        core &= mask
-    return core
+    return int(np.bitwise_and.reduce(m.focal_elements(), initial=m.frame.full_mask))
 
 
 def is_consistent(m: PseudoMassFunction) -> bool:
@@ -450,10 +457,9 @@ def is_consistent(m: PseudoMassFunction) -> bool:
 
 def contour(m: PseudoMassFunction) -> dict[str, float]:
     """Plausibility of each singleton: pl(x) = total mass of sets containing x."""
-    # Builtin sum over the masses in dict order, as a per-element loop would.
-    masks = np.fromiter(m.masses.keys(), dtype=np.int64, count=len(m.masses))
-    vals = np.fromiter(m.masses.values(), dtype=float, count=len(m.masses))
+    # Builtin sum in ascending mask order, as a per-element loop over ``m.masses`` would.
+    masks = np.flatnonzero(m.as_array())
     return {
-        label: sum(vals[(masks & (1 << i)) != 0].tolist(), 0.0)
+        label: sum(m.as_array()[masks[masks >> i & 1 == 1]].tolist(), 0.0)
         for i, label in enumerate(m.frame.elements)
     }

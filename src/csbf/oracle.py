@@ -185,20 +185,13 @@ def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
     Returns (members, V) with V[i] the embedding of the unit mass on
     members[i]; the full frame is always the last member.
     """
-    space = EmbeddingSpace(kind, frame)
-    members = ultrafilter(frame, x)
-    dim = space.dimension
-    v = np.zeros((len(members), dim))
-    for i, member in enumerate(members.tolist()):
-        if kind is SpaceKind.BELIEF:
-            for coord in range(1, dim + 1):
-                if coord & member == member:
-                    v[i, coord - 1] = 1.0
-        else:
-            if member <= dim:
-                v[i, member - 1] = 1.0
+    members = ultrafilter(frame, x)[:, None]
+    coords = np.arange(1, EmbeddingSpace(kind, frame).dimension + 1)
+    # belief coordinate A of the unit mass on B is 1 exactly when B is a subset of A
+    hits = coords & members == members if kind is SpaceKind.BELIEF else coords == members
+    v = hits.astype(float)
     v.setflags(write=False)
-    return members, v
+    return members.ravel(), v
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -334,7 +327,7 @@ def brute_force_partial(
     target = embed(m, emb_space)
     w = _l2_weights(v, target.coords) if p == 2 else _lp_weights(v, target.coords, p)
     distance = lp_distance(PointVector(emb_space, w @ v), target, p)
-    point = MassFunction(frame, dict(zip(members.tolist(), w.tolist())))
+    point = MassFunction(frame, np.bincount(members, weights=w, minlength=frame.n_subsets))
     closed_distance, _ = closed_form_partial(m, x, p, space)
     gap = abs(distance - closed_distance)
     return OracleReport(

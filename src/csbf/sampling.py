@@ -29,4 +29,4 @@ def random_mass_function(
         count = int(rng.integers(1, min(max_focal, n_subsets - 1) + 1))
         masks = rng.choice(np.arange(1, n_subsets), size=count, replace=False)
     weights = rng.dirichlet(np.full(len(masks), alpha))
-    return MassFunction(frame, {int(mask): float(w) for mask, w in zip(masks, weights)})
+    return MassFunction(frame, np.bincount(masks, weights=weights, minlength=n_subsets))

@@ -1,11 +1,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from csbf import Frame
 from csbf.cli import main
 
 from conftest import run_python
+from test_golden import MODES
 
 HERE = os.path.dirname(__file__)
 TERNARY = os.path.join(HERE, "..", "data", "ternary.json")
@@ -460,6 +463,22 @@ def test_subset_key_whitespace_and_order_normalized(capsys, tmp_path):
     doc, _ = run_json(capsys, ["inspect", path])
     assert doc["input"]["masses"] == {"x,y": 1.0}
 
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_output_does_not_depend_on_the_order_of_the_mass_keys(capsys, tmp_path, order):
+    rng = np.random.default_rng(5)
+    frame = Frame(("x", "y", "z", "w", "v"))
+    masks = np.sort(rng.choice(np.arange(1, frame.n_subsets), size=14, replace=False)).tolist()
+    items = list(zip(frame.format_subsets(masks), rng.dirichlet(np.ones(len(masks))).tolist()))
+    reordered = items[::-1] if order == "reversed" else [items[i] for i in rng.permutation(len(items))]
+    outputs = []
+    for name, pairs in (("ascending.json", items), ("reordered.json", reordered)):
+        path = write_doc(tmp_path, name, {"frame": list(frame.elements), "masses": dict(pairs)})
+        runs = [["inspect", path]]
+        runs += [["approximate", path, *mode, "--global"] for mode in MODES.values()]
+        outputs.append([run(capsys, argv) for argv in runs])
+    assert outputs[0] == outputs[1]
+    assert all(code == 0 for code, _, _ in outputs[0])
 
 class TestVerify:
     def test_running_example_passes(self, capsys):

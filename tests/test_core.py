@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from csbf import (
     mass_from_belief,
     partial_l1_mass,
 )
+from csbf import cli
 from csbf.core import mobius_transform, superset_sum_transform, zeta_transform
 
 from conftest import frame_of_size
@@ -166,11 +169,111 @@ class TestMassFunction:
             with pytest.raises(EvidenceError, match="mass of 'y' is too large for a float"):
                 cls(frame, {1: 0.5, 2: -(10**400)})
 
+    @pytest.mark.parametrize("key", [1.5, "1"])
+    def test_non_integer_mask_key_rejected(self, key):
+        frame = Frame(("x", "y"))
+        for cls in (MassFunction, PseudoMassFunction):
+            with pytest.raises(EvidenceError, match=re.escape(f"subset mask {key!r} is not an integer")):
+                cls(frame, {key: 1.0})
+        assert MassFunction(frame, {np.int64(3): 1.0}) == MassFunction.vacuous(frame)
+
+    @pytest.mark.parametrize("bad", ["0.5", None, b"0.5"])
+    def test_non_number_mass_rejected(self, bad):
+        # numpy alone would parse the string and read None as NaN
+        frame = Frame(("x", "y"))
+        for cls in (MassFunction, PseudoMassFunction):
+            with pytest.raises(EvidenceError, match=re.escape(f"mass of 'x' is not a number: {bad!r}")):
+                cls(frame, {1: bad, 2: 0.5})
+
     def test_pseudo_admissibility_flag(self):
         frame = Frame(("x", "y"))
         pseudo = PseudoMassFunction(frame, {1: -0.25, 3: 1.25})
         assert not pseudo.admissible
         assert MassFunction.vacuous(frame).admissible
+
+
+@st.composite
+def mass_vectors(draw):
+    """A frame of 1 to 6 elements and a mass vector on it, with 0.0, -0.0 and clamped entries."""
+    frame = frame_of_size(draw(st.integers(1, 6)))
+    entries = st.sampled_from([0.0, -0.0]) | st.floats(0.01, 1.0)
+    weights = draw(st.lists(entries, min_size=frame.n_subsets - 2, max_size=frame.n_subsets - 2))
+    vector = np.array([0.0, *weights, draw(st.floats(0.01, 1.0))])
+    vector /= vector.sum()
+    if frame.size > 1 and draw(st.booleans()):
+        # one mass just below 0, which MassFunction clamps, its weight moved to the frame
+        clamped = draw(st.integers(1, frame.full_mask - 1))
+        vector[-1] += vector[clamped] + 5e-10
+        vector[clamped] = -5e-10
+    return frame, vector
+
+
+def construction(cls, frame, masses):
+    """What building ``cls`` from ``masses`` gives: its masses and vector, or the error text."""
+    try:
+        m = cls(frame, masses)
+    except EvidenceError as exc:
+        return str(exc)
+    return dict(m.masses), m.as_array().tolist()
+
+
+class TestMassVector:
+    """A mass vector and the ``{mask: mass}`` mapping of the same entries build the same thing."""
+
+    @given(mass_vectors(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vector_and_mapping_agree(self, drawn, data):
+        frame, vector = drawn
+        mask = data.draw(st.integers(1, frame.full_mask))
+        broken = {"valid": vector}
+        for name, position, value in [
+            ("not finite", mask, data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))),
+            ("negative", mask, -1e-6),
+            ("empty set", 0, 0.5),
+        ]:
+            broken[name] = vector.copy()
+            broken[name][position] = value
+        broken["bad sum"] = vector * 0.9
+        for cls in (MassFunction, PseudoMassFunction):
+            for name, case in broken.items():
+                mapping = dict(enumerate(case.tolist()))
+                outcome = construction(cls, frame, case)
+                assert outcome == construction(cls, frame, mapping), (cls, name)
+                if name == "valid":
+                    assert cls(frame, case) == cls(frame, mapping)
+                    masses, arr = outcome
+                    assert list(masses) == sorted(masses) and 0.0 not in masses.values()
+                    assert arr == [masses.get(i, 0.0) for i in range(frame.n_subsets)]
+                elif name != "negative" or cls is MassFunction:
+                    assert isinstance(outcome, str), (cls, name)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        frame = Frame(("x", "y"))
+        for masses in ({1: -0.0, 3: 1.0}, [0.0, -0.0, 0.0, 1.0]):
+            for cls in (MassFunction, PseudoMassFunction):
+                m = cls(frame, masses)
+                assert m.masses == {3: 1.0}
+                assert not np.signbit(m.as_array()).any()
+                text = cli._dumps({"masses": cli._mass_block(m, [1, 3])})
+                assert '"x": 0.0,' in text
+
+    def test_wrong_length_or_kind_rejected(self):
+        frame = Frame(("x", "y"))
+        for bad in (np.ones(3) / 3, np.ones(5) / 4, np.eye(4), np.array(["0", "1", "0", "0"])):
+            with pytest.raises(EvidenceError, match="a mass vector must hold 4 reals"):
+                MassFunction(frame, bad)
+
+    def test_vector_is_a_read_only_copy(self):
+        frame = Frame(("x", "y"))
+        vector = np.array([0.0, 0.25, 0.25, 0.5])
+        m = MassFunction(frame, vector)
+        vector[1] = 0.75
+        assert m.value(1) == 0.25 and m.masses == {1: 0.25, 2: 0.25, 3: 0.5}
+        arr = m.as_array()
+        assert arr is m.as_array()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 0.0
+        assert MassFunction(frame, [0, 0, 0, 1]) == MassFunction.vacuous(frame)
 
 
 class TestBelief:

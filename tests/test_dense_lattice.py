@@ -1,10 +1,15 @@
 """The dense lattice criteria and gamma inversion against their definitions.
 
 The reference functions below are the definitional submask loops, kept here
-only to check the transform-based code, at frame sizes up to 7.
+only to check the transform-based code, at frame sizes up to 7; at sizes 9 to
+12 every cell is checked against direct per-focus sums in plain numpy.
 """
 
+import math
+
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -301,3 +306,74 @@ def test_every_cell_is_equivariant_under_relabelling(pair):
                         by_subset_label(image.frame, image_box.members, getattr(image_box, bound)),
                         (where, x, bound),
                     )
+
+
+def direct_cells(m):
+    """Per focus: every cell's criterion value and closed-form point, by direct sums.
+
+    Plain numpy over boolean masks of the subsets, with no lattice transform:
+    ``b(A)`` sums the focal masses inside A, and each criterion sums (or
+    maximizes) over the subsets missing the focus.
+    """
+    frame, vector = m.frame, m.as_array()
+    subsets = np.arange(frame.n_subsets)
+    focal = np.flatnonzero(vector)
+    belief = ((focal[None, :] & ~subsets[:, None]) == 0) @ vector[focal]
+    spread = 1 << (frame.size - 1)
+    cells = {}
+    for i, x in enumerate(frame.elements):
+        has_x = (subsets >> i & 1) == 1
+        outside, outside_belief = vector[~has_x], belief[~has_x]
+        moved, squares = outside.sum(), (outside * outside).sum()
+        kept = np.where(has_x, vector, 0.0)
+        kept[-1] += moved
+        focused = np.where(has_x, vector + vector[subsets ^ (1 << i)], 0.0)
+        cells[x] = {
+            (1, SpaceKind.MASS_N2): (moved, kept),
+            (2, SpaceKind.MASS_N2): (squares, kept),
+            (2, SpaceKind.MASS_N1): (
+                squares + moved * moved / spread, np.where(has_x, vector + moved / spread, 0.0)
+            ),
+            (math.inf, SpaceKind.MASS_N2): (outside.max(), kept),
+            (1, SpaceKind.BELIEF): (outside_belief.sum(), focused),
+            (2, SpaceKind.BELIEF): ((outside_belief * outside_belief).sum(), focused),
+            (math.inf, SpaceKind.BELIEF): (belief[frame.full_mask ^ (1 << i)], focused),
+        }
+    return belief, cells
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_large_frames_match_direct_per_focus_sums(n):
+    rng = np.random.default_rng(900 + n)
+    frame = Frame(tuple(f"e{i}" for i in range(n)))
+    masks = rng.choice(np.arange(1, frame.n_subsets), size=3 * n, replace=False)
+    vector = np.zeros(frame.n_subsets)
+    vector[masks] = rng.dirichlet(np.ones(masks.size))
+    m = MassFunction(frame, vector)
+    belief, cells = direct_cells(m)
+
+    def close(got, expected, what):
+        assert np.allclose(got, expected, rtol=TOL, atol=TOL), what
+
+    for key, cell in CELLS.items():
+        result = cell.select(m, TIE_TOL)
+        expected = {x: cells[x][key][0] for x in frame.elements}
+        close([result.criterion_values[x] for x in frame.elements], list(expected.values()), key)
+        best = min(expected.values())
+        assert result.optima == tuple(x for x in frame.elements if expected[x] <= best + TIE_TOL)
+        for x in result.optima:
+            payload = result.payloads[x]
+            distance, point = cell.closed(payload)
+            value, direct_point = cells[x][key]
+            close(distance, math.sqrt(value) if key[0] == 2 else value, (key, x))
+            close(point.as_array(), direct_point, (key, x))
+            i = frame.index_of(x)
+            members = np.flatnonzero(np.arange(frame.n_subsets) >> i & 1)[:-1]
+            if isinstance(payload, ApproxBox):
+                close(payload.members, members, (key, x))
+                close(payload.lower, m.as_array()[members] - value, (key, x))
+                close(payload.upper, m.as_array()[members] + value, (key, x))
+            if isinstance(payload, GammaBox):
+                close(payload.members, members, (key, x))
+                close(payload.lower, -value - belief[members ^ (1 << i)], (key, x))
+                close(payload.upper, value - belief[members ^ (1 << i)], (key, x))
