@@ -439,7 +439,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         doc["result"] = {
             "criterion": _element_block(frame, result.criterion_values),
             "optima": list(result.optima),
-            "partials": {lbl: payload(result.payloads[lbl]) for lbl in result.optima},
+            "partials": {lbl: payload(cell.solve(m, lbl)) for lbl in result.optima},
         }
     _emit(doc, args.out)
     return EXIT_OK

@@ -94,20 +94,18 @@ def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TIE
     return all(abs(sums[mask]) <= tol for mask in range(1, frame.full_mask) if mask & xbit)
 
 
-def global_l1_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[FocusedTransform]:
+def global_l1_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global L1 pick in belief coordinates.
 
     The criterion is the total belief of the subsets missing x, which is NOT
     in general minimized by the maximal-plausibility element.
     """
-    values = _outside_belief(m)[0]
-    return select_optima(m.frame, values, lambda lbl: focused_transform(m, lbl), tie_tol)
+    return select_optima(m.frame, _outside_belief(m)[0], tie_tol)
 
 
-def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[FocusedTransform]:
+def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global L2 pick in belief coordinates; criterion values are squared distances."""
-    values = _outside_belief(m)[1]
-    return select_optima(m.frame, values, lambda lbl: focused_transform(m, lbl), tie_tol)
+    return select_optima(m.frame, _outside_belief(m)[1], tie_tol)
 
 
 class GammaBox(FrozenRecord):
@@ -185,10 +183,9 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
     return PseudoMassFunction(box.frame, vector)
 
 
-def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[GammaBox]:
+def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global Linf pick in belief coordinates: maximal-plausibility element(s)."""
-    values = belief_from_mass(m).belief[coatoms(m.frame)]
-    return select_optima(m.frame, values, lambda lbl: partial_linf_belief(m, lbl), tie_tol)
+    return select_optima(m.frame, belief_from_mass(m).belief[coatoms(m.frame)], tie_tol)
 
 
 def find_global_l1_counterexample(

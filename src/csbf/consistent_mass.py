@@ -4,7 +4,8 @@ A belief function is consistent when all focal elements share an element x,
 i.e. its mass lives on the ultrafilter ``{B : x in B}``.  The consistent
 region is a union of simplices, one per element, so approximation proceeds in
 two stages: a partial solution per candidate element, then a global pick of
-the partial solution(s) at minimal distance.
+the element(s) at minimal distance.  The ``global_*`` selectors do only the
+second stage; ``oracle.CELLS`` pairs each with its partial solver.
 
 Closed forms in mass coordinates:
 
@@ -18,7 +19,8 @@ Closed forms in mass coordinates:
   ``2^(n-1)`` ultrafilter members.
 
 Each criterion is one O(n 2^n) lattice transform of the dense mass vector m,
-read at the coatoms ``x^c`` for all n elements; partial solutions reuse it:
+read at the coatoms ``x^c`` for all n elements; partial solutions read their
+distance off the same transform:
 
     L1            zeta(m)[x^c]
     L2 mass-n2    zeta(m**2)[x^c]                                (squared)
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Callable, Generic, Iterator, Mapping, TypeVar
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -48,8 +50,6 @@ from .geometry import EmbeddingSpace, SpaceKind
 
 #: Tie tolerance when collecting globally optimal elements.
 TIE_TOL = 1e-9
-
-P = TypeVar("P")
 
 
 class PartialApprox(FrozenRecord):
@@ -107,7 +107,12 @@ class ApproxBox(FrozenRecord):
         return lo, hi, bool((lo > self.lower).any() or (hi < self.upper).any())
 
     def contains(self, masses: PseudoMassFunction, tol: float = TIE_TOL) -> bool:
-        """Ultrafilter masses within their intervals, every mass outside within ``tol`` of 0."""
+        """Ultrafilter masses within their intervals, every mass outside within ``tol`` of 0.
+
+        A mass function on another frame is never contained.
+        """
+        if masses.frame != self.frame:
+            return False
         arr = masses.as_array()
         outside = arr.reshape(-1, 2, self.frame.singleton(self.focus))[:, 0, :]
         inside = arr[self.members]
@@ -143,37 +148,25 @@ def in_box(lower: np.ndarray, upper: np.ndarray, point: np.ndarray, tol: float) 
     return bool(((lower - tol <= point) & (point <= upper + tol)).all())
 
 
-class GlobalResult(FrozenRecord, Generic[P]):
-    """Globally optimal focus elements with their partial solutions.
+class GlobalResult(FrozenRecord):
+    """Globally optimal focus elements and the criterion they minimize.
 
     ``optima`` lists every element whose criterion value ties the minimum
-    within tolerance, in frame order; ``payloads`` holds the partial
-    approximation for each optimum.
+    within tolerance, in frame order; ``criterion_values`` maps each element
+    to its value.  The partial solutions are not built here: a cell's
+    ``solve(m, x)`` in ``oracle.CELLS`` gives the one for each optimum.
     """
 
-    def __init__(
-        self,
-        optima: tuple[str, ...],
-        payloads: Mapping[str, P],
-        criterion_values: Mapping[str, float],
-    ) -> None:
-        self._set(
-            optima, MappingProxyType(dict(payloads)), MappingProxyType(dict(criterion_values))
-        )
+    def __init__(self, optima: tuple[str, ...], criterion_values: Mapping[str, float]) -> None:
+        self._set(optima, MappingProxyType(dict(criterion_values)))
 
 
-def argmin_elements(frame: Frame, criterion: Mapping[str, float], tie_tol: float) -> tuple[str, ...]:
-    best = min(criterion.values())
-    return tuple(lbl for lbl in frame.elements if criterion[lbl] <= best + tie_tol)
-
-
-def select_optima(
-    frame: Frame, values: np.ndarray, solve: Callable[[str], P], tie_tol: float
-) -> GlobalResult[P]:
-    """Every element tying the minimal criterion value, with its partial solution."""
+def select_optima(frame: Frame, values: np.ndarray, tie_tol: float) -> GlobalResult:
+    """Every element whose criterion value ties the minimum within ``tie_tol``."""
     criterion = dict(zip(frame.elements, values.tolist()))
-    optima = argmin_elements(frame, criterion, tie_tol)
-    return GlobalResult(optima, {lbl: solve(lbl) for lbl in optima}, criterion)
+    best = min(criterion.values())
+    optima = tuple(lbl for lbl in frame.elements if criterion[lbl] <= best + tie_tol)
+    return GlobalResult(optima, criterion)
 
 
 def _moved(m: PseudoMassFunction) -> np.ndarray:
@@ -201,9 +194,14 @@ def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
     return PartialApprox(x, result, moved, EmbeddingSpace(SpaceKind.MASS_N2, frame))
 
 
-def global_l1_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[PartialApprox]:
+def global_l1_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global L1 pick: the maximal-plausibility element(s)."""
-    return select_optima(m.frame, _moved(m), lambda lbl: partial_l1_mass(m, lbl), tie_tol)
+    return select_optima(m.frame, _moved(m), tie_tol)
+
+
+def _largest_outside(m: MassFunction) -> np.ndarray:
+    """Largest single mass outside each element's ultrafilter, ``submax(m)[x^c]``."""
+    return submax_transform(m.as_array())[coatoms(m.frame)]
 
 
 def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
@@ -214,19 +212,17 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     attained distance is M and the barycenter is the partial L1 solution.
     """
     frame = m.frame
-    xbit = frame.singleton(x)
-    arr = m.as_array()
-    slack = float(submax_transform(arr)[frame.full_mask ^ xbit])
+    i = frame.index_of(x)
+    slack = float(_largest_outside(m)[i])
     members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = arr[members]
-    barycenter = _keep_and_move(m, xbit, float(_moved(m)[frame.index_of(x)]))
+    inside = m.as_array()[members]
+    barycenter = _keep_and_move(m, frame.singleton(x), float(_moved(m)[i]))
     return ApproxBox(x, members, inside - slack, inside + slack, barycenter, slack)
 
 
-def global_linf_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult[ApproxBox]:
+def global_linf_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global Linf pick: minimize the maximal mass outside the ultrafilter."""
-    values = submax_transform(m.as_array())[coatoms(m.frame)]
-    return select_optima(m.frame, values, lambda lbl: partial_linf_mass(m, lbl), tie_tol)
+    return select_optima(m.frame, _largest_outside(m), tie_tol)
 
 
 def _l2_criterion(m: MassFunction, kind: SpaceKind) -> np.ndarray:
@@ -267,14 +263,10 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
     return PartialApprox(x, result, distance, EmbeddingSpace(kind, frame))
 
 
-def global_l2_mass(
-    m: MassFunction, kind: SpaceKind, tie_tol: float = TIE_TOL
-) -> GlobalResult[PartialApprox]:
+def global_l2_mass(m: MassFunction, kind: SpaceKind, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global L2 pick in the chosen mass embedding.
 
     Criterion values are the squared distances, built from the sum and the
     sum of squares of the masses outside each ultrafilter.
     """
-    return select_optima(
-        m.frame, _l2_criterion(m, kind), lambda lbl: partial_l2_mass(m, lbl, kind), tie_tol
-    )
+    return select_optima(m.frame, _l2_criterion(m, kind), tie_tol)

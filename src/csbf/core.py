@@ -367,13 +367,14 @@ class PseudoMassFunction(FrozenRecord):
 
 
 def _mass_vector(frame: Frame, items: Iterable[tuple[object, object]]) -> np.ndarray:
-    """Dense mass vector of ``(mask, mass)`` pairs, each mask an integer."""
+    """Dense mass vector of ``(mask, mass)`` pairs, each mask an integer and no ``bool``."""
     vector = np.zeros(frame.n_subsets)
     for mask, value in items:
-        if not isinstance(mask, numbers.Integral):
+        if isinstance(mask, bool) or not isinstance(mask, numbers.Integral):
             raise EvidenceError(f"subset mask {mask!r} is not an integer")
         frame.check_mask(mask)
-        if not isinstance(value, numbers.Real):  # numpy would parse strings and take None as NaN
+        # numpy would parse strings, take None as NaN and True as 1.0
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise EvidenceError(f"mass of {frame.format_subset(mask)!r} is not a number: {value!r}")
         try:
             vector[mask] = value

@@ -94,8 +94,10 @@ class OracleReport(FrozenRecord):
 
 class Cell(FrozenRecord):
     """One (norm, space) cell: ``select(m, tie_tol)`` is its global selector,
-    ``solve(m, x)`` its partial solver, and ``closed(partial)`` reads off a
-    partial's distance and a minimizer, for Linf the solution-set barycenter.
+    which returns the optima and criterion values only; ``solve(m, x)`` is its
+    partial solver, and ``closed(partial)`` reads off a partial's distance and
+    a minimizer, for Linf the solution-set barycenter.  A row is the one place
+    that pairs a criterion with its partial solver.
     """
 
     def __init__(self, select: Callable, solve: Callable, closed: Callable) -> None:

@@ -311,7 +311,7 @@ class TestGlobalLinfBelief:
     def test_ternary_optimum(self, ternary):
         result = global_linf_belief(ternary)
         assert result.optima == ("y",)
-        assert result.payloads["y"].distance == pytest.approx(0.2, abs=1e-12)
+        assert partial_linf_belief(ternary, "y").distance == pytest.approx(0.2, abs=1e-12)
 
     def test_vacuous_ties(self):
         frame = frame_of_size(3)
@@ -324,7 +324,7 @@ class TestGlobalLinfBelief:
             result = global_linf_belief(m)
             pl = contour(m)
             for label in result.optima:
-                assert result.payloads[label].distance == pytest.approx(
+                assert partial_linf_belief(m, label).distance == pytest.approx(
                     1.0 - pl[label], abs=1e-12
                 )
 

@@ -66,7 +66,7 @@ class TestGlobalL1:
     def test_ternary_optimum(self, ternary):
         result = global_l1_mass(ternary)
         assert result.optima == ("y",)
-        assert result.payloads["y"].distance == pytest.approx(0.2, abs=1e-12)
+        assert partial_l1_mass(ternary, "y").distance == pytest.approx(0.2, abs=1e-12)
 
     def test_vacuous_all_tie_at_zero(self):
         frame = frame_of_size(3)
@@ -154,6 +154,12 @@ class TestPartialLinf:
         box = partial_linf_mass(ternary, "x")
         assert not box.contains(ternary)
         assert box.contains(box.barycenter)
+        # another frame's masses are never inside, whatever their vector holds
+        m = MassFunction.from_labels(Frame(("x", "y")), {"x": 0.5, "y": 0.5})
+        pair = partial_linf_mass(m, "x")
+        assert pair.contains(pair.barycenter)
+        for other in (("x", "y", "z"), ("x", "w")):
+            assert not pair.contains(MassFunction.from_labels(Frame(other), {"x": 0.5, other: 0.5}))
         frame = ternary.frame
         y, full = frame.singleton("y"), frame.full_mask
         for stray, inside in ((1e-10, True), (-1e-10, True), (2e-9, False), (-2e-9, False)):

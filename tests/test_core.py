@@ -169,7 +169,7 @@ class TestMassFunction:
             with pytest.raises(EvidenceError, match="mass of 'y' is too large for a float"):
                 cls(frame, {1: 0.5, 2: -(10**400)})
 
-    @pytest.mark.parametrize("key", [1.5, "1"])
+    @pytest.mark.parametrize("key", [1.5, "1", True])
     def test_non_integer_mask_key_rejected(self, key):
         frame = Frame(("x", "y"))
         for cls in (MassFunction, PseudoMassFunction):
@@ -177,7 +177,7 @@ class TestMassFunction:
                 cls(frame, {key: 1.0})
         assert MassFunction(frame, {np.int64(3): 1.0}) == MassFunction.vacuous(frame)
 
-    @pytest.mark.parametrize("bad", ["0.5", None, b"0.5"])
+    @pytest.mark.parametrize("bad", ["0.5", None, b"0.5", True])
     def test_non_number_mass_rejected(self, bad):
         # numpy alone would parse the string and read None as NaN
         frame = Frame(("x", "y"))

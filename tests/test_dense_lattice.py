@@ -34,9 +34,11 @@ from csbf import (
     partial_linf_belief,
     partial_linf_mass,
 )
-from csbf.consistent_mass import TIE_TOL, argmin_elements
+from csbf import consistent_belief, consistent_mass
+from csbf.consistent_mass import TIE_TOL, select_optima
 from csbf.core import coatoms, submax_transform
 from csbf.oracle import CELLS
+from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
 
@@ -180,17 +182,18 @@ def test_consistent_inputs_are_fixed_points(m):
     # every other element misses a focal set of mass >= 0.01 / 12, whose
     # criterion contribution is far above the tie tolerance
     core = tuple(x for i, x in enumerate(m.frame.elements) if core_of(m) >> i & 1)
-    for mode, select in SELECTORS.items():
-        result = select(m)
-        assert [result.criterion_values[x] for x in core] == [0.0] * len(core), mode
-        assert result.optima == core, mode
-        for x, payload in result.payloads.items():
+    for key, cell in CELLS.items():
+        result = cell.select(m, TIE_TOL)
+        assert [result.criterion_values[x] for x in core] == [0.0] * len(core), key
+        assert result.optima == core, key
+        for x in result.optima:
+            payload = cell.solve(m, x)
             if isinstance(payload, ApproxBox):
-                assert (payload.lower == payload.upper).all(), (mode, x)
+                assert (payload.lower == payload.upper).all(), (key, x)
             if isinstance(payload, GammaBox):
-                assert (payload.upper - payload.lower == 0.0).all(), (mode, x)
+                assert (payload.upper - payload.lower == 0.0).all(), (key, x)
             for point in partial_masses(payload):
-                assert point.allclose(m, tol=TOL), (mode, x)
+                assert point.allclose(m, tol=TOL), (key, x)
 
 
 @given(mass_functions(max_size=6))
@@ -219,16 +222,54 @@ def test_symmetric_ties_are_returned_in_full(m):
 
 @given(st.integers(1, 7), st.data())
 @settings(max_examples=100, deadline=None)
-def test_argmin_elements_keeps_every_tie(n, data):
+def test_select_optima_keeps_every_tie(n, data):
     frame = frame_of_size(n)
     best = data.draw(st.floats(0.0, 1.0))
     offsets = data.draw(
         st.lists(st.sampled_from([0.0, TIE_TOL / 4, 3 * TIE_TOL, 0.5]), min_size=n, max_size=n)
     )
     offsets[data.draw(st.integers(0, n - 1))] = 0.0
-    criterion = {x: best + d for x, d in zip(frame.elements, offsets)}
+    values = np.array([best + d for d in offsets])
     within = tuple(x for x, d in zip(frame.elements, offsets) if d <= TIE_TOL / 4)
-    assert argmin_elements(frame, criterion, TIE_TOL) == within
+    assert select_optima(frame, values, TIE_TOL).optima == within
+
+
+def test_selectors_build_no_partial_solution(ternary, rng, monkeypatch):
+    # a selector is a criterion vector and its argmin; the partial solution
+    # of an optimum comes from the cell's own solver, when a caller asks
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    solvers = {
+        consistent_mass: ("partial_l1_mass", "partial_l2_mass", "partial_linf_mass"),
+        consistent_belief: ("focused_transform", "partial_linf_belief"),
+    }
+    for module, names in solvers.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for m in (ternary, *(random_mass_function(frame_of_size(n), rng) for n in range(1, 7))):
+        for mode, select in SELECTORS.items():
+            assert select(m).optima, mode
+    assert calls == []
+
+
+def test_partial_distance_is_the_criterion_value_bit_for_bit(rng):
+    # L2 criteria are squared distances, so their partials hold the square root
+    for n in range(2, 9):
+        frame = frame_of_size(n)
+        for _ in range(20):
+            m = random_mass_function(frame, rng)
+            for (p, kind), cell in CELLS.items():
+                values = cell.select(m, TIE_TOL).criterion_values
+                for x in frame.elements:
+                    distance = cell.closed(cell.solve(m, x))[0]
+                    expected = math.sqrt(values[x]) if p == 2 else values[x]
+                    assert float.hex(distance) == float.hex(expected), ((p, kind.value), x)
 
 
 @given(
@@ -362,7 +403,7 @@ def test_large_frames_match_direct_per_focus_sums(n):
         best = min(expected.values())
         assert result.optima == tuple(x for x in frame.elements if expected[x] <= best + TIE_TOL)
         for x in result.optima:
-            payload = result.payloads[x]
+            payload = cell.solve(m, x)
             distance, point = cell.closed(payload)
             value, direct_point = cells[x][key]
             close(distance, math.sqrt(value) if key[0] == 2 else value, (key, x))
