@@ -369,12 +369,11 @@ def _payload_mass_box(box: ApproxBox, vertices: bool, tol: float) -> dict:
 
 
 def _payload_gamma_box(box: GammaBox, vertices: bool, tol: float) -> dict:
-    barycenter = gamma_to_mass(box, box.midpoint())
     payload = {
         "space": SpaceKind.BELIEF.value,
         "distance": box.distance,
         "gamma_intervals": _interval_block(box, box.lower, box.upper),
-        "barycenter": _point_payload(barycenter, box.focus, tol),
+        "barycenter": _point_payload(box.barycenter, box.focus, tol),
     }
     if vertices:
         payload["vertices"] = [

@@ -8,9 +8,9 @@ so the new mass of A is ``m(A) + m(A minus x)``.
 
 The Linf solution set is again a box, but an axis-aligned one only in the
 triangular "gamma" coordinates, where ``gamma(A)`` accumulates the mass
-shifts of the ultrafilter members inside A.  The box midpoint maps back to
-the focused transform through Moebius inversion on the sublattice of sets
-containing x.
+shifts of the ultrafilter members inside A.  The box is centred on the
+focused transform, and a point's offset from the midpoint maps to mass shifts
+through Moebius inversion on the sublattice of sets containing x.
 
 :func:`gamma_to_mass` is one O((n-1) 2^(n-1)) Moebius transform.  Each
 criterion is one O(n 2^n) transform of ``b = zeta(m)`` read at the coatoms
@@ -40,7 +40,7 @@ from .core import (
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import TIE_TOL, GlobalResult, box_arrays, box_corners, in_box, select_optima
+from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, box_corners, in_box, select_optima
 from .sampling import random_mass_function
 
 
@@ -65,16 +65,19 @@ def _outside_belief(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
     return zeta_transform(belief)[at], zeta_transform(belief * belief)[at]
 
 
-def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
-    """Partial L1/L2 belief-space projection onto the ultrafilter of x."""
-    frame = m.frame
-    by_x = m.as_array().reshape(-1, 2, frame.singleton(x))  # [:, 1, :] holds x, [:, 0, :] not
+def _focused_masses(m: MassFunction, x: str) -> MassFunction:
+    """The focused transform's masses: ``m(A) + m(A minus x)`` on every A containing x."""
+    by_x = m.as_array().reshape(-1, 2, m.frame.singleton(x))  # [:, 1, :] holds x, [:, 0, :] not
     moved = np.zeros_like(by_x)
     moved[:, 1, :] = by_x[:, 1, :] + by_x[:, 0, :]
-    result = MassFunction(frame, moved.ravel())
+    return MassFunction(m.frame, moved.ravel())
+
+
+def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
+    """Partial L1/L2 belief-space projection onto the ultrafilter of x."""
     total, squares = _outside_belief(m)
-    i = frame.index_of(x)
-    return FocusedTransform(x, result, float(total[i]), math.sqrt(squares[i]))
+    i = m.frame.index_of(x)
+    return FocusedTransform(x, _focused_masses(m, x), float(total[i]), math.sqrt(squares[i]))
 
 
 def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TIE_TOL) -> bool:
@@ -108,34 +111,14 @@ def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     return select_optima(m.frame, _outside_belief(m)[1], tie_tol)
 
 
-class GammaBox(FrozenRecord):
-    """Linf solution family in belief coordinates, boxed in gamma variables.
+class GammaBox(LinfBox):
+    """Linf solution box in belief coordinates, boxed in gamma variables.
 
-    One gamma coordinate per proper subset A containing x: ``members`` holds
-    these masks ascending, and ``lower`` and ``upper`` the bounds aligned with
-    them, all read-only arrays, so the box compares by identity.  Each
-    interval has width ``2 * b(x^c)``; the box degenerates to a point exactly
-    when the source is already consistent on x.  The source mass function is
-    kept so gamma points can be mapped back to mass coordinates.
+    One gamma coordinate per proper subset A containing x, aligned with
+    ``members``.  Each interval has width ``2 * b(x^c)``; the box degenerates
+    to a point exactly when the input is already consistent on x.  The
+    ``barycenter`` is the focused transform, the image of the midpoint.
     """
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        focus: str,
-        source: MassFunction,
-        members: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        distance: float,
-    ) -> None:
-        self._set(focus, source, *box_arrays(members, lower, upper), distance)
-
-    @property
-    def frame(self) -> Frame:
-        return self.source.frame
 
     def midpoint(self) -> np.ndarray:
         return (self.lower + self.upper) / 2.0
@@ -162,24 +145,25 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     radius = float(belief[frame.full_mask ^ xbit])
     members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
     inside = belief[members ^ xbit]  # b(A minus x)
-    return GammaBox(x, m, members, -radius - inside, radius - inside, radius)
+    # 0.0 - radius, not -radius: the bound is 0.0, never -0.0, when both terms are 0
+    return GammaBox(x, members, 0.0 - radius - inside, radius - inside, _focused_masses(m, x), radius)
 
 
 def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
     """Map a gamma point of the box, aligned with ``box.members``, back to mass coordinates.
 
     Moebius inversion on the sublattice of sets containing the focus turns
-    the cumulative gamma values back into per-subset mass shifts, which are
-    subtracted from the source masses; the full frame absorbs normalization.
-    Raises ``ValueError`` when the point lies outside the box.
+    the point's offsets from the midpoint into mass shifts of every member,
+    which are subtracted from the barycenter.  Every point of the box has the
+    same gamma on the full frame, so its offset there is 0, and the midpoint
+    maps to the barycenter bit for bit.  Raises ``ValueError`` when the point
+    lies outside the box.
     """
     if not box.contains(gamma_point):
         raise ValueError("gamma point lies outside the solution box")
-    shift = mobius_transform(np.append(gamma_point, 0.0))[:-1]
-    values = box.source.as_array()[box.members] - shift
-    vector = np.bincount(box.members, weights=values, minlength=box.frame.n_subsets)
-    # Largest mask first: numpy adds up to 7 terms in order, as a running sum would.
-    vector[-1] = 1.0 - values[::-1].sum()
+    shift = mobius_transform(np.append(gamma_point - box.midpoint(), 0.0))
+    vector = box.barycenter.as_array().copy()
+    vector[ultrafilter(box.frame, box.focus)] -= shift
     return PseudoMassFunction(box.frame, vector)
 
 

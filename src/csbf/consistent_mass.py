@@ -64,15 +64,14 @@ class PartialApprox(FrozenRecord):
         self._set(focus, result, distance, space)
 
 
-class ApproxBox(FrozenRecord):
-    """Axis-aligned interval family of Linf-optimal mass assignments.
+class LinfBox(FrozenRecord):
+    """Linf solution set of one ultrafilter, an axis-aligned box in some coordinates.
 
     ``members`` are the ultrafilter masks except the full frame, ascending,
-    whose coordinate is always recovered by normalization; ``lower`` and
-    ``upper`` are aligned with them.  All three are read-only arrays, so the
-    box compares by identity.  Intervals are stored unclipped, so parts of the
-    box may be inadmissible (negative masses); :meth:`admissible_intervals`
-    gives the view intersected with [0, 1].
+    and ``lower`` and ``upper`` the bounds aligned with them.  All three are
+    stored as read-only int64 and float copies, so a box compares by
+    identity.  ``barycenter`` is the box's centre as a mass function and
+    ``distance`` the attained Linf distance.
     """
 
     __eq__ = object.__eq__
@@ -87,11 +86,26 @@ class ApproxBox(FrozenRecord):
         barycenter: MassFunction,
         distance: float,
     ) -> None:
-        self._set(focus, *box_arrays(members, lower, upper), barycenter, distance)
+        arrays = np.array(members, np.int64), np.array(lower, float), np.array(upper, float)
+        for arr in arrays:
+            if arr.shape != (len(arrays[0]),):
+                raise ValueError("box bounds must be 1-D and aligned with the members")
+            arr.setflags(write=False)
+        self._set(focus, *arrays, barycenter, distance)
 
     @property
     def frame(self) -> Frame:
         return self.barycenter.frame
+
+
+class ApproxBox(LinfBox):
+    """Linf solution box in mass coordinates, centred on the partial L1 solution.
+
+    The full frame's coordinate is always recovered by normalization.
+    Intervals are stored unclipped, so parts of the box may be inadmissible
+    (negative masses); :meth:`admissible_intervals` gives the view
+    intersected with [0, 1].
+    """
 
     def midpoint_masses(self) -> PseudoMassFunction:
         """Interval midpoints, full frame taking the normalization remainder."""
@@ -123,18 +137,6 @@ class ApproxBox(FrozenRecord):
         # builtin sum in ascending mask order, which the output's last digits depend on
         vector[-1] = 1.0 - sum(values.tolist())
         return PseudoMassFunction(self.frame, vector)
-
-
-def box_arrays(
-    members: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only copies of a box's int64 masks and the float bounds aligned with them."""
-    arrays = np.array(members, np.int64), np.array(lower, float), np.array(upper, float)
-    for arr in arrays:
-        if arr.shape != (len(arrays[0]),):
-            raise ValueError("box bounds must be 1-D and aligned with the members")
-        arr.setflags(write=False)
-    return arrays
 
 
 def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

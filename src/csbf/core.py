@@ -359,11 +359,20 @@ class PseudoMassFunction(FrozenRecord):
     @classmethod
     def from_labels(cls, frame: Frame, assignment: Mapping[object, float]):
         """Build from label-keyed masses; keys are comma strings or label iterables."""
-        masks = [frame.parse_subset(k) if isinstance(k, str) else frame.subset(k) for k in assignment]
+        masks = [_label_mask(frame, k) for k in assignment]
         if len(set(masks)) < len(masks):
             repeated = frame.format_subset(max(masks, key=masks.count))
             raise EvidenceError(f"duplicate subset {repeated!r}")
         return cls(frame, _mass_vector(frame, zip(masks, assignment.values())))
+
+
+def _label_mask(frame: Frame, key: object) -> int:
+    """Mask of a :meth:`PseudoMassFunction.from_labels` key."""
+    if isinstance(key, str):
+        return frame.parse_subset(key)
+    if not isinstance(key, Iterable):
+        raise EvidenceError(f"subset key {key!r} is neither a string nor an iterable of labels")
+    return frame.subset(key)
 
 
 def _mass_vector(frame: Frame, items: Iterable[tuple[object, object]]) -> np.ndarray:

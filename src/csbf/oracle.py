@@ -45,7 +45,6 @@ from .consistent_mass import (
     partial_l2_mass,
     partial_linf_mass,
 )
-from . import consistent_belief
 from .consistent_belief import (
     focused_transform,
     global_l1_belief,
@@ -106,8 +105,8 @@ class Cell(FrozenRecord):
 
 #: (norm, space) -> Cell, in report order: the package's one list of cells.
 #: The rows name the library functions inside lambdas, so they are read from
-#: this module's namespace (``gamma_to_mass`` from ``consistent_belief``'s) at
-#: call time, and wrapping a module attribute reaches these calls.
+#: this module's namespace at call time, and wrapping a module attribute
+#: reaches these calls.  Both Linf rows read the box's stored barycenter.
 CELLS: dict[tuple[float, SpaceKind], Cell] = {
     (1, SpaceKind.MASS_N2): Cell(
         lambda m, t: global_l1_mass(m, t),
@@ -142,7 +141,7 @@ CELLS: dict[tuple[float, SpaceKind], Cell] = {
     (math.inf, SpaceKind.BELIEF): Cell(
         lambda m, t: global_linf_belief(m, t),
         lambda m, x: partial_linf_belief(m, x),
-        lambda box: (box.distance, consistent_belief.gamma_to_mass(box, box.midpoint())),
+        attrgetter("distance", "barycenter"),
     ),
 }
 

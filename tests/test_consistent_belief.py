@@ -291,7 +291,7 @@ class TestGammaBox:
         # dyadic bounds and tolerance: every edge sum below is exact
         tol = 2.0**-4
         m = MassFunction.vacuous(Frame(("x", "y")))
-        box = GammaBox("x", m, [1], [0.5], [0.75], 0.125)
+        box = GammaBox("x", [1], [0.5], [0.75], m, 0.125)
         for edge, away in ((0.5 - tol, -math.inf), (0.75 + tol, math.inf)):
             assert box.contains(np.array([edge]), tol)
             assert not box.contains(np.array([math.nextafter(edge, away)]), tol)

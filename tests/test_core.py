@@ -177,6 +177,15 @@ class TestMassFunction:
                 cls(frame, {key: 1.0})
         assert MassFunction(frame, {np.int64(3): 1.0}) == MassFunction.vacuous(frame)
 
+    @pytest.mark.parametrize("key", [True, 3, 2.5])
+    def test_from_labels_key_neither_string_nor_labels_rejected(self, key):
+        frame = Frame(("x", "y"))
+        message = f"subset key {key!r} is neither a string nor an iterable of labels"
+        for cls in (MassFunction, PseudoMassFunction):
+            with pytest.raises(EvidenceError, match=re.escape(message)):
+                cls.from_labels(frame, {key: 1.0})
+        assert MassFunction.from_labels(frame, {("y", "x"): 1.0}) == MassFunction.vacuous(frame)
+
     @pytest.mark.parametrize("bad", ["0.5", None, b"0.5", True])
     def test_non_number_mass_rejected(self, bad):
         # numpy alone would parse the string and read None as NaN

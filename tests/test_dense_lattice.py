@@ -98,8 +98,8 @@ def reference_criteria(m):
     return crit
 
 
-def reference_gamma_to_mass(box, gamma_point):
-    """Per-mask alternating sums over the sublattice, O(3^(n-1))."""
+def reference_gamma_to_mass(m, box, gamma_point):
+    """Per-mask alternating sums over the sublattice, O(3^(n-1)); ``m`` is the box's source."""
     frame = box.frame
     xbit = frame.singleton(box.focus)
     gamma_point = dict(zip(box.members.tolist(), gamma_point.tolist()))
@@ -110,7 +110,7 @@ def reference_gamma_to_mass(box, gamma_point):
         for sub in submasks(rest):
             sign = -1.0 if bin(rest ^ sub).count("1") % 2 else 1.0
             shift += sign * gamma_point[sub | xbit]
-        masses[mask] = box.source.value(mask) - shift
+        masses[mask] = m.value(mask) - shift
     masses[frame.full_mask] = 1.0 - sum(masses.values())
     return PseudoMassFunction(frame, masses)
 
@@ -152,7 +152,7 @@ def test_dense_gamma_to_mass_matches_the_reference_loop(m, seed):
         points.append(box.lower + rng.random(count) * (box.upper - box.lower))
     for point in points:
         dense = gamma_to_mass(box, point)
-        assert dense.allclose(reference_gamma_to_mass(box, point), tol=TOL)
+        assert dense.allclose(reference_gamma_to_mass(m, box, point), tol=TOL)
 
 
 @st.composite

@@ -60,10 +60,12 @@ def cases() -> dict[str, list[str]]:
     for name, mode in MODES.items():
         out[f"n6-{name}-global"] = ["approximate", str(N6), *mode, "--global"]
     out["n6-inspect"] = ["inspect", str(N6)]
-    # consistent on x: a degenerate Linf box that no admissibility clip touches
-    out["consistent-linf-mass-x"] = [
-        "approximate", str(CONSISTENT), *MODES["linf-mass"], "--focus", "x"
-    ]
+    # consistent on x: degenerate Linf boxes that no admissibility clip
+    # touches, whose gamma bounds are 0.0, not -0.0
+    for name in ("linf-mass", "linf-belief"):
+        out[f"consistent-{name}-x"] = [
+            "approximate", str(CONSISTENT), *MODES[name], "--focus", "x"
+        ]
     return out
 
 

@@ -17,6 +17,7 @@ from csbf import (
     embed,
     focused_transform,
     gamma_to_mass,
+    partial_linf_belief,
     partial_linf_mass,
     ultrafilter,
 )
@@ -182,9 +183,11 @@ def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch,
     for p, kind in SUPPORTED_PAIRS:
         oracle.closed_form_partial(ternary, "x", p, kind)
         library_global(ternary, p, kind)
+    # the Linf belief box carries its barycenter
+    assert calls.pop("gamma_to_mass") == 0
     assert all(calls.values()), calls
 
-    calls.update(dict.fromkeys(calls, 0))
+    calls.update(dict.fromkeys((*names, "gamma_to_mass"), 0))
     for mode in MODES.values():
         for where in (["--focus", "x"], ["--global"]):
             assert cli.main(["approximate", str(TERNARY), *mode, *where]) == 0
@@ -208,15 +211,18 @@ def test_every_perfbench_hook_site_resolves(monkeypatch):
 
 
 def test_linf_belief_barycenter_is_the_focused_transform(rng):
-    # the Linf belief closed form maps the gamma box's midpoint back to
-    # masses; the focused transform is the same point in closed form
+    # the Linf belief closed form reads the gamma box's barycenter, the
+    # focused transform, and the box's midpoint maps back to it bit for bit
     for n in range(2, 9):
         frame = frame_of_size(n)
         for _ in range(10):
             m = random_mass_function(frame, rng)
             for x in frame.elements:
                 _, point = oracle.closed_form_partial(m, x, math.inf, SpaceKind.BELIEF)
-                assert point.allclose(focused_transform(m, x).result, tol=1e-12)
+                assert np.array_equal(point.as_array(), focused_transform(m, x).result.as_array())
+                box = partial_linf_belief(m, x)
+                midpoint = gamma_to_mass(box, box.midpoint()).as_array()
+                assert np.array_equal(midpoint, box.barycenter.as_array())
 
 
 @pytest.mark.parametrize(

@@ -143,8 +143,8 @@ def test_box_arrays_are_read_only_copies(ternary):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(box, field)[0] = 0
     members, lower, upper = np.array([1, 3, 5]), np.zeros(3), np.ones(3)
-    box = GammaBox("x", ternary, members, lower, upper, 0.5)
+    box = GammaBox("x", members, lower, upper, ternary, 0.5)
     lower[0] = 9.0
     assert box.lower[0] == 0.0 and lower.flags.writeable
     with pytest.raises(ValueError, match="aligned"):
-        GammaBox("x", ternary, members, lower[:2], upper, 0.5)
+        GammaBox("x", members, lower[:2], upper, ternary, 0.5)
