@@ -39,11 +39,13 @@ from .core import (
     is_consistent,
     ultrafilter,
 )
-# perfbench/spans.py also wraps the selectors and partial solvers at this
-# module's attributes, so they stay bound here; the commands run ``CELLS``.
+# perfbench/spans.py also wraps the selectors, the partial solvers and
+# gamma_to_mass at this module's attributes, so they stay bound here; the
+# commands run ``CELLS``, and box corners come from ``LinfBox.corners``.
 from .consistent_mass import (
     TIE_TOL,
     ApproxBox,
+    LinfBox,
     global_l1_mass,
     global_l2_mass,
     global_linf_mass,
@@ -53,7 +55,6 @@ from .consistent_mass import (
 )
 from .consistent_belief import (
     FocusedTransform,
-    GammaBox,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
@@ -349,37 +350,24 @@ def _point_payload(m: PseudoMassFunction, focus: str, tol: float) -> dict:
     }
 
 
-def _interval_block(box: ApproxBox | GammaBox, lo: np.ndarray, hi: np.ndarray) -> _Block:
+def _interval_block(box: LinfBox, lo: np.ndarray, hi: np.ndarray) -> _Block:
     return _Block(box.frame, box.members, np.column_stack((lo, hi)))
 
 
-def _payload_mass_box(box: ApproxBox, vertices: bool, tol: float) -> dict:
-    lo, hi, clipped = box.admissible_intervals()
-    payload = {
-        "space": SpaceKind.MASS_N2.value,
-        "distance": box.distance,
-        "intervals": _interval_block(box, box.lower, box.upper),
-        "admissible_intervals": _interval_block(box, lo, hi),
-        "admissible_clipped": clipped,
-        "barycenter": _point_payload(box.barycenter, box.focus, tol),
-    }
+def _payload_box(box: LinfBox, space: SpaceKind, vertices: bool, tol: float) -> dict:
+    payload = {"space": space.value, "distance": box.distance}
+    if isinstance(box, ApproxBox):
+        lo, hi, clipped = box.admissible_intervals()
+        payload.update(
+            intervals=_interval_block(box, box.lower, box.upper),
+            admissible_intervals=_interval_block(box, lo, hi),
+            admissible_clipped=clipped,
+        )
+    else:
+        payload["gamma_intervals"] = _interval_block(box, box.lower, box.upper)
+    payload["barycenter"] = _point_payload(box.barycenter, box.focus, tol)
     if vertices:
         payload["vertices"] = [_point_payload(corner, box.focus, tol) for corner in box.corners()]
-    return payload
-
-
-def _payload_gamma_box(box: GammaBox, vertices: bool, tol: float) -> dict:
-    payload = {
-        "space": SpaceKind.BELIEF.value,
-        "distance": box.distance,
-        "gamma_intervals": _interval_block(box, box.lower, box.upper),
-        "barycenter": _point_payload(box.barycenter, box.focus, tol),
-    }
-    if vertices:
-        payload["vertices"] = [
-            _point_payload(gamma_to_mass(box, corner), box.focus, tol)
-            for corner in box.corners()
-        ]
     return payload
 
 
@@ -411,10 +399,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     cell = CELLS[NORMS[norm], kind]
 
     def payload(partial) -> dict:
-        if isinstance(partial, ApproxBox):
-            return _payload_mass_box(partial, args.vertices, tol)
-        if isinstance(partial, GammaBox):
-            return _payload_gamma_box(partial, args.vertices, tol)
+        if isinstance(partial, LinfBox):
+            return _payload_box(partial, kind, args.vertices, tol)
         distance, point = cell.closed(partial)
         out = _point_payload(point, partial.focus, tol)
         out.update(space=kind.value, distance=distance)

@@ -40,7 +40,7 @@ from .core import (
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, box_corners, in_box, select_optima
+from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, in_box, select_optima
 from .sampling import random_mass_function
 
 
@@ -123,9 +123,9 @@ class GammaBox(LinfBox):
     def midpoint(self) -> np.ndarray:
         return (self.lower + self.upper) / 2.0
 
-    def corners(self) -> np.ndarray:
-        """Every box corner, one row each."""
-        return box_corners(self.lower, self.upper)
+    def _shift(self, offsets: np.ndarray) -> np.ndarray:
+        # every point of the box has the same gamma on the full frame
+        return mobius_transform(np.append(offsets, 0.0))
 
     def contains(self, gamma_point: np.ndarray, tol: float = TIE_TOL) -> bool:
         if np.shape(gamma_point) != self.lower.shape:
@@ -152,19 +152,17 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
 def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
     """Map a gamma point of the box, aligned with ``box.members``, back to mass coordinates.
 
-    Moebius inversion on the sublattice of sets containing the focus turns
-    the point's offsets from the midpoint into mass shifts of every member,
-    which are subtracted from the barycenter.  Every point of the box has the
+    Moebius inversion on the sublattice of sets containing the focus (the
+    box's ``_shift``, which also builds its corners) turns the point's
+    offsets from the midpoint into mass shifts of every member, which are
+    subtracted from the barycenter.  Every point of the box has the
     same gamma on the full frame, so its offset there is 0, and the midpoint
     maps to the barycenter bit for bit.  Raises ``ValueError`` when the point
     lies outside the box.
     """
     if not box.contains(gamma_point):
         raise ValueError("gamma point lies outside the solution box")
-    shift = mobius_transform(np.append(gamma_point - box.midpoint(), 0.0))
-    vector = box.barycenter.as_array().copy()
-    vector[ultrafilter(box.frame, box.focus)] -= shift
-    return PseudoMassFunction(box.frame, vector)
+    return box._shifted(box._shift(gamma_point - box.midpoint()))
 
 
 def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -71,7 +71,9 @@ class LinfBox(FrozenRecord):
     and ``lower`` and ``upper`` the bounds aligned with them.  All three are
     stored as read-only int64 and float copies, so a box compares by
     identity.  ``barycenter`` is the box's centre as a mass function and
-    ``distance`` the attained Linf distance.
+    ``distance`` the attained Linf distance, the half-width of every
+    interval.  A subclass's ``_shift`` maps offsets from the centre in box
+    coordinates to the mass shifts of the ultrafilter, full frame last.
     """
 
     __eq__ = object.__eq__
@@ -97,23 +99,36 @@ class LinfBox(FrozenRecord):
     def frame(self) -> Frame:
         return self.barycenter.frame
 
+    def corners(self) -> list[PseudoMassFunction]:
+        """Every box corner as a (possibly pseudo) mass function.
+
+        Bit j of the corner number picks ``upper[j]``.  The corner with signs
+        s in {-1, +1}^k lies ``distance * s`` from the centre in box
+        coordinates, so its masses are ``barycenter - distance * _shift(s)``,
+        one multiply and one subtract from the stored centre.
+        """
+        ones = np.ones(len(self.members))
+        return [self._shifted(self.distance * self._shift(s)) for s in box_corners(-ones, ones)]
+
+    def _shifted(self, shift: np.ndarray) -> PseudoMassFunction:
+        """The barycenter minus ``shift`` on the ultrafilter, full frame last."""
+        vector = self.barycenter.as_array().copy()
+        vector[np.append(self.members, self.frame.full_mask)] -= shift
+        return PseudoMassFunction(self.frame, vector)
+
 
 class ApproxBox(LinfBox):
     """Linf solution box in mass coordinates, centred on the partial L1 solution.
 
-    The full frame's coordinate is always recovered by normalization.
-    Intervals are stored unclipped, so parts of the box may be inadmissible
-    (negative masses); :meth:`admissible_intervals` gives the view
-    intersected with [0, 1].
+    The full frame is not a box coordinate: a corner moves it by minus the
+    sum of the members' moves, so every corner sums to one.  Intervals are
+    stored unclipped, so parts of the box may be inadmissible (negative
+    masses); :meth:`admissible_intervals` gives the view intersected with
+    [0, 1].
     """
 
-    def midpoint_masses(self) -> PseudoMassFunction:
-        """Interval midpoints, full frame taking the normalization remainder."""
-        return self._point((self.lower + self.upper) / 2.0)
-
-    def corners(self) -> Iterator[PseudoMassFunction]:
-        """All box corners as (possibly pseudo) mass functions."""
-        return map(self._point, box_corners(self.lower, self.upper))
+    def _shift(self, offsets: np.ndarray) -> np.ndarray:
+        return np.append(-offsets, offsets.sum())
 
     def admissible_intervals(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """Intervals intersected with [0, 1], plus a flag when that clips anything."""
@@ -131,12 +146,6 @@ class ApproxBox(LinfBox):
         outside = arr.reshape(-1, 2, self.frame.singleton(self.focus))[:, 0, :]
         inside = arr[self.members]
         return bool((np.abs(outside) <= tol).all()) and in_box(self.lower, self.upper, inside, tol)
-
-    def _point(self, values: np.ndarray) -> PseudoMassFunction:
-        vector = np.bincount(self.members, weights=values, minlength=self.frame.n_subsets)
-        # builtin sum in ascending mask order, which the output's last digits depend on
-        vector[-1] = 1.0 - sum(values.tolist())
-        return PseudoMassFunction(self.frame, vector)
 
 
 def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -360,9 +360,11 @@ class PseudoMassFunction(FrozenRecord):
     def from_labels(cls, frame: Frame, assignment: Mapping[object, float]):
         """Build from label-keyed masses; keys are comma strings or label iterables."""
         masks = [_label_mask(frame, k) for k in assignment]
-        if len(set(masks)) < len(masks):
-            repeated = frame.format_subset(max(masks, key=masks.count))
-            raise EvidenceError(f"duplicate subset {repeated!r}")
+        seen: set[int] = set()
+        for mask in masks:
+            if mask in seen:
+                raise EvidenceError(f"duplicate subset {frame.format_subset(mask)!r}")
+            seen.add(mask)
         return cls(frame, _mass_vector(frame, zip(masks, assignment.values())))
 
 

@@ -183,7 +183,7 @@ def test_criterion_5_barycenter_identities():
             worst = max(worst, max(abs(bary.value(k) - ft.value(k)) for k in keys))
 
             mass_box = partial_linf_mass(m, x)
-            mid = mass_box.midpoint_masses()
+            mid = mass_box.barycenter
             l1 = partial_l1_mass(m, x).result
             keys = set(mid.masses) | set(l1.masses)
             worst = max(worst, max(abs(mid.value(k) - l1.value(k)) for k in keys))

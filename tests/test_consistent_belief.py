@@ -24,7 +24,7 @@ from csbf import (
     partial_linf_belief,
     verify_orthogonality,
 )
-from csbf.consistent_mass import TIE_TOL
+from csbf.consistent_mass import TIE_TOL, box_corners
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
@@ -233,10 +233,23 @@ class TestGammaBox:
             frame.full_mask,
         ]
         got = set()
-        for corner in box.corners():
-            point = gamma_to_mass(box, corner)
+        for point in box.corners():
             got.add(tuple(round(point.value(mask), 9) for mask in order))
         assert got == {tuple(round(v, 9) for v in vertex) for vertex in expected}
+
+    def test_corners_are_the_images_of_the_gamma_corners(self, rng):
+        # corner i takes upper[j] where bit j of i is set
+        for n in (2, 3, 4):
+            frame = frame_of_size(n)
+            for _ in range(10):
+                m = random_mass_function(frame, rng)
+                for x in frame.elements:
+                    box = partial_linf_belief(m, x)
+                    picks = box_corners(box.lower, box.upper)
+                    corners = box.corners()
+                    assert len(corners) == len(picks) == 1 << len(box.members)
+                    for corner, pick in zip(corners, picks):
+                        assert corner.allclose(gamma_to_mass(box, pick), tol=1e-12)
 
     def test_corner_belief_vectors_attain_the_distance(self, ternary):
         frame = ternary.frame
@@ -244,8 +257,7 @@ class TestGammaBox:
         origin = embed(ternary, space)
         box = partial_linf_belief(ternary, "x")
         assert len(box.corners()) == 8
-        for corner in box.corners():
-            point = gamma_to_mass(box, corner)
+        for point in box.corners():
             d = lp_distance(origin, embed(point, space), math.inf)
             assert d == pytest.approx(box.distance, abs=1e-12)
 
@@ -273,7 +285,7 @@ class TestGammaBox:
         m = random_mass_function(frame_of_size(4), rng, full_support=True)
         box = partial_linf_belief(m, "y")
         assert box.distance > 0.1
-        for corner in box.corners():
+        for corner in box_corners(box.lower, box.upper):
             assert box.contains(corner) and box.contains(corner.tolist())
         for i in range(box.members.size):
             for bound, sign in ((box.upper, 1.0), (box.lower, -1.0)):
@@ -302,8 +314,10 @@ class TestGammaBox:
         ft = focused_transform(m, "x")
         assert ft.result.allclose(m) and ft.distance_l1 == 0.0
         box = partial_linf_belief(m, "x")
-        assert box.corners().shape == (1, 0)
-        assert gamma_to_mass(box, box.corners()[0]).allclose(m)
+        corners = box_corners(box.lower, box.upper)
+        assert corners.shape == (1, 0)
+        assert gamma_to_mass(box, corners[0]).allclose(m)
+        assert len(box.corners()) == 1 and box.corners()[0].allclose(m)
         assert verify_orthogonality(m, ft)
 
 

@@ -21,7 +21,7 @@ from csbf import (
     partial_l2_mass,
     partial_linf_mass,
 )
-from csbf.consistent_mass import in_box
+from csbf.consistent_mass import box_corners, in_box
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
@@ -108,10 +108,28 @@ class TestPartialLinf:
         assert box.distance == 0.0
         assert box.lower.size == 3
         assert (box.lower == box.upper).all()
-        assert box.midpoint_masses().allclose(m)
+        assert box.barycenter.allclose(m)
         lo, hi, clipped = box.admissible_intervals()
         assert (lo == box.lower).all() and (hi == box.upper).all()
         assert clipped is False
+
+    def test_corner_members_are_the_interval_picks_bit_for_bit(self, rng):
+        # corner i takes upper[j] where bit j of i is set; the full frame
+        # closes the sum and every mass off the ultrafilter stays 0
+        for n in (2, 3, 4):
+            frame = frame_of_size(n)
+            for _ in range(10):
+                m = random_mass_function(frame, rng)
+                for x in frame.elements:
+                    box = partial_linf_mass(m, x)
+                    picks = box_corners(box.lower, box.upper)
+                    corners = box.corners()
+                    assert len(corners) == len(picks) == 1 << len(box.members)
+                    for corner, pick in zip(corners, picks):
+                        arr = corner.as_array()
+                        assert np.array_equal(arr[box.members], pick)
+                        assert arr.sum() == pytest.approx(1.0, abs=1e-12)
+                        assert box.contains(corner, tol=0.0)
 
     def test_every_corner_attains_exactly_the_box_distance(self, ternary):
         space = EmbeddingSpace(SpaceKind.MASS_N2, ternary.frame)
@@ -201,8 +219,9 @@ class TestPartialLinf:
             m = random_mass_function(frame, rng)
             for label in frame.elements:
                 box = partial_linf_mass(m, label)
-                assert box.midpoint_masses().allclose(partial_l1_mass(m, label).result, tol=1e-12)
-                assert box.barycenter.allclose(partial_l1_mass(m, label).result, tol=1e-12)
+                l1 = partial_l1_mass(m, label).result
+                assert np.array_equal(box.barycenter.as_array(), l1.as_array())
+                assert box.barycenter.allclose(l1, tol=1e-12)
 
 
 class TestGlobalLinf:
@@ -277,7 +296,7 @@ class TestDegenerateFrames:
         assert pa.distance == 0.0 and pa.result.allclose(m)
         box = partial_linf_mass(m, "x")
         assert box.distance == 0.0 and box.lower.size == 0
-        assert box.midpoint_masses().allclose(m)
+        assert box.barycenter.allclose(m)
         for kind in (SpaceKind.MASS_N1, SpaceKind.MASS_N2):
             assert partial_l2_mass(m, "x", kind).result.allclose(m)
         assert global_l1_mass(m).optima == ("x",)

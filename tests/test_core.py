@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,17 @@ class TestMassFunction:
             with pytest.raises(EvidenceError, match=re.escape(message)):
                 cls.from_labels(frame, {key: 1.0})
         assert MassFunction.from_labels(frame, {("y", "x"): 1.0}) == MassFunction.vacuous(frame)
+
+    def test_from_labels_finds_a_duplicate_in_linear_time(self):
+        # every subset of 14 elements plus one permuted repeat: counting each
+        # key's occurrences took seconds here, one pass takes milliseconds
+        frame = Frame(tuple(f"e{i}" for i in range(14)))
+        doc = {frame.format_subset(a): 0.0 for a in range(1, frame.full_mask + 1)}
+        doc["e1,e0"] = 1.0
+        start = time.process_time()
+        with pytest.raises(EvidenceError, match=re.escape("duplicate subset 'e0,e1'")):
+            MassFunction.from_labels(frame, doc)
+        assert time.process_time() - start < 1.0
 
     @pytest.mark.parametrize("bad", ["0.5", None, b"0.5", True])
     def test_non_number_mass_rejected(self, bad):

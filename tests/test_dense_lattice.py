@@ -170,7 +170,7 @@ def consistent_mass_functions(draw, max_size=7):
 def partial_masses(payload):
     """The mass functions a partial solution stands for; a box's are its center."""
     if isinstance(payload, ApproxBox):
-        return [payload.barycenter, payload.midpoint_masses()]
+        return [payload.barycenter]
     if isinstance(payload, GammaBox):
         return [gamma_to_mass(payload, payload.midpoint())]
     return [payload.result]
