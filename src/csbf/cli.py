@@ -36,7 +36,7 @@ from .core import (
     belief_from_mass,
     contour,
     core_of,
-    is_consistent,
+    mass_vector,
     ultrafilter,
 )
 # perfbench/spans.py also wraps the selectors, the partial solvers and
@@ -130,39 +130,20 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
         raise CliError("'frame' must be a list of strings", EXIT_PARSE)
     if not isinstance(raw["masses"], dict):
         raise CliError("'masses' must be an object", EXIT_PARSE)
-    try:
-        frame = Frame(tuple(labels))
-        vector = np.zeros(frame.n_subsets)
-        masks: set[int] = set()
-        for key, value in raw["masses"].items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise EvidenceError(f"mass of {key!r} is not a number")
-            mask = frame.parse_subset(key)
-            if mask in masks:
-                raise EvidenceError(f"subset {key!r} appears twice")
-            masks.add(mask)
-            try:
-                vector[mask] = value
-            except OverflowError:
-                raise EvidenceError(f"mass of {key!r} is too large for a float") from None
-    except EvidenceError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
+    # from here on a fault raises EvidenceError, which main reports with exit code 2
+    frame = Frame(tuple(labels))
+    vector = mass_vector(frame, raw["masses"], Frame.parse_subset)
     # Builtin sum in ascending mask order: document order when the keys ascend,
     # as in every golden and benchmark document, and the same for any key order.
     total = sum(vector[vector != 0.0].tolist())
-    if abs(total - 1.0) > INGEST_SUM_TOL:
-        raise CliError(f"mass values must sum to 1 within {INGEST_SUM_TOL}, got {total!r}", EXIT_PARSE)
-    if total > 0 and total != 1.0:
+    # a non-finite total skips both steps, and MassFunction names the non-finite mass
+    if math.isfinite(total) and total != 1.0:
+        if abs(total - 1.0) > INGEST_SUM_TOL:
+            raise EvidenceError(f"mass values must sum to 1 within {INGEST_SUM_TOL}, got {total!r}")
         vector /= total
         if abs(total - 1.0) > 1e-12:
-            print(
-                f"warning: mass values summed to {total!r}; renormalized",
-                file=sys.stderr,
-            )
-    try:
-        m = MassFunction(frame, vector)
-    except EvidenceError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
+            print(f"warning: mass values summed to {total!r}; renormalized", file=sys.stderr)
+    m = MassFunction(frame, vector)
     echo = {
         "frame": list(frame.elements),
         "masses": _mass_block(m, np.flatnonzero(m.as_array())),
@@ -434,12 +415,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     frame, m, echo = load_input(args.input)
     view = belief_from_mass(m)
     nonempty = np.arange(1, frame.n_subsets, dtype=np.int64)
+    core = core_of(m)
     doc = {
         "command": "inspect",
         "input": echo,
         "focal_elements": _mass_block(m, m.focal_elements()),
-        "core": frame.format_subset(core_of(m)),
-        "consistent": is_consistent(m),
+        "core": frame.format_subset(core),
+        "consistent": core != 0,
         "belief": _Block(frame, nonempty, view.belief[1:]),
         "plausibility": _Block(frame, nonempty, view.plausibility[1:]),
         "contour": _element_block(frame, contour(m)),

@@ -295,14 +295,14 @@ class PseudoMassFunction(FrozenRecord):
     Improper ("pseudo") assignments arise as intermediate products of the
     approximation machinery, e.g. corners of interval solution boxes.
     ``masses``, the vector indexed by subset mask (length 2^n) or a ``{mask:
-    mass}`` mapping, is checked in one numpy pass and stored as a read-only
-    copy of the vector (``-0.0`` as ``0.0``); the attribute ``masses`` holds
-    its nonzero entries in ascending mask order.
+    mass}`` mapping read by :func:`mass_vector`, is checked in one numpy pass
+    and stored as a read-only copy of the vector (``-0.0`` as ``0.0``); the
+    attribute ``masses`` holds its nonzero entries in ascending mask order.
     """
 
     def __init__(self, frame: Frame, masses: Mapping[int, float] | np.ndarray) -> None:
         if isinstance(masses, Mapping):
-            masses = _mass_vector(frame, masses.items())
+            masses = mass_vector(frame, masses, _int_mask)
         vector = np.asarray(masses)
         if vector.dtype.kind not in "biuf" or vector.shape != (frame.n_subsets,):
             raise EvidenceError(
@@ -359,13 +359,40 @@ class PseudoMassFunction(FrozenRecord):
     @classmethod
     def from_labels(cls, frame: Frame, assignment: Mapping[object, float]):
         """Build from label-keyed masses; keys are comma strings or label iterables."""
-        masks = [_label_mask(frame, k) for k in assignment]
-        seen: set[int] = set()
-        for mask in masks:
-            if mask in seen:
-                raise EvidenceError(f"duplicate subset {frame.format_subset(mask)!r}")
-            seen.add(mask)
-        return cls(frame, _mass_vector(frame, zip(masks, assignment.values())))
+        return cls(frame, mass_vector(frame, assignment, _label_mask))
+
+
+def mass_vector(
+    frame: Frame, assignment: Mapping, key_mask: Callable[[Frame, object], int]
+) -> np.ndarray:
+    """Dense mass vector of keyed masses; ``key_mask(frame, key)`` reads a key or raises.
+
+    Each entry in turn is checked for its key, a subset already seen, a mass
+    that is not a real number, an int too large for a float.  Non-finite
+    floats pass, for the constructor to report.
+    """
+
+    def name(key: object, mask: int) -> str:  # a string key as written, else its subset
+        return key if isinstance(key, str) else frame.format_subset(mask)
+
+    vector = np.zeros(frame.n_subsets)
+    seen: set[int] = set()
+    for key, value in assignment.items():
+        mask = key_mask(frame, key)
+        if mask in seen:
+            raise EvidenceError(
+                f"subset {name(key, mask)!r} appears twice: "
+                f"duplicate subset {frame.format_subset(mask)!r}"
+            )
+        seen.add(mask)
+        # numpy would parse strings, take None as NaN and True as 1.0
+        if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+            raise EvidenceError(f"mass of {name(key, mask)!r} is not a number: {value!r}")
+        try:
+            vector[mask] = value
+        except OverflowError:
+            raise EvidenceError(f"mass of {name(key, mask)!r} is too large for a float") from None
+    return vector
 
 
 def _label_mask(frame: Frame, key: object) -> int:
@@ -377,23 +404,12 @@ def _label_mask(frame: Frame, key: object) -> int:
     return frame.subset(key)
 
 
-def _mass_vector(frame: Frame, items: Iterable[tuple[object, object]]) -> np.ndarray:
-    """Dense mass vector of ``(mask, mass)`` pairs, each mask an integer and no ``bool``."""
-    vector = np.zeros(frame.n_subsets)
-    for mask, value in items:
-        if isinstance(mask, bool) or not isinstance(mask, numbers.Integral):
-            raise EvidenceError(f"subset mask {mask!r} is not an integer")
-        frame.check_mask(mask)
-        # numpy would parse strings, take None as NaN and True as 1.0
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise EvidenceError(f"mass of {frame.format_subset(mask)!r} is not a number: {value!r}")
-        try:
-            vector[mask] = value
-        except OverflowError:  # an int too large for a float
-            raise EvidenceError(
-                f"mass of {frame.format_subset(mask)!r} is too large for a float"
-            ) from None
-    return vector
+def _int_mask(frame: Frame, key: object) -> int:
+    """Mask of a ``{mask: mass}`` key: an integer, not a ``bool``, in range."""
+    if isinstance(key, bool) or not isinstance(key, numbers.Integral):
+        raise EvidenceError(f"subset mask {key!r} is not an integer")
+    frame.check_mask(key)
+    return key
 
 
 class MassFunction(PseudoMassFunction):

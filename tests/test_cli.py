@@ -1,10 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from csbf import Frame
+from csbf import EvidenceError, Frame, MassFunction, PseudoMassFunction
 from csbf.cli import main
 
 from conftest import run_python
@@ -371,7 +372,11 @@ class TestParseFailures:
         [
             ('{"x": NaN, "y": 1.0}', "'x'"),
             ('{"x": Infinity, "y": -Infinity}', "'x'"),
-            ('{"x": 1.0, "y": Infinity}', "inf"),
+            # the id the case had before its message was pinned in full
+            pytest.param(
+                '{"x": 1.0, "y": Infinity}', "mass of 'y' is not finite: inf",
+                id='{"x": 1.0, "y": Infinity}-inf',
+            ),
             ('{"x": true, "y": false}', "'x'"),
             ('{"x": 0.5, "y": 0.5, "x,y": false}', "'x,y'"),
             ('{"x": 0.5, "x": 0.5, "y": 0.5}', "'x'"),
@@ -421,6 +426,13 @@ MALFORMED = {
     "string mass": ('{"frame": ["x", "y"], "masses": {"x": "1.0"}}', "mass of 'x' is not a number"),
     "boolean mass": ('{"frame": ["x", "y"], "masses": {"x": true}}', "mass of 'x' is not a number"),
     "NaN mass": ('{"frame": ["x", "y"], "masses": {"x": NaN, "y": 1.0}}', "not finite"),
+    "float overflow mass": (
+        '{"frame": ["x", "y"], "masses": {"x": 1e400, "y": 0.5}}', "mass of 'x' is not finite: inf"
+    ),
+    "lone -Infinity mass": (
+        '{"frame": ["x", "y"], "masses": {"x": 1.0, "y": -Infinity}}',
+        "mass of 'y' is not finite: -inf",
+    ),
     "repeated key": (
         '{"frame": ["x", "y"], "masses": {"x": 0.5, "x": 0.5}}', "key 'x' appears twice"
     ),
@@ -445,6 +457,52 @@ def test_malformed_document_exits_2_naming_the_cause(capsys, tmp_path, case):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert cause in err, err
+
+
+#: One fault each, masses keyed by labels on the frame (x, y), and the message
+#: that the CLI document, ``from_labels`` and the ``{mask: mass}`` constructor give.
+FAULTS = {
+    "unknown element": ({"x": 0.5, "q": 0.5}, "unknown frame element 'q'"),
+    "malformed key": ({"x,,y": 1.0}, "malformed subset key 'x,,y'"),
+    "repeated label": ({"x,x": 1.0}, "subset key 'x,x' repeats an element"),
+    "one subset under two keys": (
+        {"x,y": 0.5, "y,x": 0.5}, "subset 'y,x' appears twice: duplicate subset 'x,y'"
+    ),
+    "string mass": ({"x": "1.0"}, "mass of 'x' is not a number: '1.0'"),
+    "bool mass": ({"x": True}, "mass of 'x' is not a number: True"),
+    "None mass": ({"x": None, "y": 1.0}, "mass of 'x' is not a number: None"),
+    "int too large for a float": ({"x": 10**400, "y": 0.5}, "mass of 'x' is too large for a float"),
+    "infinite mass": ({"x": 1.0, "y": math.inf}, "mass of 'y' is not finite: inf"),
+    "negative infinite mass": ({"x": -math.inf}, "mass of 'x' is not finite: -inf"),
+    "NaN mass": ({"x": math.nan, "y": 1.0}, "mass of 'x' is not finite: nan"),
+    # two faults: each entry is checked key first, then its mass, in document order
+    "unknown element and string mass": ({"q": "abc"}, "unknown frame element 'q'"),
+    "string mass, then unknown element": (
+        {"x": "abc", "q": 1.0}, "mass of 'x' is not a number: 'abc'"
+    ),
+}
+#: Faults of a key's text, which an integer mask cannot have.
+TEXT_KEY_FAULTS = {
+    "unknown element", "malformed key", "repeated label", "one subset under two keys",
+    "unknown element and string mass", "string mass, then unknown element",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_every_door_names_a_fault_alike(capsys, tmp_path, case):
+    masses, message = FAULTS[case]
+    frame = Frame(("x", "y"))
+    path = write_doc(tmp_path, "bad.json", {"frame": ["x", "y"], "masses": masses})
+    assert run(capsys, ["inspect", path]) == (2, "", f"error: {message}\n")
+    doors = [lambda cls: cls.from_labels(frame, masses)]
+    if case not in TEXT_KEY_FAULTS:
+        by_mask = {frame.parse_subset(key): value for key, value in masses.items()}
+        doors.append(lambda cls: cls(frame, by_mask))
+    for door in doors:
+        for cls in (MassFunction, PseudoMassFunction):
+            with pytest.raises(EvidenceError) as info:
+                door(cls)
+            assert str(info.value) == message, (cls, door)
 
 
 def test_integer_beyond_the_digit_limit_exits_2(capsys, tmp_path):
