@@ -65,7 +65,6 @@ from .consistent_belief import (
 from .geometry import SpaceKind
 from .oracle import (
     CELLS,
-    MATCH_TOL,
     MAX_ORACLE_FRAME,
     brute_force_partial,
     globals_agree,
@@ -419,7 +418,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     doc = {
         "command": "inspect",
         "input": echo,
-        "focal_elements": _mass_block(m, m.focal_elements()),
+        "focal_elements": _mass_block(m, m.focal_masks()),
         "core": frame.format_subset(core),
         "consistent": core != 0,
         "belief": _Block(frame, nonempty, view.belief[1:]),
@@ -473,7 +472,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "command": "verify",
         "input": echo,
-        "config": {"match_tolerance": MATCH_TOL},
+        "config": {"match_tolerance": TIE_TOL},
         "reports": reports,
         "global_checks": checks,
         "all_ok": all_ok,

@@ -34,13 +34,12 @@ from .core import (
     PseudoMassFunction,
     belief_from_mass,
     coatoms,
-    contour,
     mobius_transform,
     superset_sum_transform,
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, in_box, select_optima
+from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, global_l1_mass, in_box, select_optima
 from .sampling import random_mass_function
 
 
@@ -103,12 +102,14 @@ def global_l1_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     The criterion is the total belief of the subsets missing x, which is NOT
     in general minimized by the maximal-plausibility element.
     """
-    return select_optima(m.frame, _outside_belief(m)[0], tie_tol)
+    total = _outside_belief(m)[0]
+    return select_optima(m.frame.elements, total, total, tie_tol)
 
 
 def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
-    """Global L2 pick in belief coordinates; criterion values are squared distances."""
-    return select_optima(m.frame, _outside_belief(m)[1], tie_tol)
+    """Global L2 pick in belief coordinates; the criterion is squared, optima tie on distances."""
+    squares = _outside_belief(m)[1]
+    return select_optima(m.frame.elements, squares, np.sqrt(squares), tie_tol)
 
 
 class GammaBox(LinfBox):
@@ -167,7 +168,8 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
 
 def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global Linf pick in belief coordinates: maximal-plausibility element(s)."""
-    return select_optima(m.frame, belief_from_mass(m).belief[coatoms(m.frame)], tie_tol)
+    outside = belief_from_mass(m).belief[coatoms(m.frame)]
+    return select_optima(m.frame.elements, outside, outside, tie_tol)
 
 
 def find_global_l1_counterexample(
@@ -180,15 +182,12 @@ def find_global_l1_counterexample(
 
     Draws masses uniformly (Dirichlet over the full mass simplex, fixed seed)
     until the global L1 optima differ, as a set, from the maximal-plausibility
-    elements.  Returns the witness and the number of draws used, or ``(None,
-    max_draws)`` when the search comes up empty.
+    elements (the global L1 mass pick).  Returns the witness and the number of
+    draws used, or ``(None, max_draws)`` when the search comes up empty.
     """
     rng = np.random.default_rng(seed)
     for draw in range(1, max_draws + 1):
         m = random_mass_function(frame, rng, full_support=True)
-        pl = contour(m)
-        best = max(pl.values())
-        most_plausible = tuple(lbl for lbl in frame.elements if pl[lbl] >= best - tie_tol)
-        if set(global_l1_belief(m, tie_tol).optima) != set(most_plausible):
+        if set(global_l1_belief(m, tie_tol).optima) != set(global_l1_mass(m, tie_tol).optima):
             return m, draw
     return None, max_draws

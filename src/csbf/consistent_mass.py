@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .core import (
 )
 from .geometry import EmbeddingSpace, SpaceKind
 
-#: Tie tolerance when collecting globally optimal elements.
+#: The tolerance, in distance units, of every global tie and of the oracle's gaps.
 TIE_TOL = 1e-9
 
 
@@ -162,22 +162,24 @@ def in_box(lower: np.ndarray, upper: np.ndarray, point: np.ndarray, tol: float) 
 class GlobalResult(FrozenRecord):
     """Globally optimal focus elements and the criterion they minimize.
 
-    ``optima`` lists every element whose criterion value ties the minimum
+    ``optima`` lists every element whose distance ties the minimal distance
     within tolerance, in frame order; ``criterion_values`` maps each element
-    to its value.  The partial solutions are not built here: a cell's
-    ``solve(m, x)`` in ``oracle.CELLS`` gives the one for each optimum.
+    to its criterion value, the distance squared for L2.  The partial solutions
+    are not built here: a cell's ``solve(m, x)`` in ``oracle.CELLS`` gives each.
     """
 
     def __init__(self, optima: tuple[str, ...], criterion_values: Mapping[str, float]) -> None:
         self._set(optima, MappingProxyType(dict(criterion_values)))
 
 
-def select_optima(frame: Frame, values: np.ndarray, tie_tol: float) -> GlobalResult:
-    """Every element whose criterion value ties the minimum within ``tie_tol``."""
-    criterion = dict(zip(frame.elements, values.tolist()))
-    best = min(criterion.values())
-    optima = tuple(lbl for lbl in frame.elements if criterion[lbl] <= best + tie_tol)
-    return GlobalResult(optima, criterion)
+def select_optima(
+    labels: Sequence[str], criterion: np.ndarray, distances: np.ndarray, tie_tol: float
+) -> GlobalResult:
+    """The one tie rule: the labels within ``tie_tol`` of the least of ``distances``."""
+    distances = distances.tolist()
+    best = min(distances)
+    optima = tuple(lbl for lbl, d in zip(labels, distances) if d <= best + tie_tol)
+    return GlobalResult(optima, dict(zip(labels, criterion.tolist())))
 
 
 def _moved(m: PseudoMassFunction) -> np.ndarray:
@@ -207,7 +209,8 @@ def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
 
 def global_l1_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global L1 pick: the maximal-plausibility element(s)."""
-    return select_optima(m.frame, _moved(m), tie_tol)
+    moved = _moved(m)
+    return select_optima(m.frame.elements, moved, moved, tie_tol)
 
 
 def _largest_outside(m: MassFunction) -> np.ndarray:
@@ -233,7 +236,8 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
 
 def global_linf_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
     """Global Linf pick: minimize the maximal mass outside the ultrafilter."""
-    return select_optima(m.frame, _largest_outside(m), tie_tol)
+    largest = _largest_outside(m)
+    return select_optima(m.frame.elements, largest, largest, tie_tol)
 
 
 def _l2_criterion(m: MassFunction, kind: SpaceKind) -> np.ndarray:
@@ -278,6 +282,7 @@ def global_l2_mass(m: MassFunction, kind: SpaceKind, tie_tol: float = TIE_TOL) -
     """Global L2 pick in the chosen mass embedding.
 
     Criterion values are the squared distances, built from the sum and the
-    sum of squares of the masses outside each ultrafilter.
+    sum of squares of the masses outside each ultrafilter; optima tie on distances.
     """
-    return select_optima(m.frame, _l2_criterion(m, kind), tie_tol)
+    squares = _l2_criterion(m, kind)
+    return select_optima(m.frame.elements, squares, np.sqrt(squares), tie_tol)

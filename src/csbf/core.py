@@ -336,9 +336,13 @@ class PseudoMassFunction(FrozenRecord):
         self.frame.check_mask(mask)
         return float(self._vector[mask])
 
+    def focal_masks(self) -> np.ndarray:
+        """Masks carrying mass beyond numerical noise, ascending, as an int array."""
+        return np.flatnonzero(np.abs(self._vector) > FOCAL_EPS)
+
     def focal_elements(self) -> tuple[int, ...]:
-        """Masks carrying mass beyond numerical noise, ascending."""
-        return tuple(np.flatnonzero(np.abs(self._vector) > FOCAL_EPS).tolist())
+        """:meth:`focal_masks` as a tuple of ints."""
+        return tuple(self.focal_masks().tolist())
 
     def is_admissible(self, tol: float = MASS_CLAMP_TOL) -> bool:
         return bool((self._vector >= -tol).all())
@@ -475,7 +479,7 @@ def mass_from_belief(view: BeliefView) -> PseudoMassFunction:
 
 def core_of(m: PseudoMassFunction) -> int:
     """Intersection of all focal elements; 0 when they share no element."""
-    return int(np.bitwise_and.reduce(m.focal_elements(), initial=m.frame.full_mask))
+    return int(np.bitwise_and.reduce(m.focal_masks(), initial=m.frame.full_mask))
 
 
 def is_consistent(m: PseudoMassFunction) -> bool:

@@ -21,8 +21,8 @@ row holds the global selector, the partial solver and the closed form read
 off a partial.  The CLI's ``approximate`` and ``verify`` run from it;
 ``SUPPORTED_PAIRS`` lists its keys, and ``closed_form_partial`` and
 ``library_global`` look it up.  Every comparison uses the one tolerance
-``MATCH_TOL``: a distance converges when it is that close to the closed form,
-and both argmin sets tie within it.
+``TIE_TOL``: a distance converges when it is that close to the closed form,
+and both argmin sets tie within it by the selectors' rule, ``select_optima``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import Frame, FrozenRecord, MassFunction, PseudoMassFunction, ultrafilter
 from .consistent_mass import (
+    TIE_TOL,
     GlobalResult,
     global_l1_mass,
     global_l2_mass,
@@ -44,6 +45,7 @@ from .consistent_mass import (
     partial_l1_mass,
     partial_l2_mass,
     partial_linf_mass,
+    select_optima,
 )
 from .consistent_belief import (
     focused_transform,
@@ -62,10 +64,6 @@ LP_MAX_PIVOTS = 1000
 
 #: Pivot, ratio-test and reduced-cost threshold; tableau entries are O(1).
 _LP_EPS = 1e-12
-
-#: How closely the oracle must reproduce a closed-form distance, and the tie
-#: tolerance of the global argmin sets on both sides of the comparison.
-MATCH_TOL = 1e-9
 
 
 class FrameTooLargeError(ValueError):
@@ -168,8 +166,8 @@ def closed_form_partial(
 
 
 def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:
-    """The library's global selector for one (norm, space) pair, ties within ``MATCH_TOL``."""
-    return _cell(p, space, "global selector").select(m, MATCH_TOL)
+    """The library's global selector for one (norm, space) pair, ties within ``TIE_TOL``."""
+    return _cell(p, space, "global selector").select(m, TIE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +314,7 @@ def brute_force_partial(
     """Minimize the Lp distance over one consistent component exactly.
 
     The report always carries the gap against the closed form; ``converged``
-    is false when the gap exceeds ``MATCH_TOL``.
+    is false when the gap exceeds ``TIE_TOL``.
     """
     frame = m.frame
     if frame.size > MAX_ORACLE_FRAME:
@@ -339,22 +337,20 @@ def brute_force_partial(
         closed_form_distance=closed_distance,
         oracle_point=point,
         max_gap=gap,
-        converged=gap <= MATCH_TOL,
+        converged=gap <= TIE_TOL,
     )
 
 
 def globals_agree(result: GlobalResult, reports: Mapping[str, OracleReport]) -> bool:
     """Tolerance-aware set agreement between library and oracle argmins.
 
-    Every library optimum must be oracle-optimal within the match tolerance,
-    and every oracle-optimal element (within the same tolerance) must be
-    closed-form-optimal within it, both measured on the attained distances
-    (same scale on both sides).
+    Every library optimum must be oracle-optimal, and every oracle-optimal
+    element closed-form-optimal, each set tying the attained distances within
+    ``TIE_TOL`` by the selectors' own rule, ``select_optima``.
     """
-    closed = {x: r.closed_form_distance for x, r in reports.items()}
-    oracle = {x: r.oracle_distance for x, r in reports.items()}
-    closed_min = min(closed.values())
-    oracle_min = min(oracle.values())
-    oracle_loose = {x for x, d in oracle.items() if d <= oracle_min + MATCH_TOL}
-    closed_loose = {x for x, d in closed.items() if d <= closed_min + MATCH_TOL}
-    return set(result.optima) <= oracle_loose and oracle_loose <= closed_loose
+    labels = tuple(reports)
+    oracle = np.array([r.oracle_distance for r in reports.values()])
+    closed = np.array([r.closed_form_distance for r in reports.values()])
+    oracle_loose = set(select_optima(labels, oracle, oracle, TIE_TOL).optima)
+    closed_loose = set(select_optima(labels, closed, closed, TIE_TOL).optima)
+    return set(result.optima) <= oracle_loose <= closed_loose

@@ -35,7 +35,8 @@ from csbf import (
     partial_linf_mass,
     verify_orthogonality,
 )
-from csbf.oracle import MATCH_TOL, SUPPORTED_PAIRS, globals_agree, library_global
+from csbf.consistent_mass import TIE_TOL
+from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
 from csbf.sampling import random_mass_function
 
 from conftest import ACCEPTANCE_LINES, TERNARY_MASSES, frame_of_size
@@ -226,7 +227,7 @@ def test_criterion_7_oracle_equivalence():
                 reports = {x: brute_force_partial(m, x, p, kind) for x in frame.elements}
                 for report in reports.values():
                     worst_gap = max(worst_gap, report.max_gap)
-                    if report.max_gap > MATCH_TOL:
+                    if report.max_gap > TIE_TOL:
                         distances_ok = False
                 if not globals_agree(library_global(m, p, kind), reports):
                     globals_ok = False
@@ -236,8 +237,8 @@ def test_criterion_7_oracle_equivalence():
     check(
         7,
         "oracle matches every closed form",
-        MATCH_TOL == 1e-9 and distances_ok and globals_ok and elapsed < 60.0,
-        f"{'; '.join(details)}; tol {MATCH_TOL:.0e}",
+        TIE_TOL == 1e-9 and distances_ok and globals_ok and elapsed < 60.0,
+        f"{'; '.join(details)}; tol {TIE_TOL:.0e}",
     )
 
 

@@ -14,6 +14,7 @@ from test_golden import MODES
 HERE = os.path.dirname(__file__)
 TERNARY = os.path.join(HERE, "..", "data", "ternary.json")
 VERIFY_N4 = os.path.join(HERE, "fixtures", "verify_n4_seed410.json")
+L2_NEAR_TIE = os.path.join(HERE, "fixtures", "l2_near_tie.json")
 TERNARY_VERIFY = os.path.join(HERE, "golden", "ternary-verify.json")
 
 
@@ -603,4 +604,11 @@ class TestVerify:
         )
         assert l1_check["library_optima"] == ["x", "y"]
         assert l1_check["agree"] is True
+        assert doc["all_ok"] is True
+        # x holds 5e-9 more mass than y, which puts x ahead by 5e-9 or more in
+        # every cell's distance: no tie, although the squared L2 mass criteria
+        # differ by only 5e-10
+        doc, _ = run_json(capsys, ["verify", L2_NEAR_TIE])
+        assert [c["library_optima"] for c in doc["global_checks"]] == [["x"]] * 7
+        assert all(c["agree"] is True for c in doc["global_checks"])
         assert doc["all_ok"] is True

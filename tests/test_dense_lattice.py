@@ -37,7 +37,7 @@ from csbf import (
 from csbf import consistent_belief, consistent_mass
 from csbf.consistent_mass import TIE_TOL, select_optima
 from csbf.core import coatoms, submax_transform
-from csbf.oracle import CELLS
+from csbf.oracle import CELLS, brute_force_partial, globals_agree
 from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
@@ -223,15 +223,71 @@ def test_symmetric_ties_are_returned_in_full(m):
 @given(st.integers(1, 7), st.data())
 @settings(max_examples=100, deadline=None)
 def test_select_optima_keeps_every_tie(n, data):
+    # ties are decided on the distances; the criterion, here their squares as
+    # for L2, is only reported, and a 3 * TIE_TOL gap in distance is no tie
+    # even where the squares differ by far less than TIE_TOL
     frame = frame_of_size(n)
     best = data.draw(st.floats(0.0, 1.0))
     offsets = data.draw(
         st.lists(st.sampled_from([0.0, TIE_TOL / 4, 3 * TIE_TOL, 0.5]), min_size=n, max_size=n)
     )
     offsets[data.draw(st.integers(0, n - 1))] = 0.0
-    values = np.array([best + d for d in offsets])
+    distances = np.array([best + d for d in offsets])
+    result = select_optima(frame.elements, distances**2, distances, TIE_TOL)
     within = tuple(x for x, d in zip(frame.elements, offsets) if d <= TIE_TOL / 4)
-    assert select_optima(frame, values, TIE_TOL).optima == within
+    assert result.optima == within
+    assert list(result.criterion_values.values()) == (distances**2).tolist()
+
+
+def near_tie(frame, closer, other, gap, a=0.1):
+    """A sparse document whose partial distances at ``closer`` and ``other`` are
+    the two best in every cell, with ``other``'s larger by ``gap`` times the
+    slope of the cell's distance in ``m({closer})``.
+
+    Each of the two elements misses only the other's singleton and the sets
+    holding neither; the latter carry no mass, and ``{closer, other}`` and its
+    supersets carry the rest, so every third element is far behind.
+    """
+    pair = frame.singleton(closer) | frame.singleton(other)
+    vector = np.zeros(frame.n_subsets)
+    vector[frame.singleton(other)] = a
+    vector[frame.singleton(closer)] = a + gap
+    vector[pair] = 0.3
+    vector[frame.full_mask] += 1.0 - vector.sum()
+    return MassFunction(frame, vector)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 16, 22])
+def test_every_cell_ties_on_distances(n):
+    # two best distances 0.5 * TIE_TOL apart tie, 2 * TIE_TOL apart do not,
+    # in every cell: checked against the partials' own distances on every
+    # frame, and against the oracle's argmin sets where it runs
+    rng = np.random.default_rng(n)
+    frame = Frame(tuple(f"e{i}" for i in range(n)))
+    closer, other = rng.choice(frame.elements, size=2, replace=False).tolist()
+    for (p, kind), cell in CELLS.items():
+        where = (p, kind.value)
+
+        def distance(m, x):
+            return cell.closed(cell.solve(m, x))[0]
+
+        # the distance at closer does not depend on the gap, and the one at
+        # other is affine in it, so one probe gives the slope
+        best = distance(near_tie(frame, closer, other, 0.0), closer)
+        slope = (distance(near_tie(frame, closer, other, 1e-3), other) - best) / 1e-3
+        for factor in (0.5, 2.0):
+            m = near_tie(frame, closer, other, factor * TIE_TOL / slope)
+            gap = distance(m, other) - best
+            assert abs(gap - factor * TIE_TOL) <= 0.1 * TIE_TOL, (where, factor, gap)
+            result = cell.select(m, TIE_TOL)
+            tied = {closer} if factor > 1 else {closer, other}
+            assert set(result.optima) == tied, (where, factor)
+            if n > 4:
+                continue
+            reports = {x: brute_force_partial(m, x, p, kind) for x in frame.elements}
+            oracle = {x: r.oracle_distance for x, r in reports.items()}
+            assert {x for x, d in oracle.items() if d <= min(oracle.values()) + TIE_TOL} == tied
+            assert globals_agree(result, reports), (where, factor)
 
 
 def test_selectors_build_no_partial_solution(ternary, rng, monkeypatch):
@@ -400,8 +456,9 @@ def test_large_frames_match_direct_per_focus_sums(n):
         result = cell.select(m, TIE_TOL)
         expected = {x: cells[x][key][0] for x in frame.elements}
         close([result.criterion_values[x] for x in frame.elements], list(expected.values()), key)
-        best = min(expected.values())
-        assert result.optima == tuple(x for x in frame.elements if expected[x] <= best + TIE_TOL)
+        direct = {x: math.sqrt(v) if key[0] == 2 else v for x, v in expected.items()}
+        best = min(direct.values())
+        assert result.optima == tuple(x for x in frame.elements if direct[x] <= best + TIE_TOL)
         for x in result.optima:
             payload = cell.solve(m, x)
             distance, point = cell.closed(payload)
