@@ -23,9 +23,7 @@ from .geometry import (
     EmbeddingSpace,
     PointVector,
     SpaceKind,
-    categorical_inner_product,
     embed,
-    lemma_alternating_sum,
     lp_distance,
 )
 from .consistent_mass import (
@@ -42,7 +40,6 @@ from .consistent_mass import (
 from .consistent_belief import (
     FocusedTransform,
     GammaBox,
-    find_global_l1_counterexample,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
@@ -58,7 +55,6 @@ from .oracle import (
     closed_form_partial,
     library_global,
 )
-from .sampling import random_mass_function
 
 __version__ = "0.1.0"
 
@@ -80,12 +76,10 @@ __all__ = [
     "SpaceKind",
     "belief_from_mass",
     "brute_force_partial",
-    "categorical_inner_product",
     "closed_form_partial",
     "contour",
     "core_of",
     "embed",
-    "find_global_l1_counterexample",
     "focused_transform",
     "gamma_to_mass",
     "global_l1_belief",
@@ -95,7 +89,6 @@ __all__ = [
     "global_linf_belief",
     "global_linf_mass",
     "is_consistent",
-    "lemma_alternating_sum",
     "library_global",
     "lp_distance",
     "mass_from_belief",
@@ -103,7 +96,6 @@ __all__ = [
     "partial_l2_mass",
     "partial_linf_belief",
     "partial_linf_mass",
-    "random_mass_function",
     "ultrafilter",
     "verify_orthogonality",
     "__version__",

@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .core import (
-    Frame,
     FrozenRecord,
     MassFunction,
     PseudoMassFunction,
@@ -39,8 +38,7 @@ from .core import (
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, global_l1_mass, in_box, select_optima
-from .sampling import random_mass_function
+from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, in_box, select_optima
 
 
 class FocusedTransform(FrozenRecord):
@@ -170,24 +168,3 @@ def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResul
     """Global Linf pick in belief coordinates: maximal-plausibility element(s)."""
     outside = belief_from_mass(m).belief[coatoms(m.frame)]
     return select_optima(m.frame.elements, outside, outside, tie_tol)
-
-
-def find_global_l1_counterexample(
-    frame: Frame,
-    seed: int = 20240,
-    max_draws: int = 100_000,
-    tie_tol: float = TIE_TOL,
-) -> tuple[MassFunction | None, int]:
-    """Search for an input whose global L1 belief pick is not maximally plausible.
-
-    Draws masses uniformly (Dirichlet over the full mass simplex, fixed seed)
-    until the global L1 optima differ, as a set, from the maximal-plausibility
-    elements (the global L1 mass pick).  Returns the witness and the number of
-    draws used, or ``(None, max_draws)`` when the search comes up empty.
-    """
-    rng = np.random.default_rng(seed)
-    for draw in range(1, max_draws + 1):
-        m = random_mass_function(frame, rng, full_support=True)
-        if set(global_l1_belief(m, tie_tol).optima) != set(global_l1_mass(m, tie_tol).optima):
-            return m, draw
-    return None, max_draws

@@ -92,8 +92,6 @@ class Frame(FrozenRecord):
             raise EvidenceError(
                 f"frame must have between 1 and {MAX_FRAME_SIZE} elements, got {len(elements)}"
             )
-        if len(set(elements)) != len(elements):
-            raise EvidenceError("frame elements must be unique")
         for label in elements:
             if not label or not isinstance(label, str):
                 raise EvidenceError("frame elements must be nonempty strings")
@@ -101,6 +99,8 @@ class Frame(FrozenRecord):
                 raise EvidenceError(
                     f"frame element {label!r} may not contain commas or outer whitespace"
                 )
+        if len(set(elements)) != len(elements):
+            raise EvidenceError("frame elements must be unique")
         # Label tables, kept out of the fields (so out of eq, hash and repr):
         # label -> bit, the text of every subset of the low and of the high
         # half of the elements (at most 2 * 2^12 strings), and the gather

@@ -90,45 +90,3 @@ def lp_distance(u: PointVector, v: PointVector, p: float) -> float:
     if p == math.inf:
         return float(np.max(np.abs(diff)))
     raise ValueError(f"unsupported norm order {p!r}")
-
-
-def _categorical_dot(frame: Frame, a: int, b: int) -> int:
-    # Belief vectors of categorical masses are superset indicators, so their
-    # dot product counts the proper supersets of the union.
-    return (1 << (frame.complement(a | b)).bit_count()) - 1
-
-
-def categorical_inner_product(frame: Frame, a: int, b: int) -> int:
-    """Belief-space inner product of two categorical belief functions.
-
-    Equals ``2^|complement(A union B)| - 1``, the number of proper subsets of
-    the frame containing both A and B.
-    """
-    if a == 0 or b == 0:
-        raise ValueError("categorical belief functions are indexed by nonempty subsets")
-    frame.check_mask(a)
-    frame.check_mask(b)
-    return _categorical_dot(frame, a, b)
-
-
-def lemma_alternating_sum(frame: Frame, a: int, b: int) -> int:
-    """Signed superset sum of categorical inner products.
-
-    Computes ``sum over C superset of B of <b_C, b_A> * (-1)^|C minus B|``.
-    For proper B it collapses to the subset indicator: 1 when A is a subset
-    of B, else 0; this is what lets the L2 optimality system row-reduce to
-    the L1 one in the belief space.  For B equal to the whole frame every
-    inner product vanishes and the sum is 0 (that row never occurs in the
-    system).
-    """
-    frame.check_mask(a)
-    frame.check_mask(b)
-    total = 0
-    rest = frame.complement(b)
-    sub = rest
-    while True:
-        sign = -1 if sub.bit_count() & 1 else 1
-        total += sign * _categorical_dot(frame, a, b | sub)
-        if sub == 0:
-            return total
-        sub = (sub - 1) & rest

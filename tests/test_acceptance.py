@@ -21,14 +21,12 @@ from csbf import (
     brute_force_partial,
     contour,
     core_of,
-    find_global_l1_counterexample,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
     global_l1_mass,
     global_l2_belief,
     global_linf_mass,
-    lemma_alternating_sum,
     partial_l1_mass,
     partial_l2_mass,
     partial_linf_belief,
@@ -37,9 +35,9 @@ from csbf import (
 )
 from csbf.consistent_mass import TIE_TOL
 from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
-from csbf.sampling import random_mass_function
 
 from conftest import ACCEPTANCE_LINES, TERNARY_MASSES, frame_of_size
+from paper_maths import find_global_l1_counterexample, lemma_alternating_sum, random_mass_function
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

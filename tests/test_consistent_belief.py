@@ -14,7 +14,6 @@ from csbf import (
     belief_from_mass,
     contour,
     embed,
-    find_global_l1_counterexample,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
@@ -25,9 +24,9 @@ from csbf import (
     verify_orthogonality,
 )
 from csbf.consistent_mass import TIE_TOL, box_corners
-from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
+from paper_maths import find_global_l1_counterexample, random_mass_function
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -22,9 +22,9 @@ from csbf import (
     partial_linf_mass,
 )
 from csbf.consistent_mass import box_corners, in_box
-from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
+from paper_maths import random_mass_function
 
 
 def masses_by_label(frame, result):

@@ -22,6 +22,7 @@ from csbf import cli
 from csbf.core import mobius_transform, superset_sum_transform, zeta_transform
 
 from conftest import frame_of_size
+from paper_maths import random_mass_function
 
 
 @st.composite
@@ -61,6 +62,9 @@ class TestFrame:
             Frame(("a,b",))
         with pytest.raises(EvidenceError):
             Frame(tuple(f"e{i}" for i in range(25)))
+        for unhashable in (["a"], {"a": 1}):
+            with pytest.raises(EvidenceError, match="frame elements must be nonempty strings"):
+                Frame((unhashable,))
 
     def test_rejects_out_of_range_mask(self):
         frame = Frame(("x", "y"))
@@ -314,8 +318,6 @@ class TestBelief:
     def test_belief_matches_naive_double_loop(self, rng):
         # independent oracle: O(4^n) subset-of-subset summation
         frame = frame_of_size(4)
-        from csbf.sampling import random_mass_function
-
         m = random_mass_function(frame, rng)
         view = belief_from_mass(m)
         for a in range(frame.n_subsets):
@@ -327,8 +329,6 @@ class TestBelief:
         assert all(v == 1.0 for v in contour(MassFunction.vacuous(frame)).values())
 
     def test_contour_matches_duality(self, rng):
-        from csbf.sampling import random_mass_function
-
         frame = frame_of_size(4)
         for _ in range(20):
             m = random_mass_function(frame, rng)
@@ -352,8 +352,6 @@ class TestMoebiusInversion:
         assert recovered.admissible
 
     def test_round_trip_many_random(self, rng):
-        from csbf.sampling import random_mass_function
-
         for i in range(1000):
             frame = frame_of_size(2 + i % 3)
             m = random_mass_function(frame, rng)
@@ -362,8 +360,6 @@ class TestMoebiusInversion:
             assert np.max(np.abs(back.belief - view.belief)) < 1e-12
 
     def test_round_trip_up_to_six_elements(self, rng):
-        from csbf.sampling import random_mass_function
-
         for size in (5, 6):
             frame = frame_of_size(size)
             for _ in range(50):
@@ -419,8 +415,6 @@ class TestCoreAndConsistency:
         assert not is_consistent(m)
 
     def test_core_elements_fully_plausible(self, rng):
-        from csbf.sampling import random_mass_function
-
         seen = 0
         for _ in range(300):
             frame = frame_of_size(3)
@@ -460,8 +454,6 @@ def test_contour_is_the_loop_sum_bit_for_bit(m):
 
 @pytest.mark.parametrize("n", [10, 14])
 def test_full_support_contour_is_the_loop_sum_bit_for_bit(n):
-    from csbf.sampling import random_mass_function
-
     frame = Frame(tuple(f"e{i}" for i in range(n)))
     m = random_mass_function(frame, np.random.default_rng(n), full_support=True)
     assert contour(m) == contour_by_loop(m)

@@ -38,9 +38,9 @@ from csbf import consistent_belief, consistent_mass
 from csbf.consistent_mass import TIE_TOL, select_optima
 from csbf.core import coatoms, submax_transform
 from csbf.oracle import CELLS, brute_force_partial, globals_agree
-from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
+from paper_maths import random_mass_function
 
 TOL = 1e-12
 

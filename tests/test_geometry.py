@@ -10,15 +10,13 @@ from csbf import (
     Frame,
     MassFunction,
     SpaceKind,
-    categorical_inner_product,
     embed,
-    lemma_alternating_sum,
     lp_distance,
     partial_l1_mass,
 )
-from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
+from paper_maths import categorical_inner_product, lemma_alternating_sum, random_mass_function
 
 
 def _space(kind, frame):

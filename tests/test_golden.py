@@ -165,7 +165,7 @@ def write_n6() -> None:
     import numpy as np
 
     from csbf.core import Frame
-    from csbf.sampling import random_mass_function
+    from paper_maths import random_mass_function
 
     frame = Frame(("a", "b", "c", "d", "e", "f"))
     m = random_mass_function(frame, np.random.default_rng(2014), full_support=True)

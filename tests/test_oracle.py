@@ -24,9 +24,9 @@ from csbf import (
 from csbf import cli, consistent_belief, oracle
 from csbf.consistent_mass import TIE_TOL
 from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
-from csbf.sampling import random_mass_function
 
 from conftest import frame_of_size
+from paper_maths import random_mass_function
 from test_golden import MODES, TERNARY
 
 

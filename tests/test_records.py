@@ -58,9 +58,28 @@ def test_import_does_not_load_dataclasses():
         "before = 'dataclasses' in sys.modules\n"
         "import csbf.cli\n"
         "assert before or 'dataclasses' not in sys.modules\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'csbf')))\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+    # the CLI loads the package and its six modules, and nothing test-only
+    assert proc.stdout.decode().split() == [
+        "csbf",
+        "csbf.cli",
+        "csbf.consistent_belief",
+        "csbf.consistent_mass",
+        "csbf.core",
+        "csbf.geometry",
+        "csbf.oracle",
+    ]
+    assert all(hasattr(csbf, name) for name in csbf.__all__)
+    moved = {
+        "categorical_inner_product",
+        "find_global_l1_counterexample",
+        "lemma_alternating_sum",
+        "random_mass_function",
+    }
+    assert moved.isdisjoint(csbf.__all__)
 
 
 def test_fields_cannot_be_assigned_or_deleted(ternary):
