@@ -92,19 +92,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _comparison_tolerance() -> float:
-    raw = os.environ.get("CSBF_TOLERANCE")
-    if raw is None:
-        return TIE_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CliError(f"CSBF_TOLERANCE is not a number: {raw!r}", EXIT_PARSE) from None
-    if not 0 < value < math.inf:
-        raise CliError(f"CSBF_TOLERANCE must be finite and positive, got {raw!r}", EXIT_PARSE)
-    return value
-
-
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """JSON object hook: a repeated key is an error, never a silent overwrite."""
     doc = dict(pairs)
@@ -232,7 +219,14 @@ def _block_text(block: _Block, indent: str) -> str:
 
 
 def _write(value: Any, indent: str, append: Callable[[str], None]) -> None:
-    """Pass the JSON text of ``value`` to ``append`` in chunks; see :func:`_dumps`."""
+    """Pass the JSON text of ``value`` to ``append`` in chunks.
+
+    Their join is ``json.dumps(value, indent=2, allow_nan=False)`` with
+    every real rounded by :func:`_real`.  Object keys must be strings.  A
+    :class:`_Block` is written as the ``{subset: value}`` object it stands
+    for by :func:`_block_text`, as one chunk; a scalar float by
+    :func:`_real` directly.
+    """
     if isinstance(value, str):
         append(encode_basestring_ascii(value))
     elif value is None:
@@ -275,21 +269,10 @@ def _write(value: Any, indent: str, append: Callable[[str], None]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _chunks(value: Any, indent: str = "") -> list[str]:
+def _chunks(value: Any) -> list[str]:
     chunks: list[str] = []
-    _write(value, indent, chunks.append)
+    _write(value, "", chunks.append)
     return chunks
-
-
-def _dumps(value: Any, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, every real rounded by :func:`_real`.
-
-    Object keys must be strings.  A :class:`_Block` is written as the
-    ``{subset: value}`` object it stands for by :func:`_block_text`; a
-    scalar float by :func:`_real` directly.  The text is built as a list of
-    chunks, each block's text one chunk, and joined once.
-    """
-    return "".join(_chunks(value, indent))
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -322,11 +305,11 @@ def _element_block(frame: Frame, by_label: Mapping[str, float]) -> _Block:
     return _Block(frame, 1 << np.arange(frame.size, dtype=np.int64), values)
 
 
-def _point_payload(m: PseudoMassFunction, focus: str, tol: float) -> dict:
+def _point_payload(m: PseudoMassFunction, focus: str) -> dict:
     masks = ultrafilter(m.frame, focus)
     return {
         "masses": _mass_block(m, masks),
-        "admissible": m.is_admissible(tol),
+        "admissible": m.admissible,
     }
 
 
@@ -334,7 +317,7 @@ def _interval_block(box: LinfBox, lo: np.ndarray, hi: np.ndarray) -> _Block:
     return _Block(box.frame, box.members, np.column_stack((lo, hi)))
 
 
-def _payload_box(box: LinfBox, space: SpaceKind, vertices: bool, tol: float) -> dict:
+def _payload_box(box: LinfBox, space: SpaceKind, vertices: bool) -> dict:
     payload = {"space": space.value, "distance": box.distance}
     if isinstance(box, ApproxBox):
         lo, hi, clipped = box.admissible_intervals()
@@ -345,14 +328,13 @@ def _payload_box(box: LinfBox, space: SpaceKind, vertices: bool, tol: float) -> 
         )
     else:
         payload["gamma_intervals"] = _interval_block(box, box.lower, box.upper)
-    payload["barycenter"] = _point_payload(box.barycenter, box.focus, tol)
+    payload["barycenter"] = _point_payload(box.barycenter, box.focus)
     if vertices:
-        payload["vertices"] = [_point_payload(corner, box.focus, tol) for corner in box.corners()]
+        payload["vertices"] = [_point_payload(corner, box.focus) for corner in box.corners()]
     return payload
 
 
 def cmd_approximate(args: argparse.Namespace) -> int:
-    tol = _comparison_tolerance()
     frame, m, echo = load_input(args.input)
 
     norm, space, rep = args.norm, args.space, args.rep
@@ -380,9 +362,9 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 
     def payload(partial) -> dict:
         if isinstance(partial, LinfBox):
-            return _payload_box(partial, kind, args.vertices, tol)
+            return _payload_box(partial, kind, args.vertices)
         distance, point = cell.closed(partial)
-        out = _point_payload(point, partial.focus, tol)
+        out = _point_payload(point, partial.focus)
         out.update(space=kind.value, distance=distance)
         if isinstance(partial, FocusedTransform):
             out.update(distance_l1=partial.distance_l1, distance_l2=partial.distance_l2)
@@ -399,7 +381,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         doc["focus"] = args.focus
         doc["result"] = payload(cell.solve(m, args.focus))
     else:
-        result = cell.select(m, tol)
+        result = cell.select(m)
         doc["focus"] = "global"
         doc["result"] = {
             "criterion": _element_block(frame, result.criterion_values),

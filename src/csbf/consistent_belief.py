@@ -94,20 +94,20 @@ def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TIE
     return all(abs(sums[mask]) <= tol for mask in range(1, frame.full_mask) if mask & xbit)
 
 
-def global_l1_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
+def global_l1_belief(m: MassFunction) -> GlobalResult:
     """Global L1 pick in belief coordinates.
 
     The criterion is the total belief of the subsets missing x, which is NOT
     in general minimized by the maximal-plausibility element.
     """
     total = _outside_belief(m)[0]
-    return select_optima(m.frame.elements, total, total, tie_tol)
+    return select_optima(m.frame.elements, total, total)
 
 
-def global_l2_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
+def global_l2_belief(m: MassFunction) -> GlobalResult:
     """Global L2 pick in belief coordinates; the criterion is squared, optima tie on distances."""
     squares = _outside_belief(m)[1]
-    return select_optima(m.frame.elements, squares, np.sqrt(squares), tie_tol)
+    return select_optima(m.frame.elements, squares, np.sqrt(squares))
 
 
 class GammaBox(LinfBox):
@@ -164,7 +164,7 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
     return box._shifted(box._shift(gamma_point - box.midpoint()))
 
 
-def global_linf_belief(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
+def global_linf_belief(m: MassFunction) -> GlobalResult:
     """Global Linf pick in belief coordinates: maximal-plausibility element(s)."""
     outside = belief_from_mass(m).belief[coatoms(m.frame)]
-    return select_optima(m.frame.elements, outside, outside, tie_tol)
+    return select_optima(m.frame.elements, outside, outside)

@@ -173,12 +173,12 @@ class GlobalResult(FrozenRecord):
 
 
 def select_optima(
-    labels: Sequence[str], criterion: np.ndarray, distances: np.ndarray, tie_tol: float
+    labels: Sequence[str], criterion: np.ndarray, distances: np.ndarray
 ) -> GlobalResult:
-    """The one tie rule: the labels within ``tie_tol`` of the least of ``distances``."""
+    """The one tie rule: the labels within ``TIE_TOL`` of the least of ``distances``."""
     distances = distances.tolist()
     best = min(distances)
-    optima = tuple(lbl for lbl, d in zip(labels, distances) if d <= best + tie_tol)
+    optima = tuple(lbl for lbl, d in zip(labels, distances) if d <= best + TIE_TOL)
     return GlobalResult(optima, dict(zip(labels, criterion.tolist())))
 
 
@@ -207,10 +207,10 @@ def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
     return PartialApprox(x, result, moved, EmbeddingSpace(SpaceKind.MASS_N2, frame))
 
 
-def global_l1_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
+def global_l1_mass(m: MassFunction) -> GlobalResult:
     """Global L1 pick: the maximal-plausibility element(s)."""
     moved = _moved(m)
-    return select_optima(m.frame.elements, moved, moved, tie_tol)
+    return select_optima(m.frame.elements, moved, moved)
 
 
 def _largest_outside(m: MassFunction) -> np.ndarray:
@@ -234,10 +234,10 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     return ApproxBox(x, members, inside - slack, inside + slack, barycenter, slack)
 
 
-def global_linf_mass(m: MassFunction, tie_tol: float = TIE_TOL) -> GlobalResult:
+def global_linf_mass(m: MassFunction) -> GlobalResult:
     """Global Linf pick: minimize the maximal mass outside the ultrafilter."""
     largest = _largest_outside(m)
-    return select_optima(m.frame.elements, largest, largest, tie_tol)
+    return select_optima(m.frame.elements, largest, largest)
 
 
 def _l2_criterion(m: MassFunction, kind: SpaceKind) -> np.ndarray:
@@ -278,11 +278,11 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
     return PartialApprox(x, result, distance, EmbeddingSpace(kind, frame))
 
 
-def global_l2_mass(m: MassFunction, kind: SpaceKind, tie_tol: float = TIE_TOL) -> GlobalResult:
+def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:
     """Global L2 pick in the chosen mass embedding.
 
     Criterion values are the squared distances, built from the sum and the
     sum of squares of the masses outside each ultrafilter; optima tie on distances.
     """
     squares = _l2_criterion(m, kind)
-    return select_optima(m.frame.elements, squares, np.sqrt(squares), tie_tol)
+    return select_optima(m.frame.elements, squares, np.sqrt(squares))

@@ -304,7 +304,7 @@ class PseudoMassFunction(FrozenRecord):
         if isinstance(masses, Mapping):
             masses = mass_vector(frame, masses, _int_mask)
         vector = np.asarray(masses)
-        if vector.dtype.kind not in "biuf" or vector.shape != (frame.n_subsets,):
+        if vector.dtype.kind not in "iuf" or vector.shape != (frame.n_subsets,):
             raise EvidenceError(
                 f"a mass vector must hold {frame.n_subsets} reals, not {vector.dtype}{vector.shape}"
             )
@@ -344,12 +344,9 @@ class PseudoMassFunction(FrozenRecord):
         """:meth:`focal_masks` as a tuple of ints."""
         return tuple(self.focal_masks().tolist())
 
-    def is_admissible(self, tol: float = MASS_CLAMP_TOL) -> bool:
-        return bool((self._vector >= -tol).all())
-
     @property
     def admissible(self) -> bool:
-        return self.is_admissible()
+        return bool((self._vector >= -MASS_CLAMP_TOL).all())
 
     def allclose(self, other: "PseudoMassFunction", tol: float = 1e-12) -> bool:
         if self.frame != other.frame:
@@ -430,7 +427,7 @@ class MassFunction(PseudoMassFunction):
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
-        return cls(frame, np.arange(frame.n_subsets) == frame.full_mask)
+        return cls(frame, {frame.full_mask: 1.0})
 
 
 class BeliefView(FrozenRecord):

@@ -90,11 +90,11 @@ class OracleReport(FrozenRecord):
 
 
 class Cell(FrozenRecord):
-    """One (norm, space) cell: ``select(m, tie_tol)`` is its global selector,
-    which returns the optima and criterion values only; ``solve(m, x)`` is its
-    partial solver, and ``closed(partial)`` reads off a partial's distance and
-    a minimizer, for Linf the solution-set barycenter.  A row is the one place
-    that pairs a criterion with its partial solver.
+    """One (norm, space) cell: ``select(m)`` is its global selector, which
+    returns the optima, tied within ``TIE_TOL``, and the criterion values only;
+    ``solve(m, x)`` is its partial solver, and ``closed(partial)`` reads off a
+    partial's distance and a minimizer, for Linf the solution-set barycenter.
+    A row is the one place that pairs a criterion with its partial solver.
     """
 
     def __init__(self, select: Callable, solve: Callable, closed: Callable) -> None:
@@ -107,37 +107,37 @@ class Cell(FrozenRecord):
 #: reaches these calls.  Both Linf rows read the box's stored barycenter.
 CELLS: dict[tuple[float, SpaceKind], Cell] = {
     (1, SpaceKind.MASS_N2): Cell(
-        lambda m, t: global_l1_mass(m, t),
+        lambda m: global_l1_mass(m),
         lambda m, x: partial_l1_mass(m, x),
         attrgetter("distance", "result"),
     ),
     (2, SpaceKind.MASS_N2): Cell(
-        lambda m, t: global_l2_mass(m, SpaceKind.MASS_N2, t),
+        lambda m: global_l2_mass(m, SpaceKind.MASS_N2),
         lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N2),
         attrgetter("distance", "result"),
     ),
     (2, SpaceKind.MASS_N1): Cell(
-        lambda m, t: global_l2_mass(m, SpaceKind.MASS_N1, t),
+        lambda m: global_l2_mass(m, SpaceKind.MASS_N1),
         lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N1),
         attrgetter("distance", "result"),
     ),
     (math.inf, SpaceKind.MASS_N2): Cell(
-        lambda m, t: global_linf_mass(m, t),
+        lambda m: global_linf_mass(m),
         lambda m, x: partial_linf_mass(m, x),
         attrgetter("distance", "barycenter"),
     ),
     (1, SpaceKind.BELIEF): Cell(
-        lambda m, t: global_l1_belief(m, t),
+        lambda m: global_l1_belief(m),
         lambda m, x: focused_transform(m, x),
         attrgetter("distance_l1", "result"),
     ),
     (2, SpaceKind.BELIEF): Cell(
-        lambda m, t: global_l2_belief(m, t),
+        lambda m: global_l2_belief(m),
         lambda m, x: focused_transform(m, x),
         attrgetter("distance_l2", "result"),
     ),
     (math.inf, SpaceKind.BELIEF): Cell(
-        lambda m, t: global_linf_belief(m, t),
+        lambda m: global_linf_belief(m),
         lambda m, x: partial_linf_belief(m, x),
         attrgetter("distance", "barycenter"),
     ),
@@ -167,7 +167,7 @@ def closed_form_partial(
 
 def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:
     """The library's global selector for one (norm, space) pair, ties within ``TIE_TOL``."""
-    return _cell(p, space, "global selector").select(m, TIE_TOL)
+    return _cell(p, space, "global selector").select(m)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +351,6 @@ def globals_agree(result: GlobalResult, reports: Mapping[str, OracleReport]) -> 
     labels = tuple(reports)
     oracle = np.array([r.oracle_distance for r in reports.values()])
     closed = np.array([r.closed_form_distance for r in reports.values()])
-    oracle_loose = set(select_optima(labels, oracle, oracle, TIE_TOL).optima)
-    closed_loose = set(select_optima(labels, closed, closed, TIE_TOL).optima)
+    oracle_loose = set(select_optima(labels, oracle, oracle).optima)
+    closed_loose = set(select_optima(labels, closed, closed).optima)
     return set(result.optima) <= oracle_loose <= closed_loose

@@ -9,7 +9,7 @@ from csbf import EvidenceError, Frame, MassFunction, PseudoMassFunction
 from csbf.cli import main
 
 from conftest import run_python
-from test_golden import MODES
+from test_golden import CASES as GOLDEN_CASES, MODES
 
 HERE = os.path.dirname(__file__)
 TERNARY = os.path.join(HERE, "..", "data", "ternary.json")
@@ -196,21 +196,17 @@ class TestApproximate:
         assert out == ""
         assert json.loads(target.read_text())["result"]["optima"] == ["y"]
 
-    def test_tolerance_env_widens_ties(self, capsys, monkeypatch):
-        monkeypatch.setenv("CSBF_TOLERANCE", "0.25")
-        doc, _ = run_json(
-            capsys, ["approximate", TERNARY, "--norm", "l1", "--space", "mass", "--global"]
-        )
-        assert doc["result"]["optima"] == ["x", "y"]
-
-    def test_bad_tolerance_env(self, capsys, monkeypatch):
-        for raw in ("lots", "nan", "inf", "-inf", "0", "-1e-9"):
+    @pytest.mark.parametrize("raw", ["0.25", "0.5", "lots", "nan", "0"])
+    def test_tolerance_env_is_not_read(self, capsys, monkeypatch, raw):
+        # ties and admissibility flags use the package's constants: 0.25 would
+        # tie x with y, 0.5 would pass the negative corners, the rest are no
+        # tolerance at all, and none of them moves a byte
+        for name in ("ternary-l1-mass-global", "ternary-linf-mass-x-vertices"):
+            monkeypatch.delenv("CSBF_TOLERANCE", raising=False)
+            unset = run(capsys, GOLDEN_CASES[name])
+            assert (unset[0], unset[2]) == (0, ""), name
             monkeypatch.setenv("CSBF_TOLERANCE", raw)
-            code, out, err = run(
-                capsys, ["approximate", TERNARY, "--norm", "l1", "--space", "mass", "--global"]
-            )
-            assert (code, out) == (2, ""), raw
-            assert "CSBF_TOLERANCE" in err, raw
+            assert run(capsys, GOLDEN_CASES[name]) == unset, name
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -241,15 +237,6 @@ class TestOutputContracts:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
-
-    def test_tolerance_env_loosens_admissibility_flags(self, capsys, monkeypatch):
-        monkeypatch.setenv("CSBF_TOLERANCE", "0.5")
-        doc, _ = run_json(
-            capsys,
-            ["approximate", TERNARY, "--norm", "linf", "--space", "mass", "--focus", "x",
-             "--vertices"],
-        )
-        assert all(v["admissible"] for v in doc["result"]["vertices"])
 
     def test_single_element_frame(self, capsys, tmp_path):
         path = write_doc(tmp_path, "one.json", {"frame": ["x"], "masses": {"x": 1.0}})

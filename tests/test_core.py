@@ -23,6 +23,7 @@ from csbf.core import mobius_transform, superset_sum_transform, zeta_transform
 
 from conftest import frame_of_size
 from paper_maths import random_mass_function
+from test_writer import _dumps
 
 
 @st.composite
@@ -279,12 +280,16 @@ class TestMassVector:
                 m = cls(frame, masses)
                 assert m.masses == {3: 1.0}
                 assert not np.signbit(m.as_array()).any()
-                text = cli._dumps({"masses": cli._mass_block(m, [1, 3])})
+                text = _dumps({"masses": cli._mass_block(m, [1, 3])})
                 assert '"x": 0.0,' in text
 
     def test_wrong_length_or_kind_rejected(self):
         frame = Frame(("x", "y"))
-        for bad in (np.ones(3) / 3, np.ones(5) / 4, np.eye(4), np.array(["0", "1", "0", "0"])):
+        bad_vectors = (
+            np.ones(3) / 3, np.ones(5) / 4, np.eye(4), np.array(["0", "1", "0", "0"]),
+            [False, True, False, False],
+        )
+        for bad in bad_vectors:
             with pytest.raises(EvidenceError, match="a mass vector must hold 4 reals"):
                 MassFunction(frame, bad)
 

@@ -183,7 +183,7 @@ def test_consistent_inputs_are_fixed_points(m):
     # criterion contribution is far above the tie tolerance
     core = tuple(x for i, x in enumerate(m.frame.elements) if core_of(m) >> i & 1)
     for key, cell in CELLS.items():
-        result = cell.select(m, TIE_TOL)
+        result = cell.select(m)
         assert [result.criterion_values[x] for x in core] == [0.0] * len(core), key
         assert result.optima == core, key
         for x in result.optima:
@@ -233,7 +233,7 @@ def test_select_optima_keeps_every_tie(n, data):
     )
     offsets[data.draw(st.integers(0, n - 1))] = 0.0
     distances = np.array([best + d for d in offsets])
-    result = select_optima(frame.elements, distances**2, distances, TIE_TOL)
+    result = select_optima(frame.elements, distances**2, distances)
     within = tuple(x for x, d in zip(frame.elements, offsets) if d <= TIE_TOL / 4)
     assert result.optima == within
     assert list(result.criterion_values.values()) == (distances**2).tolist()
@@ -279,7 +279,7 @@ def test_every_cell_ties_on_distances(n):
             m = near_tie(frame, closer, other, factor * TIE_TOL / slope)
             gap = distance(m, other) - best
             assert abs(gap - factor * TIE_TOL) <= 0.1 * TIE_TOL, (where, factor, gap)
-            result = cell.select(m, TIE_TOL)
+            result = cell.select(m)
             tied = {closer} if factor > 1 else {closer, other}
             assert set(result.optima) == tied, (where, factor)
             if n > 4:
@@ -321,7 +321,7 @@ def test_partial_distance_is_the_criterion_value_bit_for_bit(rng):
         for _ in range(20):
             m = random_mass_function(frame, rng)
             for (p, kind), cell in CELLS.items():
-                values = cell.select(m, TIE_TOL).criterion_values
+                values = cell.select(m).criterion_values
                 for x in frame.elements:
                     distance = cell.closed(cell.solve(m, x))[0]
                     expected = math.sqrt(values[x]) if p == 2 else values[x]
@@ -381,7 +381,7 @@ def test_every_cell_is_equivariant_under_relabelling(pair):
     m, image = pair
     for (p, kind), cell in CELLS.items():
         where = (p, kind.value)
-        result, moved = cell.select(m, TIE_TOL), cell.select(image, TIE_TOL)
+        result, moved = cell.select(m), cell.select(image)
         for x in m.frame.elements:
             gap = abs(result.criterion_values[x] - moved.criterion_values[x])
             assert gap <= TOL, (where, x)
@@ -453,7 +453,7 @@ def test_large_frames_match_direct_per_focus_sums(n):
         assert np.allclose(got, expected, rtol=TOL, atol=TOL), what
 
     for key, cell in CELLS.items():
-        result = cell.select(m, TIE_TOL)
+        result = cell.select(m)
         expected = {x: cells[x][key][0] for x in frame.elements}
         close([result.criterion_values[x] for x in frame.elements], list(expected.values()), key)
         direct = {x: math.sqrt(v) if key[0] == 2 else v for x, v in expected.items()}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csbf.cli import _Block, _dumps, _emit, _real, _reals
+from csbf.cli import _Block, _chunks, _emit, _real, _reals
 from csbf.core import EvidenceError, Frame
 
 
@@ -28,6 +28,11 @@ def round12(value):
     if isinstance(value, (list, tuple)):
         return [round12(v) for v in value]
     return value
+
+
+def _dumps(value) -> str:
+    """The writer's JSON text of ``value``: its chunks, joined."""
+    return "".join(_chunks(value))
 
 
 def reference(doc) -> str:
