@@ -11,7 +11,7 @@ digits, which keeps repeated runs byte-identical.
 
 Exit codes: 0 ok, 1 verification found a gap, 2 unreadable or invalid input,
 3 invalid flag combination, 4 unknown focus element, 5 frame too large to
-verify, 6 output file cannot be written.
+verify, 6 output file cannot be written, 7 out of memory.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    TOL,
     EvidenceError,
     Frame,
     MassFunction,
     PseudoMassFunction,
     belief_from_mass,
+    clear_noise,
     contour,
     core_of,
     mass_vector,
@@ -43,7 +45,6 @@ from .core import (
 # gamma_to_mass at this module's attributes, so they stay bound here; the
 # commands run ``CELLS``, and box corners come from ``LinfBox.corners``.
 from .consistent_mass import (
-    TIE_TOL,
     ApproxBox,
     LinfBox,
     global_l1_mass,
@@ -78,6 +79,7 @@ EXIT_FLAGS = 3
 EXIT_FOCUS = 4
 EXIT_FRAME = 5
 EXIT_WRITE = 6
+EXIT_MEMORY = 7
 
 INGEST_SUM_TOL = 1e-6
 #: ``--norm`` label -> p of the Lp norm, the first half of a ``CELLS`` key.
@@ -102,7 +104,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
-    """Parse an input document, renormalizing near-unit mass sums with a warning."""
+    """Parse an input document; clear mass noise, then renormalize a near-unit sum with a warning."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
@@ -119,6 +121,7 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
     # from here on a fault raises EvidenceError, which main reports with exit code 2
     frame = Frame(tuple(labels))
     vector = mass_vector(frame, raw["masses"], Frame.parse_subset)
+    clear_noise(vector)
     # Builtin sum in ascending mask order: document order when the keys ascend,
     # as in every golden and benchmark document, and the same for any key order.
     total = sum(vector[vector != 0.0].tolist())
@@ -454,7 +457,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "command": "verify",
         "input": echo,
-        "config": {"match_tolerance": TIE_TOL},
+        "config": {"match_tolerance": TOL},
         "reports": reports,
         "global_checks": checks,
         "all_ok": all_ok,
@@ -506,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvidenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_MEMORY
 
 
 def entry() -> None:

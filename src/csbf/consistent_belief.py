@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .core import (
+    TOL,
     FrozenRecord,
     MassFunction,
     PseudoMassFunction,
@@ -38,7 +39,7 @@ from .core import (
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import TIE_TOL, GlobalResult, LinfBox, in_box, select_optima
+from .consistent_mass import GlobalResult, LinfBox, in_box, select_optima
 
 
 class FocusedTransform(FrozenRecord):
@@ -77,7 +78,7 @@ def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
     return FocusedTransform(x, _focused_masses(m, x), float(total[i]), math.sqrt(squares[i]))
 
 
-def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TIE_TOL) -> bool:
+def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TOL) -> bool:
     """L2-optimality certificate for a focused transform.
 
     Checks that the belief-space residual is orthogonal to the categorical
@@ -126,7 +127,7 @@ class GammaBox(LinfBox):
         # every point of the box has the same gamma on the full frame
         return mobius_transform(np.append(offsets, 0.0))
 
-    def contains(self, gamma_point: np.ndarray, tol: float = TIE_TOL) -> bool:
+    def contains(self, gamma_point: np.ndarray, tol: float = TOL) -> bool:
         if np.shape(gamma_point) != self.lower.shape:
             return False
         return in_box(self.lower, self.upper, gamma_point, tol)

@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    TOL,
     Frame,
     FrozenRecord,
     MassFunction,
@@ -47,9 +48,6 @@ from .core import (
     zeta_transform,
 )
 from .geometry import EmbeddingSpace, SpaceKind
-
-#: The tolerance, in distance units, of every global tie and of the oracle's gaps.
-TIE_TOL = 1e-9
 
 
 class PartialApprox(FrozenRecord):
@@ -135,7 +133,7 @@ class ApproxBox(LinfBox):
         lo, hi = np.maximum(0.0, self.lower), np.minimum(1.0, self.upper)
         return lo, hi, bool((lo > self.lower).any() or (hi < self.upper).any())
 
-    def contains(self, masses: PseudoMassFunction, tol: float = TIE_TOL) -> bool:
+    def contains(self, masses: PseudoMassFunction, tol: float = TOL) -> bool:
         """Ultrafilter masses within their intervals, every mass outside within ``tol`` of 0.
 
         A mass function on another frame is never contained.
@@ -175,10 +173,10 @@ class GlobalResult(FrozenRecord):
 def select_optima(
     labels: Sequence[str], criterion: np.ndarray, distances: np.ndarray
 ) -> GlobalResult:
-    """The one tie rule: the labels within ``TIE_TOL`` of the least of ``distances``."""
+    """The one tie rule: the labels within ``TOL`` of the least of ``distances``."""
     distances = distances.tolist()
     best = min(distances)
-    optima = tuple(lbl for lbl, d in zip(labels, distances) if d <= best + TIE_TOL)
+    optima = tuple(lbl for lbl, d in zip(labels, distances) if d <= best + TOL)
     return GlobalResult(optima, dict(zip(labels, criterion.tolist())))
 
 

@@ -23,14 +23,8 @@ import numpy as np
 #: Hard cap on frame size so the full powerset stays enumerable.
 MAX_FRAME_SIZE = 24
 
-#: Ingestion tolerance: mass values must sum to one within this.
-MASS_SUM_TOL = 1e-9
-
-#: Input masses in [-MASS_CLAMP_TOL, 0) are treated as rounding noise.
-MASS_CLAMP_TOL = 1e-9
-
-#: Threshold above which a (possibly computed) mass value counts as focal.
-FOCAL_EPS = 1e-9
+#: The one tolerance of masses and of their sums, norms and distances.
+TOL = 1e-9
 
 
 class EvidenceError(ValueError):
@@ -313,13 +307,13 @@ class PseudoMassFunction(FrozenRecord):
             mask = int(np.argmin(np.isfinite(vector)))
             text = frame.format_subset(mask)
             raise EvidenceError(f"mass of {text!r} is not finite: {float(vector[mask])!r}")
-        if abs(vector[0]) > MASS_SUM_TOL:
+        if abs(vector[0]) > TOL:
             raise EvidenceError("the empty set may not carry mass")
         vector[0] = 0.0
         self._ingest(vector)
         vector += 0.0  # -0.0 + 0.0 is 0.0
         total = float(vector.sum())
-        if abs(total - 1.0) > MASS_SUM_TOL:
+        if abs(total - 1.0) > TOL:
             raise EvidenceError(f"mass values must sum to 1, got {total!r}")
         vector.setflags(write=False)
         vars(self).update(frame=frame, _vector=vector)
@@ -338,15 +332,11 @@ class PseudoMassFunction(FrozenRecord):
 
     def focal_masks(self) -> np.ndarray:
         """Masks carrying mass beyond numerical noise, ascending, as an int array."""
-        return np.flatnonzero(np.abs(self._vector) > FOCAL_EPS)
-
-    def focal_elements(self) -> tuple[int, ...]:
-        """:meth:`focal_masks` as a tuple of ints."""
-        return tuple(self.focal_masks().tolist())
+        return np.flatnonzero(np.abs(self._vector) > TOL)
 
     @property
     def admissible(self) -> bool:
-        return bool((self._vector >= -MASS_CLAMP_TOL).all())
+        return bool((self._vector >= -TOL).all())
 
     def allclose(self, other: "PseudoMassFunction", tol: float = 1e-12) -> bool:
         if self.frame != other.frame:
@@ -396,6 +386,11 @@ def mass_vector(
     return vector
 
 
+def clear_noise(vector: np.ndarray) -> None:
+    """The one noise rule: zero, in place, the masses in ``[-TOL, 0)``."""
+    vector[(vector < 0.0) & (vector >= -TOL)] = 0.0
+
+
 def _label_mask(frame: Frame, key: object) -> int:
     """Mask of a :meth:`PseudoMassFunction.from_labels` key."""
     if isinstance(key, str):
@@ -416,14 +411,14 @@ def _int_mask(frame: Frame, key: object) -> int:
 class MassFunction(PseudoMassFunction):
     """Basic probability assignment: nonnegative masses summing to one.
 
-    Input values in ``[-MASS_CLAMP_TOL, 0)`` are clamped to zero; anything
-    more negative is rejected.
+    Input values in ``[-TOL, 0)`` are noise, cleared by :func:`clear_noise`;
+    anything more negative is rejected.
     """
 
     def _ingest(self, vector: np.ndarray) -> None:
-        if vector.min() < -MASS_CLAMP_TOL:
+        if vector.min() < -TOL:
             raise EvidenceError(f"negative mass {float(vector.min())!r}")
-        np.maximum(vector, 0.0, out=vector)
+        clear_noise(vector)
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -449,7 +444,7 @@ class BeliefView(FrozenRecord):
         belief = np.asarray(belief, dtype=float)
         if belief.shape != (frame.n_subsets,):
             raise EvidenceError("belief array length must be 2^|frame|")
-        if abs(belief[0]) > MASS_SUM_TOL or abs(belief[-1] - 1.0) > MASS_SUM_TOL:
+        if abs(belief[0]) > TOL or abs(belief[-1] - 1.0) > TOL:
             raise EvidenceError("belief must vanish on the empty set and reach 1 on the frame")
         # pl(A) = 1 - b(complement A); complementing a mask reverses the index order.
         plausibility = 1.0 - belief[::-1]

@@ -21,7 +21,7 @@ row holds the global selector, the partial solver and the closed form read
 off a partial.  The CLI's ``approximate`` and ``verify`` run from it;
 ``SUPPORTED_PAIRS`` lists its keys, and ``closed_form_partial`` and
 ``library_global`` look it up.  Every comparison uses the one tolerance
-``TIE_TOL``: a distance converges when it is that close to the closed form,
+``TOL``: a distance converges when it is that close to the closed form,
 and both argmin sets tie within it by the selectors' rule, ``select_optima``.
 """
 
@@ -35,9 +35,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import Frame, FrozenRecord, MassFunction, PseudoMassFunction, ultrafilter
+from .core import TOL, Frame, FrozenRecord, MassFunction, PseudoMassFunction, ultrafilter
 from .consistent_mass import (
-    TIE_TOL,
     GlobalResult,
     global_l1_mass,
     global_l2_mass,
@@ -91,7 +90,7 @@ class OracleReport(FrozenRecord):
 
 class Cell(FrozenRecord):
     """One (norm, space) cell: ``select(m)`` is its global selector, which
-    returns the optima, tied within ``TIE_TOL``, and the criterion values only;
+    returns the optima, tied within ``TOL``, and the criterion values only;
     ``solve(m, x)`` is its partial solver, and ``closed(partial)`` reads off a
     partial's distance and a minimizer, for Linf the solution-set barycenter.
     A row is the one place that pairs a criterion with its partial solver.
@@ -166,7 +165,7 @@ def closed_form_partial(
 
 
 def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:
-    """The library's global selector for one (norm, space) pair, ties within ``TIE_TOL``."""
+    """The library's global selector for one (norm, space) pair, ties within ``TOL``."""
     return _cell(p, space, "global selector").select(m)
 
 
@@ -314,7 +313,7 @@ def brute_force_partial(
     """Minimize the Lp distance over one consistent component exactly.
 
     The report always carries the gap against the closed form; ``converged``
-    is false when the gap exceeds ``TIE_TOL``.
+    is false when the gap exceeds ``TOL``.
     """
     frame = m.frame
     if frame.size > MAX_ORACLE_FRAME:
@@ -337,7 +336,7 @@ def brute_force_partial(
         closed_form_distance=closed_distance,
         oracle_point=point,
         max_gap=gap,
-        converged=gap <= TIE_TOL,
+        converged=gap <= TOL,
     )
 
 
@@ -346,7 +345,7 @@ def globals_agree(result: GlobalResult, reports: Mapping[str, OracleReport]) -> 
 
     Every library optimum must be oracle-optimal, and every oracle-optimal
     element closed-form-optimal, each set tying the attained distances within
-    ``TIE_TOL`` by the selectors' own rule, ``select_optima``.
+    ``TOL`` by the selectors' own rule, ``select_optima``.
     """
     labels = tuple(reports)
     oracle = np.array([r.oracle_distance for r in reports.values()])

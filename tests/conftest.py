@@ -42,10 +42,11 @@ def frame_of_size(n: int) -> Frame:
     return Frame(labels[:n])
 
 
-def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, preexec_fn=None, **env: str) -> subprocess.CompletedProcess:
     """A fresh interpreter on ``args``, with this checkout's ``src`` on its path.
 
-    ``env`` adds to or overrides the inherited environment.
+    ``env`` adds to or overrides the inherited environment; ``preexec_fn``
+    runs in the child before the interpreter starts.
     """
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -54,4 +55,5 @@ def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
         env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         timeout=120,
+        preexec_fn=preexec_fn,
     )

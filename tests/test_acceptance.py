@@ -33,7 +33,7 @@ from csbf import (
     partial_linf_mass,
     verify_orthogonality,
 )
-from csbf.consistent_mass import TIE_TOL
+from csbf.core import TOL
 from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
 
 from conftest import ACCEPTANCE_LINES, TERNARY_MASSES, frame_of_size
@@ -225,7 +225,7 @@ def test_criterion_7_oracle_equivalence():
                 reports = {x: brute_force_partial(m, x, p, kind) for x in frame.elements}
                 for report in reports.values():
                     worst_gap = max(worst_gap, report.max_gap)
-                    if report.max_gap > TIE_TOL:
+                    if report.max_gap > TOL:
                         distances_ok = False
                 if not globals_agree(library_global(m, p, kind), reports):
                     globals_ok = False
@@ -235,8 +235,8 @@ def test_criterion_7_oracle_equivalence():
     check(
         7,
         "oracle matches every closed form",
-        TIE_TOL == 1e-9 and distances_ok and globals_ok and elapsed < 60.0,
-        f"{'; '.join(details)}; tol {TIE_TOL:.0e}",
+        TOL == 1e-9 and distances_ok and globals_ok and elapsed < 60.0,
+        f"{'; '.join(details)}; tol {TOL:.0e}",
     )
 
 

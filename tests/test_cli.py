@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csbf import EvidenceError, Frame, MassFunction, PseudoMassFunction
-from csbf.cli import main
+from csbf.cli import load_input, main
+from csbf.core import TOL
 
-from conftest import run_python
+from conftest import frame_of_size, run_python
+from paper_maths import random_mass_function
 from test_golden import CASES as GOLDEN_CASES, MODES
 
 HERE = os.path.dirname(__file__)
@@ -311,10 +318,83 @@ class TestInspect:
         assert "renormalized" in err
         assert abs(sum(doc["input"]["masses"].values()) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "masses", [{"x": 1.0, "y": -1e-9}, {"x": -1e-10, "y": 1.0}], ids=["y=-1e-9", "x=-1e-10"]
+    )
+    def test_mass_noise_is_cleared_before_the_sum(self, capsys, tmp_path, masses):
+        # masses in [-TOL, 0) are noise: the CLI reads the assignment the
+        # library reads, with no renormalization and no warning
+        frame = Frame(("x", "y"))
+        expected = {
+            frame.format_subset(mask): mass
+            for mask, mass in MassFunction.from_labels(frame, masses).masses.items()
+        }
+        path = write_doc(tmp_path, "noise.json", {"frame": ["x", "y"], "masses": masses})
+        for argv in (
+            ["inspect", path],
+            ["approximate", path, "--norm", "l1", "--space", "mass", "--global"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            doc = json.loads(out)
+            assert doc["input"]["masses"] == expected, argv
+            if argv[0] == "inspect":
+                assert doc["focal_elements"] == expected
+
     def test_way_off_sum_rejected(self, capsys, tmp_path):
         path = write_doc(tmp_path, "bad.json", {"frame": ["x", "y"], "masses": {"x": 0.9}})
         code, _, _ = run(capsys, ["inspect", path])
         assert code == 2
+
+
+def _load(path: str) -> tuple[bytes, str]:
+    """``load_input``'s mass vector, as bytes, and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _, m, _ = load_input(path)
+    return m.as_array().tobytes(), err.getvalue()
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_mass_noise_on_empty_subsets_changes_nothing(n, seed, data):
+    frame = frame_of_size(n)
+    vector = random_mass_function(frame, np.random.default_rng(seed)).as_array()
+    masses = dict(zip(frame.format_subsets(np.flatnonzero(vector)), vector[vector != 0].tolist()))
+    empty = np.flatnonzero(vector[1:] == 0) + 1
+    noisy = [key for key in frame.format_subsets(empty) if data.draw(st.booleans())]
+    assume(noisy)
+    noise = st.floats(-TOL, 0.0, exclude_max=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, doc_masses in (
+            ("clean.json", masses),
+            ("noisy.json", {**masses, **{key: data.draw(noise) for key in noisy}}),
+        ):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w") as fh:
+                json.dump({"frame": list(frame.elements), "masses": doc_masses}, fh)
+        assert _load(paths[1]) == _load(paths[0])
+
+
+def test_running_out_of_memory_exits_7_with_one_line(tmp_path):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    # one mass on 24 elements: inspect needs several 2^24-entry arrays of
+    # 128 MiB, and the limit, on the child only, holds a few of them
+    limit = 512 << 20
+    path = write_doc(
+        tmp_path, "big24.json", {"frame": [f"e{i}" for i in range(24)], "masses": {"e0": 1.0}}
+    )
+    proc = run_python(
+        "-m", "csbf.cli", "inspect", path,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        OPENBLAS_NUM_THREADS="1",  # the import's thread buffers stay well under the limit
+    )
+    assert (proc.returncode, proc.stdout) == (7, b""), proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
 
 
 class TestParseFailures:

@@ -23,7 +23,8 @@ from csbf import (
     partial_linf_belief,
     verify_orthogonality,
 )
-from csbf.consistent_mass import TIE_TOL, box_corners
+from csbf.consistent_mass import box_corners
+from csbf.core import TOL
 
 from conftest import frame_of_size
 from paper_maths import find_global_l1_counterexample, random_mass_function
@@ -289,9 +290,9 @@ class TestGammaBox:
         for i in range(box.members.size):
             for bound, sign in ((box.upper, 1.0), (box.lower, -1.0)):
                 point = box.midpoint()
-                point[i] = bound[i] + sign * TIE_TOL / 2
+                point[i] = bound[i] + sign * TOL / 2
                 assert box.contains(point)
-                point[i] = bound[i] + sign * TIE_TOL * 2
+                point[i] = bound[i] + sign * TOL * 2
                 assert not box.contains(point)
                 point[i] = math.nan
                 assert not box.contains(point)

@@ -34,8 +34,8 @@ from csbf import (
     partial_linf_belief,
     partial_linf_mass,
 )
-from csbf import consistent_belief, consistent_mass
-from csbf.consistent_mass import TIE_TOL, select_optima
+from csbf import consistent_belief, consistent_mass, core
+from csbf.consistent_mass import select_optima
 from csbf.core import coatoms, submax_transform
 from csbf.oracle import CELLS, brute_force_partial, globals_agree
 
@@ -224,17 +224,17 @@ def test_symmetric_ties_are_returned_in_full(m):
 @settings(max_examples=100, deadline=None)
 def test_select_optima_keeps_every_tie(n, data):
     # ties are decided on the distances; the criterion, here their squares as
-    # for L2, is only reported, and a 3 * TIE_TOL gap in distance is no tie
-    # even where the squares differ by far less than TIE_TOL
+    # for L2, is only reported, and a 3 * core.TOL gap in distance is no tie
+    # even where the squares differ by far less than core.TOL
     frame = frame_of_size(n)
     best = data.draw(st.floats(0.0, 1.0))
     offsets = data.draw(
-        st.lists(st.sampled_from([0.0, TIE_TOL / 4, 3 * TIE_TOL, 0.5]), min_size=n, max_size=n)
+        st.lists(st.sampled_from([0.0, core.TOL / 4, 3 * core.TOL, 0.5]), min_size=n, max_size=n)
     )
     offsets[data.draw(st.integers(0, n - 1))] = 0.0
     distances = np.array([best + d for d in offsets])
     result = select_optima(frame.elements, distances**2, distances)
-    within = tuple(x for x, d in zip(frame.elements, offsets) if d <= TIE_TOL / 4)
+    within = tuple(x for x, d in zip(frame.elements, offsets) if d <= core.TOL / 4)
     assert result.optima == within
     assert list(result.criterion_values.values()) == (distances**2).tolist()
 
@@ -259,7 +259,7 @@ def near_tie(frame, closer, other, gap, a=0.1):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 16, 22])
 def test_every_cell_ties_on_distances(n):
-    # two best distances 0.5 * TIE_TOL apart tie, 2 * TIE_TOL apart do not,
+    # two best distances 0.5 * core.TOL apart tie, 2 * core.TOL apart do not,
     # in every cell: checked against the partials' own distances on every
     # frame, and against the oracle's argmin sets where it runs
     rng = np.random.default_rng(n)
@@ -276,9 +276,9 @@ def test_every_cell_ties_on_distances(n):
         best = distance(near_tie(frame, closer, other, 0.0), closer)
         slope = (distance(near_tie(frame, closer, other, 1e-3), other) - best) / 1e-3
         for factor in (0.5, 2.0):
-            m = near_tie(frame, closer, other, factor * TIE_TOL / slope)
+            m = near_tie(frame, closer, other, factor * core.TOL / slope)
             gap = distance(m, other) - best
-            assert abs(gap - factor * TIE_TOL) <= 0.1 * TIE_TOL, (where, factor, gap)
+            assert abs(gap - factor * core.TOL) <= 0.1 * core.TOL, (where, factor, gap)
             result = cell.select(m)
             tied = {closer} if factor > 1 else {closer, other}
             assert set(result.optima) == tied, (where, factor)
@@ -286,7 +286,7 @@ def test_every_cell_ties_on_distances(n):
                 continue
             reports = {x: brute_force_partial(m, x, p, kind) for x in frame.elements}
             oracle = {x: r.oracle_distance for x, r in reports.items()}
-            assert {x for x, d in oracle.items() if d <= min(oracle.values()) + TIE_TOL} == tied
+            assert {x for x, d in oracle.items() if d <= min(oracle.values()) + core.TOL} == tied
             assert globals_agree(result, reports), (where, factor)
 
 
@@ -458,7 +458,7 @@ def test_large_frames_match_direct_per_focus_sums(n):
         close([result.criterion_values[x] for x in frame.elements], list(expected.values()), key)
         direct = {x: math.sqrt(v) if key[0] == 2 else v for x, v in expected.items()}
         best = min(direct.values())
-        assert result.optima == tuple(x for x in frame.elements if direct[x] <= best + TIE_TOL)
+        assert result.optima == tuple(x for x in frame.elements if direct[x] <= best + core.TOL)
         for x in result.optima:
             payload = cell.solve(m, x)
             distance, point = cell.closed(payload)

@@ -22,7 +22,7 @@ from csbf import (
     ultrafilter,
 )
 from csbf import cli, consistent_belief, oracle
-from csbf.consistent_mass import TIE_TOL
+from csbf.core import TOL
 from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
 
 from conftest import frame_of_size
@@ -39,7 +39,7 @@ def oracle_agrees(m, p, kind):
 class TestBruteForcePartial:
     def test_running_example_l1_mass(self, ternary):
         report = brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2)
-        assert report.oracle_distance == pytest.approx(0.4, abs=TIE_TOL)
+        assert report.oracle_distance == pytest.approx(0.4, abs=TOL)
         assert report.converged
 
     def test_vacuous_is_its_own_approximation(self):
@@ -71,7 +71,7 @@ class TestBruteForcePartial:
             for label in frame.elements:
                 report = brute_force_partial(m, label, math.inf, SpaceKind.MASS_N2)
                 box = partial_linf_mass(m, label)
-                assert box.contains(report.oracle_point, tol=TIE_TOL)
+                assert box.contains(report.oracle_point, tol=TOL)
 
     def test_deterministic_for_fixed_seed(self, ternary):
         a = brute_force_partial(ternary, "y", 1, SpaceKind.BELIEF)
@@ -137,7 +137,7 @@ class TestExhaustiveGlobalCheck:
                 lbl: brute_force_partial(m, lbl, p, kind) for lbl in frame.elements
             }
             distances = [r.oracle_distance for r in reports.values()]
-            assert max(distances) - min(distances) <= TIE_TOL
+            assert max(distances) - min(distances) <= TOL
             assert oracle_agrees(m, p, kind)
 
     def test_random_draws_agree(self, rng):
