@@ -13,12 +13,13 @@ focused transform, and a point's offset from the midpoint maps to mass shifts
 through Moebius inversion on the sublattice of sets containing x.
 
 :func:`gamma_to_mass` is one O((n-1) 2^(n-1)) Moebius transform.  Each
-criterion is one O(n 2^n) transform of ``b = zeta(m)`` read at the coatoms
-``x^c``, for all n elements at once; the focused transform reuses it:
+criterion is a sum (:func:`core.outside_sum`) over the subsets of ``x^c``
+of m, of ``b = zeta(m)`` or of b**2.  A selector forms its vector once and
+reads it for each element; a partial builds b once and reads its own focus:
 
-    L1            zeta(b)[x^c]
-    L2            zeta(b**2)[x^c]    (squared)
-    Linf          b[x^c]
+    L1            sum of b over the subsets of x^c
+    L2            sum of b**2 over the subsets of x^c    (squared)
+    Linf          b(x^c), the sum of m over the same subsets
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .core import (
     MassFunction,
     PseudoMassFunction,
     belief_from_mass,
-    coatoms,
     mobius_transform,
+    outside_sum,
     superset_sum_transform,
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import GlobalResult, LinfBox, in_box, select_optima
+from .consistent_mass import GlobalResult, LinfBox, in_box, per_focus, select_optima
 
 
 class FocusedTransform(FrozenRecord):
@@ -56,13 +57,6 @@ class FocusedTransform(FrozenRecord):
         self._set(focus, result, distance_l1, distance_l2)
 
 
-def _outside_belief(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and sum of squares of b(A) over the subsets A of each x^c, in frame order."""
-    belief = belief_from_mass(m).belief
-    at = coatoms(m.frame)
-    return zeta_transform(belief)[at], zeta_transform(belief * belief)[at]
-
-
 def _focused_masses(m: MassFunction, x: str) -> MassFunction:
     """The focused transform's masses: ``m(A) + m(A minus x)`` on every A containing x."""
     by_x = m.as_array().reshape(-1, 2, m.frame.singleton(x))  # [:, 1, :] holds x, [:, 0, :] not
@@ -73,9 +67,9 @@ def _focused_masses(m: MassFunction, x: str) -> MassFunction:
 
 def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
     """Partial L1/L2 belief-space projection onto the ultrafilter of x."""
-    total, squares = _outside_belief(m)
-    i = m.frame.index_of(x)
-    return FocusedTransform(x, _focused_masses(m, x), float(total[i]), math.sqrt(squares[i]))
+    belief, xbit = belief_from_mass(m).belief, m.frame.singleton(x)
+    total, squares = outside_sum(belief, xbit), outside_sum(np.square(belief), xbit)
+    return FocusedTransform(x, _focused_masses(m, x), total, math.sqrt(squares))
 
 
 def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TOL) -> bool:
@@ -101,13 +95,13 @@ def global_l1_belief(m: MassFunction) -> GlobalResult:
     The criterion is the total belief of the subsets missing x, which is NOT
     in general minimized by the maximal-plausibility element.
     """
-    total = _outside_belief(m)[0]
+    total = per_focus(belief_from_mass(m).belief)
     return select_optima(m.frame.elements, total, total)
 
 
 def global_l2_belief(m: MassFunction) -> GlobalResult:
     """Global L2 pick in belief coordinates; the criterion is squared, optima tie on distances."""
-    squares = _outside_belief(m)[1]
+    squares = per_focus(np.square(belief_from_mass(m).belief))
     return select_optima(m.frame.elements, squares, np.sqrt(squares))
 
 
@@ -137,14 +131,14 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     """Linf solution box focused on x, in gamma coordinates.
 
     For each proper A containing x the bound is ``|gamma(A) + b(A minus x)|
-    <= b(x^c)``; the attained distance is ``b(x^c)``.
+    <= b(x^c)``; the attained distance is ``b(x^c)``.  b on the subsets of
+    ``x^c`` is the zeta transform of their masses alone, bit for bit.
     """
-    frame = m.frame
-    xbit = frame.singleton(x)
-    belief = belief_from_mass(m).belief
-    radius = float(belief[frame.full_mask ^ xbit])
-    members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = belief[members ^ xbit]  # b(A minus x)
+    # b(B) for each mask B without x, ascending; the last B is x^c
+    outside = zeta_transform(m.as_array().reshape(-1, 2, m.frame.singleton(x))[:, 0, :].ravel())
+    radius = float(outside[-1])
+    members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
+    inside = outside[:-1]  # b(A minus x), aligned with the members
     # 0.0 - radius, not -radius: the bound is 0.0, never -0.0, when both terms are 0
     return GammaBox(x, members, 0.0 - radius - inside, radius - inside, _focused_masses(m, x), radius)
 
@@ -166,6 +160,9 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
 
 
 def global_linf_belief(m: MassFunction) -> GlobalResult:
-    """Global Linf pick in belief coordinates: maximal-plausibility element(s)."""
-    outside = belief_from_mass(m).belief[coatoms(m.frame)]
+    """Global Linf pick in belief coordinates: maximal-plausibility element(s).
+
+    The criterion ``b(x^c)`` is the sum of m over the subsets of ``x^c``.
+    """
+    outside = per_focus(m.as_array())
     return select_optima(m.frame.elements, outside, outside)

@@ -18,21 +18,21 @@ Closed forms in mass coordinates:
 * L2 in the ``mass-n1`` embedding: spread the outside mass evenly over all
   ``2^(n-1)`` ultrafilter members.
 
-Each criterion is one O(n 2^n) lattice transform of the dense mass vector m,
-read at the coatoms ``x^c`` for all n elements; partial solutions read their
-distance off the same transform:
+Each criterion is a sum (:func:`core.outside_sum`) or a maximum of m or m**2
+over the subsets of ``x^c``.  A selector forms its vector once and reads it
+for each element; a partial reads its own focus the same way, same bits:
 
-    L1            zeta(m)[x^c]
-    L2 mass-n2    zeta(m**2)[x^c]                                (squared)
-    L2 mass-n1    zeta(m**2)[x^c] + zeta(m)[x^c]**2 / 2^(n-1)    (squared)
-    Linf          submax(m)[x^c]
+    L1            sum of m = b(x^c)
+    L2 mass-n2    sum of m**2                                   (squared)
+    L2 mass-n1    sum of m**2 + b(x^c)**2 / 2^(n-1)             (squared)
+    Linf          max of m
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,10 +42,8 @@ from .core import (
     FrozenRecord,
     MassFunction,
     PseudoMassFunction,
-    coatoms,
-    submax_transform,
+    outside_sum,
     ultrafilter,
-    zeta_transform,
 )
 from .geometry import EmbeddingSpace, SpaceKind
 
@@ -180,9 +178,14 @@ def select_optima(
     return GlobalResult(optima, dict(zip(labels, criterion.tolist())))
 
 
-def _moved(m: PseudoMassFunction) -> np.ndarray:
-    """Mass outside each element's ultrafilter, ``b(x^c) = zeta(m)[x^c]``."""
-    return zeta_transform(m.as_array())[coatoms(m.frame)]
+def per_focus(values: np.ndarray, read: Callable = outside_sum) -> np.ndarray:
+    """``read(values, xbit)`` for each element's bit, in frame order: one criterion each."""
+    return np.array([read(values, 1 << i) for i in range(values.size.bit_length() - 1)])
+
+
+def _largest(values: np.ndarray, xbit: int) -> float:
+    """Largest of ``values[B]`` over the subsets B of ``x^c``, the masks without ``xbit``."""
+    return float(values.reshape(-1, 2, xbit)[:, 0, :].max())
 
 
 def _keep_and_move(m: MassFunction, xbit: int, moved: float) -> MassFunction:
@@ -199,21 +202,16 @@ def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
     Ultrafilter masses are kept, the outside mass ``b(x^c)`` moves to the
     full frame.  Always admissible.
     """
-    frame = m.frame
-    moved = float(_moved(m)[frame.index_of(x)])
-    result = _keep_and_move(m, frame.singleton(x), moved)
-    return PartialApprox(x, result, moved, EmbeddingSpace(SpaceKind.MASS_N2, frame))
+    xbit = m.frame.singleton(x)
+    moved = outside_sum(m.as_array(), xbit)
+    space = EmbeddingSpace(SpaceKind.MASS_N2, m.frame)
+    return PartialApprox(x, _keep_and_move(m, xbit, moved), moved, space)
 
 
 def global_l1_mass(m: MassFunction) -> GlobalResult:
     """Global L1 pick: the maximal-plausibility element(s)."""
-    moved = _moved(m)
+    moved = per_focus(m.as_array())
     return select_optima(m.frame.elements, moved, moved)
-
-
-def _largest_outside(m: MassFunction) -> np.ndarray:
-    """Largest single mass outside each element's ultrafilter, ``submax(m)[x^c]``."""
-    return submax_transform(m.as_array())[coatoms(m.frame)]
 
 
 def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
@@ -223,35 +221,41 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     ``m(B) +- M`` with M the largest mass outside the ultrafilter; the
     attained distance is M and the barycenter is the partial L1 solution.
     """
-    frame = m.frame
-    i = frame.index_of(x)
-    slack = float(_largest_outside(m)[i])
-    members = ultrafilter(frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = m.as_array()[members]
-    barycenter = _keep_and_move(m, frame.singleton(x), float(_moved(m)[i]))
+    arr, xbit = m.as_array(), m.frame.singleton(x)
+    slack = _largest(arr, xbit)
+    members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
+    inside = arr[members]
+    barycenter = _keep_and_move(m, xbit, outside_sum(arr, xbit))
     return ApproxBox(x, members, inside - slack, inside + slack, barycenter, slack)
 
 
 def global_linf_mass(m: MassFunction) -> GlobalResult:
     """Global Linf pick: minimize the maximal mass outside the ultrafilter."""
-    largest = _largest_outside(m)
+    largest = per_focus(m.as_array(), _largest)
     return select_optima(m.frame.elements, largest, largest)
 
 
-def _l2_criterion(m: MassFunction, kind: SpaceKind) -> np.ndarray:
-    """Squared L2 distance from m to each partial L2 solution in ``kind``.
+def _mass_kind(kind: SpaceKind | str) -> SpaceKind:
+    """``kind`` as a :class:`SpaceKind`, which must be a mass embedding."""
+    if (kind := SpaceKind(kind)) is SpaceKind.BELIEF:
+        raise ValueError("L2 mass approximation needs a mass embedding, got belief")
+    return kind
 
-    In ``mass-n2`` the projection leaves every free coordinate untouched, so
-    only the fixed outside coordinates contribute; ``mass-n1`` adds the full
-    frame coordinate, which absorbs the moved mass spread over the whole
-    ultrafilter.
+
+def _l2_criterion(
+    m: MassFunction, squares: np.ndarray, xbit: int, kind: SpaceKind, moved: float | None = None
+) -> float:
+    """Squared L2 distance from m to its partial L2 solution on ``xbit`` in ``kind``.
+
+    ``squares`` is ``m * m``; ``moved``, ``b(x^c)``, is read when not given.
+    Only the outside coordinates differ, and in ``mass-n1`` the full frame,
+    which takes the moved mass spread over the whole ultrafilter.
     """
-    arr = m.as_array()
-    squares = zeta_transform(arr * arr)[coatoms(m.frame)]
+    outside = outside_sum(squares, xbit)
     if kind is SpaceKind.MASS_N2:
-        return squares
-    moved = _moved(m)
-    return moved * moved / (1 << (m.frame.size - 1)) + squares
+        return outside
+    moved = outside_sum(m.as_array(), xbit) if moved is None else moved
+    return moved * moved / (1 << (m.frame.size - 1)) + outside
 
 
 def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
@@ -261,18 +265,16 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
     ``mass-n1`` the outside mass is split evenly over the whole ultrafilter.
     Either way ``distance`` is the attained L2 norm in that embedding.
     """
-    frame = m.frame
-    i = frame.index_of(x)
-    moved = float(_moved(m)[i])
+    kind = _mass_kind(kind)
+    frame, arr, xbit = m.frame, m.as_array(), m.frame.singleton(x)
+    moved = outside_sum(arr, xbit)
     if kind is SpaceKind.MASS_N2:
-        result = _keep_and_move(m, frame.singleton(x), moved)
-    elif kind is SpaceKind.MASS_N1:
-        members = ultrafilter(frame, x)
-        shared = m.as_array()[members] + moved / (1 << (frame.size - 1))
-        result = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
+        result = _keep_and_move(m, xbit, moved)
     else:
-        raise ValueError("L2 mass approximation needs a mass embedding, got belief")
-    distance = math.sqrt(_l2_criterion(m, kind)[i])
+        members = ultrafilter(frame, x)
+        shared = arr[members] + moved / (1 << (frame.size - 1))
+        result = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
+    distance = math.sqrt(_l2_criterion(m, arr * arr, xbit, kind, moved))
     return PartialApprox(x, result, distance, EmbeddingSpace(kind, frame))
 
 
@@ -282,5 +284,6 @@ def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:
     Criterion values are the squared distances, built from the sum and the
     sum of squares of the masses outside each ultrafilter; optima tie on distances.
     """
-    squares = _l2_criterion(m, kind)
-    return select_optima(m.frame.elements, squares, np.sqrt(squares))
+    arr, kind = m.as_array(), _mass_kind(kind)
+    criterion = per_focus(arr * arr, lambda squares, xbit: _l2_criterion(m, squares, xbit, kind))
+    return select_optima(m.frame.elements, criterion, np.sqrt(criterion))

@@ -6,9 +6,9 @@ exactly when element ``i`` of the frame belongs to the subset.  ``0`` is the
 empty set and ``frame.full_mask`` is the whole frame.  All set functions
 (mass, belief, plausibility) are indexed by these masks, which keeps subset,
 superset, intersection and complement queries at single word operations and
-makes the fast transforms over the subset lattice possible: zeta, Moebius,
-subset maximum and superset sum are one sweep over the bit axes, each with
-its own combining operation.
+makes the fast transforms over the subset lattice possible: zeta, Moebius
+and superset sum are one sweep over the bit axes, each with its own
+combining operation, and :func:`outside_sum` reads one zeta value alone.
 """
 
 from __future__ import annotations
@@ -256,11 +256,6 @@ def mobius_transform(values: np.ndarray) -> np.ndarray:
     return _sweep(values, np.subtract)
 
 
-def submax_transform(values: np.ndarray) -> np.ndarray:
-    """Cumulative subset maxima: out[A] = max of values[B] over B a subset of A."""
-    return _sweep(values, np.maximum)
-
-
 def superset_sum_transform(values: np.ndarray) -> np.ndarray:
     """Cumulative superset sums: out[A] = sum of values[B] over B a superset of A.
 
@@ -270,12 +265,19 @@ def superset_sum_transform(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_sweep(values[::-1], np.add)[::-1])
 
 
-def coatoms(frame: Frame) -> np.ndarray:
-    """Masks of the complements ``x^c = full ^ (1 << i)``, in frame order.
+def outside_sum(values: np.ndarray, xbit: int) -> float:
+    """Sum of ``values`` over the subsets of ``x^c``, the masks without ``xbit``, in O(2^n).
 
-    A transform read at these indices gives one criterion value per element.
+    They are added in mask order in adjacent pairs, then pairs of pairs, as
+    :func:`zeta_transform` adds them: the sum is its value at ``x^c`` bit for bit.
     """
-    return np.array([frame.full_mask ^ (1 << i) for i in range(frame.size)])
+    # one axis of length 2 per remaining bit, lowest last: the first pairs come off this view
+    sums = values.reshape(-1, 2, xbit)[:, 0, :].reshape((2,) * (values.size.bit_length() - 2))
+    if sums.ndim:
+        sums = (sums[..., 0] + sums[..., 1]).ravel()
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums.item()
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ class SpaceKind(str, Enum):
 
 
 class EmbeddingSpace(FrozenRecord):
-    def __init__(self, kind: SpaceKind, frame: Frame) -> None:
-        self._set(kind, frame)
+    def __init__(self, kind: SpaceKind | str, frame: Frame) -> None:
+        self._set(SpaceKind(kind), frame)  # a member, also when given by its value
 
     @property
     def dimension(self) -> int:
@@ -69,10 +69,7 @@ def embed(m: PseudoMassFunction, space: EmbeddingSpace) -> PointVector:
     """Coordinates of a (possibly pseudo) mass function in the given space."""
     if m.frame != space.frame:
         raise ValueError("mass function and embedding space use different frames")
-    if space.kind is SpaceKind.BELIEF:
-        values = zeta_transform(m.as_array())
-    else:
-        values = m.as_array()
+    values = zeta_transform(m.as_array()) if space.kind is SpaceKind.BELIEF else m.as_array()
     return PointVector(space, values[1 : space.dimension + 1])
 
 

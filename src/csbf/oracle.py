@@ -150,7 +150,7 @@ def _cell(p: float, space: SpaceKind, what: str) -> Cell:
     try:
         return CELLS[p, space]
     except KeyError:
-        raise ValueError(f"no {what} for norm {p!r} in space {space.value!r}") from None
+        raise ValueError(f"no {what} for norm {p!r} in space {SpaceKind(space).value!r}") from None
 
 
 def closed_form_partial(
@@ -321,7 +321,7 @@ def brute_force_partial(
             f"brute-force verification supports frames of size <= {MAX_ORACLE_FRAME}"
         )
     emb_space = EmbeddingSpace(space, frame)
-    members, v = _categorical_coords_matrix(frame, x, space)
+    members, v = _categorical_coords_matrix(frame, x, emb_space.kind)
     target = embed(m, emb_space)
     w = _l2_weights(v, target.coords) if p == 2 else _lp_weights(v, target.coords, p)
     distance = lp_distance(PointVector(emb_space, w @ v), target, p)

@@ -284,8 +284,21 @@ class TestPartialL2:
                 assert partial_l2_mass(m, label, SpaceKind.MASS_N1).result.admissible
 
     def test_belief_space_rejected(self, ternary):
-        with pytest.raises(ValueError):
-            partial_l2_mass(ternary, "x", SpaceKind.BELIEF)
+        for kind in (SpaceKind.BELIEF, "belief"):
+            with pytest.raises(ValueError, match="got belief"):
+                partial_l2_mass(ternary, "x", kind)
+            with pytest.raises(ValueError, match="got belief"):
+                global_l2_mass(ternary, kind)
+
+    def test_kind_given_by_its_value_is_that_embedding(self, rng):
+        # SpaceKind is a str enum: "mass-n1" must solve as SpaceKind.MASS_N1
+        m = random_mass_function(frame_of_size(4), rng)
+        for kind in (SpaceKind.MASS_N1, SpaceKind.MASS_N2):
+            assert global_l2_mass(m, kind.value) == global_l2_mass(m, kind)
+            for label in m.frame.elements:
+                assert partial_l2_mass(m, label, kind.value) == partial_l2_mass(m, label, kind)
+        n1, n2 = (global_l2_mass(m, kind).criterion_values for kind in ("mass-n1", "mass-n2"))
+        assert n1 != n2
 
 
 class TestDegenerateFrames:

@@ -36,7 +36,7 @@ from csbf import (
 )
 from csbf import consistent_belief, consistent_mass, core
 from csbf.consistent_mass import select_optima
-from csbf.core import coatoms, submax_transform
+from csbf.core import outside_sum, zeta_transform
 from csbf.oracle import CELLS, brute_force_partial, globals_agree
 
 from conftest import frame_of_size
@@ -328,23 +328,48 @@ def test_partial_distance_is_the_criterion_value_bit_for_bit(rng):
                     assert float.hex(distance) == float.hex(expected), ((p, kind.value), x)
 
 
-@given(
-    st.integers(0, 6).flatmap(
-        lambda n: st.lists(st.floats(-1.0, 1.0), min_size=1 << n, max_size=1 << n)
-    )
+def test_partials_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
+    # a partial reads its own focus over the subsets of x^c: the mass partials
+    # read m and run no O(n 2^n) sweep, each belief partial runs one, for b
+    sweeps = []
+    sweep = core._sweep
+
+    def counted(values, op):
+        sweeps.append(op)
+        return sweep(values, op)
+
+    monkeypatch.setattr(core, "_sweep", counted)
+    m = random_mass_function(frame_of_size(5), rng)
+    for (p, kind), cell in CELLS.items():
+        for x in m.frame.elements:
+            sweeps.clear()
+            cell.solve(m, x)
+            expected = [np.add] if kind is SpaceKind.BELIEF else []
+            assert sweeps == expected, ((p, kind.value), x)
+
+
+#: Signed reals from 1e-300 to 1e300 in magnitude, zeros of both signs included.
+signed_reals = st.builds(
+    lambda magnitude, negative: -magnitude if negative else magnitude,
+    st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+    st.booleans(),
 )
-@settings(max_examples=100, deadline=None)
-def test_submax_transform_is_the_subset_maximum(values):
-    out = submax_transform(np.array(values))
-    for a in range(len(values)):
-        assert out[a] == max(values[b] for b in submasks(a))
 
 
-def test_coatoms_are_the_complements_of_the_singletons():
-    frame = frame_of_size(5)
-    expected = [frame.complement(frame.singleton(x)) for x in frame.elements]
-    assert coatoms(frame).tolist() == expected
-    assert coatoms(frame_of_size(1)).tolist() == [0]
+@given(
+    st.integers(1, 12),
+    st.lists(signed_reals, min_size=1, max_size=32),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_outside_sum_is_the_zeta_transform_at_the_coatom_bit_for_bit(n, palette, seed):
+    # 2^n entries drawn from the palette, so every magnitude and sign mixes
+    values = np.array(palette)[np.random.default_rng(seed).integers(len(palette), size=1 << n)]
+    zeta = zeta_transform(values)
+    full = values.size - 1
+    for i in range(n):
+        expected = float(zeta[full ^ (1 << i)])
+        assert float.hex(outside_sum(values, 1 << i)) == float.hex(expected), i
 
 
 @st.composite

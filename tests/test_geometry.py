@@ -66,6 +66,20 @@ class TestEmbedding:
         assert list(_space(SpaceKind.MASS_N1, frame).coordinate_masks) == list(range(1, 8))
         assert list(_space(SpaceKind.BELIEF, frame).coordinate_masks) == list(range(1, 7))
 
+    def test_kind_given_by_its_value_embeds_as_the_member(self, ternary):
+        # SpaceKind is a str enum, so "belief" == SpaceKind.BELIEF; the space
+        # must also embed and measure as that member, not fall back to mass
+        frame = ternary.frame
+        for kind in SpaceKind:
+            space = _space(kind.value, frame)
+            assert space.kind is kind and space == _space(kind, frame)
+            assert space.dimension == _space(kind, frame).dimension
+            expected = embed(ternary, _space(kind, frame)).coords
+            assert embed(ternary, space).coords.tolist() == expected.tolist()
+        assert _space("mass-n1", frame).dimension == 7
+        with pytest.raises(ValueError):
+            _space("mass", frame)
+
     def test_frame_mismatch_rejected(self):
         m = MassFunction.vacuous(frame_of_size(2))
         with pytest.raises(ValueError):

@@ -85,6 +85,13 @@ class TestBruteForcePartial:
         with pytest.raises(FrameTooLargeError):
             brute_force_partial(m, "x", 1, SpaceKind.MASS_N2)
 
+    def test_space_given_by_its_value_is_that_space(self, ternary):
+        for p, kind in SUPPORTED_PAIRS:
+            for x in ternary.frame.elements:
+                by_value = brute_force_partial(ternary, x, p, kind.value)
+                assert by_value == brute_force_partial(ternary, x, p, kind), (p, kind.value, x)
+                assert by_value.converged and by_value.space.kind is kind
+
     def test_lp_pivot_cap_raises(self, ternary, monkeypatch):
         monkeypatch.setattr(oracle, "LP_MAX_PIVOTS", 1)
         with pytest.raises(RuntimeError, match="1 pivots"):
@@ -154,10 +161,12 @@ def test_table_has_exactly_the_supported_cells(ternary):
         assert distance >= 0.0 and point.frame == ternary.frame
         assert "x" in library_global(ternary, p, kind).criterion_values
     for p, kind in ((1, SpaceKind.MASS_N1), (math.inf, SpaceKind.MASS_N1), (3, SpaceKind.MASS_N2)):
-        with pytest.raises(ValueError, match="no closed form"):
-            oracle.closed_form_partial(ternary, "x", p, kind)
-        with pytest.raises(ValueError, match="no global selector"):
-            library_global(ternary, p, kind)
+        for space in (kind, kind.value):  # a kind given by its value names it the same way
+            where = f"for norm {p!r} in space '{kind.value}'"
+            with pytest.raises(ValueError, match=f"no closed form {where}"):
+                oracle.closed_form_partial(ternary, "x", p, space)
+            with pytest.raises(ValueError, match=f"no global selector {where}"):
+                library_global(ternary, p, space)
 
 
 def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch, capsys):
