@@ -29,7 +29,7 @@ from .geometry import (
 from .consistent_mass import (
     ApproxBox,
     GlobalResult,
-    PartialApprox,
+    Solution,
     global_l1_mass,
     global_l2_mass,
     global_linf_mass,
@@ -38,7 +38,6 @@ from .consistent_mass import (
     partial_linf_mass,
 )
 from .consistent_belief import (
-    FocusedTransform,
     GammaBox,
     focused_transform,
     gamma_to_mass,
@@ -46,7 +45,6 @@ from .consistent_belief import (
     global_l2_belief,
     global_linf_belief,
     partial_linf_belief,
-    verify_orthogonality,
 )
 from .oracle import (
     FrameTooLargeError,
@@ -63,16 +61,15 @@ __all__ = [
     "BeliefView",
     "EmbeddingSpace",
     "EvidenceError",
-    "FocusedTransform",
     "Frame",
     "FrameTooLargeError",
     "GammaBox",
     "GlobalResult",
     "MassFunction",
     "OracleReport",
-    "PartialApprox",
     "PointVector",
     "PseudoMassFunction",
+    "Solution",
     "SpaceKind",
     "belief_from_mass",
     "brute_force_partial",
@@ -97,6 +94,5 @@ __all__ = [
     "partial_linf_belief",
     "partial_linf_mass",
     "ultrafilter",
-    "verify_orthogonality",
     "__version__",
 ]

@@ -55,7 +55,6 @@ from .consistent_mass import (
     partial_linf_mass,
 )
 from .consistent_belief import (
-    FocusedTransform,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
@@ -321,7 +320,7 @@ def _interval_block(box: LinfBox, lo: np.ndarray, hi: np.ndarray) -> _Block:
 
 
 def _payload_box(box: LinfBox, space: SpaceKind, vertices: bool) -> dict:
-    payload = {"space": space.value, "distance": box.distance}
+    payload = {"space": space.value, "distance": box.distances[math.inf]}
     if isinstance(box, ApproxBox):
         lo, hi, clipped = box.admissible_intervals()
         payload.update(
@@ -331,15 +330,13 @@ def _payload_box(box: LinfBox, space: SpaceKind, vertices: bool) -> dict:
         )
     else:
         payload["gamma_intervals"] = _interval_block(box, box.lower, box.upper)
-    payload["barycenter"] = _point_payload(box.barycenter, box.focus)
+    payload["barycenter"] = _point_payload(box.point, box.focus)
     if vertices:
         payload["vertices"] = [_point_payload(corner, box.focus) for corner in box.corners()]
     return payload
 
 
 def cmd_approximate(args: argparse.Namespace) -> int:
-    frame, m, echo = load_input(args.input)
-
     norm, space, rep = args.norm, args.space, args.rep
     if rep is not None and not (norm == "l2" and space == "mass"):
         raise CliError("--rep applies only to --norm l2 --space mass", EXIT_FLAGS)
@@ -351,6 +348,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         raise CliError("pick --focus <element> or --global", EXIT_FLAGS)
     if args.focus is not None and args.global_:
         raise CliError("--focus and --global are mutually exclusive", EXIT_FLAGS)
+    frame, m, echo = load_input(args.input)
     if args.focus is not None and args.focus not in frame.elements:
         raise CliError(f"unknown focus element {args.focus!r}", EXIT_FOCUS)
     if args.vertices:
@@ -361,16 +359,16 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     kind = SpaceKind.MASS_N1 if rep == "n1" else SpaceKind.MASS_N2
     if space == "belief":
         kind = SpaceKind.BELIEF
-    cell = CELLS[NORMS[norm], kind]
+    p = NORMS[norm]
+    cell = CELLS[p, kind]
 
-    def payload(partial) -> dict:
-        if isinstance(partial, LinfBox):
-            return _payload_box(partial, kind, args.vertices)
-        distance, point = cell.closed(partial)
-        out = _point_payload(point, partial.focus)
-        out.update(space=kind.value, distance=distance)
-        if isinstance(partial, FocusedTransform):
-            out.update(distance_l1=partial.distance_l1, distance_l2=partial.distance_l2)
+    def payload(sol) -> dict:
+        if isinstance(sol, LinfBox):
+            return _payload_box(sol, kind, args.vertices)
+        out = _point_payload(sol.point, sol.focus)
+        out.update(space=kind.value, distance=sol.distances[p])
+        if len(sol.distances) > 1:  # the focused transform prints both of its distances
+            out.update({f"distance_l{q}": d for q, d in sol.distances.items()})
         return out
 
     doc = {

@@ -30,31 +30,15 @@ import numpy as np
 
 from .core import (
     TOL,
-    FrozenRecord,
     MassFunction,
     PseudoMassFunction,
     belief_from_mass,
     mobius_transform,
     outside_sum,
-    superset_sum_transform,
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import GlobalResult, LinfBox, in_box, per_focus, select_optima
-
-
-class FocusedTransform(FrozenRecord):
-    """Focused consistent transform: mass of B moves to ``B union {x}``.
-
-    This is simultaneously the partial L1 and the partial L2 projection in
-    belief coordinates; ``distance_l1`` and ``distance_l2`` are the attained
-    values of the respective norms.
-    """
-
-    def __init__(
-        self, focus: str, result: MassFunction, distance_l1: float, distance_l2: float
-    ) -> None:
-        self._set(focus, result, distance_l1, distance_l2)
+from .consistent_mass import GlobalResult, LinfBox, Solution, in_box, per_focus, select_optima
 
 
 def _focused_masses(m: MassFunction, x: str) -> MassFunction:
@@ -65,28 +49,15 @@ def _focused_masses(m: MassFunction, x: str) -> MassFunction:
     return MassFunction(m.frame, moved.ravel())
 
 
-def focused_transform(m: MassFunction, x: str) -> FocusedTransform:
-    """Partial L1/L2 belief-space projection onto the ultrafilter of x."""
+def focused_transform(m: MassFunction, x: str) -> Solution:
+    """Partial L1/L2 belief-space projection onto the ultrafilter of x.
+
+    The focused transform is both the L1 and the L2 solution, so
+    ``distances`` holds both attained distances, ``{1: d1, 2: d2}``.
+    """
     belief, xbit = belief_from_mass(m).belief, m.frame.singleton(x)
     total, squares = outside_sum(belief, xbit), outside_sum(np.square(belief), xbit)
-    return FocusedTransform(x, _focused_masses(m, x), total, math.sqrt(squares))
-
-
-def verify_orthogonality(m: MassFunction, ft: FocusedTransform, tol: float = TOL) -> bool:
-    """L2-optimality certificate for a focused transform.
-
-    Checks that the belief-space residual is orthogonal to the categorical
-    belief vector of every proper ultrafilter member, which characterizes the
-    projection onto the ultrafilter's span.
-    """
-    frame = m.frame
-    xbit = frame.singleton(ft.focus)
-    residual = zeta_transform(m.as_array() - ft.result.as_array())
-    # <residual, b_B> = sum of residual over supersets of B; the full frame
-    # contributes zero because its coordinate is not part of the space.
-    residual[-1] = 0.0
-    sums = superset_sum_transform(residual)
-    return all(abs(sums[mask]) <= tol for mask in range(1, frame.full_mask) if mask & xbit)
+    return Solution(x, _focused_masses(m, x), {1: total, 2: math.sqrt(squares)})
 
 
 def global_l1_belief(m: MassFunction) -> GlobalResult:
@@ -111,7 +82,7 @@ class GammaBox(LinfBox):
     One gamma coordinate per proper subset A containing x, aligned with
     ``members``.  Each interval has width ``2 * b(x^c)``; the box degenerates
     to a point exactly when the input is already consistent on x.  The
-    ``barycenter`` is the focused transform, the image of the midpoint.
+    ``point`` is the focused transform, the image of the midpoint.
     """
 
     def midpoint(self) -> np.ndarray:
@@ -140,7 +111,8 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
     inside = outside[:-1]  # b(A minus x), aligned with the members
     # 0.0 - radius, not -radius: the bound is 0.0, never -0.0, when both terms are 0
-    return GammaBox(x, members, 0.0 - radius - inside, radius - inside, _focused_masses(m, x), radius)
+    focused = _focused_masses(m, x)
+    return GammaBox(x, focused, {math.inf: radius}, members, 0.0 - radius - inside, radius - inside)
 
 
 def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
@@ -149,9 +121,9 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
     Moebius inversion on the sublattice of sets containing the focus (the
     box's ``_shift``, which also builds its corners) turns the point's
     offsets from the midpoint into mass shifts of every member, which are
-    subtracted from the barycenter.  Every point of the box has the
+    subtracted from the box's ``point``.  Every point of the box has the
     same gamma on the full frame, so its offset there is 0, and the midpoint
-    maps to the barycenter bit for bit.  Raises ``ValueError`` when the point
+    maps to ``point`` bit for bit.  Raises ``ValueError`` when the point
     lies outside the box.
     """
     if not box.contains(gamma_point):

@@ -45,30 +45,33 @@ from .core import (
     outside_sum,
     ultrafilter,
 )
-from .geometry import EmbeddingSpace, SpaceKind
+from .geometry import SpaceKind
 
 
-class PartialApprox(FrozenRecord):
-    """Best consistent approximation supported on one ultrafilter.
+class Solution(FrozenRecord):
+    """The answer of one (norm, space) cell on the ultrafilter of ``focus``.
 
-    ``distance`` is the attained norm value, measured in ``space``.
+    ``point`` is the minimizer, or a solution set's barycenter.
+    ``distances`` is a read-only ``{p: distance}`` map of the attained Lp
+    distances: one entry, or ``{1: d1, 2: d2}`` for the focused transform,
+    which is both the L1 and the L2 belief solution.
     """
 
     def __init__(
-        self, focus: str, result: PseudoMassFunction, distance: float, space: EmbeddingSpace
+        self, focus: str, point: PseudoMassFunction, distances: Mapping[float, float]
     ) -> None:
-        self._set(focus, result, distance, space)
+        self._set(focus, point, MappingProxyType(dict(distances)))
 
 
-class LinfBox(FrozenRecord):
+class LinfBox(Solution):
     """Linf solution set of one ultrafilter, an axis-aligned box in some coordinates.
 
+    ``point`` is the box's centre as a mass function and ``distances[inf]``
+    the attained Linf distance, the half-width of every interval.
     ``members`` are the ultrafilter masks except the full frame, ascending,
     and ``lower`` and ``upper`` the bounds aligned with them.  All three are
     stored as read-only int64 and float copies, so a box compares by
-    identity.  ``barycenter`` is the box's centre as a mass function and
-    ``distance`` the attained Linf distance, the half-width of every
-    interval.  A subclass's ``_shift`` maps offsets from the centre in box
+    identity.  A subclass's ``_shift`` maps offsets from the centre in box
     coordinates to the mass shifts of the ultrafilter, full frame last.
     """
 
@@ -78,37 +81,37 @@ class LinfBox(FrozenRecord):
     def __init__(
         self,
         focus: str,
+        point: MassFunction,
+        distances: Mapping[float, float],
         members: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
-        barycenter: MassFunction,
-        distance: float,
     ) -> None:
         arrays = np.array(members, np.int64), np.array(lower, float), np.array(upper, float)
         for arr in arrays:
             if arr.shape != (len(arrays[0]),):
                 raise ValueError("box bounds must be 1-D and aligned with the members")
             arr.setflags(write=False)
-        self._set(focus, *arrays, barycenter, distance)
+        self._set(focus, point, MappingProxyType(dict(distances)), *arrays)
 
     @property
     def frame(self) -> Frame:
-        return self.barycenter.frame
+        return self.point.frame
 
     def corners(self) -> list[PseudoMassFunction]:
         """Every box corner as a (possibly pseudo) mass function.
 
         Bit j of the corner number picks ``upper[j]``.  The corner with signs
         s in {-1, +1}^k lies ``distance * s`` from the centre in box
-        coordinates, so its masses are ``barycenter - distance * _shift(s)``,
+        coordinates, so its masses are ``point - distance * _shift(s)``,
         one multiply and one subtract from the stored centre.
         """
-        ones = np.ones(len(self.members))
-        return [self._shifted(self.distance * self._shift(s)) for s in box_corners(-ones, ones)]
+        ones, distance = np.ones(len(self.members)), self.distances[math.inf]
+        return [self._shifted(distance * self._shift(s)) for s in box_corners(-ones, ones)]
 
     def _shifted(self, shift: np.ndarray) -> PseudoMassFunction:
-        """The barycenter minus ``shift`` on the ultrafilter, full frame last."""
-        vector = self.barycenter.as_array().copy()
+        """The centre minus ``shift`` on the ultrafilter, full frame last."""
+        vector = self.point.as_array().copy()
         vector[np.append(self.members, self.frame.full_mask)] -= shift
         return PseudoMassFunction(self.frame, vector)
 
@@ -161,7 +164,8 @@ class GlobalResult(FrozenRecord):
     ``optima`` lists every element whose distance ties the minimal distance
     within tolerance, in frame order; ``criterion_values`` maps each element
     to its criterion value, the distance squared for L2.  The partial solutions
-    are not built here: a cell's ``solve(m, x)`` in ``oracle.CELLS`` gives each.
+    are not built here: a cell's ``solve(m, x)`` in ``oracle.CELLS`` gives each
+    as a :class:`Solution`.
     """
 
     def __init__(self, optima: tuple[str, ...], criterion_values: Mapping[str, float]) -> None:
@@ -196,7 +200,7 @@ def _keep_and_move(m: MassFunction, xbit: int, moved: float) -> MassFunction:
     return MassFunction(m.frame, vector)
 
 
-def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
+def partial_l1_mass(m: MassFunction, x: str) -> Solution:
     """L1-closest consistent assignment focused on x (mass-n2 embedding).
 
     Ultrafilter masses are kept, the outside mass ``b(x^c)`` moves to the
@@ -204,8 +208,7 @@ def partial_l1_mass(m: MassFunction, x: str) -> PartialApprox:
     """
     xbit = m.frame.singleton(x)
     moved = outside_sum(m.as_array(), xbit)
-    space = EmbeddingSpace(SpaceKind.MASS_N2, m.frame)
-    return PartialApprox(x, _keep_and_move(m, xbit, moved), moved, space)
+    return Solution(x, _keep_and_move(m, xbit, moved), {1: moved})
 
 
 def global_l1_mass(m: MassFunction) -> GlobalResult:
@@ -226,7 +229,7 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
     inside = arr[members]
     barycenter = _keep_and_move(m, xbit, outside_sum(arr, xbit))
-    return ApproxBox(x, members, inside - slack, inside + slack, barycenter, slack)
+    return ApproxBox(x, barycenter, {math.inf: slack}, members, inside - slack, inside + slack)
 
 
 def global_linf_mass(m: MassFunction) -> GlobalResult:
@@ -258,24 +261,23 @@ def _l2_criterion(
     return moved * moved / (1 << (m.frame.size - 1)) + outside
 
 
-def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> PartialApprox:
+def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> Solution:
     """L2-closest consistent assignment focused on x, per mass embedding.
 
     In ``mass-n2`` the projection coincides with the partial L1 solution; in
     ``mass-n1`` the outside mass is split evenly over the whole ultrafilter.
-    Either way ``distance`` is the attained L2 norm in that embedding.
+    Either way ``distances[2]`` is the attained L2 norm in that embedding.
     """
     kind = _mass_kind(kind)
     frame, arr, xbit = m.frame, m.as_array(), m.frame.singleton(x)
     moved = outside_sum(arr, xbit)
     if kind is SpaceKind.MASS_N2:
-        result = _keep_and_move(m, xbit, moved)
+        point = _keep_and_move(m, xbit, moved)
     else:
         members = ultrafilter(frame, x)
         shared = arr[members] + moved / (1 << (frame.size - 1))
-        result = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
-    distance = math.sqrt(_l2_criterion(m, arr * arr, xbit, kind, moved))
-    return PartialApprox(x, result, distance, EmbeddingSpace(kind, frame))
+        point = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
+    return Solution(x, point, {2: math.sqrt(_l2_criterion(m, arr * arr, xbit, kind, moved))})
 
 
 def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:

@@ -17,8 +17,9 @@ problem is solved exactly, with numpy alone:
 The reported distance is recomputed from the weights found.  Nothing here
 reuses the closed forms being checked, they enter only in the final
 comparison.  ``CELLS`` is the package's one list of (norm, space) cells: each
-row holds the global selector, the partial solver and the closed form read
-off a partial.  The CLI's ``approximate`` and ``verify`` run from it;
+row holds the global selector and the partial solver, whose
+:class:`~csbf.consistent_mass.Solution` carries the closed form's point and
+distance.  The CLI's ``approximate`` and ``verify`` run from it;
 ``SUPPORTED_PAIRS`` lists its keys, and ``closed_form_partial`` and
 ``library_global`` look it up.  Every comparison uses the one tolerance
 ``TOL``: a distance converges when it is that close to the closed form,
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -91,54 +91,49 @@ class OracleReport(FrozenRecord):
 class Cell(FrozenRecord):
     """One (norm, space) cell: ``select(m)`` is its global selector, which
     returns the optima, tied within ``TOL``, and the criterion values only;
-    ``solve(m, x)`` is its partial solver, and ``closed(partial)`` reads off a
-    partial's distance and a minimizer, for Linf the solution-set barycenter.
-    A row is the one place that pairs a criterion with its partial solver.
+    ``solve(m, x)`` is its partial solver, which returns a
+    :class:`~csbf.consistent_mass.Solution` whose ``distances[p]`` is the
+    cell's distance and whose ``point`` is a minimizer, for Linf the
+    solution box's barycenter.  A row is the one place that pairs a
+    criterion with its partial solver.
     """
 
-    def __init__(self, select: Callable, solve: Callable, closed: Callable) -> None:
-        self._set(select, solve, closed)
+    def __init__(self, select: Callable, solve: Callable) -> None:
+        self._set(select, solve)
 
 
 #: (norm, space) -> Cell, in report order: the package's one list of cells.
 #: The rows name the library functions inside lambdas, so they are read from
 #: this module's namespace at call time, and wrapping a module attribute
-#: reaches these calls.  Both Linf rows read the box's stored barycenter.
+#: reaches these calls.
 CELLS: dict[tuple[float, SpaceKind], Cell] = {
     (1, SpaceKind.MASS_N2): Cell(
         lambda m: global_l1_mass(m),
         lambda m, x: partial_l1_mass(m, x),
-        attrgetter("distance", "result"),
     ),
     (2, SpaceKind.MASS_N2): Cell(
         lambda m: global_l2_mass(m, SpaceKind.MASS_N2),
         lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N2),
-        attrgetter("distance", "result"),
     ),
     (2, SpaceKind.MASS_N1): Cell(
         lambda m: global_l2_mass(m, SpaceKind.MASS_N1),
         lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N1),
-        attrgetter("distance", "result"),
     ),
     (math.inf, SpaceKind.MASS_N2): Cell(
         lambda m: global_linf_mass(m),
         lambda m, x: partial_linf_mass(m, x),
-        attrgetter("distance", "barycenter"),
     ),
     (1, SpaceKind.BELIEF): Cell(
         lambda m: global_l1_belief(m),
         lambda m, x: focused_transform(m, x),
-        attrgetter("distance_l1", "result"),
     ),
     (2, SpaceKind.BELIEF): Cell(
         lambda m: global_l2_belief(m),
         lambda m, x: focused_transform(m, x),
-        attrgetter("distance_l2", "result"),
     ),
     (math.inf, SpaceKind.BELIEF): Cell(
         lambda m: global_linf_belief(m),
         lambda m, x: partial_linf_belief(m, x),
-        attrgetter("distance", "barycenter"),
     ),
 }
 
@@ -160,8 +155,8 @@ def closed_form_partial(
 
     For Linf the returned point is the solution-set barycenter.
     """
-    cell = _cell(p, space, "closed form")
-    return cell.closed(cell.solve(m, x))
+    sol = _cell(p, space, "closed form").solve(m, x)
+    return sol.distances[p], sol.point
 
 
 def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:

@@ -5,14 +5,17 @@
 * the categorical inner-product lemma, which lets the belief-space L2
   optimality system row-reduce to the L1 one;
 * the search for an input whose global L1 belief pick is not the most
-  plausible element.
+  plausible element;
+* :func:`verify_orthogonality`, the L2-optimality certificate of the
+  focused transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from csbf import Frame, MassFunction, global_l1_belief, global_l1_mass
+from csbf import Frame, MassFunction, Solution, global_l1_belief, global_l1_mass
+from csbf.core import TOL, superset_sum_transform, zeta_transform
 
 #: Most focal elements in a draw without ``full_support``.
 MAX_FOCAL = 8
@@ -101,3 +104,20 @@ def find_global_l1_counterexample(
         if set(global_l1_belief(m).optima) != set(global_l1_mass(m).optima):
             return m, draw
     return None, max_draws
+
+
+def verify_orthogonality(m: MassFunction, sol: Solution, tol: float = TOL) -> bool:
+    """L2-optimality certificate for a focused transform.
+
+    Checks that the belief-space residual ``m - sol.point`` is orthogonal to
+    the categorical belief vector of every proper ultrafilter member, which
+    characterizes the projection onto the ultrafilter's span.
+    """
+    frame = m.frame
+    xbit = frame.singleton(sol.focus)
+    residual = zeta_transform(m.as_array() - sol.point.as_array())
+    # <residual, b_B> = sum of residual over supersets of B; the full frame
+    # contributes zero because its coordinate is not part of the space.
+    residual[-1] = 0.0
+    sums = superset_sum_transform(residual)
+    return all(abs(sums[mask]) <= tol for mask in range(1, frame.full_mask) if mask & xbit)

@@ -31,13 +31,17 @@ from csbf import (
     partial_l2_mass,
     partial_linf_belief,
     partial_linf_mass,
-    verify_orthogonality,
 )
 from csbf.core import TOL
 from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
 
 from conftest import ACCEPTANCE_LINES, TERNARY_MASSES, frame_of_size
-from paper_maths import find_global_l1_counterexample, lemma_alternating_sum, random_mass_function
+from paper_maths import (
+    find_global_l1_counterexample,
+    lemma_alternating_sum,
+    random_mass_function,
+    verify_orthogonality,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -90,7 +94,7 @@ def test_criterion_1_golden_l1_mass_tables():
         partials, result = workload()
         best = min(best, time.perf_counter() - t0)
 
-    tables_ok = all(masses_match(frame, partials[x].result, expected[x]) for x in expected)
+    tables_ok = all(masses_match(frame, partials[x].point, expected[x]) for x in expected)
     check(
         1,
         "golden L1 mass tables",
@@ -132,14 +136,14 @@ def test_criterion_3_l2_mass_tables_and_reduced_equivalence():
         "z": {"z": 0.175, "x,z": 0.175, "y,z": 0.475, "x,y,z": 0.175},
     }
     tables_ok = all(
-        masses_match(frame, partial_l2_mass(m, x, SpaceKind.MASS_N1).result, expected[x])
+        masses_match(frame, partial_l2_mass(m, x, SpaceKind.MASS_N1).point, expected[x])
         for x in expected
     )
     reduced_ok = True
     for inst_frame, inst in random_instances(1000, (2, 3, 4), seed=101):
         for x in inst_frame.elements:
-            l2 = partial_l2_mass(inst, x, SpaceKind.MASS_N2).result
-            if not l2.allclose(partial_l1_mass(inst, x).result, tol=0.0):
+            l2 = partial_l2_mass(inst, x, SpaceKind.MASS_N2).point
+            if not l2.allclose(partial_l1_mass(inst, x).point, tol=0.0):
                 reduced_ok = False
     check(3, "L2 mass tables, reduced = L1", tables_ok and reduced_ok)
 
@@ -152,7 +156,7 @@ def test_criterion_4_focused_transforms_and_belief_globals():
         "z": {"z": 0.0, "x,z": 0.2, "y,z": 0.4, "x,y,z": 0.4},
     }
     tables_ok = all(
-        masses_match(frame, focused_transform(m, x).result, expected[x]) for x in expected
+        masses_match(frame, focused_transform(m, x).point, expected[x]) for x in expected
     )
     l1 = global_l1_belief(m)
     l2 = global_l2_belief(m)
@@ -177,13 +181,13 @@ def test_criterion_5_barycenter_identities():
         for x in frame.elements:
             gamma_box = partial_linf_belief(m, x)
             bary = gamma_to_mass(gamma_box, gamma_box.midpoint())
-            ft = focused_transform(m, x).result
+            ft = focused_transform(m, x).point
             keys = set(bary.masses) | set(ft.masses)
             worst = max(worst, max(abs(bary.value(k) - ft.value(k)) for k in keys))
 
             mass_box = partial_linf_mass(m, x)
-            mid = mass_box.barycenter
-            l1 = partial_l1_mass(m, x).result
+            mid = mass_box.point
+            l1 = partial_l1_mass(m, x).point
             keys = set(mid.masses) | set(l1.masses)
             worst = max(worst, max(abs(mid.value(k) - l1.value(k)) for k in keys))
     check(5, "box midpoints are the L1/focused solutions", worst < 1e-12, f"max dev {worst:.2e}")

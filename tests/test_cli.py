@@ -139,6 +139,22 @@ class TestApproximate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--norm", "l1", "--space", "mass", "--rep", "n2", "--focus", "x"], "--rep applies"),
+            (["--norm", "l2", "--space", "mass", "--focus", "x"], "needs an explicit --rep"),
+            (["--norm", "l1", "--space", "mass", "--focus", "x", "--vertices"], "--vertices"),
+            (["--norm", "l1", "--space", "mass"], "pick --focus"),
+            (["--norm", "l1", "--space", "mass", "--focus", "x", "--global"], "mutually exclusive"),
+        ],
+    )
+    def test_flag_errors_come_before_the_input_is_read(self, capsys, flags, message):
+        # a flag error needs no document: it exits 3, not 2, on a path that does not exist
+        code, out, err = run(capsys, ["approximate", "/nonexistent/input.json", *flags])
+        assert (code, out) == (3, "")
+        assert message in err and err.count("\n") == 1
+
     def test_vertex_admissibility_flags(self, capsys):
         doc, _ = run_json(
             capsys,

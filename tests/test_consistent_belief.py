@@ -10,6 +10,7 @@ from csbf import (
     Frame,
     GammaBox,
     MassFunction,
+    Solution,
     SpaceKind,
     belief_from_mass,
     contour,
@@ -21,13 +22,12 @@ from csbf import (
     global_linf_belief,
     lp_distance,
     partial_linf_belief,
-    verify_orthogonality,
 )
 from csbf.consistent_mass import box_corners
 from csbf.core import TOL
 
 from conftest import frame_of_size
-from paper_maths import find_global_l1_counterexample, random_mass_function
+from paper_maths import find_global_l1_counterexample, random_mass_function, verify_orthogonality
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -43,16 +43,16 @@ def assert_masses(frame, result, expected, tol=1e-12):
 class TestFocusedTransform:
     def test_ternary_tables(self, ternary, ternary_frame):
         ft = focused_transform(ternary, "x")
-        assert_masses(ternary_frame, ft.result, {"x": 0.2, "x,y": 0.5, "x,z": 0.0, "x,y,z": 0.3})
+        assert_masses(ternary_frame, ft.point, {"x": 0.2, "x,y": 0.5, "x,z": 0.0, "x,y,z": 0.3})
         ft = focused_transform(ternary, "y")
-        assert_masses(ternary_frame, ft.result, {"y": 0.1, "x,y": 0.6, "y,z": 0.3, "x,y,z": 0.0})
+        assert_masses(ternary_frame, ft.point, {"y": 0.1, "x,y": 0.6, "y,z": 0.3, "x,y,z": 0.0})
 
     def test_focal_elements_absorb_the_focus(self):
         # four-element case: {y}, {y,z}, {x,z,w} keep their masses, unioned with x
         frame = Frame(("x", "y", "z", "w"))
         m = MassFunction.from_labels(frame, {"y": 0.5, "y,z": 0.3, "x,z,w": 0.2})
         ft = focused_transform(m, "x")
-        assert_masses(frame, ft.result, {"x,y": 0.5, "x,y,z": 0.3, "x,z,w": 0.2})
+        assert_masses(frame, ft.point, {"x,y": 0.5, "x,y,z": 0.3, "x,z,w": 0.2})
 
     def test_mass_conserved_exactly(self, rng):
         frame = frame_of_size(4)
@@ -60,8 +60,8 @@ class TestFocusedTransform:
             m = random_mass_function(frame, rng)
             for label in frame.elements:
                 ft = focused_transform(m, label)
-                assert sum(ft.result.masses.values()) == pytest.approx(1.0, abs=1e-15)
-                assert ft.result.admissible
+                assert sum(ft.point.masses.values()) == pytest.approx(1.0, abs=1e-15)
+                assert ft.point.admissible
 
 
 class TestOrthogonality:
@@ -70,16 +70,12 @@ class TestOrthogonality:
             assert verify_orthogonality(ternary, focused_transform(ternary, label))
 
     def test_perturbation_breaks_it(self, ternary):
-        from csbf.consistent_belief import FocusedTransform
-
         frame = ternary.frame
         ft = focused_transform(ternary, "x")
-        masses = dict(ft.result.masses)
+        masses = dict(ft.point.masses)
         masses[frame.subset(("x", "y"))] += 0.01
         masses[frame.full_mask] -= 0.01
-        perturbed = FocusedTransform(
-            "x", MassFunction(frame, masses), ft.distance_l1, ft.distance_l2
-        )
+        perturbed = Solution("x", MassFunction(frame, masses), ft.distances)
         assert not verify_orthogonality(ternary, perturbed)
 
     def test_vacuous_trivially_orthogonal(self):
@@ -138,9 +134,9 @@ class TestGlobalL2Belief:
             result = global_l2_belief(m)
             for label in frame.elements:
                 ft = focused_transform(m, label)
-                direct = lp_distance(origin, embed(ft.result, space), 2)
+                direct = lp_distance(origin, embed(ft.point, space), 2)
                 assert result.criterion_values[label] == pytest.approx(direct**2, abs=1e-12)
-                assert ft.distance_l2 == pytest.approx(direct, abs=1e-12)
+                assert ft.distances[2] == pytest.approx(direct, abs=1e-12)
 
     def test_can_diverge_from_global_l1(self):
         # documented instance where the L1 and L2 belief picks differ
@@ -163,8 +159,8 @@ class TestGlobalL2Belief:
             origin = embed(m, space)
             for label in frame.elements:
                 ft = focused_transform(m, label)
-                direct = lp_distance(origin, embed(ft.result, space), 1)
-                assert ft.distance_l1 == pytest.approx(direct, abs=1e-12)
+                direct = lp_distance(origin, embed(ft.point, space), 1)
+                assert ft.distances[1] == pytest.approx(direct, abs=1e-12)
 
     def test_l1_local_optimality_probe(self, ternary, rng):
         # random points of the ultrafilter simplex never beat the closed form
@@ -182,7 +178,7 @@ class TestGlobalL2Belief:
                     frame, {mask: float(w) for mask, w in zip(members.tolist(), weights)}
                 )
                 d = lp_distance(origin, embed(candidate, space), 1)
-                assert d >= ft.distance_l1 - 1e-12
+                assert d >= ft.distances[1] - 1e-12
 
 
 class TestGammaBox:
@@ -190,7 +186,7 @@ class TestGammaBox:
         box = partial_linf_belief(ternary, "x")
         view = belief_from_mass(ternary)
         radius = view.belief_of(ternary_frame.complement(ternary_frame.singleton("x")))
-        assert box.distance == pytest.approx(radius, abs=1e-12)
+        assert box.distances[math.inf] == pytest.approx(radius, abs=1e-12)
         assert box.members.tolist() == [1, 3, 5]
         for mask, lower, upper in zip(box.members.tolist(), box.lower, box.upper):
             inside = view.belief_of(mask ^ ternary_frame.singleton("x"))
@@ -204,7 +200,7 @@ class TestGammaBox:
             for label in frame.elements:
                 box = partial_linf_belief(m, label)
                 bary = gamma_to_mass(box, box.midpoint())
-                assert bary.allclose(focused_transform(m, label).result, tol=1e-12)
+                assert bary.allclose(focused_transform(m, label).point, tol=1e-12)
 
     def test_ternary_corners_match_vertex_formulas(self, ternary, ternary_frame):
         # frozen closed-form corner list for the ternary case, in terms of
@@ -259,13 +255,13 @@ class TestGammaBox:
         assert len(box.corners()) == 8
         for point in box.corners():
             d = lp_distance(origin, embed(point, space), math.inf)
-            assert d == pytest.approx(box.distance, abs=1e-12)
+            assert d == pytest.approx(box.distances[math.inf], abs=1e-12)
 
     def test_zero_width_box_returns_the_input(self):
         frame = frame_of_size(3)
         m = MassFunction.from_labels(frame, {"x": 0.25, "x,z": 0.25, "x,y,z": 0.5})
         box = partial_linf_belief(m, "x")
-        assert box.distance == 0.0
+        assert box.distances[math.inf] == 0.0
         assert gamma_to_mass(box, box.midpoint()).allclose(m, tol=1e-15)
 
     def test_point_outside_box_rejected(self, ternary):
@@ -284,7 +280,7 @@ class TestGammaBox:
     def test_contains_allows_check_tolerance_and_checks_the_shape(self, rng):
         m = random_mass_function(frame_of_size(4), rng, full_support=True)
         box = partial_linf_belief(m, "y")
-        assert box.distance > 0.1
+        assert box.distances[math.inf] > 0.1
         for corner in box_corners(box.lower, box.upper):
             assert box.contains(corner) and box.contains(corner.tolist())
         for i in range(box.members.size):
@@ -303,7 +299,7 @@ class TestGammaBox:
         # dyadic bounds and tolerance: every edge sum below is exact
         tol = 2.0**-4
         m = MassFunction.vacuous(Frame(("x", "y")))
-        box = GammaBox("x", [1], [0.5], [0.75], m, 0.125)
+        box = GammaBox("x", m, {math.inf: 0.125}, [1], [0.5], [0.75])
         for edge, away in ((0.5 - tol, -math.inf), (0.75 + tol, math.inf)):
             assert box.contains(np.array([edge]), tol)
             assert not box.contains(np.array([math.nextafter(edge, away)]), tol)
@@ -312,7 +308,7 @@ class TestGammaBox:
         frame = Frame(("x",))
         m = MassFunction.vacuous(frame)
         ft = focused_transform(m, "x")
-        assert ft.result.allclose(m) and ft.distance_l1 == 0.0
+        assert ft.point.allclose(m) and ft.distances[1] == 0.0
         box = partial_linf_belief(m, "x")
         corners = box_corners(box.lower, box.upper)
         assert corners.shape == (1, 0)
@@ -325,7 +321,8 @@ class TestGlobalLinfBelief:
     def test_ternary_optimum(self, ternary):
         result = global_linf_belief(ternary)
         assert result.optima == ("y",)
-        assert partial_linf_belief(ternary, "y").distance == pytest.approx(0.2, abs=1e-12)
+        distance = partial_linf_belief(ternary, "y").distances[math.inf]
+        assert distance == pytest.approx(0.2, abs=1e-12)
 
     def test_vacuous_ties(self):
         frame = frame_of_size(3)
@@ -338,7 +335,7 @@ class TestGlobalLinfBelief:
             result = global_linf_belief(m)
             pl = contour(m)
             for label in result.optima:
-                assert partial_linf_belief(m, label).distance == pytest.approx(
+                assert partial_linf_belief(m, label).distances[math.inf] == pytest.approx(
                     1.0 - pl[label], abs=1e-12
                 )
 

@@ -42,31 +42,31 @@ def assert_masses(frame, result, expected, tol=1e-12):
 class TestPartialL1:
     def test_ternary_tables(self, ternary, ternary_frame):
         pa = partial_l1_mass(ternary, "x")
-        assert_masses(ternary_frame, pa.result, {"x": 0.2, "x,y": 0.4, "x,z": 0.0, "x,y,z": 0.4})
-        assert pa.distance == pytest.approx(0.4, abs=1e-12)
+        assert_masses(ternary_frame, pa.point, {"x": 0.2, "x,y": 0.4, "x,z": 0.0, "x,y,z": 0.4})
+        assert pa.distances[1] == pytest.approx(0.4, abs=1e-12)
         pa = partial_l1_mass(ternary, "z")
-        assert_masses(ternary_frame, pa.result, {"z": 0.0, "x,z": 0.0, "y,z": 0.3, "x,y,z": 0.7})
-        assert pa.distance == pytest.approx(0.7, abs=1e-12)
+        assert_masses(ternary_frame, pa.point, {"z": 0.0, "x,z": 0.0, "y,z": 0.3, "x,y,z": 0.7})
+        assert pa.distances[1] == pytest.approx(0.7, abs=1e-12)
 
     def test_fixed_point_when_already_consistent(self):
         frame = frame_of_size(3)
         m = MassFunction.from_labels(frame, {"x": 0.4, "x,y": 0.6})
         pa = partial_l1_mass(m, "x")
-        assert pa.distance == 0.0
-        assert pa.result.allclose(m)
+        assert pa.distances[1] == 0.0
+        assert pa.point.allclose(m)
 
     def test_result_contour_reaches_one_at_focus(self, ternary):
         for label in ternary.frame.elements:
             pa = partial_l1_mass(ternary, label)
-            assert contour(pa.result)[label] == pytest.approx(1.0, abs=1e-12)
-            assert is_consistent(pa.result)
+            assert contour(pa.point)[label] == pytest.approx(1.0, abs=1e-12)
+            assert is_consistent(pa.point)
 
 
 class TestGlobalL1:
     def test_ternary_optimum(self, ternary):
         result = global_l1_mass(ternary)
         assert result.optima == ("y",)
-        assert partial_l1_mass(ternary, "y").distance == pytest.approx(0.2, abs=1e-12)
+        assert partial_l1_mass(ternary, "y").distances[1] == pytest.approx(0.2, abs=1e-12)
 
     def test_vacuous_all_tie_at_zero(self):
         frame = frame_of_size(3)
@@ -79,9 +79,9 @@ class TestGlobalL1:
         for _ in range(40):
             m = random_mass_function(frame, rng)
             result = global_l1_mass(m)
-            best = partial_l1_mass(m, result.optima[0]).distance
+            best = partial_l1_mass(m, result.optima[0]).distances[1]
             for label in frame.elements:
-                assert best <= partial_l1_mass(m, label).distance + 1e-12
+                assert best <= partial_l1_mass(m, label).distances[1] + 1e-12
 
     def test_ties_report_all_optima(self):
         frame = Frame(("x", "y"))
@@ -99,16 +99,16 @@ class TestPartialLinf:
         assert intervals["x"] == pytest.approx((-0.1, 0.5), abs=1e-12)
         assert intervals["x,y"] == pytest.approx((0.1, 0.7), abs=1e-12)
         assert intervals["x,z"] == pytest.approx((-0.3, 0.3), abs=1e-12)
-        assert box.distance == pytest.approx(0.3, abs=1e-12)
+        assert box.distances[math.inf] == pytest.approx(0.3, abs=1e-12)
 
     def test_degenerate_box_when_consistent(self):
         frame = frame_of_size(3)
         m = MassFunction.from_labels(frame, {"x": 0.4, "x,y,z": 0.6})
         box = partial_linf_mass(m, "x")
-        assert box.distance == 0.0
+        assert box.distances[math.inf] == 0.0
         assert box.lower.size == 3
         assert (box.lower == box.upper).all()
-        assert box.barycenter.allclose(m)
+        assert box.point.allclose(m)
         lo, hi, clipped = box.admissible_intervals()
         assert (lo == box.lower).all() and (hi == box.upper).all()
         assert clipped is False
@@ -137,7 +137,7 @@ class TestPartialLinf:
         box = partial_linf_mass(ternary, "x")
         for corner in box.corners():
             d = lp_distance(origin, embed(corner, space), math.inf)
-            assert d == pytest.approx(box.distance, abs=1e-12)
+            assert d == pytest.approx(box.distances[math.inf], abs=1e-12)
 
     def test_clipped_points_keep_the_distance(self, ternary):
         # renormalizing clipped coordinates through the full frame stays in the box
@@ -152,7 +152,7 @@ class TestPartialLinf:
         point = PseudoMassFunction(frame, values)
         assert box.contains(point)
         assert lp_distance(origin, embed(point, space), math.inf) == pytest.approx(
-            box.distance, abs=1e-12
+            box.distances[math.inf], abs=1e-12
         )
 
     def test_upper_clip_acts_on_rounding_alone(self):
@@ -171,17 +171,17 @@ class TestPartialLinf:
         # its masses on x, x,y and x,z lie inside their intervals
         box = partial_linf_mass(ternary, "x")
         assert not box.contains(ternary)
-        assert box.contains(box.barycenter)
+        assert box.contains(box.point)
         # another frame's masses are never inside, whatever their vector holds
         m = MassFunction.from_labels(Frame(("x", "y")), {"x": 0.5, "y": 0.5})
         pair = partial_linf_mass(m, "x")
-        assert pair.contains(pair.barycenter)
+        assert pair.contains(pair.point)
         for other in (("x", "y", "z"), ("x", "w")):
             assert not pair.contains(MassFunction.from_labels(Frame(other), {"x": 0.5, other: 0.5}))
         frame = ternary.frame
         y, full = frame.singleton("y"), frame.full_mask
         for stray, inside in ((1e-10, True), (-1e-10, True), (2e-9, False), (-2e-9, False)):
-            masses = dict(box.barycenter.masses)
+            masses = dict(box.point.masses)
             masses[y], masses[full] = stray, masses[full] - stray
             assert box.contains(PseudoMassFunction(frame, masses)) is inside, stray
 
@@ -189,7 +189,7 @@ class TestPartialLinf:
         # dyadic bounds and tolerance: every edge sum below is exact
         tol, lower, upper = 2.0**-4, np.array([0.5]), np.array([0.75])
         frame = Frame(("x", "y"))
-        box = ApproxBox("x", [1], lower, upper, MassFunction.vacuous(frame), 0.125)
+        box = ApproxBox("x", MassFunction.vacuous(frame), {math.inf: 0.125}, [1], lower, upper)
 
         def point(inside, stray=0.0):  # mass on x, on y (off the ultrafilter), rest on x,y
             return PseudoMassFunction(frame, {1: inside, 2: stray, 3: 1.0 - inside - stray})
@@ -211,7 +211,7 @@ class TestPartialLinf:
             for label in frame.elements:
                 box = partial_linf_mass(m, label)
                 for width in box.upper - box.lower:
-                    assert width == pytest.approx(2 * box.distance, abs=1e-12)
+                    assert width == pytest.approx(2 * box.distances[math.inf], abs=1e-12)
 
     def test_barycenter_equals_partial_l1(self, rng):
         frame = frame_of_size(3)
@@ -219,9 +219,9 @@ class TestPartialLinf:
             m = random_mass_function(frame, rng)
             for label in frame.elements:
                 box = partial_linf_mass(m, label)
-                l1 = partial_l1_mass(m, label).result
-                assert np.array_equal(box.barycenter.as_array(), l1.as_array())
-                assert box.barycenter.allclose(l1, tol=1e-12)
+                l1 = partial_l1_mass(m, label).point
+                assert np.array_equal(box.point.as_array(), l1.as_array())
+                assert box.point.allclose(l1, tol=1e-12)
 
 
 class TestGlobalLinf:
@@ -257,16 +257,16 @@ class TestPartialL2:
     def test_ternary_tables_full_embedding(self, ternary, ternary_frame):
         pa = partial_l2_mass(ternary, "x", SpaceKind.MASS_N1)
         assert_masses(
-            ternary_frame, pa.result, {"x": 0.3, "x,y": 0.5, "x,z": 0.1, "x,y,z": 0.1}
+            ternary_frame, pa.point, {"x": 0.3, "x,y": 0.5, "x,z": 0.1, "x,y,z": 0.1}
         )
         pa = partial_l2_mass(ternary, "z", SpaceKind.MASS_N1)
         assert_masses(
-            ternary_frame, pa.result, {"z": 0.175, "x,z": 0.175, "y,z": 0.475, "x,y,z": 0.175}
+            ternary_frame, pa.point, {"z": 0.175, "x,z": 0.175, "y,z": 0.475, "x,y,z": 0.175}
         )
 
     def test_reduced_embedding_equals_partial_l1(self, ternary):
         pa = partial_l2_mass(ternary, "x", SpaceKind.MASS_N2)
-        assert pa.result.allclose(partial_l1_mass(ternary, "x").result, tol=0.0)
+        assert pa.point.allclose(partial_l1_mass(ternary, "x").point, tol=0.0)
 
     def test_reduced_equals_l1_on_random_inputs(self, rng):
         for i in range(200):
@@ -274,14 +274,14 @@ class TestPartialL2:
             m = random_mass_function(frame, rng)
             for label in frame.elements:
                 l2 = partial_l2_mass(m, label, SpaceKind.MASS_N2)
-                assert l2.result.allclose(partial_l1_mass(m, label).result, tol=0.0)
+                assert l2.point.allclose(partial_l1_mass(m, label).point, tol=0.0)
 
     def test_always_admissible(self, rng):
         frame = frame_of_size(4)
         for _ in range(30):
             m = random_mass_function(frame, rng)
             for label in frame.elements:
-                assert partial_l2_mass(m, label, SpaceKind.MASS_N1).result.admissible
+                assert partial_l2_mass(m, label, SpaceKind.MASS_N1).point.admissible
 
     def test_belief_space_rejected(self, ternary):
         for kind in (SpaceKind.BELIEF, "belief"):
@@ -306,20 +306,20 @@ class TestDegenerateFrames:
         frame = Frame(("x",))
         m = MassFunction.vacuous(frame)
         pa = partial_l1_mass(m, "x")
-        assert pa.distance == 0.0 and pa.result.allclose(m)
+        assert pa.distances[1] == 0.0 and pa.point.allclose(m)
         box = partial_linf_mass(m, "x")
-        assert box.distance == 0.0 and box.lower.size == 0
-        assert box.barycenter.allclose(m)
+        assert box.distances[math.inf] == 0.0 and box.lower.size == 0
+        assert box.point.allclose(m)
         for kind in (SpaceKind.MASS_N1, SpaceKind.MASS_N2):
-            assert partial_l2_mass(m, "x", kind).result.allclose(m)
+            assert partial_l2_mass(m, "x", kind).point.allclose(m)
         assert global_l1_mass(m).optima == ("x",)
 
     def test_ten_element_frame_stays_fast_and_exact(self, rng):
         frame = Frame(tuple(f"e{i}" for i in range(10)))
         m = random_mass_function(frame, rng)
         pa = partial_l1_mass(m, "e3")
-        assert is_consistent(pa.result)
-        assert sum(pa.result.masses.values()) == pytest.approx(1.0, abs=1e-12)
+        assert is_consistent(pa.point)
+        assert sum(pa.point.masses.values()) == pytest.approx(1.0, abs=1e-12)
         assert global_linf_mass(m).optima
 
 
@@ -343,8 +343,8 @@ class TestGlobalL2:
                 result = global_l2_mass(m, kind)
                 for label in frame.elements:
                     pa = partial_l2_mass(m, label, kind)
-                    direct = lp_distance(origin, embed(pa.result, space), 2)
+                    direct = lp_distance(origin, embed(pa.point, space), 2)
                     assert result.criterion_values[label] == pytest.approx(
                         direct**2, abs=1e-12
                     )
-                    assert pa.distance == pytest.approx(direct, abs=1e-12)
+                    assert pa.distances[2] == pytest.approx(direct, abs=1e-12)

@@ -412,7 +412,7 @@ class TestCoreAndConsistency:
 
     def test_partial_l1_result_is_consistent(self, ternary):
         for label in ternary.frame.elements:
-            assert is_consistent(partial_l1_mass(ternary, label).result)
+            assert is_consistent(partial_l1_mass(ternary, label).point)
 
     def test_bayesian_binary_inconsistent(self):
         frame = Frame(("x", "y"))

@@ -56,13 +56,13 @@ SELECTORS = {
 
 #: Attained partial distance per mode; L2 criteria are squared distances.
 PARTIAL_DISTANCES = {
-    "l1/mass": lambda m, x: partial_l1_mass(m, x).distance,
-    "l2/mass-n1": lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N1).distance ** 2,
-    "l2/mass-n2": lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N2).distance ** 2,
-    "linf/mass": lambda m, x: partial_linf_mass(m, x).distance,
-    "l1/belief": lambda m, x: focused_transform(m, x).distance_l1,
-    "l2/belief": lambda m, x: focused_transform(m, x).distance_l2 ** 2,
-    "linf/belief": lambda m, x: partial_linf_belief(m, x).distance,
+    "l1/mass": lambda m, x: partial_l1_mass(m, x).distances[1],
+    "l2/mass-n1": lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N1).distances[2] ** 2,
+    "l2/mass-n2": lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N2).distances[2] ** 2,
+    "linf/mass": lambda m, x: partial_linf_mass(m, x).distances[math.inf],
+    "l1/belief": lambda m, x: focused_transform(m, x).distances[1],
+    "l2/belief": lambda m, x: focused_transform(m, x).distances[2] ** 2,
+    "linf/belief": lambda m, x: partial_linf_belief(m, x).distances[math.inf],
 }
 
 
@@ -169,11 +169,9 @@ def consistent_mass_functions(draw, max_size=7):
 
 def partial_masses(payload):
     """The mass functions a partial solution stands for; a box's are its center."""
-    if isinstance(payload, ApproxBox):
-        return [payload.barycenter]
     if isinstance(payload, GammaBox):
         return [gamma_to_mass(payload, payload.midpoint())]
-    return [payload.result]
+    return [payload.point]
 
 
 @given(consistent_mass_functions())
@@ -269,7 +267,7 @@ def test_every_cell_ties_on_distances(n):
         where = (p, kind.value)
 
         def distance(m, x):
-            return cell.closed(cell.solve(m, x))[0]
+            return cell.solve(m, x).distances[p]
 
         # the distance at closer does not depend on the gap, and the one at
         # other is affine in it, so one probe gives the slope
@@ -323,7 +321,7 @@ def test_partial_distance_is_the_criterion_value_bit_for_bit(rng):
             for (p, kind), cell in CELLS.items():
                 values = cell.select(m).criterion_values
                 for x in frame.elements:
-                    distance = cell.closed(cell.solve(m, x))[0]
+                    distance = cell.solve(m, x).distances[p]
                     expected = math.sqrt(values[x]) if p == 2 else values[x]
                     assert float.hex(distance) == float.hex(expected), ((p, kind.value), x)
 
@@ -413,7 +411,9 @@ def test_every_cell_is_equivariant_under_relabelling(pair):
         assert set(result.optima) == set(moved.optima), where
         for x in m.frame.elements:
             partials = cell.solve(m, x), cell.solve(image, x)
-            (distance, point), (image_distance, image_point) = map(cell.closed, partials)
+            (distance, point), (image_distance, image_point) = (
+                (s.distances[p], s.point) for s in partials
+            )
             assert abs(distance - image_distance) <= TOL, (where, x)
             assert_same_by_label(
                 by_subset_label(m.frame, point.masses, point.masses.values()),
@@ -486,7 +486,7 @@ def test_large_frames_match_direct_per_focus_sums(n):
         assert result.optima == tuple(x for x in frame.elements if direct[x] <= best + core.TOL)
         for x in result.optima:
             payload = cell.solve(m, x)
-            distance, point = cell.closed(payload)
+            distance, point = payload.distances[key[0]], payload.point
             value, direct_point = cells[x][key]
             close(distance, math.sqrt(value) if key[0] == 2 else value, (key, x))
             close(point.as_array(), direct_point, (key, x))

@@ -96,7 +96,7 @@ class TestLpDistance:
     def test_running_example_l1_distance_to_partial(self, ternary):
         space = _space(SpaceKind.MASS_N2, ternary.frame)
         u = embed(ternary, space)
-        v = embed(partial_l1_mass(ternary, "x").result, space)
+        v = embed(partial_l1_mass(ternary, "x").point, space)
         assert lp_distance(u, v, 1) == pytest.approx(0.4, abs=1e-12)
 
     def test_space_mismatch_rejected(self, ternary):

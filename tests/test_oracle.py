@@ -12,16 +12,19 @@ from csbf import (
     EmbeddingSpace,
     FrameTooLargeError,
     MassFunction,
+    Solution,
     SpaceKind,
     brute_force_partial,
     embed,
     focused_transform,
     gamma_to_mass,
+    lp_distance,
     partial_linf_belief,
     partial_linf_mass,
     ultrafilter,
 )
 from csbf import cli, consistent_belief, oracle
+from csbf.consistent_mass import LinfBox
 from csbf.core import TOL
 from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
 
@@ -52,7 +55,7 @@ class TestBruteForcePartial:
 
     def test_l2_belief_point_matches_focused_transform(self, ternary):
         report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
-        expected = focused_transform(ternary, "x").result
+        expected = focused_transform(ternary, "x").point
         assert report.oracle_point.allclose(expected, tol=1e-9)
 
     def test_closed_form_never_beaten(self, rng):
@@ -220,6 +223,31 @@ def test_every_perfbench_hook_site_resolves(monkeypatch):
     assert missing == []
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_cell_answers_with_one_solution_record(n):
+    # a row's solver returns a Solution focused on x (a Linf box for Linf)
+    # whose point is consistent on x and whose distances[p] is the distance
+    # from m to that point in the cell's embedding: a Linf box's barycenter
+    # attains the box's distance
+    rng = np.random.default_rng(700 + n)
+    frame = frame_of_size(n)
+    for _ in range(5):
+        m = random_mass_function(frame, rng)
+        for (p, kind), cell in oracle.CELLS.items():
+            space = EmbeddingSpace(kind, frame)
+            for x in frame.elements:
+                where = ((p, kind.value), x)
+                sol = cell.solve(m, x)
+                assert isinstance(sol, Solution) and sol.focus == x, where
+                assert isinstance(sol, LinfBox) == (p == math.inf), where
+                assert isinstance(sol.point, MassFunction), where
+                outside = np.delete(sol.point.as_array(), ultrafilter(frame, x))
+                assert np.abs(outside).max() <= TOL, where
+                distance = sol.distances[p]
+                direct = lp_distance(embed(m, space), embed(sol.point, space), p)
+                assert abs(distance - direct) <= 1e-12 * max(1.0, distance), where
+
+
 def test_linf_belief_barycenter_is_the_focused_transform(rng):
     # the Linf belief closed form reads the gamma box's barycenter, the
     # focused transform, and the box's midpoint maps back to it bit for bit
@@ -229,10 +257,10 @@ def test_linf_belief_barycenter_is_the_focused_transform(rng):
             m = random_mass_function(frame, rng)
             for x in frame.elements:
                 _, point = oracle.closed_form_partial(m, x, math.inf, SpaceKind.BELIEF)
-                assert np.array_equal(point.as_array(), focused_transform(m, x).result.as_array())
+                assert np.array_equal(point.as_array(), focused_transform(m, x).point.as_array())
                 box = partial_linf_belief(m, x)
                 midpoint = gamma_to_mass(box, box.midpoint()).as_array()
-                assert np.array_equal(midpoint, box.barycenter.as_array())
+                assert np.array_equal(midpoint, box.point.as_array())
 
 
 @pytest.mark.parametrize(

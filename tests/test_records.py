@@ -9,6 +9,7 @@ a readable ``repr``.
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 
 import numpy as np
@@ -19,8 +20,8 @@ from csbf import (
     EmbeddingSpace,
     Frame,
     MassFunction,
-    PartialApprox,
     PseudoMassFunction,
+    Solution,
     SpaceKind,
     belief_from_mass,
     embed,
@@ -86,7 +87,8 @@ def test_fields_cannot_be_assigned_or_deleted(ternary):
     records = {
         "elements": ternary.frame,
         "masses": ternary,
-        "distance": partial_l1_mass(ternary, "x"),
+        "distances": partial_l1_mass(ternary, "x"),
+        "point": partial_linf_mass(ternary, "x"),
         "lower": partial_linf_belief(ternary, "x"),
     }
     for field, record in records.items():
@@ -118,15 +120,28 @@ def test_mass_functions_compare_by_class_and_masses(ternary):
     assert m == MassFunction(frame, {frame.full_mask: 1.0}) == MassFunction.vacuous(frame)
     assert m != PseudoMassFunction(frame, {frame.full_mask: 1.0})
     assert m != ternary
-    pa = partial_l1_mass(ternary, "x")
-    assert pa == partial_l1_mass(ternary, "x") and pa != partial_l1_mass(ternary, "y")
+    sol = partial_l1_mass(ternary, "x")
+    assert sol == partial_l1_mass(ternary, "x") and sol != partial_l1_mass(ternary, "y")
+    assert sol != Solution(sol.focus, sol.point, {2: sol.distances[1]})
 
 
 def test_keyword_construction(ternary):
     frame = ternary.frame
     space = EmbeddingSpace(kind=SpaceKind.MASS_N2, frame=frame)
-    pa = PartialApprox(focus="x", result=ternary, distance=0.5, space=space)
-    assert (pa.focus, pa.result, pa.distance, pa.space) == ("x", ternary, 0.5, space)
+    assert (space.kind, space.frame) == (SpaceKind.MASS_N2, frame)
+    distances = {1: 0.5, 2: 0.25}
+    sol = Solution(focus="x", point=ternary, distances=distances)
+    assert (sol.focus, sol.point, sol.distances) == ("x", ternary, {1: 0.5, 2: 0.25})
+    # the map is a read-only copy
+    distances[1] = 9.0
+    assert sol.distances[1] == 0.5
+    with pytest.raises(TypeError):
+        sol.distances[1] = 0.0
+    box = GammaBox(
+        focus="x", point=ternary, distances={math.inf: 0.5}, members=[1], lower=[0.0], upper=[1.0]
+    )
+    assert (box.focus, box.point, box.distances) == ("x", ternary, {math.inf: 0.5})
+    assert (box.members.tolist(), box.lower.tolist(), box.upper.tolist()) == ([1], [0.0], [1.0])
 
 
 def test_repr_names_the_fields(ternary):
@@ -137,9 +152,12 @@ def test_repr_names_the_fields(ternary):
     assert repr(EmbeddingSpace(SpaceKind.BELIEF, frame)) == (
         f"EmbeddingSpace(kind={SpaceKind.BELIEF!r}, frame=Frame(elements=('x', 'y')))"
     )
-    assert repr(partial_l1_mass(ternary, "y")).startswith(
-        "PartialApprox(focus='y', result=MassFunction(frame=Frame(elements=('x', 'y', 'z')), "
+    text = repr(partial_l1_mass(ternary, "y"))
+    assert text.startswith(
+        "Solution(focus='y', point=MassFunction(frame=Frame(elements=('x', 'y', 'z')), "
     )
+    assert text.endswith(", distances=mappingproxy({1: 0.2}))")
+    assert repr(partial_linf_mass(ternary, "y")).startswith("ApproxBox(focus='y', point=")
 
 
 def test_array_records_compare_by_identity(ternary):
@@ -162,8 +180,8 @@ def test_box_arrays_are_read_only_copies(ternary):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(box, field)[0] = 0
     members, lower, upper = np.array([1, 3, 5]), np.zeros(3), np.ones(3)
-    box = GammaBox("x", members, lower, upper, ternary, 0.5)
+    box = GammaBox("x", ternary, {math.inf: 0.5}, members, lower, upper)
     lower[0] = 9.0
     assert box.lower[0] == 0.0 and lower.flags.writeable
     with pytest.raises(ValueError, match="aligned"):
-        GammaBox("x", members, lower[:2], upper, ternary, 0.5)
+        GammaBox("x", ternary, {math.inf: 0.5}, members, lower[:2], upper)
