@@ -1,9 +1,9 @@
 """Consistent approximations of Dempster-Shafer belief functions.
 
-Represents mass assignments on finite frames, embeds them in mass or belief
-coordinates, and computes the consistent belief function(s) closest to a
-given one under the L1, L2 and Linf norms, together with an exact
-oracle that verifies every closed form.
+Represents mass assignments on finite frames and computes the consistent
+belief function(s) closest to a given one under the L1, L2 and Linf norms,
+together with an exact oracle that embeds them in mass or belief
+coordinates and verifies every closed form.
 """
 
 from .core import (
@@ -12,19 +12,13 @@ from .core import (
     Frame,
     MassFunction,
     PseudoMassFunction,
+    SpaceKind,
     belief_from_mass,
     contour,
     core_of,
     is_consistent,
     mass_from_belief,
     ultrafilter,
-)
-from .geometry import (
-    EmbeddingSpace,
-    PointVector,
-    SpaceKind,
-    embed,
-    lp_distance,
 )
 from .consistent_mass import (
     ApproxBox,
@@ -59,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxBox",
     "BeliefView",
-    "EmbeddingSpace",
     "EvidenceError",
     "Frame",
     "FrameTooLargeError",
@@ -67,7 +60,6 @@ __all__ = [
     "GlobalResult",
     "MassFunction",
     "OracleReport",
-    "PointVector",
     "PseudoMassFunction",
     "Solution",
     "SpaceKind",
@@ -76,7 +68,6 @@ __all__ = [
     "closed_form_partial",
     "contour",
     "core_of",
-    "embed",
     "focused_transform",
     "gamma_to_mass",
     "global_l1_belief",
@@ -87,7 +78,6 @@ __all__ = [
     "global_linf_mass",
     "is_consistent",
     "library_global",
-    "lp_distance",
     "mass_from_belief",
     "partial_l1_mass",
     "partial_l2_mass",

@@ -34,6 +34,7 @@ from .core import (
     Frame,
     MassFunction,
     PseudoMassFunction,
+    SpaceKind,
     belief_from_mass,
     clear_noise,
     contour,
@@ -62,7 +63,6 @@ from .consistent_belief import (
     global_linf_belief,
     partial_linf_belief,
 )
-from .geometry import SpaceKind
 from .oracle import (
     CELLS,
     MAX_ORACLE_FRAME,

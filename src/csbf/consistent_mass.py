@@ -42,10 +42,10 @@ from .core import (
     FrozenRecord,
     MassFunction,
     PseudoMassFunction,
+    SpaceKind,
     outside_sum,
     ultrafilter,
 )
-from .geometry import SpaceKind
 
 
 class Solution(FrozenRecord):
@@ -56,6 +56,8 @@ class Solution(FrozenRecord):
     distances: one entry, or ``{1: d1, 2: d2}`` for the focused transform,
     which is both the L1 and the L2 belief solution.
     """
+
+    __hash__ = None  # the map has no hash
 
     def __init__(
         self, focus: str, point: PseudoMassFunction, distances: Mapping[float, float]
@@ -167,6 +169,8 @@ class GlobalResult(FrozenRecord):
     are not built here: a cell's ``solve(m, x)`` in ``oracle.CELLS`` gives each
     as a :class:`Solution`.
     """
+
+    __hash__ = None  # the map has no hash
 
     def __init__(self, optima: tuple[str, ...], criterion_values: Mapping[str, float]) -> None:
         self._set(optima, MappingProxyType(dict(criterion_values)))

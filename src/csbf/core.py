@@ -14,6 +14,7 @@ combining operation, and :func:`outside_sum` reads one zeta value alone.
 from __future__ import annotations
 
 import numbers
+from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -29,6 +30,14 @@ TOL = 1e-9
 
 class EvidenceError(ValueError):
     """A frame, subset or mass assignment violates its invariants."""
+
+
+class SpaceKind(str, Enum):
+    """The coordinate embedding a distance is measured in (see :mod:`csbf.oracle`)."""
+
+    MASS_N1 = "mass-n1"
+    MASS_N2 = "mass-n2"
+    BELIEF = "belief"
 
 
 class FrozenRecord:
@@ -295,6 +304,8 @@ class PseudoMassFunction(FrozenRecord):
     and stored as a read-only copy of the vector (``-0.0`` as ``0.0``); the
     attribute ``masses`` holds its nonzero entries in ascending mask order.
     """
+
+    __hash__ = None  # compared by value, but the masses map has no hash
 
     def __init__(self, frame: Frame, masses: Mapping[int, float] | np.ndarray) -> None:
         if isinstance(masses, Mapping):

@@ -1,5 +1,11 @@
 """Exact verification of the closed-form approximations.
 
+Every distance is measured in one of three embeddings, coordinate i being
+subset mask i + 1: ``mass-n1`` holds the masses of the 2^n - 1 nonempty
+subsets, ``mass-n2`` drops the full frame's, which normalization fixes, and
+``belief`` holds the beliefs of the 2^n - 2 proper nonempty subsets.  L2
+projection answers differently in the two mass embeddings, so callers pick one.
+
 The oracle minimizes an Lp distance over one component of the consistent
 region directly: candidates are *admissible* mass functions supported on the
 ultrafilter of the focus element, parametrized by their weights w >= 0,
@@ -35,7 +41,16 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import TOL, Frame, FrozenRecord, MassFunction, PseudoMassFunction, ultrafilter
+from .core import (
+    TOL,
+    Frame,
+    FrozenRecord,
+    MassFunction,
+    PseudoMassFunction,
+    SpaceKind,
+    ultrafilter,
+    zeta_transform,
+)
 from .consistent_mass import (
     GlobalResult,
     global_l1_mass,
@@ -53,7 +68,6 @@ from .consistent_belief import (
     global_linf_belief,
     partial_linf_belief,
 )
-from .geometry import EmbeddingSpace, PointVector, SpaceKind, embed, lp_distance
 
 #: Largest frame the oracle will grind through.
 MAX_ORACLE_FRAME = 4
@@ -72,11 +86,13 @@ class FrameTooLargeError(ValueError):
 class OracleReport(FrozenRecord):
     """Outcome of one brute-force minimization, gap included, never hidden."""
 
+    __hash__ = None  # the oracle's point has no hash
+
     def __init__(
         self,
         focus: str,
         norm: float,
-        space: EmbeddingSpace,
+        space: SpaceKind,
         oracle_distance: float,
         closed_form_distance: float,
         oracle_point: MassFunction,
@@ -171,6 +187,11 @@ def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:
 # ---------------------------------------------------------------------------
 
 
+def _dimension(frame: Frame, kind: SpaceKind) -> int:
+    """Number of coordinates of the embedding."""
+    return frame.n_subsets - 1 if kind is SpaceKind.MASS_N1 else frame.n_subsets - 2
+
+
 @lru_cache(maxsize=256)
 def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
     """Embedding coordinates of the categorical masses on each ultrafilter member.
@@ -179,7 +200,7 @@ def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
     members[i]; the full frame is always the last member.
     """
     members = ultrafilter(frame, x)[:, None]
-    coords = np.arange(1, EmbeddingSpace(kind, frame).dimension + 1)
+    coords = np.arange(1, _dimension(frame, kind) + 1)
     # belief coordinate A of the unit mass on B is 1 exactly when B is a subset of A
     hits = coords & members == members if kind is SpaceKind.BELIEF else coords == members
     v = hits.astype(float)
@@ -299,6 +320,17 @@ def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
     return best
 
 
+def _lp_norm(diff: np.ndarray, p: float) -> float:
+    """L1 or L2 norm of a coordinate difference, else Linf; 0.0 with no coordinates."""
+    if diff.size == 0:
+        return 0.0
+    if p == 1:
+        return float(np.sum(np.abs(diff)))
+    if p == 2:
+        return float(np.sqrt(np.sum(diff * diff)))
+    return float(np.max(np.abs(diff)))
+
+
 def brute_force_partial(
     m: MassFunction,
     x: str,
@@ -315,18 +347,19 @@ def brute_force_partial(
         raise FrameTooLargeError(
             f"brute-force verification supports frames of size <= {MAX_ORACLE_FRAME}"
         )
-    emb_space = EmbeddingSpace(space, frame)
-    members, v = _categorical_coords_matrix(frame, x, emb_space.kind)
-    target = embed(m, emb_space)
-    w = _l2_weights(v, target.coords) if p == 2 else _lp_weights(v, target.coords, p)
-    distance = lp_distance(PointVector(emb_space, w @ v), target, p)
+    kind = SpaceKind(space)  # a member, also when given by its value
+    closed_distance, _ = closed_form_partial(m, x, p, kind)  # rejects a pair with no cell
+    members, v = _categorical_coords_matrix(frame, x, kind)
+    values = zeta_transform(m.as_array()) if kind is SpaceKind.BELIEF else m.as_array()
+    target = values[1 : _dimension(frame, kind) + 1]
+    w = _l2_weights(v, target) if p == 2 else _lp_weights(v, target, p)
+    distance = _lp_norm(w @ v - target, p)
     point = MassFunction(frame, np.bincount(members, weights=w, minlength=frame.n_subsets))
-    closed_distance, _ = closed_form_partial(m, x, p, space)
     gap = abs(distance - closed_distance)
     return OracleReport(
         focus=x,
         norm=p,
-        space=emb_space,
+        space=kind,
         oracle_distance=distance,
         closed_form_distance=closed_distance,
         oracle_point=point,

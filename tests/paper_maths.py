@@ -2,6 +2,9 @@
 
 * :func:`random_mass_function`, the seeded generator behind every random
   draw in the suite;
+* :func:`embed`, the tests' reference embedding: a mass function's
+  coordinates in mass or belief space as a plain array, whose distances
+  the tests take as ``np.linalg.norm(u - v, ord=p)``;
 * the categorical inner-product lemma, which lets the belief-space L2
   optimality system row-reduce to the L1 one;
 * the search for an input whose global L1 belief pick is not the most
@@ -14,7 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from csbf import Frame, MassFunction, Solution, global_l1_belief, global_l1_mass
+from csbf import (
+    Frame,
+    MassFunction,
+    PseudoMassFunction,
+    Solution,
+    SpaceKind,
+    global_l1_belief,
+    global_l1_mass,
+)
 from csbf.core import TOL, superset_sum_transform, zeta_transform
 
 #: Most focal elements in a draw without ``full_support``.
@@ -42,6 +53,18 @@ def random_mass_function(
         masks = rng.choice(np.arange(1, n_subsets), size=count, replace=False)
     weights = rng.dirichlet(np.ones(len(masks)))
     return MassFunction(frame, np.bincount(masks, weights=weights, minlength=n_subsets))
+
+
+def embed(m: PseudoMassFunction, kind: SpaceKind) -> np.ndarray:
+    """Coordinates of ``m`` in the ``kind`` embedding; coordinate i is subset mask i + 1.
+
+    ``mass-n1`` holds the masses of the nonempty subsets, ``mass-n2`` drops
+    the full frame's, and ``belief`` holds the beliefs of the proper
+    nonempty subsets.
+    """
+    values = zeta_transform(m.as_array()) if kind is SpaceKind.BELIEF else m.as_array()
+    stop = m.frame.n_subsets if kind is SpaceKind.MASS_N1 else m.frame.full_mask
+    return values[1:stop]
 
 
 def _categorical_dot(frame: Frame, a: int, b: int) -> int:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from csbf import (
-    EmbeddingSpace,
     Frame,
     GammaBox,
     MassFunction,
@@ -14,20 +13,23 @@ from csbf import (
     SpaceKind,
     belief_from_mass,
     contour,
-    embed,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
     global_l2_belief,
     global_linf_belief,
-    lp_distance,
     partial_linf_belief,
 )
 from csbf.consistent_mass import box_corners
 from csbf.core import TOL
 
 from conftest import frame_of_size
-from paper_maths import find_global_l1_counterexample, random_mass_function, verify_orthogonality
+from paper_maths import (
+    embed,
+    find_global_l1_counterexample,
+    random_mass_function,
+    verify_orthogonality,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -127,14 +129,13 @@ class TestGlobalL2Belief:
 
     def test_criterion_is_squared_belief_distance(self, rng):
         frame = frame_of_size(4)
-        space = EmbeddingSpace(SpaceKind.BELIEF, frame)
         for _ in range(25):
             m = random_mass_function(frame, rng)
-            origin = embed(m, space)
+            origin = embed(m, SpaceKind.BELIEF)
             result = global_l2_belief(m)
             for label in frame.elements:
                 ft = focused_transform(m, label)
-                direct = lp_distance(origin, embed(ft.point, space), 2)
+                direct = np.linalg.norm(origin - embed(ft.point, SpaceKind.BELIEF), ord=2)
                 assert result.criterion_values[label] == pytest.approx(direct**2, abs=1e-12)
                 assert ft.distances[2] == pytest.approx(direct, abs=1e-12)
 
@@ -153,20 +154,18 @@ class TestGlobalL2Belief:
     def test_l1_distance_identity(self, rng):
         # direct belief-space L1 distance matches the closed-form criterion
         frame = frame_of_size(4)
-        space = EmbeddingSpace(SpaceKind.BELIEF, frame)
         for _ in range(25):
             m = random_mass_function(frame, rng)
-            origin = embed(m, space)
+            origin = embed(m, SpaceKind.BELIEF)
             for label in frame.elements:
                 ft = focused_transform(m, label)
-                direct = lp_distance(origin, embed(ft.point, space), 1)
+                direct = np.linalg.norm(origin - embed(ft.point, SpaceKind.BELIEF), ord=1)
                 assert ft.distances[1] == pytest.approx(direct, abs=1e-12)
 
     def test_l1_local_optimality_probe(self, ternary, rng):
         # random points of the ultrafilter simplex never beat the closed form
         frame = ternary.frame
-        space = EmbeddingSpace(SpaceKind.BELIEF, frame)
-        origin = embed(ternary, space)
+        origin = embed(ternary, SpaceKind.BELIEF)
         from csbf import ultrafilter
 
         for label in frame.elements:
@@ -177,7 +176,7 @@ class TestGlobalL2Belief:
                 candidate = MassFunction(
                     frame, {mask: float(w) for mask, w in zip(members.tolist(), weights)}
                 )
-                d = lp_distance(origin, embed(candidate, space), 1)
+                d = np.linalg.norm(origin - embed(candidate, SpaceKind.BELIEF), ord=1)
                 assert d >= ft.distances[1] - 1e-12
 
 
@@ -248,13 +247,11 @@ class TestGammaBox:
                         assert corner.allclose(gamma_to_mass(box, pick), tol=1e-12)
 
     def test_corner_belief_vectors_attain_the_distance(self, ternary):
-        frame = ternary.frame
-        space = EmbeddingSpace(SpaceKind.BELIEF, frame)
-        origin = embed(ternary, space)
+        origin = embed(ternary, SpaceKind.BELIEF)
         box = partial_linf_belief(ternary, "x")
         assert len(box.corners()) == 8
         for point in box.corners():
-            d = lp_distance(origin, embed(point, space), math.inf)
+            d = np.linalg.norm(origin - embed(point, SpaceKind.BELIEF), ord=math.inf)
             assert d == pytest.approx(box.distances[math.inf], abs=1e-12)
 
     def test_zero_width_box_returns_the_input(self):

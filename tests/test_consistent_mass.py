@@ -5,18 +5,15 @@ import pytest
 
 from csbf import (
     ApproxBox,
-    EmbeddingSpace,
     Frame,
     MassFunction,
     PseudoMassFunction,
     SpaceKind,
     contour,
-    embed,
     global_l1_mass,
     global_l2_mass,
     global_linf_mass,
     is_consistent,
-    lp_distance,
     partial_l1_mass,
     partial_l2_mass,
     partial_linf_mass,
@@ -24,7 +21,7 @@ from csbf import (
 from csbf.consistent_mass import box_corners, in_box
 
 from conftest import frame_of_size
-from paper_maths import random_mass_function
+from paper_maths import embed, random_mass_function
 
 
 def masses_by_label(frame, result):
@@ -132,11 +129,10 @@ class TestPartialLinf:
                         assert box.contains(corner, tol=0.0)
 
     def test_every_corner_attains_exactly_the_box_distance(self, ternary):
-        space = EmbeddingSpace(SpaceKind.MASS_N2, ternary.frame)
-        origin = embed(ternary, space)
+        origin = embed(ternary, SpaceKind.MASS_N2)
         box = partial_linf_mass(ternary, "x")
         for corner in box.corners():
-            d = lp_distance(origin, embed(corner, space), math.inf)
+            d = np.linalg.norm(origin - embed(corner, SpaceKind.MASS_N2), ord=math.inf)
             assert d == pytest.approx(box.distances[math.inf], abs=1e-12)
 
     def test_clipped_points_keep_the_distance(self, ternary):
@@ -144,16 +140,14 @@ class TestPartialLinf:
         box = partial_linf_mass(ternary, "x")
         lo, hi, clipped = box.admissible_intervals()
         assert clipped
-        space = EmbeddingSpace(SpaceKind.MASS_N2, ternary.frame)
-        origin = embed(ternary, space)
+        origin = embed(ternary, SpaceKind.MASS_N2)
         frame = ternary.frame
         values = dict(zip(box.members.tolist(), lo.tolist()))
         values[frame.full_mask] = 1.0 - sum(values.values())
         point = PseudoMassFunction(frame, values)
         assert box.contains(point)
-        assert lp_distance(origin, embed(point, space), math.inf) == pytest.approx(
-            box.distances[math.inf], abs=1e-12
-        )
+        d = np.linalg.norm(origin - embed(point, SpaceKind.MASS_N2), ord=math.inf)
+        assert d == pytest.approx(box.distances[math.inf], abs=1e-12)
 
     def test_upper_clip_acts_on_rounding_alone(self):
         # a mass sum above 1 within the ingest tolerance puts upper[0] above 1,
@@ -338,12 +332,11 @@ class TestGlobalL2:
         for _ in range(25):
             m = random_mass_function(frame, rng)
             for kind in (SpaceKind.MASS_N1, SpaceKind.MASS_N2):
-                space = EmbeddingSpace(kind, frame)
-                origin = embed(m, space)
+                origin = embed(m, kind)
                 result = global_l2_mass(m, kind)
                 for label in frame.elements:
                     pa = partial_l2_mass(m, label, kind)
-                    direct = lp_distance(origin, embed(pa.point, space), 2)
+                    direct = np.linalg.norm(origin - embed(pa.point, kind), ord=2)
                     assert result.criterion_values[label] == pytest.approx(
                         direct**2, abs=1e-12
                     )

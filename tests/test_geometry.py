@@ -5,111 +5,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csbf import (
-    EmbeddingSpace,
-    Frame,
-    MassFunction,
-    SpaceKind,
-    embed,
-    lp_distance,
-    partial_l1_mass,
-)
+from csbf import Frame, MassFunction, SpaceKind, partial_l1_mass
 
 from conftest import frame_of_size
-from paper_maths import categorical_inner_product, lemma_alternating_sum, random_mass_function
-
-
-def _space(kind, frame):
-    return EmbeddingSpace(kind, frame)
+from paper_maths import (
+    categorical_inner_product,
+    embed,
+    lemma_alternating_sum,
+    random_mass_function,
+)
 
 
 class TestEmbedding:
     def test_dimensions(self):
         frame = frame_of_size(3)
-        assert _space(SpaceKind.MASS_N1, frame).dimension == 7
-        assert _space(SpaceKind.MASS_N2, frame).dimension == 6
-        assert _space(SpaceKind.BELIEF, frame).dimension == 6
+        m = MassFunction.vacuous(frame)
+        assert embed(m, SpaceKind.MASS_N1).shape == (7,)
+        assert embed(m, SpaceKind.MASS_N2).shape == (6,)
+        assert embed(m, SpaceKind.BELIEF).shape == (6,)
 
     def test_binary_mass_coordinates(self):
         frame = Frame(("x", "y"))
         m = MassFunction.from_labels(frame, {"x": 0.3, "y": 0.2, "x,y": 0.5})
-        vec = embed(m, _space(SpaceKind.MASS_N2, frame))
-        assert vec.coords.tolist() == [0.3, 0.2]
+        assert embed(m, SpaceKind.MASS_N2).tolist() == [0.3, 0.2]
 
     def test_binary_mass_and_belief_coincide(self, rng):
         frame = Frame(("x", "y"))
         for _ in range(50):
             m = random_mass_function(frame, rng)
-            mass_vec = embed(m, _space(SpaceKind.MASS_N2, frame))
-            belief_vec = embed(m, _space(SpaceKind.BELIEF, frame))
-            assert np.allclose(mass_vec.coords, belief_vec.coords, atol=1e-15)
+            mass_vec = embed(m, SpaceKind.MASS_N2)
+            belief_vec = embed(m, SpaceKind.BELIEF)
+            assert np.allclose(mass_vec, belief_vec, atol=1e-15)
 
     def test_running_example_belief_coordinate(self, ternary):
-        vec = embed(ternary, _space(SpaceKind.BELIEF, ternary.frame))
-        assert vec.value_at(ternary.frame.subset(("x", "y"))) == pytest.approx(0.7, abs=1e-12)
+        vec = embed(ternary, SpaceKind.BELIEF)
+        assert vec[ternary.frame.subset(("x", "y")) - 1] == pytest.approx(0.7, abs=1e-12)
 
     def test_vacuous_full_mass_coordinate(self):
         frame = frame_of_size(3)
-        vec = embed(MassFunction.vacuous(frame), _space(SpaceKind.MASS_N1, frame))
-        assert vec.value_at(frame.full_mask) == 1.0
-        assert vec.coords.sum() == 1.0
+        vec = embed(MassFunction.vacuous(frame), SpaceKind.MASS_N1)
+        assert vec[frame.full_mask - 1] == 1.0
+        assert vec.sum() == 1.0
 
     def test_mass_n1_coordinates_sum_to_one(self, rng):
         frame = frame_of_size(4)
         for _ in range(20):
             m = random_mass_function(frame, rng)
-            vec = embed(m, _space(SpaceKind.MASS_N1, frame))
-            assert vec.coords.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_coordinate_masks_ascend(self):
-        frame = frame_of_size(3)
-        assert list(_space(SpaceKind.MASS_N1, frame).coordinate_masks) == list(range(1, 8))
-        assert list(_space(SpaceKind.BELIEF, frame).coordinate_masks) == list(range(1, 7))
-
-    def test_kind_given_by_its_value_embeds_as_the_member(self, ternary):
-        # SpaceKind is a str enum, so "belief" == SpaceKind.BELIEF; the space
-        # must also embed and measure as that member, not fall back to mass
-        frame = ternary.frame
-        for kind in SpaceKind:
-            space = _space(kind.value, frame)
-            assert space.kind is kind and space == _space(kind, frame)
-            assert space.dimension == _space(kind, frame).dimension
-            expected = embed(ternary, _space(kind, frame)).coords
-            assert embed(ternary, space).coords.tolist() == expected.tolist()
-        assert _space("mass-n1", frame).dimension == 7
-        with pytest.raises(ValueError):
-            _space("mass", frame)
-
-    def test_frame_mismatch_rejected(self):
-        m = MassFunction.vacuous(frame_of_size(2))
-        with pytest.raises(ValueError):
-            embed(m, _space(SpaceKind.BELIEF, frame_of_size(3)))
+            vec = embed(m, SpaceKind.MASS_N1)
+            assert vec.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLpDistance:
     def test_zero_for_identical_points(self, ternary):
-        space = _space(SpaceKind.BELIEF, ternary.frame)
-        u = embed(ternary, space)
-        assert lp_distance(u, u, 1) == 0.0
-        assert lp_distance(u, u, math.inf) == 0.0
+        u = embed(ternary, SpaceKind.BELIEF)
+        assert np.linalg.norm(u - u, ord=1) == 0.0
+        assert np.linalg.norm(u - u, ord=math.inf) == 0.0
 
     def test_running_example_l1_distance_to_partial(self, ternary):
-        space = _space(SpaceKind.MASS_N2, ternary.frame)
-        u = embed(ternary, space)
-        v = embed(partial_l1_mass(ternary, "x").point, space)
-        assert lp_distance(u, v, 1) == pytest.approx(0.4, abs=1e-12)
-
-    def test_space_mismatch_rejected(self, ternary):
-        u = embed(ternary, _space(SpaceKind.MASS_N2, ternary.frame))
-        v = embed(ternary, _space(SpaceKind.BELIEF, ternary.frame))
-        with pytest.raises(ValueError):
-            lp_distance(u, v, 2)
-
-    def test_unsupported_order_rejected(self, ternary):
-        space = _space(SpaceKind.MASS_N2, ternary.frame)
-        u = embed(ternary, space)
-        with pytest.raises(ValueError):
-            lp_distance(u, u, 3)
+        u = embed(ternary, SpaceKind.MASS_N2)
+        v = embed(partial_l1_mass(ternary, "x").point, SpaceKind.MASS_N2)
+        assert np.linalg.norm(u - v, ord=1) == pytest.approx(0.4, abs=1e-12)
 
 
 @given(st.integers(0, 10_000))
@@ -117,12 +72,11 @@ class TestLpDistance:
 def test_norm_ordering(seed):
     rng = np.random.default_rng(seed)
     frame = frame_of_size(3)
-    space = _space(SpaceKind.MASS_N2, frame)
-    u = embed(random_mass_function(frame, rng), space)
-    v = embed(random_mass_function(frame, rng), space)
-    d_inf = lp_distance(u, v, math.inf)
-    d_2 = lp_distance(u, v, 2)
-    d_1 = lp_distance(u, v, 1)
+    u = embed(random_mass_function(frame, rng), SpaceKind.MASS_N2)
+    v = embed(random_mass_function(frame, rng), SpaceKind.MASS_N2)
+    d_inf = np.linalg.norm(u - v, ord=math.inf)
+    d_2 = np.linalg.norm(u - v, ord=2)
+    d_1 = np.linalg.norm(u - v, ord=1)
     assert d_inf <= d_2 + 1e-12
     assert d_2 <= d_1 + 1e-12
 
@@ -144,11 +98,10 @@ class TestCategoricalInnerProduct:
     def test_matches_explicit_dot_product(self):
         # brute force: embed both categorical masses and take the dot product
         frame = frame_of_size(4)
-        space = _space(SpaceKind.BELIEF, frame)
         for a in range(1, frame.n_subsets):
-            va = embed(MassFunction(frame, {a: 1.0}), space).coords
+            va = embed(MassFunction(frame, {a: 1.0}), SpaceKind.BELIEF)
             for b in range(1, frame.n_subsets):
-                vb = embed(MassFunction(frame, {b: 1.0}), space).coords
+                vb = embed(MassFunction(frame, {b: 1.0}), SpaceKind.BELIEF)
                 assert categorical_inner_product(frame, a, b) == int(round(float(va @ vb)))
 
 

@@ -9,16 +9,13 @@ import numpy as np
 import pytest
 
 from csbf import (
-    EmbeddingSpace,
     FrameTooLargeError,
     MassFunction,
     Solution,
     SpaceKind,
     brute_force_partial,
-    embed,
     focused_transform,
     gamma_to_mass,
-    lp_distance,
     partial_linf_belief,
     partial_linf_mass,
     ultrafilter,
@@ -29,7 +26,7 @@ from csbf.core import TOL
 from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
 
 from conftest import frame_of_size
-from paper_maths import random_mass_function
+from paper_maths import embed, random_mass_function
 from test_golden import MODES, TERNARY
 
 
@@ -46,12 +43,15 @@ class TestBruteForcePartial:
         assert report.converged
 
     def test_vacuous_is_its_own_approximation(self):
-        frame = frame_of_size(3)
-        m = MassFunction.vacuous(frame)
-        for p, kind in SUPPORTED_PAIRS:
-            report = brute_force_partial(m, "x", p, kind)
-            assert report.oracle_distance == pytest.approx(0.0, abs=1e-12)
-            assert report.oracle_point.allclose(m, tol=1e-9)
+        # at n = 1 the mass-n2 and belief embeddings have no coordinates
+        for n in (1, 3):
+            m = MassFunction.vacuous(frame_of_size(n))
+            for p, kind in SUPPORTED_PAIRS:
+                report = brute_force_partial(m, "x", p, kind)
+                assert report.oracle_distance == pytest.approx(0.0, abs=1e-12)
+                assert report.oracle_point.allclose(m, tol=1e-9)
+                if n == 1:
+                    assert report.oracle_distance == 0.0 and report.oracle_point == m
 
     def test_l2_belief_point_matches_focused_transform(self, ternary):
         report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
@@ -93,7 +93,7 @@ class TestBruteForcePartial:
             for x in ternary.frame.elements:
                 by_value = brute_force_partial(ternary, x, p, kind.value)
                 assert by_value == brute_force_partial(ternary, x, p, kind), (p, kind.value, x)
-                assert by_value.converged and by_value.space.kind is kind
+                assert by_value.converged and by_value.space is kind
 
     def test_lp_pivot_cap_raises(self, ternary, monkeypatch):
         monkeypatch.setattr(oracle, "LP_MAX_PIVOTS", 1)
@@ -168,6 +168,8 @@ def test_table_has_exactly_the_supported_cells(ternary):
             where = f"for norm {p!r} in space '{kind.value}'"
             with pytest.raises(ValueError, match=f"no closed form {where}"):
                 oracle.closed_form_partial(ternary, "x", p, space)
+            with pytest.raises(ValueError, match=f"no closed form {where}"):
+                brute_force_partial(ternary, "x", p, space)
             with pytest.raises(ValueError, match=f"no global selector {where}"):
                 library_global(ternary, p, space)
 
@@ -234,7 +236,6 @@ def test_every_cell_answers_with_one_solution_record(n):
     for _ in range(5):
         m = random_mass_function(frame, rng)
         for (p, kind), cell in oracle.CELLS.items():
-            space = EmbeddingSpace(kind, frame)
             for x in frame.elements:
                 where = ((p, kind.value), x)
                 sol = cell.solve(m, x)
@@ -244,7 +245,7 @@ def test_every_cell_answers_with_one_solution_record(n):
                 outside = np.delete(sol.point.as_array(), ultrafilter(frame, x))
                 assert np.abs(outside).max() <= TOL, where
                 distance = sol.distances[p]
-                direct = lp_distance(embed(m, space), embed(sol.point, space), p)
+                direct = np.linalg.norm(embed(m, kind) - embed(sol.point, kind), ord=p)
                 assert abs(distance - direct) <= 1e-12 * max(1.0, distance), where
 
 
@@ -286,10 +287,9 @@ def _linprog_distance(m, x, p, kind):
     from scipy.optimize import linprog
 
     frame = m.frame
-    space = EmbeddingSpace(kind, frame)
     members = ultrafilter(frame, x).tolist()
-    v = np.array([embed(MassFunction(frame, {a: 1.0}), space).coords for a in members])
-    t = embed(m, space).coords
+    v = np.array([embed(MassFunction(frame, {a: 1.0}), kind) for a in members])
+    t = embed(m, kind)
     k, d = v.shape
     n_err = d if p == 1 else 1  # one bound per coordinate, or one for all
     spread = np.eye(d) if p == 1 else np.ones((d, 1))

@@ -2,8 +2,8 @@
 
 None of them is a dataclass, since generating a dataclass's methods costs
 every CLI process time at import; these tests pin what callers rely on:
-frozen fields, value equality where it is used, construction by keyword and
-a readable ``repr``.
+frozen fields, value equality where it is used, a hash only where one
+exists, construction by keyword and a readable ``repr``.
 """
 
 import dataclasses
@@ -11,20 +11,21 @@ import importlib
 import inspect
 import math
 import pkgutil
+from collections.abc import Hashable
 
 import numpy as np
 import pytest
 
 import csbf
 from csbf import (
-    EmbeddingSpace,
     Frame,
     MassFunction,
     PseudoMassFunction,
     Solution,
     SpaceKind,
     belief_from_mass,
-    embed,
+    brute_force_partial,
+    library_global,
     partial_l1_mass,
     partial_linf_belief,
     partial_linf_mass,
@@ -63,24 +64,27 @@ def test_import_does_not_load_dataclasses():
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    # the CLI loads the package and its six modules, and nothing test-only
+    # the CLI loads the package and its five modules, and nothing test-only
     assert proc.stdout.decode().split() == [
         "csbf",
         "csbf.cli",
         "csbf.consistent_belief",
         "csbf.consistent_mass",
         "csbf.core",
-        "csbf.geometry",
         "csbf.oracle",
     ]
     assert all(hasattr(csbf, name) for name in csbf.__all__)
-    moved = {
+    gone = {
+        "EmbeddingSpace",
+        "PointVector",
         "categorical_inner_product",
+        "embed",
         "find_global_l1_counterexample",
         "lemma_alternating_sum",
+        "lp_distance",
         "random_mass_function",
     }
-    assert moved.isdisjoint(csbf.__all__)
+    assert gone.isdisjoint(csbf.__all__) and "SpaceKind" in csbf.__all__
 
 
 def test_fields_cannot_be_assigned_or_deleted(ternary):
@@ -105,10 +109,8 @@ def test_fields_cannot_be_assigned_or_deleted(ternary):
 def test_frame_and_space_are_values():
     a, b = Frame(("x", "y", "z")), Frame(["x", "y", "z"])
     assert a is not b and a == b and hash(a) == hash(b)
-    space_a, space_b = EmbeddingSpace(SpaceKind.BELIEF, a), EmbeddingSpace(SpaceKind.BELIEF, b)
-    assert space_a == space_b and hash(space_a) == hash(space_b)
-    assert space_a != EmbeddingSpace(SpaceKind.MASS_N2, a)
-    assert space_a != EmbeddingSpace(SpaceKind.BELIEF, Frame(("x", "z", "y")))
+    assert a != Frame(("x", "z", "y"))
+    assert SpaceKind("belief") is SpaceKind.BELIEF
     # equal frames share the oracle's cached matrices
     first = _categorical_coords_matrix(a, "x", SpaceKind.BELIEF)
     assert _categorical_coords_matrix(b, "x", SpaceKind.BELIEF) is first
@@ -126,9 +128,6 @@ def test_mass_functions_compare_by_class_and_masses(ternary):
 
 
 def test_keyword_construction(ternary):
-    frame = ternary.frame
-    space = EmbeddingSpace(kind=SpaceKind.MASS_N2, frame=frame)
-    assert (space.kind, space.frame) == (SpaceKind.MASS_N2, frame)
     distances = {1: 0.5, 2: 0.25}
     sol = Solution(focus="x", point=ternary, distances=distances)
     assert (sol.focus, sol.point, sol.distances) == ("x", ternary, {1: 0.5, 2: 0.25})
@@ -149,9 +148,6 @@ def test_repr_names_the_fields(ternary):
     assert repr(MassFunction.vacuous(frame)) == (
         "MassFunction(frame=Frame(elements=('x', 'y')), masses=mappingproxy({3: 1.0}))"
     )
-    assert repr(EmbeddingSpace(SpaceKind.BELIEF, frame)) == (
-        f"EmbeddingSpace(kind={SpaceKind.BELIEF!r}, frame=Frame(elements=('x', 'y')))"
-    )
     text = repr(partial_l1_mass(ternary, "y"))
     assert text.startswith(
         "Solution(focus='y', point=MassFunction(frame=Frame(elements=('x', 'y', 'z')), "
@@ -163,14 +159,36 @@ def test_repr_names_the_fields(ternary):
 def test_array_records_compare_by_identity(ternary):
     a, b = belief_from_mass(ternary), belief_from_mass(ternary)
     assert a == a and a != b
-    space = EmbeddingSpace(SpaceKind.BELIEF, ternary.frame)
-    u, v = embed(ternary, space), embed(ternary, space)
-    assert u == u and u != v
-    assert {a: 1, u: 2}[a] == 1
+    assert {a: 1, b: 2}[a] == 1
     for partial in (partial_linf_mass, partial_linf_belief):
         box, twin = partial(ternary, "x"), partial(ternary, "x")
         assert box == box and box != twin
         assert {box: 1, twin: 2}[box] == 1
+
+
+def test_records_without_a_value_hash_are_not_hashable(ternary):
+    # equal by value, but a read-only map (or a mass function) has no hash
+    frame = Frame(("x", "y"))
+    records = [
+        MassFunction.vacuous(frame),
+        PseudoMassFunction(frame, {3: 1.0}),
+        partial_l1_mass(ternary, "x"),
+        library_global(ternary, 1, SpaceKind.MASS_N2),
+        brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2),
+    ]
+    for record in records:
+        assert not isinstance(record, Hashable), record
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    # frames hash by value, boxes and belief views by identity
+    hashed = [
+        frame,
+        partial_linf_mass(ternary, "x"),
+        partial_linf_belief(ternary, "x"),
+        belief_from_mass(ternary),
+    ]
+    for record in hashed:
+        assert isinstance(record, Hashable) and {record: 1}[record] == 1, record
 
 
 def test_box_arrays_are_read_only_copies(ternary):
