@@ -13,9 +13,10 @@ focused transform, and a point's offset from the midpoint maps to mass shifts
 through Moebius inversion on the sublattice of sets containing x.
 
 :func:`gamma_to_mass` is one O((n-1) 2^(n-1)) Moebius transform.  Each
-criterion is a sum (:func:`core.outside_sum`) over the subsets of ``x^c``
-of m, of ``b = zeta(m)`` or of b**2.  A selector forms its vector once and
-reads it for each element; a partial builds b once and reads its own focus:
+criterion is a sum over the subsets of ``x^c`` of m, of ``b = zeta(m)`` or
+of b**2, which :func:`core.outside_sums` folds for every element at once.  A
+selector takes the whole vector; a partial builds b once and takes its
+focus's entry:
 
     L1            sum of b over the subsets of x^c
     L2            sum of b**2 over the subsets of x^c    (squared)
@@ -34,11 +35,11 @@ from .core import (
     PseudoMassFunction,
     belief_from_mass,
     mobius_transform,
-    outside_sum,
+    outside_sums,
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import GlobalResult, LinfBox, Solution, in_box, per_focus, select_optima
+from .consistent_mass import GlobalResult, LinfBox, Solution, in_box, select_optima
 
 
 def _focused_masses(m: MassFunction, x: str) -> MassFunction:
@@ -55,9 +56,9 @@ def focused_transform(m: MassFunction, x: str) -> Solution:
     The focused transform is both the L1 and the L2 solution, so
     ``distances`` holds both attained distances, ``{1: d1, 2: d2}``.
     """
-    belief, xbit = belief_from_mass(m).belief, m.frame.singleton(x)
-    total, squares = outside_sum(belief, xbit), outside_sum(np.square(belief), xbit)
-    return Solution(x, _focused_masses(m, x), {1: total, 2: math.sqrt(squares)})
+    belief, i = belief_from_mass(m).belief, m.frame.index_of(x)
+    total, squares = outside_sums(belief)[i], outside_sums(np.square(belief))[i]
+    return Solution(x, _focused_masses(m, x), {1: float(total), 2: math.sqrt(squares)})
 
 
 def global_l1_belief(m: MassFunction) -> GlobalResult:
@@ -66,13 +67,13 @@ def global_l1_belief(m: MassFunction) -> GlobalResult:
     The criterion is the total belief of the subsets missing x, which is NOT
     in general minimized by the maximal-plausibility element.
     """
-    total = per_focus(belief_from_mass(m).belief)
+    total = outside_sums(belief_from_mass(m).belief)
     return select_optima(m.frame.elements, total, total)
 
 
 def global_l2_belief(m: MassFunction) -> GlobalResult:
     """Global L2 pick in belief coordinates; the criterion is squared, optima tie on distances."""
-    squares = per_focus(np.square(belief_from_mass(m).belief))
+    squares = outside_sums(np.square(belief_from_mass(m).belief))
     return select_optima(m.frame.elements, squares, np.sqrt(squares))
 
 
@@ -136,5 +137,5 @@ def global_linf_belief(m: MassFunction) -> GlobalResult:
 
     The criterion ``b(x^c)`` is the sum of m over the subsets of ``x^c``.
     """
-    outside = per_focus(m.as_array())
+    outside = outside_sums(m.as_array())
     return select_optima(m.frame.elements, outside, outside)

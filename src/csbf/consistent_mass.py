@@ -18,9 +18,9 @@ Closed forms in mass coordinates:
 * L2 in the ``mass-n1`` embedding: spread the outside mass evenly over all
   ``2^(n-1)`` ultrafilter members.
 
-Each criterion is a sum (:func:`core.outside_sum`) or a maximum of m or m**2
-over the subsets of ``x^c``.  A selector forms its vector once and reads it
-for each element; a partial reads its own focus the same way, same bits:
+Each criterion is a sum or a maximum of m or m**2 over the subsets of
+``x^c``, which :func:`core.outside_sums` folds for every element at once.  A
+selector takes the whole vector; a partial takes its focus's entry, same bits:
 
     L1            sum of m = b(x^c)
     L2 mass-n2    sum of m**2                                   (squared)
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .core import (
     MassFunction,
     PseudoMassFunction,
     SpaceKind,
-    outside_sum,
+    outside_sums,
     ultrafilter,
 )
 
@@ -186,16 +186,6 @@ def select_optima(
     return GlobalResult(optima, dict(zip(labels, criterion.tolist())))
 
 
-def per_focus(values: np.ndarray, read: Callable = outside_sum) -> np.ndarray:
-    """``read(values, xbit)`` for each element's bit, in frame order: one criterion each."""
-    return np.array([read(values, 1 << i) for i in range(values.size.bit_length() - 1)])
-
-
-def _largest(values: np.ndarray, xbit: int) -> float:
-    """Largest of ``values[B]`` over the subsets B of ``x^c``, the masks without ``xbit``."""
-    return float(values.reshape(-1, 2, xbit)[:, 0, :].max())
-
-
 def _keep_and_move(m: MassFunction, xbit: int, moved: float) -> MassFunction:
     """Ultrafilter masses kept, the outside mass ``moved`` added to the full frame."""
     vector = m.as_array().copy()
@@ -210,14 +200,14 @@ def partial_l1_mass(m: MassFunction, x: str) -> Solution:
     Ultrafilter masses are kept, the outside mass ``b(x^c)`` moves to the
     full frame.  Always admissible.
     """
-    xbit = m.frame.singleton(x)
-    moved = outside_sum(m.as_array(), xbit)
-    return Solution(x, _keep_and_move(m, xbit, moved), {1: moved})
+    i = m.frame.index_of(x)
+    moved = float(outside_sums(m.as_array())[i])
+    return Solution(x, _keep_and_move(m, 1 << i, moved), {1: moved})
 
 
 def global_l1_mass(m: MassFunction) -> GlobalResult:
     """Global L1 pick: the maximal-plausibility element(s)."""
-    moved = per_focus(m.as_array())
+    moved = outside_sums(m.as_array())
     return select_optima(m.frame.elements, moved, moved)
 
 
@@ -228,17 +218,17 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     ``m(B) +- M`` with M the largest mass outside the ultrafilter; the
     attained distance is M and the barycenter is the partial L1 solution.
     """
-    arr, xbit = m.as_array(), m.frame.singleton(x)
-    slack = _largest(arr, xbit)
+    arr, i = m.as_array(), m.frame.index_of(x)
+    slack = float(outside_sums(arr, np.maximum)[i])
     members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
     inside = arr[members]
-    barycenter = _keep_and_move(m, xbit, outside_sum(arr, xbit))
+    barycenter = _keep_and_move(m, 1 << i, float(outside_sums(arr)[i]))
     return ApproxBox(x, barycenter, {math.inf: slack}, members, inside - slack, inside + slack)
 
 
 def global_linf_mass(m: MassFunction) -> GlobalResult:
     """Global Linf pick: minimize the maximal mass outside the ultrafilter."""
-    largest = per_focus(m.as_array(), _largest)
+    largest = outside_sums(m.as_array(), np.maximum)
     return select_optima(m.frame.elements, largest, largest)
 
 
@@ -249,20 +239,18 @@ def _mass_kind(kind: SpaceKind | str) -> SpaceKind:
     return kind
 
 
-def _l2_criterion(
-    m: MassFunction, squares: np.ndarray, xbit: int, kind: SpaceKind, moved: float | None = None
-) -> float:
-    """Squared L2 distance from m to its partial L2 solution on ``xbit`` in ``kind``.
+def _l2_criterion(m: MassFunction, kind: SpaceKind) -> np.ndarray:
+    """Squared L2 distance from m to each element's partial L2 solution in ``kind``.
 
-    ``squares`` is ``m * m``; ``moved``, ``b(x^c)``, is read when not given.
     Only the outside coordinates differ, and in ``mass-n1`` the full frame,
-    which takes the moved mass spread over the whole ultrafilter.
+    which takes the moved mass ``b(x^c)`` spread over the whole ultrafilter.
     """
-    outside = outside_sum(squares, xbit)
+    arr = m.as_array()
+    squares = outside_sums(arr * arr)
     if kind is SpaceKind.MASS_N2:
-        return outside
-    moved = outside_sum(m.as_array(), xbit) if moved is None else moved
-    return moved * moved / (1 << (m.frame.size - 1)) + outside
+        return squares
+    moved = outside_sums(arr)
+    return moved * moved / (1 << (m.frame.size - 1)) + squares
 
 
 def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> Solution:
@@ -273,15 +261,15 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> Solution:
     Either way ``distances[2]`` is the attained L2 norm in that embedding.
     """
     kind = _mass_kind(kind)
-    frame, arr, xbit = m.frame, m.as_array(), m.frame.singleton(x)
-    moved = outside_sum(arr, xbit)
+    frame, arr, i = m.frame, m.as_array(), m.frame.index_of(x)
+    moved = float(outside_sums(arr)[i])
     if kind is SpaceKind.MASS_N2:
-        point = _keep_and_move(m, xbit, moved)
+        point = _keep_and_move(m, 1 << i, moved)
     else:
         members = ultrafilter(frame, x)
         shared = arr[members] + moved / (1 << (frame.size - 1))
         point = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
-    return Solution(x, point, {2: math.sqrt(_l2_criterion(m, arr * arr, xbit, kind, moved))})
+    return Solution(x, point, {2: math.sqrt(_l2_criterion(m, kind)[i])})
 
 
 def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:
@@ -290,6 +278,5 @@ def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:
     Criterion values are the squared distances, built from the sum and the
     sum of squares of the masses outside each ultrafilter; optima tie on distances.
     """
-    arr, kind = m.as_array(), _mass_kind(kind)
-    criterion = per_focus(arr * arr, lambda squares, xbit: _l2_criterion(m, squares, xbit, kind))
+    criterion = _l2_criterion(m, _mass_kind(kind))
     return select_optima(m.frame.elements, criterion, np.sqrt(criterion))

@@ -8,7 +8,8 @@ empty set and ``frame.full_mask`` is the whole frame.  All set functions
 superset, intersection and complement queries at single word operations and
 makes the fast transforms over the subset lattice possible: zeta, Moebius
 and superset sum are one sweep over the bit axes, each with its own
-combining operation, and :func:`outside_sum` reads one zeta value alone.
+combining operation, and :func:`outside_sums` reads the zeta values at the
+n coatoms alone, in one fold.
 """
 
 from __future__ import annotations
@@ -274,19 +275,24 @@ def superset_sum_transform(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_sweep(values[::-1], np.add)[::-1])
 
 
-def outside_sum(values: np.ndarray, xbit: int) -> float:
-    """Sum of ``values`` over the subsets of ``x^c``, the masks without ``xbit``, in O(2^n).
+def outside_sums(values: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
+    """``op`` folded over the subsets of ``x^c`` for each element x, in frame order, in O(2^n).
 
-    They are added in mask order in adjacent pairs, then pairs of pairs, as
-    :func:`zeta_transform` adds them: the sum is its value at ``x^c`` bit for bit.
+    Pass i reads element i from the half of the running array without bit i,
+    pair-folded lowest remaining bit first, then folds bit i away.  The bits
+    go in :func:`zeta_transform`'s order, so with ``np.add`` entry i is its
+    value at ``x^c`` bit for bit.
     """
-    # one axis of length 2 per remaining bit, lowest last: the first pairs come off this view
-    sums = values.reshape(-1, 2, xbit)[:, 0, :].reshape((2,) * (values.size.bit_length() - 2))
-    if sums.ndim:
-        sums = (sums[..., 0] + sums[..., 1]).ravel()
-    while sums.size > 1:
-        sums = sums[0::2] + sums[1::2]
-    return sums.item()
+    running = values
+    sums = np.empty(values.size.bit_length() - 1)
+    for i in range(sums.size):
+        pairs = running.reshape(-1, 2)
+        half = pairs[:, 0]
+        while half.size > 1:
+            half = op(half[0::2], half[1::2])
+        sums[i] = half[0]
+        running = op(pairs[:, 0], pairs[:, 1])
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from csbf import (
 )
 from csbf import consistent_belief, consistent_mass, core
 from csbf.consistent_mass import select_optima
-from csbf.core import outside_sum, zeta_transform
+from csbf.core import outside_sums, zeta_transform
 from csbf.oracle import CELLS, brute_force_partial, globals_agree
 
 from conftest import frame_of_size
@@ -326,9 +326,10 @@ def test_partial_distance_is_the_criterion_value_bit_for_bit(rng):
                     assert float.hex(distance) == float.hex(expected), ((p, kind.value), x)
 
 
-def test_partials_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
-    # a partial reads its own focus over the subsets of x^c: the mass partials
-    # read m and run no O(n 2^n) sweep, each belief partial runs one, for b
+def test_cells_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
+    # selectors and partials fold the subsets of every x^c in one O(2^n) pass:
+    # the mass cells and the Linf belief selector read m and run no O(n 2^n)
+    # sweep; the L1/L2 belief selectors and every belief partial run one, for b
     sweeps = []
     sweep = core._sweep
 
@@ -339,6 +340,10 @@ def test_partials_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
     monkeypatch.setattr(core, "_sweep", counted)
     m = random_mass_function(frame_of_size(5), rng)
     for (p, kind), cell in CELLS.items():
+        sweeps.clear()
+        cell.select(m)
+        expected = [np.add] if kind is SpaceKind.BELIEF and p != math.inf else []
+        assert sweeps == expected, ("select", p, kind.value)
         for x in m.frame.elements:
             sweeps.clear()
             cell.solve(m, x)
@@ -360,14 +365,22 @@ signed_reals = st.builds(
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_outside_sum_is_the_zeta_transform_at_the_coatom_bit_for_bit(n, palette, seed):
+def test_outside_sums_are_the_zeta_transform_at_the_coatoms_bit_for_bit(n, palette, seed):
     # 2^n entries drawn from the palette, so every magnitude and sign mixes
     values = np.array(palette)[np.random.default_rng(seed).integers(len(palette), size=1 << n)]
     zeta = zeta_transform(values)
     full = values.size - 1
+    sums = outside_sums(values)
+    assert sums.shape == (n,)
     for i in range(n):
         expected = float(zeta[full ^ (1 << i)])
-        assert float.hex(outside_sum(values, 1 << i)) == float.hex(expected), i
+        assert float.hex(float(sums[i])) == float.hex(expected), i
+    # the max fold is the largest entry without bit i, exact in any order
+    magnitudes = np.abs(values)
+    largest = outside_sums(magnitudes, np.maximum)
+    for i in range(n):
+        expected = float(magnitudes.reshape(-1, 2, 1 << i)[:, 0, :].max())
+        assert float.hex(float(largest[i])) == float.hex(expected), i
 
 
 @st.composite
