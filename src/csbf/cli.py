@@ -84,6 +84,8 @@ INGEST_SUM_TOL = 1e-6
 #: ``--norm`` label -> p of the Lp norm, the first half of a ``CELLS`` key.
 NORMS = {"l1": 1, "l2": 2, "linf": math.inf}
 MAX_VERTEX_COORDS = 12
+#: Output texts at least this long are written as chunks of their own.
+LONG_CHUNK = 1 << 16
 _NON_FINITE = "Out of range float values are not JSON compliant"
 
 
@@ -163,14 +165,26 @@ def _real(v: float) -> str:
 def _reals(values: np.ndarray) -> np.ndarray:
     """:func:`_real` of each value as an object array, each distinct bit pattern formatted once.
 
-    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.
+    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.  The
+    distinct values are formatted with ``.12g`` in one ``%`` pass.  That text
+    is :func:`_real`'s unless the value is zero, subnormal or within 1e-11 of
+    its magnitude of an integer: a ``.12g`` text without ``.`` or ``e`` moves
+    the value by at most 5e-12 of it, and every value from 5e10 up (so each
+    whose text has ``e+``) is within 0.5 of an integer.  Those values take
+    :func:`_real`.
     """
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(_NON_FINITE)
     bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(_real, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse.reshape(arr.shape)]
+    distinct = bits.view(np.float64)
+    size = np.abs(distinct)
+    flagged = (size < sys.float_info.min) | (np.abs(distinct - np.rint(distinct)) <= 1e-11 * size)
+    floats = distinct.tolist()
+    texts = ("%.12g\0" * len(floats) % tuple(floats)).split("\0")
+    for i in np.flatnonzero(flagged).tolist():
+        texts[i] = _real(floats[i])
+    return np.array(texts[:-1], dtype=object)[inverse.reshape(arr.shape)]
 
 
 class _Block:
@@ -271,9 +285,29 @@ def _write(value: Any, indent: str, append: Callable[[str], None]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _chunks(value: Any) -> list[str]:
+def _chunks(value: Any, end: str = "") -> list[str]:
+    """The JSON text of ``value``, then ``end``, as few chunks.
+
+    Each text of at least :data:`LONG_CHUNK` characters (a large block) is a
+    chunk of its own; each run of shorter texts between them is joined into
+    one chunk, so an unbuffered stream takes one write per chunk, not one
+    per bracket and key.
+    """
     chunks: list[str] = []
-    _write(value, "", chunks.append)
+    run: list[str] = []
+
+    def append(text: str) -> None:
+        if len(text) < LONG_CHUNK:
+            run.append(text)
+            return
+        if run:
+            chunks.append("".join(run))
+            run.clear()
+        chunks.append(text)
+
+    _write(value, "", append)
+    run.append(end)
+    chunks.append("".join(run))
     return chunks
 
 
@@ -283,8 +317,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
     The document is never joined into one string: that would hold a second
     copy of all of it beside the chunks.
     """
-    chunks = _chunks(doc)
-    chunks.append("\n")
+    chunks = _chunks(doc, "\n")
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:

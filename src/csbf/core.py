@@ -380,12 +380,29 @@ def mass_vector(
     Each entry in turn is checked for its key, a subset already seen, a mass
     that is not a real number, an int too large for a float.  Non-finite
     floats pass, for the constructor to report.
+
+    Unless the keys are integer masks, an assignment of at least ``2^n / 4 +
+    16`` entries (the measured crossover) is first read in bulk: when every
+    value is a ``float`` and every key a canonical subset text, found in one
+    text -> mask table of the frame, one assignment fills the vector.  Any
+    other assignment takes the entry loop, which names the first fault.
     """
+    vector = np.zeros(frame.n_subsets)
+    # int masks are never subset texts: a text key there is _int_mask's error
+    if key_mask is not _int_mask and 4 * len(assignment) >= frame.n_subsets + 64:
+        values = list(assignment.values())
+        if set(map(type, values)) == {float}:
+            masks = range(1, frame.n_subsets)
+            table = dict(zip(frame.format_subsets(masks), masks))
+            found = list(map(table.get, assignment))
+            # distinct keys found in the table are distinct masks: no subset twice
+            if None not in found:
+                vector[found] = values
+                return vector
 
     def name(key: object, mask: int) -> str:  # a string key as written, else its subset
         return key if isinstance(key, str) else frame.format_subset(mask)
 
-    vector = np.zeros(frame.n_subsets)
     seen: set[int] = set()
     for key, value in assignment.items():
         mask = key_mask(frame, key)

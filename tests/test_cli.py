@@ -622,6 +622,118 @@ def test_output_does_not_depend_on_the_order_of_the_mass_keys(capsys, tmp_path, 
     assert outputs[0] == outputs[1]
     assert all(code == 0 for code, _, _ in outputs[0])
 
+
+# A full-support document on eight elements has 255 keys, enough for ingest to
+# read it through the subset-text table; the same keys on a ten-element frame
+# (255 of 1023 subsets) are read entry by entry, so there the loop reports.
+DENSE_LABELS = tuple("abcdefgh")
+LOOP_LABELS = DENSE_LABELS + ("i", "j")
+
+
+def _dense_items():
+    frame = Frame(DENSE_LABELS)
+    masks = np.arange(1, frame.n_subsets)
+    values = np.random.default_rng(8).dirichlet(np.ones(masks.size)).tolist()
+    return frame.format_subsets(masks), values
+
+
+def _key(edit):
+    """The key at position i rewritten by ``edit``."""
+    def apply(keys, values, i):
+        keys[i] = edit(keys[i])
+    return apply
+
+
+def _mass(mass):
+    """The mass at position i replaced by ``mass``."""
+    def apply(keys, values, i):
+        values[i] = mass
+    return apply
+
+
+def _twin(keys, values, i):
+    """Position i takes the reversed spelling of a neighbour's multi-label subset."""
+    j = i + 2 if i == 0 else i - 1
+    assert "," in keys[j]
+    keys[i] = ",".join(reversed(keys[j].split(",")))
+
+
+_unknown = _key(lambda key: key + ",q")
+
+#: Fault kinds of FAULTS and MALFORMED that sit in the entries of ``masses``,
+#: each as an edit of the key and mass lists at position i.
+ENTRY_FAULTS = {
+    "unknown element": _unknown,
+    "empty key": _key(lambda key: ""),
+    "malformed key": _key(lambda key: key + ","),
+    "repeated label": _key(lambda key: key + "," + key.split(",")[0]),
+    "one subset under two keys": _twin,
+    "string mass": _mass("1.0"),
+    "bool mass": _mass(True),
+    "None mass": _mass(None),
+    "int too large for a float": _mass(10**400),
+    "infinite mass": _mass(math.inf),
+    "negative infinite mass": _mass(-math.inf),
+    "NaN mass": _mass(math.nan),
+    "negative mass": _mass(-0.2),
+    "unknown element and string mass": lambda k, v, i: (_unknown(k, v, i), _mass("abc")(k, v, i)),
+    # the second fault follows the first, or wraps to the first key
+    "string mass, then unknown element": lambda k, v, i: (
+        _mass("abc")(k, v, i), _unknown(k, v, (i + 1) % len(k))
+    ),
+}
+
+
+@pytest.mark.parametrize("position", [0, 127, 254], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("case", sorted(ENTRY_FAULTS))
+def test_dense_document_fault_gives_the_loop_message(capsys, tmp_path, case, position):
+    keys, values = _dense_items()
+    ENTRY_FAULTS[case](keys, values, position)
+    masses = dict(zip(keys, values))
+    assert len(masses) == 255
+    results = []
+    for name, labels in (("table.json", DENSE_LABELS), ("loop.json", LOOP_LABELS)):
+        path = write_doc(tmp_path, name, {"frame": list(labels), "masses": masses})
+        results.append(run(capsys, ["inspect", path]))
+    assert results[0][:2] == (2, "")
+    assert results[0][2].startswith("error: ")
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        lambda key: ",".join(reversed(key.split(","))),
+        lambda key: f" {key}\t",
+        lambda key: ", ".join(key.split(",")[::-1]) + " ",
+    ],
+    ids=["reversed", "outer-whitespace", "reversed-padded"],
+)
+def test_dense_document_spelling_and_int_masses_give_the_same_bytes(capsys, tmp_path, spelling):
+    keys, values = _dense_items()
+    values[101] += values[100]
+    values[100] = 0.0
+    canonical = {"frame": list(DENSE_LABELS), "masses": dict(zip(keys, values))}
+    respelled = {"frame": list(DENSE_LABELS), "masses": {spelling(k): v for k, v in zip(keys, values)}}
+    with_int = {"frame": list(DENSE_LABELS), "masses": {**canonical["masses"], keys[100]: 0}}
+    outputs = []
+    for name, doc in (("canonical.json", canonical), ("respelled.json", respelled), ("int.json", with_int)):
+        path = write_doc(tmp_path, name, doc)
+        runs = [["inspect", path], ["approximate", path, *MODES["linf-belief"], "--global"]]
+        outputs.append([run(capsys, argv) for argv in runs])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(code == 0 and err == "" for code, _, err in outputs[0])
+
+
+def test_dense_text_keys_are_no_integer_masks():
+    keys, values = _dense_items()
+    masses = dict(zip(keys, values))
+    frame = Frame(DENSE_LABELS)
+    assert MassFunction.from_labels(frame, masses) == MassFunction(frame, np.array([0.0, *values]))
+    with pytest.raises(EvidenceError, match="^subset mask 'a' is not an integer$"):
+        MassFunction(frame, masses)
+
+
 class TestVerify:
     def test_running_example_passes(self, capsys):
         doc, _ = run_json(capsys, ["verify", TERNARY])

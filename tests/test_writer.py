@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csbf.cli import _Block, _chunks, _emit, _real, _reals
+from csbf.cli import LONG_CHUNK, _Block, _chunks, _emit, _real, _reals
 from csbf.core import EvidenceError, Frame
 
 
@@ -244,6 +244,24 @@ def test_reals_match_real_at_every_decade():
     assert _reals(values).tolist() == list(map(_real, values.tolist()))
 
 
+def _flag_edges():
+    """Values at the edges of the ``.12g`` spellings that ``_reals`` routes to ``_real``."""
+    for e in range(12):
+        k = float(10**e)
+        yield from (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))
+        yield from (k * (1 + d) for d in (4e-12, -4e-12, 2e-11, -2e-11))
+    for v in (1e10, 1e12, 1e13, 1e14, 1e15, 1e16):
+        yield from (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+    yield from (12345678901.5, 98765432109.5, 123456789012.5)
+    yield from (5e-324, 1.5e-310, math.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308)
+    yield from (0.0, -0.0, 0.99999999999996)
+
+
+def test_reals_match_real_at_the_flag_edges():
+    values = [sign * v for v in _flag_edges() for sign in (1.0, -1.0)]
+    assert _reals(np.array(values)).tolist() == [_real(v) for v in values]
+
+
 @pytest.mark.parametrize("value", SPECIAL_FLOATS)
 def test_special_floats(value):
     for doc in (value, [value], {"k": value}, {"k": [value, -value]}, {"k": {"j": value}}):
@@ -295,3 +313,14 @@ def test_emit_writes_long_blocks_between_short_chunks(tmp_path, capsys):
     target = tmp_path / "out.json"
     _emit(doc, str(target))
     assert target.read_text(encoding="utf-8") == expected
+
+
+def test_chunks_join_short_texts_and_keep_long_blocks_apart():
+    frame = Frame(tuple("abcdefghijk"))
+    masks = np.arange(1, frame.n_subsets, dtype=np.int64)
+    block = _Block(frame, masks, np.linspace(0.0, 1.0, len(masks)))
+    doc = {"a": 1, "masses": block, "b": [0.5, {"again": block}], "c": None}
+    chunks = _chunks(doc, "\n")
+    assert [len(chunk) >= LONG_CHUNK for chunk in chunks] == [False, True, False, True, False]
+    assert "".join(chunks) == _dumps(doc) + "\n"
+    assert chunks[-1].endswith("null\n}\n")
