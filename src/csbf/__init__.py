@@ -7,7 +7,6 @@ coordinates and verifies every closed form.
 """
 
 from .core import (
-    BeliefView,
     EvidenceError,
     Frame,
     MassFunction,
@@ -16,8 +15,6 @@ from .core import (
     belief_from_mass,
     contour,
     core_of,
-    is_consistent,
-    mass_from_belief,
     ultrafilter,
 )
 from .consistent_mass import (
@@ -52,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxBox",
-    "BeliefView",
     "EvidenceError",
     "Frame",
     "FrameTooLargeError",
@@ -76,9 +72,7 @@ __all__ = [
     "global_l2_mass",
     "global_linf_belief",
     "global_linf_mass",
-    "is_consistent",
     "library_global",
-    "mass_from_belief",
     "partial_l1_mass",
     "partial_l2_mass",
     "partial_linf_belief",

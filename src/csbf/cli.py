@@ -44,7 +44,8 @@ from .core import (
 )
 # perfbench/spans.py also wraps the selectors, the partial solvers and
 # gamma_to_mass at this module's attributes, so they stay bound here; the
-# commands run ``CELLS``, and box corners come from ``LinfBox.corners``.
+# commands run ``CELLS``.  gamma_to_mass, GammaBox.midpoint/.contains and in_box
+# stay only for that hook and its self-test, until it moves to ``--vertices``.
 from .consistent_mass import (
     ApproxBox,
     LinfBox,
@@ -428,7 +429,9 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     frame, m, echo = load_input(args.input)
-    view = belief_from_mass(m)
+    belief = belief_from_mass(m)
+    # pl(A) = 1 - b(complement A); complementing a mask reverses the index order.
+    plausibility = 1.0 - belief[::-1]
     nonempty = np.arange(1, frame.n_subsets, dtype=np.int64)
     core = core_of(m)
     doc = {
@@ -437,8 +440,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         "focal_elements": _mass_block(m, m.focal_masks()),
         "core": frame.format_subset(core),
         "consistent": core != 0,
-        "belief": _Block(frame, nonempty, view.belief[1:]),
-        "plausibility": _Block(frame, nonempty, view.plausibility[1:]),
+        "belief": _Block(frame, nonempty, belief[1:]),
+        "plausibility": _Block(frame, nonempty, plausibility[1:]),
         "contour": _element_block(frame, contour(m)),
     }
     _emit(doc, args.out)

@@ -12,8 +12,12 @@ shifts of the ultrafilter members inside A.  The box is centred on the
 focused transform, and a point's offset from the midpoint maps to mass shifts
 through Moebius inversion on the sublattice of sets containing x.
 
-:func:`gamma_to_mass` is one O((n-1) 2^(n-1)) Moebius transform.  Each
-criterion is a sum over the subsets of ``x^c`` of m, of ``b = zeta(m)`` or
+:func:`gamma_to_mass` is one O((n-1) 2^(n-1)) Moebius transform.  No command
+calls it (box corners come from ``LinfBox.corners``); it, ``GammaBox.midpoint``
+and ``.contains`` and ``consistent_mass.in_box`` stay only for perfbench's
+hook and its self-test, until that hook moves to the ``--vertices`` path.
+
+Each criterion is a sum over the subsets of ``x^c`` of m, of ``b = zeta(m)`` or
 of b**2, which :func:`core.outside_sums` folds for every element at once.  A
 selector takes the whole vector; a partial builds b once and takes its
 focus's entry:
@@ -56,8 +60,10 @@ def focused_transform(m: MassFunction, x: str) -> Solution:
     The focused transform is both the L1 and the L2 solution, so
     ``distances`` holds both attained distances, ``{1: d1, 2: d2}``.
     """
-    belief, i = belief_from_mass(m).belief, m.frame.index_of(x)
-    total, squares = outside_sums(belief)[i], outside_sums(np.square(belief))[i]
+    belief, i = belief_from_mass(m), m.frame.index_of(x)
+    total = outside_sums(belief)[i]
+    squares = outside_sums(np.square(belief, out=belief))[i]  # b is fresh: square it in place
+    del belief  # freed before the point's vectors are built
     return Solution(x, _focused_masses(m, x), {1: float(total), 2: math.sqrt(squares)})
 
 
@@ -67,13 +73,14 @@ def global_l1_belief(m: MassFunction) -> GlobalResult:
     The criterion is the total belief of the subsets missing x, which is NOT
     in general minimized by the maximal-plausibility element.
     """
-    total = outside_sums(belief_from_mass(m).belief)
+    total = outside_sums(belief_from_mass(m))
     return select_optima(m.frame.elements, total, total)
 
 
 def global_l2_belief(m: MassFunction) -> GlobalResult:
     """Global L2 pick in belief coordinates; the criterion is squared, optima tie on distances."""
-    squares = outside_sums(np.square(belief_from_mass(m).belief))
+    belief = belief_from_mass(m)
+    squares = outside_sums(np.square(belief, out=belief))  # b is fresh: square it in place
     return select_optima(m.frame.elements, squares, np.sqrt(squares))
 
 

@@ -136,18 +136,6 @@ class ApproxBox(LinfBox):
         lo, hi = np.maximum(0.0, self.lower), np.minimum(1.0, self.upper)
         return lo, hi, bool((lo > self.lower).any() or (hi < self.upper).any())
 
-    def contains(self, masses: PseudoMassFunction, tol: float = TOL) -> bool:
-        """Ultrafilter masses within their intervals, every mass outside within ``tol`` of 0.
-
-        A mass function on another frame is never contained.
-        """
-        if masses.frame != self.frame:
-            return False
-        arr = masses.as_array()
-        outside = arr.reshape(-1, 2, self.frame.singleton(self.focus))[:, 0, :]
-        inside = arr[self.members]
-        return bool((np.abs(outside) <= tol).all()) and in_box(self.lower, self.upper, inside, tol)
-
 
 def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Every corner of the box, one row each: bit i of the row number picks ``upper[i]``."""

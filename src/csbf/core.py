@@ -147,10 +147,6 @@ class Frame(FrozenRecord):
             mask |= self.singleton(label)
         return mask
 
-    def labels_of(self, mask: int) -> tuple[str, ...]:
-        self.check_mask(mask)
-        return tuple(lbl for i, lbl in enumerate(self.elements) if mask >> i & 1)
-
     def format_subset(self, mask: int) -> str:
         """Canonical text form: labels comma-joined in frame order, '' for the empty set."""
         return self.format_subsets((mask,))[0]
@@ -357,11 +353,6 @@ class PseudoMassFunction(FrozenRecord):
     def admissible(self) -> bool:
         return bool((self._vector >= -TOL).all())
 
-    def allclose(self, other: "PseudoMassFunction", tol: float = 1e-12) -> bool:
-        if self.frame != other.frame:
-            return False
-        return bool((np.abs(self._vector - other.as_array()) <= tol).all())
-
     def as_array(self) -> np.ndarray:
         """The stored mass vector, indexed by subset mask; read-only, the same array every call."""
         return self._vector
@@ -461,58 +452,14 @@ class MassFunction(PseudoMassFunction):
         return cls(frame, {frame.full_mask: 1.0})
 
 
-class BeliefView(FrozenRecord):
-    """Belief and plausibility of every subset, as dense arrays by mask.
-
-    Compared and hashed by identity, as the arrays have no value hash.
-    """
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, frame: Frame, belief: np.ndarray, plausibility: np.ndarray) -> None:
-        for arr in (belief, plausibility):
-            arr.setflags(write=False)
-        self._set(frame, belief, plausibility)
-
-    @classmethod
-    def from_belief_array(cls, frame: Frame, belief: np.ndarray) -> "BeliefView":
-        belief = np.asarray(belief, dtype=float)
-        if belief.shape != (frame.n_subsets,):
-            raise EvidenceError("belief array length must be 2^|frame|")
-        if abs(belief[0]) > TOL or abs(belief[-1] - 1.0) > TOL:
-            raise EvidenceError("belief must vanish on the empty set and reach 1 on the frame")
-        # pl(A) = 1 - b(complement A); complementing a mask reverses the index order.
-        plausibility = 1.0 - belief[::-1]
-        return cls(frame, belief.copy(), plausibility)
-
-    def belief_of(self, mask: int) -> float:
-        self.frame.check_mask(mask)
-        return float(self.belief[mask])
-
-    def plausibility_of(self, mask: int) -> float:
-        self.frame.check_mask(mask)
-        return float(self.plausibility[mask])
-
-
-def belief_from_mass(m: PseudoMassFunction) -> BeliefView:
-    """Belief of A = total mass of subsets of A, via the zeta transform."""
-    return BeliefView.from_belief_array(m.frame, zeta_transform(m.as_array()))
-
-
-def mass_from_belief(view: BeliefView) -> PseudoMassFunction:
-    """Moebius inversion of a belief table back to a (possibly pseudo) mass."""
-    return PseudoMassFunction(view.frame, mobius_transform(view.belief))
+def belief_from_mass(m: PseudoMassFunction) -> np.ndarray:
+    """Belief b(A), the total mass of the subsets of A, of every A by mask: a fresh array."""
+    return zeta_transform(m.as_array())
 
 
 def core_of(m: PseudoMassFunction) -> int:
     """Intersection of all focal elements; 0 when they share no element."""
     return int(np.bitwise_and.reduce(m.focal_masks(), initial=m.frame.full_mask))
-
-
-def is_consistent(m: PseudoMassFunction) -> bool:
-    """True when the focal elements have a common element."""
-    return core_of(m) != 0
 
 
 def contour(m: PseudoMassFunction) -> dict[str, float]:

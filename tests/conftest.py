@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csbf import Frame, MassFunction
+from csbf import Frame, MassFunction, PseudoMassFunction
 
 TERNARY_MASSES = {"x": 0.2, "y": 0.1, "x,y": 0.4, "y,z": 0.3}
 
@@ -40,6 +40,11 @@ def rng():
 def frame_of_size(n: int) -> Frame:
     labels = ("x", "y", "z", "w", "v", "u", "t", "s")
     return Frame(labels[:n])
+
+
+def masses_close(a: PseudoMassFunction, b: PseudoMassFunction, tol: float = 1e-12) -> bool:
+    """Same frame, and every mass of ``a`` within ``tol`` of ``b``'s; NaN is never close."""
+    return a.frame == b.frame and bool((np.abs(a.as_array() - b.as_array()) <= tol).all())
 
 
 def run_python(*args: str, preexec_fn=None, **env: str) -> subprocess.CompletedProcess:

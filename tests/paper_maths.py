@@ -10,7 +10,9 @@
 * the search for an input whose global L1 belief pick is not the most
   plausible element;
 * :func:`verify_orthogonality`, the L2-optimality certificate of the
-  focused transform.
+  focused transform;
+* :func:`in_mass_box`, whether a mass function lies in a mass-space Linf
+  solution box.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from csbf import (
+    ApproxBox,
     Frame,
     MassFunction,
     PseudoMassFunction,
@@ -26,6 +29,7 @@ from csbf import (
     global_l1_belief,
     global_l1_mass,
 )
+from csbf.consistent_mass import in_box
 from csbf.core import TOL, superset_sum_transform, zeta_transform
 
 #: Most focal elements in a draw without ``full_support``.
@@ -144,3 +148,16 @@ def verify_orthogonality(m: MassFunction, sol: Solution, tol: float = TOL) -> bo
     residual[-1] = 0.0
     sums = superset_sum_transform(residual)
     return all(abs(sums[mask]) <= tol for mask in range(1, frame.full_mask) if mask & xbit)
+
+
+def in_mass_box(box: ApproxBox, masses: PseudoMassFunction, tol: float = TOL) -> bool:
+    """Ultrafilter masses within their intervals, every mass outside within ``tol`` of 0.
+
+    A mass function on another frame is never contained.
+    """
+    if masses.frame != box.frame:
+        return False
+    arr = masses.as_array()
+    outside = arr.reshape(-1, 2, box.frame.singleton(box.focus))[:, 0, :]
+    inside = arr[box.members]
+    return bool((np.abs(outside) <= tol).all()) and in_box(box.lower, box.upper, inside, tol)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from csbf import (
 from csbf.consistent_mass import box_corners
 from csbf.core import TOL
 
-from conftest import frame_of_size
+from conftest import frame_of_size, masses_close
 from paper_maths import (
     embed,
     find_global_l1_counterexample,
@@ -183,12 +184,12 @@ class TestGlobalL2Belief:
 class TestGammaBox:
     def test_bounds_follow_inside_belief(self, ternary, ternary_frame):
         box = partial_linf_belief(ternary, "x")
-        view = belief_from_mass(ternary)
-        radius = view.belief_of(ternary_frame.complement(ternary_frame.singleton("x")))
+        belief = belief_from_mass(ternary)
+        radius = belief[ternary_frame.complement(ternary_frame.singleton("x"))]
         assert box.distances[math.inf] == pytest.approx(radius, abs=1e-12)
         assert box.members.tolist() == [1, 3, 5]
         for mask, lower, upper in zip(box.members.tolist(), box.lower, box.upper):
-            inside = view.belief_of(mask ^ ternary_frame.singleton("x"))
+            inside = belief[mask ^ ternary_frame.singleton("x")]
             assert lower == pytest.approx(-radius - inside, abs=1e-12)
             assert upper == pytest.approx(lower + 2 * radius, abs=1e-12)
 
@@ -199,17 +200,17 @@ class TestGammaBox:
             for label in frame.elements:
                 box = partial_linf_belief(m, label)
                 bary = gamma_to_mass(box, box.midpoint())
-                assert bary.allclose(focused_transform(m, label).point, tol=1e-12)
+                assert masses_close(bary, focused_transform(m, label).point, tol=1e-12)
 
     def test_ternary_corners_match_vertex_formulas(self, ternary, ternary_frame):
         # frozen closed-form corner list for the ternary case, in terms of
         # belief values, as [m(x), m(xy), m(xz), m(frame)]
         frame = ternary_frame
-        view = belief_from_mass(ternary)
-        bx = view.belief_of(frame.singleton("x"))
-        bxy = view.belief_of(frame.subset(("x", "y")))
-        bxz = view.belief_of(frame.subset(("x", "z")))
-        bc = view.belief_of(frame.complement(frame.singleton("x")))
+        belief = belief_from_mass(ternary)
+        bx = belief[frame.singleton("x")]
+        bxy = belief[frame.subset(("x", "y"))]
+        bxz = belief[frame.subset(("x", "z"))]
+        bc = belief[frame.complement(frame.singleton("x"))]
         expected = {
             (bx - bc, bxy - bx, bxz - bx, 1 + bx + bc - bxy - bxz),
             (bx - bc, bxy - bx, bxz - bx + 2 * bc, 1 + bx - bxy - bxz - bc),
@@ -244,7 +245,7 @@ class TestGammaBox:
                     corners = box.corners()
                     assert len(corners) == len(picks) == 1 << len(box.members)
                     for corner, pick in zip(corners, picks):
-                        assert corner.allclose(gamma_to_mass(box, pick), tol=1e-12)
+                        assert masses_close(corner, gamma_to_mass(box, pick), tol=1e-12)
 
     def test_corner_belief_vectors_attain_the_distance(self, ternary):
         origin = embed(ternary, SpaceKind.BELIEF)
@@ -259,7 +260,7 @@ class TestGammaBox:
         m = MassFunction.from_labels(frame, {"x": 0.25, "x,z": 0.25, "x,y,z": 0.5})
         box = partial_linf_belief(m, "x")
         assert box.distances[math.inf] == 0.0
-        assert gamma_to_mass(box, box.midpoint()).allclose(m, tol=1e-15)
+        assert masses_close(gamma_to_mass(box, box.midpoint()), m, tol=1e-15)
 
     def test_point_outside_box_rejected(self, ternary):
         box = partial_linf_belief(ternary, "x")
@@ -305,12 +306,12 @@ class TestGammaBox:
         frame = Frame(("x",))
         m = MassFunction.vacuous(frame)
         ft = focused_transform(m, "x")
-        assert ft.point.allclose(m) and ft.distances[1] == 0.0
+        assert masses_close(ft.point, m) and ft.distances[1] == 0.0
         box = partial_linf_belief(m, "x")
         corners = box_corners(box.lower, box.upper)
         assert corners.shape == (1, 0)
-        assert gamma_to_mass(box, corners[0]).allclose(m)
-        assert len(box.corners()) == 1 and box.corners()[0].allclose(m)
+        assert masses_close(gamma_to_mass(box, corners[0]), m)
+        assert len(box.corners()) == 1 and masses_close(box.corners()[0], m)
         assert verify_orthogonality(m, ft)
 
 
@@ -350,3 +351,30 @@ class TestCounterexampleFixture:
         assert optima == set(doc["global_l1_belief_optima"])
         assert most_plausible == set(doc["max_plausibility_elements"])
         assert optima != most_plausible
+
+
+def peak_vectors(solve, m) -> float:
+    """Peak traced bytes of one ``solve(m)``, after a warm-up call, in vectors of 2^n floats."""
+    solve(m)
+    tracemalloc.start()
+    try:
+        solve(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * m.frame.n_subsets)
+
+
+def test_belief_criteria_hold_the_belief_vector_once():
+    # numpy reports its buffers to tracemalloc, so the peak counts the arrays
+    # held at once: b = zeta(m), squared in place, and the outside_sums fold
+    # (3/4 of a vector); focused_transform frees b before building its point
+    n = 16
+    frame = Frame(tuple(f"e{i}" for i in range(n)))
+    rng = np.random.default_rng(16)
+    masks = rng.choice(np.arange(1, frame.n_subsets), size=64, replace=False)
+    weights = rng.dirichlet(np.ones(len(masks)))
+    m = MassFunction(frame, np.bincount(masks, weights=weights, minlength=frame.n_subsets))
+    assert peak_vectors(global_l1_belief, m) <= 2.0
+    assert peak_vectors(global_l2_belief, m) <= 2.0
+    assert peak_vectors(lambda m: focused_transform(m, "e5"), m) <= 3.0
