@@ -41,7 +41,6 @@ from .oracle import (
     FrameTooLargeError,
     OracleReport,
     brute_force_partial,
-    closed_form_partial,
     library_global,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "SpaceKind",
     "belief_from_mass",
     "brute_force_partial",
-    "closed_form_partial",
     "contour",
     "core_of",
     "focused_transform",

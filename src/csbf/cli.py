@@ -44,8 +44,7 @@ from .core import (
 )
 # perfbench/spans.py also wraps the selectors, the partial solvers and
 # gamma_to_mass at this module's attributes, so they stay bound here; the
-# commands run ``CELLS``.  gamma_to_mass, GammaBox.midpoint/.contains and in_box
-# stay only for that hook and its self-test, until it moves to ``--vertices``.
+# commands run ``CELLS``, and gamma_to_mass serves only that hook.
 from .consistent_mass import (
     ApproxBox,
     LinfBox,
@@ -430,8 +429,9 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     frame, m, echo = load_input(args.input)
     belief = belief_from_mass(m)
-    # pl(A) = 1 - b(complement A); complementing a mask reverses the index order.
-    plausibility = 1.0 - belief[::-1]
+    # pl(A) = b(frame) - b(complement A), exactly 0 when no focal set meets A,
+    # where 1 - b(complement A) need not be; complementing reverses the order.
+    plausibility = belief[-1] - belief[::-1]
     nonempty = np.arange(1, frame.n_subsets, dtype=np.int64)
     core = core_of(m)
     doc = {

@@ -9,13 +9,12 @@ so the new mass of A is ``m(A) + m(A minus x)``.
 The Linf solution set is again a box, but an axis-aligned one only in the
 triangular "gamma" coordinates, where ``gamma(A)`` accumulates the mass
 shifts of the ultrafilter members inside A.  The box is centred on the
-focused transform, and a point's offset from the midpoint maps to mass shifts
+focused transform, and a point's offset from the centre maps to mass shifts
 through Moebius inversion on the sublattice of sets containing x.
 
 :func:`gamma_to_mass` is one O((n-1) 2^(n-1)) Moebius transform.  No command
-calls it (box corners come from ``LinfBox.corners``); it, ``GammaBox.midpoint``
-and ``.contains`` and ``consistent_mass.in_box`` stay only for perfbench's
-hook and its self-test, until that hook moves to the ``--vertices`` path.
+calls it (box corners come from ``LinfBox.corners``); it stays only for
+perfbench's hook and its self-test, until that hook moves to ``--vertices``.
 
 Each criterion is a sum over the subsets of ``x^c`` of m, of ``b = zeta(m)`` or
 of b**2, which :func:`core.outside_sums` folds for every element at once.  A
@@ -43,7 +42,7 @@ from .core import (
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import GlobalResult, LinfBox, Solution, in_box, select_optima
+from .consistent_mass import GlobalResult, LinfBox, Solution, select_optima
 
 
 def _focused_masses(m: MassFunction, x: str) -> MassFunction:
@@ -90,20 +89,12 @@ class GammaBox(LinfBox):
     One gamma coordinate per proper subset A containing x, aligned with
     ``members``.  Each interval has width ``2 * b(x^c)``; the box degenerates
     to a point exactly when the input is already consistent on x.  The
-    ``point`` is the focused transform, the image of the midpoint.
+    ``point`` is the focused transform, the image of the box's centre.
     """
-
-    def midpoint(self) -> np.ndarray:
-        return (self.lower + self.upper) / 2.0
 
     def _shift(self, offsets: np.ndarray) -> np.ndarray:
         # every point of the box has the same gamma on the full frame
         return mobius_transform(np.append(offsets, 0.0))
-
-    def contains(self, gamma_point: np.ndarray, tol: float = TOL) -> bool:
-        if np.shape(gamma_point) != self.lower.shape:
-            return False
-        return in_box(self.lower, self.upper, gamma_point, tol)
 
 
 def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
@@ -128,15 +119,19 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
 
     Moebius inversion on the sublattice of sets containing the focus (the
     box's ``_shift``, which also builds its corners) turns the point's
-    offsets from the midpoint into mass shifts of every member, which are
-    subtracted from the box's ``point``.  Every point of the box has the
-    same gamma on the full frame, so its offset there is 0, and the midpoint
-    maps to ``point`` bit for bit.  Raises ``ValueError`` when the point
-    lies outside the box.
+    offsets from the centre ``(lower + upper) / 2`` into mass shifts of
+    every member, which are subtracted from the box's ``point``.  Every
+    point of the box has the same gamma on the full frame, so its offset
+    there is 0, and the centre maps to ``point`` bit for bit.  A point of the
+    wrong shape, holding a NaN or more than ``TOL`` outside raises ``ValueError``.
     """
-    if not box.contains(gamma_point):
+    lower, upper = box.lower, box.upper
+    inside = np.shape(gamma_point) == lower.shape and bool(
+        ((lower - TOL <= gamma_point) & (gamma_point <= upper + TOL)).all()
+    )
+    if not inside:
         raise ValueError("gamma point lies outside the solution box")
-    return box._shifted(box._shift(gamma_point - box.midpoint()))
+    return box._shifted(box._shift(gamma_point - (lower + upper) / 2.0))
 
 
 def global_linf_belief(m: MassFunction) -> GlobalResult:

@@ -143,11 +143,6 @@ def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(picks.astype(bool), upper, lower)
 
 
-def in_box(lower: np.ndarray, upper: np.ndarray, point: np.ndarray, tol: float) -> bool:
-    """``lower - tol <= point <= upper + tol`` everywhere; NaN is outside."""
-    return bool(((lower - tol <= point) & (point <= upper + tol)).all())
-
-
 class GlobalResult(FrozenRecord):
     """Globally optimal focus elements and the criterion they minimize.
 
@@ -227,17 +222,18 @@ def _mass_kind(kind: SpaceKind | str) -> SpaceKind:
     return kind
 
 
-def _l2_criterion(m: MassFunction, kind: SpaceKind) -> np.ndarray:
+def _l2_criterion(m: MassFunction, kind: SpaceKind, moved: np.ndarray | None = None) -> np.ndarray:
     """Squared L2 distance from m to each element's partial L2 solution in ``kind``.
 
     Only the outside coordinates differ, and in ``mass-n1`` the full frame,
     which takes the moved mass ``b(x^c)`` spread over the whole ultrafilter.
+    ``moved``, the sums ``b(x^c)`` when the caller holds them, spares a fold.
     """
     arr = m.as_array()
     squares = outside_sums(arr * arr)
     if kind is SpaceKind.MASS_N2:
         return squares
-    moved = outside_sums(arr)
+    moved = outside_sums(arr) if moved is None else moved
     return moved * moved / (1 << (m.frame.size - 1)) + squares
 
 
@@ -250,14 +246,14 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> Solution:
     """
     kind = _mass_kind(kind)
     frame, arr, i = m.frame, m.as_array(), m.frame.index_of(x)
-    moved = float(outside_sums(arr)[i])
+    moved = outside_sums(arr)
     if kind is SpaceKind.MASS_N2:
-        point = _keep_and_move(m, 1 << i, moved)
+        point = _keep_and_move(m, 1 << i, float(moved[i]))
     else:
         members = ultrafilter(frame, x)
-        shared = arr[members] + moved / (1 << (frame.size - 1))
+        shared = arr[members] + float(moved[i]) / (1 << (frame.size - 1))
         point = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
-    return Solution(x, point, {2: math.sqrt(_l2_criterion(m, kind)[i])})
+    return Solution(x, point, {2: math.sqrt(_l2_criterion(m, kind, moved)[i])})
 
 
 def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:

@@ -203,10 +203,6 @@ class Frame(FrozenRecord):
             raise EvidenceError(f"subset key {text!r} repeats an element")
         return mask
 
-    def complement(self, mask: int) -> int:
-        self.check_mask(mask)
-        return self.full_mask ^ mask
-
     def check_mask(self, mask: int) -> None:
         if not 0 <= mask < self.n_subsets:
             raise EvidenceError(f"subset mask {mask} out of range for frame of size {self.size}")
@@ -340,10 +336,6 @@ class PseudoMassFunction(FrozenRecord):
     def masses(self) -> Mapping[int, float]:
         nonzero = np.flatnonzero(self._vector)
         return MappingProxyType(dict(zip(nonzero.tolist(), self._vector[nonzero].tolist())))
-
-    def value(self, mask: int) -> float:
-        self.frame.check_mask(mask)
-        return float(self._vector[mask])
 
     def focal_masks(self) -> np.ndarray:
         """Masks carrying mass beyond numerical noise, ascending, as an int array."""

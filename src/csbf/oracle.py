@@ -22,12 +22,11 @@ problem is solved exactly, with numpy alone:
 
 The reported distance is recomputed from the weights found.  Nothing here
 reuses the closed forms being checked, they enter only in the final
-comparison.  ``CELLS`` is the package's one list of (norm, space) cells: each
-row holds the global selector and the partial solver, whose
-:class:`~csbf.consistent_mass.Solution` carries the closed form's point and
-distance.  The CLI's ``approximate`` and ``verify`` run from it;
-``SUPPORTED_PAIRS`` lists its keys, and ``closed_form_partial`` and
-``library_global`` look it up.  Every comparison uses the one tolerance
+comparison.  ``CELLS``, the package's one list of (norm, space) cells, is the
+one way into a closed form: each row holds the global selector and the
+partial solver, whose :class:`~csbf.consistent_mass.Solution` carries the
+closed form's point and distance; the CLI's ``approximate`` and ``verify``
+and ``library_global`` read it.  Every comparison uses the one tolerance
 ``TOL``: a distance converges when it is that close to the closed form,
 and both argmin sets tie within it by the selectors' rule, ``select_optima``.
 """
@@ -46,7 +45,6 @@ from .core import (
     Frame,
     FrozenRecord,
     MassFunction,
-    PseudoMassFunction,
     SpaceKind,
     ultrafilter,
     zeta_transform,
@@ -153,26 +151,12 @@ CELLS: dict[tuple[float, SpaceKind], Cell] = {
     ),
 }
 
-#: Norm/space pairs with a closed form to compare against, in report order.
-SUPPORTED_PAIRS: tuple[tuple[float, SpaceKind], ...] = tuple(CELLS)
-
 
 def _cell(p: float, space: SpaceKind, what: str) -> Cell:
     try:
         return CELLS[p, space]
     except KeyError:
         raise ValueError(f"no {what} for norm {p!r} in space {SpaceKind(space).value!r}") from None
-
-
-def closed_form_partial(
-    m: MassFunction, x: str, p: float, space: SpaceKind
-) -> tuple[float, PseudoMassFunction]:
-    """Library closed form for one (norm, space, focus): distance and a minimizer.
-
-    For Linf the returned point is the solution-set barycenter.
-    """
-    sol = _cell(p, space, "closed form").solve(m, x)
-    return sol.distances[p], sol.point
 
 
 def library_global(m: MassFunction, p: float, space: SpaceKind) -> GlobalResult:
@@ -348,7 +332,7 @@ def brute_force_partial(
             f"brute-force verification supports frames of size <= {MAX_ORACLE_FRAME}"
         )
     kind = SpaceKind(space)  # a member, also when given by its value
-    closed_distance, _ = closed_form_partial(m, x, p, kind)  # rejects a pair with no cell
+    closed_distance = _cell(p, kind, "closed form").solve(m, x).distances[p]
     members, v = _categorical_coords_matrix(frame, x, kind)
     values = zeta_transform(m.as_array()) if kind is SpaceKind.BELIEF else m.as_array()
     target = values[1 : _dimension(frame, kind) + 1]

@@ -29,7 +29,6 @@ from csbf import (
     global_l1_belief,
     global_l1_mass,
 )
-from csbf.consistent_mass import in_box
 from csbf.core import TOL, superset_sum_transform, zeta_transform
 
 #: Most focal elements in a draw without ``full_support``.
@@ -74,7 +73,7 @@ def embed(m: PseudoMassFunction, kind: SpaceKind) -> np.ndarray:
 def _categorical_dot(frame: Frame, a: int, b: int) -> int:
     # Belief vectors of categorical masses are superset indicators, so their
     # dot product counts the proper supersets of the union.
-    return (1 << (frame.complement(a | b)).bit_count()) - 1
+    return (1 << (frame.full_mask ^ (a | b)).bit_count()) - 1
 
 
 def categorical_inner_product(frame: Frame, a: int, b: int) -> int:
@@ -103,7 +102,7 @@ def lemma_alternating_sum(frame: Frame, a: int, b: int) -> int:
     frame.check_mask(a)
     frame.check_mask(b)
     total = 0
-    rest = frame.complement(b)
+    rest = frame.full_mask ^ b
     sub = rest
     while True:
         sign = -1 if sub.bit_count() & 1 else 1
@@ -160,4 +159,5 @@ def in_mass_box(box: ApproxBox, masses: PseudoMassFunction, tol: float = TOL) ->
     arr = masses.as_array()
     outside = arr.reshape(-1, 2, box.frame.singleton(box.focus))[:, 0, :]
     inside = arr[box.members]
-    return bool((np.abs(outside) <= tol).all()) and in_box(box.lower, box.upper, inside, tol)
+    within = (box.lower - tol <= inside) & (inside <= box.upper + tol)  # NaN is outside
+    return bool((np.abs(outside) <= tol).all() and within.all())

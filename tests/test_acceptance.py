@@ -33,7 +33,7 @@ from csbf import (
     partial_linf_mass,
 )
 from csbf.core import TOL
-from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
+from csbf.oracle import CELLS, globals_agree, library_global
 
 from conftest import ACCEPTANCE_LINES, TERNARY_MASSES, frame_of_size, masses_close
 from paper_maths import (
@@ -63,7 +63,7 @@ def ternary_example():
 def masses_match(frame, result, expected, tol=1e-12):
     keys = set(expected) | {frame.format_subset(mask) for mask in result.masses}
     return all(
-        abs(result.value(frame.parse_subset(key)) - expected.get(key, 0.0)) <= tol
+        abs(result.as_array()[frame.parse_subset(key)] - expected.get(key, 0.0)) <= tol
         for key in keys
     )
 
@@ -180,16 +180,16 @@ def test_criterion_5_barycenter_identities():
     for frame, m in random_instances(1000, (2, 3, 4), seed=202):
         for x in frame.elements:
             gamma_box = partial_linf_belief(m, x)
-            bary = gamma_to_mass(gamma_box, gamma_box.midpoint())
+            bary = gamma_to_mass(gamma_box, (gamma_box.lower + gamma_box.upper) / 2)
             ft = focused_transform(m, x).point
             keys = set(bary.masses) | set(ft.masses)
-            worst = max(worst, max(abs(bary.value(k) - ft.value(k)) for k in keys))
+            worst = max(worst, max(abs(bary.as_array()[k] - ft.as_array()[k]) for k in keys))
 
             mass_box = partial_linf_mass(m, x)
             mid = mass_box.point
             l1 = partial_l1_mass(m, x).point
             keys = set(mid.masses) | set(l1.masses)
-            worst = max(worst, max(abs(mid.value(k) - l1.value(k)) for k in keys))
+            worst = max(worst, max(abs(mid.as_array()[k] - l1.as_array()[k]) for k in keys))
     check(5, "box midpoints are the L1/focused solutions", worst < 1e-12, f"max dev {worst:.2e}")
 
 
@@ -225,7 +225,7 @@ def test_criterion_7_oracle_equivalence():
         worst_gap = 0.0
         for _ in range(draws):
             m = random_mass_function(frame, rng)
-            for p, kind in SUPPORTED_PAIRS:
+            for p, kind in CELLS:
                 reports = {x: brute_force_partial(m, x, p, kind) for x in frame.elements}
                 for report in reports.values():
                     worst_gap = max(worst_gap, report.max_gap)
@@ -297,7 +297,7 @@ def test_criterion_9_consistency_triple_agreement():
             by_contour = max(contour(m).values()) >= 1.0 - 1e-9
             by_complements = not any(
                 belief[a] > 1e-9
-                and belief[frame.complement(a)] > 1e-9
+                and belief[frame.full_mask ^ a] > 1e-9
                 for a in range(1, frame.n_subsets)
             )
             gap = not by_core and by_complements

@@ -38,7 +38,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 def assert_masses(frame, result, expected, tol=1e-12):
     keys = set(expected) | {frame.format_subset(mask) for mask in result.masses}
     for key in keys:
-        assert result.value(frame.parse_subset(key)) == pytest.approx(
+        assert result.as_array()[frame.parse_subset(key)] == pytest.approx(
             expected.get(key, 0.0), abs=tol
         ), key
 
@@ -185,7 +185,7 @@ class TestGammaBox:
     def test_bounds_follow_inside_belief(self, ternary, ternary_frame):
         box = partial_linf_belief(ternary, "x")
         belief = belief_from_mass(ternary)
-        radius = belief[ternary_frame.complement(ternary_frame.singleton("x"))]
+        radius = belief[ternary_frame.full_mask ^ ternary_frame.singleton("x")]
         assert box.distances[math.inf] == pytest.approx(radius, abs=1e-12)
         assert box.members.tolist() == [1, 3, 5]
         for mask, lower, upper in zip(box.members.tolist(), box.lower, box.upper):
@@ -199,7 +199,7 @@ class TestGammaBox:
             m = random_mass_function(frame, rng)
             for label in frame.elements:
                 box = partial_linf_belief(m, label)
-                bary = gamma_to_mass(box, box.midpoint())
+                bary = gamma_to_mass(box, (box.lower + box.upper) / 2)
                 assert masses_close(bary, focused_transform(m, label).point, tol=1e-12)
 
     def test_ternary_corners_match_vertex_formulas(self, ternary, ternary_frame):
@@ -210,7 +210,7 @@ class TestGammaBox:
         bx = belief[frame.singleton("x")]
         bxy = belief[frame.subset(("x", "y"))]
         bxz = belief[frame.subset(("x", "z"))]
-        bc = belief[frame.complement(frame.singleton("x"))]
+        bc = belief[frame.full_mask ^ frame.singleton("x")]
         expected = {
             (bx - bc, bxy - bx, bxz - bx, 1 + bx + bc - bxy - bxz),
             (bx - bc, bxy - bx, bxz - bx + 2 * bc, 1 + bx - bxy - bxz - bc),
@@ -230,7 +230,7 @@ class TestGammaBox:
         ]
         got = set()
         for point in box.corners():
-            got.add(tuple(round(point.value(mask), 9) for mask in order))
+            got.add(tuple(round(point.as_array()[mask], 9) for mask in order))
         assert got == {tuple(round(v, 9) for v in vertex) for vertex in expected}
 
     def test_corners_are_the_images_of_the_gamma_corners(self, rng):
@@ -260,47 +260,51 @@ class TestGammaBox:
         m = MassFunction.from_labels(frame, {"x": 0.25, "x,z": 0.25, "x,y,z": 0.5})
         box = partial_linf_belief(m, "x")
         assert box.distances[math.inf] == 0.0
-        assert masses_close(gamma_to_mass(box, box.midpoint()), m, tol=1e-15)
+        assert masses_close(gamma_to_mass(box, (box.lower + box.upper) / 2), m, tol=1e-15)
 
     def test_point_outside_box_rejected(self, ternary):
         box = partial_linf_belief(ternary, "x")
-        point = box.midpoint()
+        point = (box.lower + box.upper) / 2
         point[0] = box.upper[0] + 0.5
         with pytest.raises(ValueError):
             gamma_to_mass(box, point)
 
     def test_point_with_wrong_coordinates_rejected(self, ternary):
         box = partial_linf_belief(ternary, "x")
-        point = box.midpoint()[1:]
+        point = ((box.lower + box.upper) / 2)[1:]
         with pytest.raises(ValueError):
             gamma_to_mass(box, point)
 
-    def test_contains_allows_check_tolerance_and_checks_the_shape(self, rng):
+    def test_gamma_to_mass_allows_the_tolerance_and_checks_the_shape(self, rng):
         m = random_mass_function(frame_of_size(4), rng, full_support=True)
         box = partial_linf_belief(m, "y")
+        centre = (box.lower + box.upper) / 2
         assert box.distances[math.inf] > 0.1
         for corner in box_corners(box.lower, box.upper):
-            assert box.contains(corner) and box.contains(corner.tolist())
+            mapped = gamma_to_mass(box, corner).as_array()
+            assert np.array_equal(gamma_to_mass(box, corner.tolist()).as_array(), mapped)
         for i in range(box.members.size):
             for bound, sign in ((box.upper, 1.0), (box.lower, -1.0)):
-                point = box.midpoint()
+                point = centre.copy()
                 point[i] = bound[i] + sign * TOL / 2
-                assert box.contains(point)
-                point[i] = bound[i] + sign * TOL * 2
-                assert not box.contains(point)
-                point[i] = math.nan
-                assert not box.contains(point)
-        assert not box.contains(np.append(box.midpoint(), 0.0))
-        assert not box.contains(box.midpoint()[None, :])
+                gamma_to_mass(box, point)
+                for outside in (bound[i] + sign * TOL * 2, math.nan):
+                    point[i] = outside
+                    with pytest.raises(ValueError, match="outside the solution box"):
+                        gamma_to_mass(box, point)
+        for misshapen in (np.append(centre, 0.0), centre[None, :]):
+            with pytest.raises(ValueError, match="outside the solution box"):
+                gamma_to_mass(box, misshapen)
 
     def test_tolerance_edges_are_inside(self):
-        # dyadic bounds and tolerance: every edge sum below is exact
-        tol = 2.0**-4
+        # each edge is the check's own bound, lower - TOL or upper + TOL;
+        # the next float beyond it is outside
         m = MassFunction.vacuous(Frame(("x", "y")))
         box = GammaBox("x", m, {math.inf: 0.125}, [1], [0.5], [0.75])
-        for edge, away in ((0.5 - tol, -math.inf), (0.75 + tol, math.inf)):
-            assert box.contains(np.array([edge]), tol)
-            assert not box.contains(np.array([math.nextafter(edge, away)]), tol)
+        for edge, away in ((0.5 - TOL, -math.inf), (0.75 + TOL, math.inf)):
+            gamma_to_mass(box, np.array([edge]))
+            with pytest.raises(ValueError, match="outside the solution box"):
+                gamma_to_mass(box, np.array([math.nextafter(edge, away)]))
 
     def test_single_element_frame_degenerates_cleanly(self):
         frame = Frame(("x",))

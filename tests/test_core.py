@@ -49,7 +49,7 @@ class TestFrame:
         assert frame.subset(("x", "z")) == 0b101
         assert frame.format_subset(0b101) == "x,z"
         assert frame.parse_subset("z, x") == 0b101
-        assert frame.complement(0b101) == 0b010
+        assert frame.full_mask ^ 0b101 == 0b010
 
     def test_rejects_bad_frames(self):
         with pytest.raises(EvidenceError):
@@ -151,7 +151,7 @@ class TestMassFunction:
     def test_tiny_negative_clamped_larger_rejected(self):
         frame = Frame(("x", "y"))
         m = MassFunction(frame, {1: -5e-10, 3: 1.0 + 5e-10})
-        assert m.value(1) == 0.0
+        assert m.as_array()[1] == 0.0
         with pytest.raises(EvidenceError):
             MassFunction(frame, {1: -1e-6, 3: 1.0 + 1e-6})
 
@@ -295,7 +295,7 @@ class TestMassVector:
         vector = np.array([0.0, 0.25, 0.25, 0.5])
         m = MassFunction(frame, vector)
         vector[1] = 0.75
-        assert m.value(1) == 0.25 and m.masses == {1: 0.25, 2: 0.25, 3: 0.5}
+        assert m.as_array()[1] == 0.25 and m.masses == {1: 0.25, 2: 0.25, 3: 0.5}
         arr = m.as_array()
         assert arr is m.as_array()
         with pytest.raises(ValueError, match="read-only"):
@@ -336,7 +336,7 @@ class TestBelief:
             m = random_mass_function(frame, rng)
             belief = belief_from_mass(m)
             for label, value in contour(m).items():
-                comp = frame.complement(frame.singleton(label))
+                comp = frame.full_mask ^ frame.singleton(label)
                 assert value == pytest.approx(1.0 - belief[comp], abs=1e-12)
 
 
@@ -345,7 +345,7 @@ class TestMoebiusInversion:
         frame = Frame(("x", "y", "z"))
         belief = belief_from_mass(MassFunction.vacuous(frame))
         recovered = PseudoMassFunction(frame, mobius_transform(belief))
-        assert recovered.value(frame.full_mask) == 1.0
+        assert recovered.as_array()[frame.full_mask] == 1.0
         assert len(recovered.masses) == 1
 
     def test_running_example_recovered_exactly(self, ternary):
@@ -429,7 +429,7 @@ def test_plausibility_duality(m):
     frame = m.frame
     for a in range(frame.n_subsets):
         plausibility = sum(v for mask, v in m.masses.items() if mask & a)
-        assert abs(plausibility + belief[frame.complement(a)] - 1.0) < 1e-12
+        assert abs(plausibility + belief[frame.full_mask ^ a] - 1.0) < 1e-12
 
 
 def contour_by_loop(m):
@@ -470,7 +470,7 @@ def test_complementary_support_implies_empty_core(m):
     belief = belief_from_mass(m)
     frame = m.frame
     has_pair = any(
-        belief[a] > 1e-9 and belief[frame.complement(a)] > 1e-9
+        belief[a] > 1e-9 and belief[frame.full_mask ^ a] > 1e-9
         for a in range(1, frame.n_subsets)
     )
     if has_pair:
@@ -485,7 +485,7 @@ def test_no_complementary_pair_does_not_imply_consistency():
     m = MassFunction.from_labels(frame, {"x,y": 0.2, "x,z": 0.3, "y,z": 0.4, "x,y,z": 0.1})
     belief = belief_from_mass(m)
     has_pair = any(
-        belief[a] > 1e-9 and belief[frame.complement(a)] > 1e-9
+        belief[a] > 1e-9 and belief[frame.full_mask ^ a] > 1e-9
         for a in range(1, frame.n_subsets)
     )
     assert not has_pair

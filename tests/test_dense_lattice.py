@@ -110,7 +110,7 @@ def reference_gamma_to_mass(m, box, gamma_point):
         for sub in submasks(rest):
             sign = -1.0 if bin(rest ^ sub).count("1") % 2 else 1.0
             shift += sign * gamma_point[sub | xbit]
-        masses[mask] = m.value(mask) - shift
+        masses[mask] = m.as_array()[mask] - shift
     masses[frame.full_mask] = 1.0 - sum(masses.values())
     return PseudoMassFunction(frame, masses)
 
@@ -146,7 +146,7 @@ def test_dense_gamma_to_mass_matches_the_reference_loop(m, seed):
     x = m.frame.elements[int(rng.integers(m.frame.size))]
     box = partial_linf_belief(m, x)
     count = box.members.size
-    points = [box.midpoint()]
+    points = [(box.lower + box.upper) / 2]
     for _ in range(3):
         points.append(np.where(rng.integers(2, size=count).astype(bool), box.upper, box.lower))
         points.append(box.lower + rng.random(count) * (box.upper - box.lower))
@@ -170,7 +170,7 @@ def consistent_mass_functions(draw, max_size=7):
 def partial_masses(payload):
     """The mass functions a partial solution stands for; a box's are its center."""
     if isinstance(payload, GammaBox):
-        return [gamma_to_mass(payload, payload.midpoint())]
+        return [gamma_to_mass(payload, (payload.lower + payload.upper) / 2)]
     return [payload.point]
 
 

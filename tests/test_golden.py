@@ -1,7 +1,11 @@
 """Exact stdout of the CLI on fixed documents, compared byte for byte.
 
-The expected files live in ``tests/golden/``.  Regenerate them only when an
-output change is intended, with::
+The expected files live in ``tests/golden/``.  To see which JSON fields a
+change moves, case by case, without writing anything::
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+Regenerate them only when an output change is intended, with::
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -11,11 +15,13 @@ full-precision Dirichlet draws; it is regenerated only if it is missing.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +37,7 @@ GOLDEN = ROOT / "golden"
 TERNARY = ROOT.parent / "data" / "ternary.json"
 N6 = GOLDEN / "n6.json"
 CONSISTENT = ROOT / "fixtures" / "consistent.json"
+ZERO_PLAUSIBILITY = ROOT / "fixtures" / "zero_plausibility.json"
 
 MODES = {
     "l1-mass": ["--norm", "l1", "--space", "mass"],
@@ -66,6 +73,8 @@ def cases() -> dict[str, list[str]]:
         out[f"consistent-{name}-x"] = [
             "approximate", str(CONSISTENT), *MODES[name], "--focus", "x"
         ]
+    # z meets no focal set: its plausibility is 0.0 exactly, never float noise
+    out["zero-plausibility-inspect"] = ["inspect", str(ZERO_PLAUSIBILITY)]
     return out
 
 
@@ -80,10 +89,87 @@ def stdout_of(argv: list[str]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _pointer(path: str, key: str | int) -> str:
+    """``path`` extended by one JSON Pointer step (RFC 6901)."""
+    return f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}"
+
+
+def field_diff(old, new, path: str = "") -> list[str]:
+    """One line per JSON path added, removed or changed from ``old`` to ``new``.
+
+    Leaves compare by type and value, so 1 and 1.0 differ, and an object
+    whose keys only moved is reported as reordered.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        lines = []
+        for key in old:
+            if key in new:
+                lines += field_diff(old[key], new[key], _pointer(path, key))
+            else:
+                lines.append(f"removed {_pointer(path, key)}: {json.dumps(old[key])}")
+        for key in new:
+            if key not in old:
+                lines.append(f"added {_pointer(path, key)}: {json.dumps(new[key])}")
+        if not lines and list(old) != list(new):
+            lines.append(f"reordered {path or '/'}: {json.dumps(list(new))}")
+        return lines
+    if isinstance(old, list) and isinstance(new, list):
+        lines = []
+        for i in range(max(len(old), len(new))):
+            if i >= len(new):
+                lines.append(f"removed {_pointer(path, i)}: {json.dumps(old[i])}")
+            elif i >= len(old):
+                lines.append(f"added {_pointer(path, i)}: {json.dumps(new[i])}")
+            else:
+                lines += field_diff(old[i], new[i], _pointer(path, i))
+        return lines
+    if type(old) is type(new) and old == new:
+        return []
+    return [f"changed {path or '/'}: {json.dumps(old)} -> {json.dumps(new)}"]
+
+
+def golden_diff(expected: bytes, got: bytes) -> list[str]:
+    """The field diff of one case's output ``got`` against its golden bytes."""
+    if got == expected:
+        return []
+    lines = field_diff(json.loads(expected), json.loads(got))
+    return lines or ["changed layout only: every field is equal"]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden_bytes(name):
     expected = (GOLDEN / f"{name}.json").read_bytes()
-    assert stdout_of(CASES[name]) == expected
+    got = stdout_of(CASES[name])
+    for line in golden_diff(expected, got):
+        print(line)
+    assert got == expected
+
+
+def test_diff_names_each_moved_field_and_writes_nothing(tmp_path):
+    for path in GOLDEN.iterdir():
+        shutil.copy(path, tmp_path)
+    inspect = json.loads((GOLDEN / "ternary-inspect.json").read_bytes())
+    inspect["contour"]["x"] = 0.5
+    del inspect["core"]
+    inspect["belief"]["w"] = 1
+    inspect["focal_elements"] = dict(reversed(inspect["focal_elements"].items()))
+    (tmp_path / "ternary-inspect.json").write_text(json.dumps(inspect, indent=2) + "\n")
+    verify = (GOLDEN / "ternary-verify.json").read_bytes()
+    (tmp_path / "ternary-verify.json").write_bytes(verify.replace(b"\n", b"\n ", 1))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    proc = run_python(__file__, "--diff", "--golden", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "ternary-inspect",
+        '  reordered /focal_elements: ["x", "y", "x,y", "y,z"]',
+        "  removed /belief/w: 1",
+        "  changed /contour/x: 0.5 -> 0.6",
+        '  added /core: ""',
+        "ternary-verify",
+        "  changed layout only: every field is equal",
+    ]
+    assert proc.stderr == b"2 of %d cases differ\n" % len(CASES)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 # The real entry point, ``python -m csbf.cli``: ``cli.entry`` in a fresh
@@ -176,7 +262,27 @@ def write_n6() -> None:
     N6.write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def print_diff(golden: Path) -> int:
+    """Print each case's field diff against ``golden``; 1 when any case differs."""
+    moved = 0
+    for name, argv in CASES.items():
+        path = golden / f"{name}.json"
+        got = stdout_of(argv)
+        lines = golden_diff(path.read_bytes(), got) if path.exists() else ["no golden file"]
+        if lines:
+            moved += 1
+            print(name, *(f"  {line}" for line in lines), sep="\n")
+    print(f"{moved} of {len(CASES)} cases differ", file=sys.stderr)
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write the golden files, or diff against them.")
+    parser.add_argument("--diff", action="store_true", help="print the moved fields, write nothing")
+    parser.add_argument("--golden", type=Path, default=GOLDEN, help="the files --diff reads")
+    args = parser.parse_args()
+    if args.diff:
+        sys.exit(print_diff(args.golden))
     GOLDEN.mkdir(exist_ok=True)
     if not N6.exists():
         write_n6()

@@ -23,7 +23,7 @@ from csbf import (
 from csbf import cli, consistent_belief, oracle
 from csbf.consistent_mass import LinfBox
 from csbf.core import TOL
-from csbf.oracle import SUPPORTED_PAIRS, globals_agree, library_global
+from csbf.oracle import CELLS, globals_agree, library_global
 
 from conftest import frame_of_size, masses_close
 from paper_maths import embed, in_mass_box, random_mass_function
@@ -46,7 +46,7 @@ class TestBruteForcePartial:
         # at n = 1 the mass-n2 and belief embeddings have no coordinates
         for n in (1, 3):
             m = MassFunction.vacuous(frame_of_size(n))
-            for p, kind in SUPPORTED_PAIRS:
+            for p, kind in CELLS:
                 report = brute_force_partial(m, "x", p, kind)
                 assert report.oracle_distance == pytest.approx(0.0, abs=1e-12)
                 assert masses_close(report.oracle_point, m, tol=1e-9)
@@ -62,7 +62,7 @@ class TestBruteForcePartial:
         frame = frame_of_size(3)
         for _ in range(3):
             m = random_mass_function(frame, rng)
-            for p, kind in SUPPORTED_PAIRS:
+            for p, kind in CELLS:
                 for label in frame.elements:
                     report = brute_force_partial(m, label, p, kind)
                     assert abs(report.oracle_distance - report.closed_form_distance) <= 1e-9
@@ -89,7 +89,7 @@ class TestBruteForcePartial:
             brute_force_partial(m, "x", 1, SpaceKind.MASS_N2)
 
     def test_space_given_by_its_value_is_that_space(self, ternary):
-        for p, kind in SUPPORTED_PAIRS:
+        for p, kind in CELLS:
             for x in ternary.frame.elements:
                 by_value = brute_force_partial(ternary, x, p, kind.value)
                 assert by_value == brute_force_partial(ternary, x, p, kind), (p, kind.value, x)
@@ -127,7 +127,7 @@ class TestBruteForcePartial:
     def test_four_element_frame_with_coarse_grid(self, rng):
         frame = frame_of_size(4)
         m = random_mass_function(frame, rng)
-        for p, kind in SUPPORTED_PAIRS:
+        for p, kind in CELLS:
             for label in frame.elements:
                 report = brute_force_partial(m, label, p, kind)
                 assert report.converged, (p, kind, label, report.max_gap)
@@ -135,14 +135,14 @@ class TestBruteForcePartial:
 
 class TestExhaustiveGlobalCheck:
     def test_running_example_every_pair(self, ternary):
-        for p, kind in SUPPORTED_PAIRS:
+        for p, kind in CELLS:
             assert oracle_agrees(ternary, p, kind)
             assert library_global(ternary, p, kind).optima == ("y",)
 
     def test_uniform_bayesian_ties_every_singleton(self):
         frame = frame_of_size(3)
         m = MassFunction.from_labels(frame, {"x": 1 / 3, "y": 1 / 3, "z": 1 / 3})
-        for p, kind in SUPPORTED_PAIRS:
+        for p, kind in CELLS:
             reports = {
                 lbl: brute_force_partial(m, lbl, p, kind) for lbl in frame.elements
             }
@@ -154,20 +154,19 @@ class TestExhaustiveGlobalCheck:
         frame = frame_of_size(3)
         for _ in range(3):
             m = random_mass_function(frame, rng)
-            for p, kind in SUPPORTED_PAIRS:
+            for p, kind in CELLS:
                 assert oracle_agrees(m, p, kind)
 
 
 def test_table_has_exactly_the_supported_cells(ternary):
-    for p, kind in SUPPORTED_PAIRS:
-        distance, point = oracle.closed_form_partial(ternary, "x", p, kind)
-        assert distance >= 0.0 and point.frame == ternary.frame
+    for (p, kind), cell in CELLS.items():
+        sol = cell.solve(ternary, "x")
+        assert sol.distances[p] >= 0.0 and sol.point.frame == ternary.frame
         assert "x" in library_global(ternary, p, kind).criterion_values
     for p, kind in ((1, SpaceKind.MASS_N1), (math.inf, SpaceKind.MASS_N1), (3, SpaceKind.MASS_N2)):
+        assert (p, kind) not in CELLS
         for space in (kind, kind.value):  # a kind given by its value names it the same way
             where = f"for norm {p!r} in space '{kind.value}'"
-            with pytest.raises(ValueError, match=f"no closed form {where}"):
-                oracle.closed_form_partial(ternary, "x", p, space)
             with pytest.raises(ValueError, match=f"no closed form {where}"):
                 brute_force_partial(ternary, "x", p, space)
             with pytest.raises(ValueError, match=f"no global selector {where}"):
@@ -195,8 +194,8 @@ def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch,
     monkeypatch.setattr(
         consistent_belief, "gamma_to_mass", counted("gamma_to_mass", gamma_to_mass)
     )
-    for p, kind in SUPPORTED_PAIRS:
-        oracle.closed_form_partial(ternary, "x", p, kind)
+    for (p, kind), cell in CELLS.items():
+        cell.solve(ternary, "x")
         library_global(ternary, p, kind)
     # the Linf belief box carries its barycenter
     assert calls.pop("gamma_to_mass") == 0
@@ -251,17 +250,17 @@ def test_every_cell_answers_with_one_solution_record(n):
 
 def test_linf_belief_barycenter_is_the_focused_transform(rng):
     # the Linf belief closed form reads the gamma box's barycenter, the
-    # focused transform, and the box's midpoint maps back to it bit for bit
+    # focused transform, and the box's centre maps back to it bit for bit
     for n in range(2, 9):
         frame = frame_of_size(n)
         for _ in range(10):
             m = random_mass_function(frame, rng)
             for x in frame.elements:
-                _, point = oracle.closed_form_partial(m, x, math.inf, SpaceKind.BELIEF)
+                point = CELLS[math.inf, SpaceKind.BELIEF].solve(m, x).point
                 assert np.array_equal(point.as_array(), focused_transform(m, x).point.as_array())
                 box = partial_linf_belief(m, x)
-                midpoint = gamma_to_mass(box, box.midpoint()).as_array()
-                assert np.array_equal(midpoint, box.point.as_array())
+                centre = gamma_to_mass(box, (box.lower + box.upper) / 2).as_array()
+                assert np.array_equal(centre, box.point.as_array())
 
 
 @pytest.mark.parametrize(

@@ -77,16 +77,28 @@ def test_import_does_not_load_dataclasses():
         "BeliefView",
         "EmbeddingSpace",
         "PointVector",
+        "SUPPORTED_PAIRS",
         "categorical_inner_product",
+        "closed_form_partial",
+        "complement",
+        "contains",
         "embed",
         "find_global_l1_counterexample",
+        "in_box",
         "is_consistent",
         "lemma_alternating_sum",
         "lp_distance",
         "mass_from_belief",
+        "midpoint",
         "random_mass_function",
+        "value",
     }
     assert gone.isdisjoint(csbf.__all__) and "SpaceKind" in csbf.__all__
+    # nor does a module or a class of the package define one of them
+    names = (info.name for info in pkgutil.iter_modules(csbf.__path__))
+    modules = [importlib.import_module(f"csbf.{name}") for name in names]
+    defined = {name for owner in (*modules, *package_classes()) for name in vars(owner)}
+    assert gone.isdisjoint(defined), gone & defined
 
 
 def test_fields_cannot_be_assigned_or_deleted(ternary):
