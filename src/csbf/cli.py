@@ -165,13 +165,14 @@ def _real(v: float) -> str:
 def _reals(values: np.ndarray) -> np.ndarray:
     """:func:`_real` of each value as an object array, each distinct bit pattern formatted once.
 
-    Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0`` apart.  The
-    distinct values are formatted with ``.12g`` in one ``%`` pass.  That text
-    is :func:`_real`'s unless the value is zero, subnormal or within 1e-11 of
-    its magnitude of an integer: a ``.12g`` text without ``.`` or ``e`` moves
-    the value by at most 5e-12 of it, and every value from 5e10 up (so each
-    whose text has ``e+``) is within 0.5 of an integer.  Those values take
-    :func:`_real`.
+    :func:`_chunks` calls it once per document, on the values of all its
+    blocks.  Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0``
+    apart.  The distinct values are formatted with ``.12g`` in one ``%``
+    pass.  That text is :func:`_real`'s unless the value is zero, subnormal
+    or within 1e-11 of its magnitude of an integer: a ``.12g`` text without
+    ``.`` or ``e`` moves the value by at most 5e-12 of it, and every value
+    from 5e10 up (so each whose text has ``e+``) is within 0.5 of an
+    integer.  Those values take :func:`_real`.
     """
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -206,42 +207,43 @@ def _json_escape(text: str) -> str:
     return encode_basestring_ascii(text)[1:-1]
 
 
-def _block_text(block: _Block, indent: str) -> str:
+def _block_text(block: _Block, indent: str, reals: np.ndarray) -> str:
     """JSON text of a block, braces included: one object array of pieces and one join.
 
-    Key texts come from :meth:`Frame.gather_texts`, escaped once per label
-    table entry; reals from :func:`_reals`, formatted once per distinct value.
+    ``reals`` is :func:`_reals` of the block's values.  Key texts come from
+    :meth:`Frame.gather_texts`, escaped once per label table entry, with the
+    row's separators before and after the key added to the table entries,
+    so a plain row is three pieces and an interval row six.
     """
-    heads, tails = block.frame.gather_texts(block.masks, _json_escape)
+    inner = indent + "  "
+    deeper = inner + "  "
+    after = '": ' if reals.ndim == 1 else f'": [\n{deeper}'
+    heads, tails = block.frame.gather_texts(block.masks, _json_escape, f',\n{inner}"', after)
     if not len(heads):
         return "{}"
-    inner = indent + "  "
-    reals = _reals(block.values)
-    columns = [f",\n{inner}\"", heads, tails]
+    columns = [heads, tails]
     if reals.ndim == 1:
-        columns += ['": ', reals]
+        columns.append(reals)
     else:
-        deeper = inner + "  "
-        columns.append(f'": [\n{deeper}')
         for j in range(reals.shape[1]):
             columns += [f",\n{deeper}", reals[:, j]] if j else [reals[:, j]]
         columns.append(f"\n{inner}]")
     pieces = np.empty((len(heads), len(columns)), dtype=object)
     for j, column in enumerate(columns):
         pieces[:, j] = column
-    pieces[0, 0] = f"{{\n{inner}\""  # the brace, and no comma before the first entry
+    pieces[0, 0] = "{" + pieces[0, 0][1:]  # the brace, and no comma before the first entry
     pieces[-1, -1] += f"\n{indent}}}"
     return "".join(pieces.ravel().tolist())
 
 
-def _write(value: Any, indent: str, append: Callable[[str], None]) -> None:
-    """Pass the JSON text of ``value`` to ``append`` in chunks.
+def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
+    """Pass the JSON text of ``value`` to ``append`` in pieces.
 
     Their join is ``json.dumps(value, indent=2, allow_nan=False)`` with
     every real rounded by :func:`_real`.  Object keys must be strings.  A
-    :class:`_Block` is written as the ``{subset: value}`` object it stands
-    for by :func:`_block_text`, as one chunk; a scalar float by
-    :func:`_real` directly.
+    :class:`_Block` is passed on as the pair ``(block, indent)``, for
+    :func:`_chunks` to write as the ``{subset: value}`` object it stands
+    for; a scalar float is written by :func:`_real` directly.
     """
     if isinstance(value, str):
         append(encode_basestring_ascii(value))
@@ -258,7 +260,7 @@ def _write(value: Any, indent: str, append: Callable[[str], None]) -> None:
             raise ValueError(_NON_FINITE)
         append(_real(value))
     elif isinstance(value, _Block):
-        append(_block_text(value, indent))
+        append((value, indent))
     elif isinstance(value, dict):
         if not value:
             append("{}")
@@ -288,24 +290,38 @@ def _write(value: Any, indent: str, append: Callable[[str], None]) -> None:
 def _chunks(value: Any, end: str = "") -> list[str]:
     """The JSON text of ``value``, then ``end``, as few chunks.
 
+    :func:`_write` lays out the document's pieces, its blocks as
+    placeholders in write order.  The reals of all the blocks are then
+    formatted by one :func:`_reals` call, so a value repeated across blocks
+    is formatted once per document and a non-finite one raises before any
+    block's text is built, and each block is written by :func:`_block_text`
+    from its own slice of them.
+
     Each text of at least :data:`LONG_CHUNK` characters (a large block) is a
     chunk of its own; each run of shorter texts between them is joined into
     one chunk, so an unbuffered stream takes one write per chunk, not one
     per bracket and key.
     """
+    pieces: list = []
+    _write(value, "", pieces.append)
+    blocks = [piece[0] for piece in pieces if isinstance(piece, tuple)]
+    reals = _reals(np.concatenate([block.values.ravel() for block in blocks])) if blocks else None
+    start = 0
     chunks: list[str] = []
     run: list[str] = []
-
-    def append(text: str) -> None:
+    for text in pieces:
+        if isinstance(text, tuple):
+            block, indent = text
+            stop = start + block.values.size
+            text = _block_text(block, indent, reals[start:stop].reshape(block.values.shape))
+            start = stop
         if len(text) < LONG_CHUNK:
             run.append(text)
-            return
+            continue
         if run:
             chunks.append("".join(run))
             run.clear()
         chunks.append(text)
-
-    _write(value, "", append)
     run.append(end)
     chunks.append("".join(run))
     return chunks

@@ -108,7 +108,7 @@ class Frame(FrozenRecord):
         # Label tables, kept out of the fields (so out of eq, hash and repr):
         # label -> bit, the text of every subset of the low and of the high
         # half of the elements (at most 2 * 2^12 strings), and the gather
-        # tables built from them, one pair per escape function.
+        # tables built from them, one pair per (escape, before, after).
         low_bits = (len(elements) + 1) // 2
         self._set(elements)
         vars(self).update(
@@ -157,30 +157,31 @@ class Frame(FrozenRecord):
         return (heads + tails).tolist()
 
     def gather_texts(
-        self, masks: Sequence[int], escape: Callable[[str], str] = str
+        self, masks: Sequence[int], escape: Callable[[str], str] = str, before="", after=""
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Two object arrays whose elementwise sums are the masks' subset texts.
+        """Two object arrays whose elementwise sums are ``before`` + each mask's text + ``after``.
 
         The texts come from the two half-frame label tables, two fancy
         indexes per call.  ``escape`` is applied once to each table entry and
-        to the separating comma (once per frame and escape function), so the
-        sums are the escaped texts when ``escape`` maps a concatenation to the
-        concatenation of its images (as JSON string escaping does, without
-        the quotes).
+        to the separating comma, and ``before`` and ``after`` are added to
+        each low and each high entry (once per frame and argument triple),
+        so the sums are the escaped texts when ``escape`` maps a
+        concatenation to the concatenation of its images (as JSON string
+        escaping does, without the quotes).
         """
         masks = np.asarray(masks, dtype=np.int64)
         if masks.size:
             self.check_mask(int(masks.min()))
             self.check_mask(int(masks.max()))
-        tables = self._gather_tables.get(escape)
+        tables = self._gather_tables.get((escape, before, after))
         if tables is None:
-            low = [escape(text) for text in self._low_labels]
+            low = [before + escape(text) for text in self._low_labels]
             sep = escape(",")
             # the low part of mask m is low[m & low_mask], followed by the
             # comma (second half of the table) when m has high-half labels too
-            tables = self._gather_tables[escape] = (
-                np.array(low + [""] + [text + sep for text in low[1:]], dtype=object),
-                np.array([escape(text) for text in self._high_labels], dtype=object),
+            tables = self._gather_tables[escape, before, after] = (
+                np.array(low + [before] + [text + sep for text in low[1:]], dtype=object),
+                np.array([escape(text) + after for text in self._high_labels], dtype=object),
             )
         heads, tails = tables
         shift = self._low_bits
@@ -364,24 +365,21 @@ def mass_vector(
     that is not a real number, an int too large for a float.  Non-finite
     floats pass, for the constructor to report.
 
-    Unless the keys are integer masks, an assignment of at least ``2^n / 4 +
-    16`` entries (the measured crossover) is first read in bulk: when every
-    value is a ``float`` and every key a canonical subset text, found in one
-    text -> mask table of the frame, one assignment fills the vector.  Any
-    other assignment takes the entry loop, which names the first fault.
+    Unless the keys are integer masks, an assignment of one entry per
+    nonempty subset is first read in bulk: when every value is a ``float``
+    and the keys are the canonical subset texts in mask order (one list
+    comparison), one assignment fills the vector.  Any other assignment
+    takes the entry loop, which names the first fault.
     """
     vector = np.zeros(frame.n_subsets)
     # int masks are never subset texts: a text key there is _int_mask's error
-    if key_mask is not _int_mask and 4 * len(assignment) >= frame.n_subsets + 64:
+    if key_mask is not _int_mask and len(assignment) == frame.n_subsets - 1:
         values = list(assignment.values())
-        if set(map(type, values)) == {float}:
-            masks = range(1, frame.n_subsets)
-            table = dict(zip(frame.format_subsets(masks), masks))
-            found = list(map(table.get, assignment))
-            # distinct keys found in the table are distinct masks: no subset twice
-            if None not in found:
-                vector[found] = values
-                return vector
+        if set(map(type, values)) == {float} and list(assignment) == frame.format_subsets(
+            np.arange(1, frame.n_subsets)
+        ):
+            vector[1:] = values
+            return vector
 
     def name(key: object, mask: int) -> str:  # a string key as written, else its subset
         return key if isinstance(key, str) else frame.format_subset(mask)

@@ -623,9 +623,10 @@ def test_output_does_not_depend_on_the_order_of_the_mass_keys(capsys, tmp_path, 
     assert all(code == 0 for code, _, _ in outputs[0])
 
 
-# A full-support document on eight elements has 255 keys, enough for ingest to
-# read it through the subset-text table; the same keys on a ten-element frame
-# (255 of 1023 subsets) are read entry by entry, so there the loop reports.
+# A full-support document on eight elements has 255 keys, one per nonempty
+# subset, so ingest reads it in bulk when they come in mask order; the same
+# keys on a ten-element frame (255 of 1023 subsets) are read entry by entry,
+# so there the loop reports.
 DENSE_LABELS = tuple("abcdefgh")
 LOOP_LABELS = DENSE_LABELS + ("i", "j")
 
@@ -690,6 +691,46 @@ def test_dense_document_fault_gives_the_loop_message(capsys, tmp_path, case, pos
     keys, values = _dense_items()
     ENTRY_FAULTS[case](keys, values, position)
     masses = dict(zip(keys, values))
+    assert len(masses) == 255
+    results = []
+    for name, labels in (("table.json", DENSE_LABELS), ("loop.json", LOOP_LABELS)):
+        path = write_doc(tmp_path, name, {"frame": list(labels), "masses": masses})
+        results.append(run(capsys, ["inspect", path]))
+    assert results[0][:2] == (2, "")
+    assert results[0][2].startswith("error: ")
+    assert results[0] == results[1]
+
+
+def test_dense_document_in_mask_order_shuffled_or_short_gives_the_same_bytes(capsys, tmp_path):
+    # keys in mask order are read by one compare; shuffled, with one key
+    # short, or on ten elements, entry by entry
+    keys, values = _dense_items()
+    values[101] += values[100]
+    values[100] = 0.0
+    pairs = list(zip(keys, values))
+    shuffled = [pairs[i] for i in np.random.default_rng(34).permutation(len(pairs))]
+    forms = {"ordered": pairs, "shuffled": shuffled, "short": pairs[:100] + pairs[101:]}
+    outputs = {}
+    for labels in (DENSE_LABELS, LOOP_LABELS):
+        for name, items in forms.items():
+            path = write_doc(tmp_path, f"{name}.json", {"frame": list(labels), "masses": dict(items)})
+            runs = [["inspect", path], ["approximate", path, *MODES["linf-mass"], "--global"]]
+            outputs[len(labels), name] = [run(capsys, argv) for argv in runs]
+    assert all(code == 0 and err == "" for code, _, err in outputs[8, "ordered"])
+    for size in (8, 10):
+        assert outputs[size, "ordered"] == outputs[size, "shuffled"] == outputs[size, "short"]
+    # the echo of the eight-element frame's masses is the loop's, byte for byte
+    echo = json.loads(outputs[8, "ordered"][0][1])["input"]["masses"]
+    assert echo == json.loads(outputs[10, "ordered"][0][1])["input"]["masses"]
+    assert list(echo) == keys[:100] + keys[101:]
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_FAULTS))
+def test_shuffled_dense_document_fault_gives_the_loop_message(capsys, tmp_path, case):
+    keys, values = _dense_items()
+    ENTRY_FAULTS[case](keys, values, 127)
+    order = np.random.default_rng(34).permutation(len(keys)).tolist()
+    masses = {keys[i]: values[i] for i in order}
     assert len(masses) == 255
     results = []
     for name, labels in (("table.json", DENSE_LABELS), ("loop.json", LOOP_LABELS)):

@@ -21,7 +21,7 @@ from csbf.core import mobius_transform, superset_sum_transform, zeta_transform
 
 from conftest import frame_of_size, masses_close
 from paper_maths import random_mass_function
-from test_writer import _dumps
+from test_writer import _dumps, blocks
 
 
 @st.composite
@@ -98,6 +98,21 @@ class TestFrameLabels:
         assert [frame.parse_subset(text) for text in texts[1:]] == masks[1:]
         shuffled = [", ".join(reversed(text.split(","))) for text in texts[1:]]
         assert [frame.parse_subset(text) for text in shuffled] == masks[1:]
+
+    @given(blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_gather_texts_add_before_and_after_to_each_key(self, case):
+        # labels that need JSON escapes; masks with an empty low or high half
+        frame, masks, _ = case
+        escaped = [cli._json_escape(definitional_text(frame, mask)) for mask in masks]
+        variants = [("", ""), (',\n    "', '": '), (',\n  "', '": [\n    '), ("", '": ')]
+        # each variant after the others on the same frame: no two share a table
+        for before, after in variants + variants[::-1]:
+            heads, tails = frame.gather_texts(masks, cli._json_escape, before, after)
+            assert (heads + tails).tolist() == [before + key + after for key in escaped]
+        heads, tails = frame.gather_texts(masks, str, "<", ">")
+        assert (heads + tails).tolist() == [f"<{definitional_text(frame, mask)}>" for mask in masks]
+        assert frame.format_subsets(masks) == [definitional_text(frame, mask) for mask in masks]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24])
     def test_out_of_range_masks_rejected(self, n):

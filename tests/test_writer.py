@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csbf import cli
 from csbf.cli import LONG_CHUNK, _Block, _chunks, _emit, _real, _reals
 from csbf.core import EvidenceError, Frame
 
@@ -260,6 +261,71 @@ def _flag_edges():
 def test_reals_match_real_at_the_flag_edges():
     values = [sign * v for v in _flag_edges() for sign in (1.0, -1.0)]
     assert _reals(np.array(values)).tolist() == [_real(v) for v in values]
+
+
+def test_one_reals_pass_per_document(monkeypatch):
+    frame = Frame(("x", "y", "z"))
+    masks = np.array([1, 3, 7], dtype=np.int64)
+    masses = _Block(frame, masks, np.array([0.25, 0.0, 0.75]))
+    rows = _Block(frame, masks, np.array([[0.25, 0.5], [-0.0, 0.0], [0.75, 1.0]]))
+    doc = {"a": masses, "b": [rows, {"c": masses}], "d": 0.5}
+    calls = []
+
+    def counted(values):
+        calls.append(values.size)
+        return _reals(values)
+
+    monkeypatch.setattr(cli, "_reals", counted)
+    text = _dumps(doc)
+    assert calls == [3 + 6 + 3]
+    expected, expected_rows = (block_reference(frame, masks, b.values) for b in (masses, rows))
+    assert text == reference({"a": expected, "b": [expected_rows, {"c": expected}], "d": 0.5})
+    calls.clear()
+    assert _dumps({"e": 0.5, "f": [1, "g"]}) == reference({"e": 0.5, "f": [1, "g"]})
+    assert calls == []
+
+
+# Values the writer must keep apart or route through ``_real``, to be split
+# across the blocks of one document.
+SHARED_FLOATS = [0.0, -0.0, 5e-324, -5e-324, *_flag_edges()]
+
+
+@st.composite
+def documents_sharing_values(draw):
+    """(document, reference document): blocks 1-D and 2-D, drawing from one pool of values."""
+    frame = Frame(tuple(f"e{i}" for i in range(4)))
+    pool = draw(st.lists(st.sampled_from(SHARED_FLOATS) | reals, min_size=1, max_size=8))
+    doc, expected = {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        masks = draw(st.lists(st.integers(0, frame.full_mask), min_size=1, max_size=16, unique=True))
+        shape = (len(masks),) if draw(st.booleans()) else (len(masks), 2)
+        size = math.prod(shape)
+        values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        values = np.array(values, dtype=np.float64).reshape(shape)
+        doc[f"b{i}"] = [_Block(frame, np.array(masks, dtype=np.int64), values), pool[0]]
+        expected[f"b{i}"] = [block_reference(frame, masks, values), pool[0]]
+    return doc, expected
+
+
+@given(documents_sharing_values())
+@settings(max_examples=200, deadline=None)
+def test_blocks_sharing_values_match_json_reference(case):
+    doc, expected = case
+    assert _dumps(doc) == reference(expected)
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_nan_in_the_last_block_writes_nothing(out, tmp_path, capsys):
+    frame = Frame(("x", "y"))
+    masks = np.array([1, 2, 3], dtype=np.int64)
+    last = np.array([[0.5, 1.0], [0.0, 0.5], [0.25, math.nan]])
+    doc = {"a": _Block(frame, masks, np.array([0.5, 0.0, 0.5])), "b": 0.5,
+           "c": [_Block(frame, masks, last)]}
+    target = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _emit(doc, str(target) if out else None)
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("value", SPECIAL_FLOATS)
