@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csbf
 from csbf import Frame, MassFunction, PseudoMassFunction
 
 TERNARY_MASSES = {"x": 0.2, "y": 0.1, "x,y": 0.4, "y,z": 0.3}
@@ -48,13 +49,15 @@ def masses_close(a: PseudoMassFunction, b: PseudoMassFunction, tol: float = 1e-1
 
 
 def run_python(*args: str, preexec_fn=None, **env: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on ``args``, with this checkout's ``src`` on its path.
+    """A fresh interpreter on ``args`` that imports the ``csbf`` this process did.
 
+    The directory holding that package goes first on the child's path: the
+    checkout's ``src`` under ``PYTHONPATH=src``, the installed copy otherwise.
     ``env`` adds to or overrides the inherited environment; ``preexec_fn``
     runs in the child before the interpreter starts.
     """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    home = str(Path(csbf.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path, **env),

@@ -224,7 +224,7 @@ class TestApproximate:
         # ties and admissibility flags use the package's constants: 0.25 would
         # tie x with y, 0.5 would pass the negative corners, the rest are no
         # tolerance at all, and none of them moves a byte
-        for name in ("ternary-l1-mass-global", "ternary-linf-mass-x-vertices"):
+        for name in ("ternary-l1-mass-global", "ternary-linf-mass-x-vertices", "ternary-verify"):
             monkeypatch.delenv("CSBF_TOLERANCE", raising=False)
             unset = run(capsys, GOLDEN_CASES[name])
             assert (unset[0], unset[2]) == (0, ""), name

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+import csbf
 from csbf.cli import main
 
 from conftest import run_python
@@ -180,7 +181,23 @@ def run_entry(argv: list[str]) -> subprocess.CompletedProcess:
     return run_python("-m", "csbf.cli", *argv)
 
 
-@pytest.mark.parametrize("name", ["ternary-l1-mass-global", "ternary-verify"])
+def test_child_processes_import_the_tested_package():
+    proc = run_python("-c", "import csbf; print(csbf.__file__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [csbf.__file__]
+
+
+# one case per command shape: a global and a focused pick, vertices, inspect, verify
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ternary-l1-mass-global",
+        "ternary-l1-mass-x",
+        "ternary-linf-belief-x-vertices",
+        "ternary-inspect",
+        "ternary-verify",
+    ],
+)
 def test_entry_point_stdout_matches_golden_bytes(name):
     proc = run_entry(CASES[name])
     assert proc.returncode == 0, proc.stderr

@@ -53,6 +53,13 @@ def test_no_package_class_is_a_dataclass():
     assert [c.__qualname__ for c in classes if dataclasses.is_dataclass(c)] == []
 
 
+def test_package_holds_exactly_its_five_modules():
+    # an installed copy can carry a module left over in build/lib; this lists
+    # the package's directory, not only what ``import csbf.cli`` loads
+    names = sorted(info.name for info in pkgutil.iter_modules(csbf.__path__))
+    assert names == ["cli", "consistent_belief", "consistent_mass", "core", "oracle"]
+
+
 def test_import_does_not_load_dataclasses():
     code = (
         "import sys, argparse, json, numpy\n"
