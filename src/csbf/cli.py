@@ -166,7 +166,9 @@ def _reals(values: np.ndarray) -> np.ndarray:
     """:func:`_real` of each value as an object array, each distinct bit pattern formatted once.
 
     :func:`_chunks` calls it once per document, on the values of all its
-    blocks.  Deduplicating on the bit patterns keeps ``0.0`` and ``-0.0``
+    blocks.  ``+0.0``, most of a sparse document's values, is the one with
+    bit pattern 0 and gets its text ``0.0`` without being sorted; the other
+    values are deduplicated on their bit patterns, which keeps ``-0.0``
     apart.  The distinct values are formatted with ``.12g`` in one ``%``
     pass.  That text is :func:`_real`'s unless the value is zero, subnormal
     or within 1e-11 of its magnitude of an integer: a ``.12g`` text without
@@ -177,7 +179,9 @@ def _reals(values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(_NON_FINITE)
-    bits, inverse = np.unique(arr.view(np.int64), return_inverse=True)
+    raw = arr.view(np.int64)
+    nonzero = raw != 0
+    bits, inverse = np.unique(raw[nonzero], return_inverse=True)
     distinct = bits.view(np.float64)
     size = np.abs(distinct)
     flagged = (size < sys.float_info.min) | (np.abs(distinct - np.rint(distinct)) <= 1e-11 * size)
@@ -185,7 +189,10 @@ def _reals(values: np.ndarray) -> np.ndarray:
     texts = ("%.12g\0" * len(floats) % tuple(floats)).split("\0")
     for i in np.flatnonzero(flagged).tolist():
         texts[i] = _real(floats[i])
-    return np.array(texts[:-1], dtype=object)[inverse.reshape(arr.shape)]
+    out = np.empty(arr.shape, dtype=object)
+    out.fill("0.0")
+    out[nonzero] = np.array(texts[:-1], dtype=object)[inverse.ravel()]
+    return out
 
 
 class _Block:
@@ -569,21 +576,26 @@ def entry() -> None:
 
     Everything alive here (the interpreter's own objects, numpy and this
     package) lives until exit, so it is moved out of the collector's sight
-    first: the collections during the call, and the one at interpreter
-    shutdown, no longer walk the import graph.  :func:`main` leaves the
-    collector alone, since it also runs inside longer-lived processes.
+    first: the collections during the call no longer walk the import graph.
+    :func:`main` leaves the collector alone, since it also runs inside
+    longer-lived processes.
 
-    A failed stdout write leaves its bytes in stdout's buffer, and the flush
-    at interpreter shutdown would fail on them again (an "Exception ignored"
-    report and exit 120).  So after a write error fd 1 is pointed at the
-    null device, which takes them.  Without ``--out`` nothing else goes to
-    stdout; with it, stdout holds nothing.
+    Once :func:`main` returns, the call's output is complete, and the
+    process ends through ``os._exit`` without interpreter teardown (clearing
+    every module, freeing every numpy object).  That also skips the final
+    flush of the standard streams and any ``atexit`` work, which loses
+    nothing: :func:`_emit` flushes stdout after writing it (exits 0 and 1),
+    and closes ``--out`` before :func:`main` returns; exits 2 to 7 write
+    nothing to stdout, and the bytes a failed stdout write (exit 6) leaves
+    in its buffer are dropped, not written again; stderr is flushed here;
+    csbf registers no ``atexit`` work.  ``SystemExit`` from argument
+    parsing (``--help``, bad flags) and uncaught exceptions take the normal
+    exit.
     """
     gc.freeze()
     code = main()
-    if code == EXIT_WRITE:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -174,11 +174,13 @@ def test_diff_names_each_moved_field_and_writes_nothing(tmp_path):
 
 
 # The real entry point, ``python -m csbf.cli``: ``cli.entry`` in a fresh
-# process, which also freezes the import graph out of the collector.
+# process, which also freezes the import graph out of the collector and ends
+# with ``os._exit``.  Its stdout is buffered whatever the environment says,
+# so output left unflushed at that exit would be lost here and seen.
 
 
 def run_entry(argv: list[str]) -> subprocess.CompletedProcess:
-    return run_python("-m", "csbf.cli", *argv)
+    return run_python("-m", "csbf.cli", *argv, PYTHONUNBUFFERED="")
 
 
 def test_child_processes_import_the_tested_package():
@@ -198,10 +200,48 @@ def test_child_processes_import_the_tested_package():
         "ternary-verify",
     ],
 )
-def test_entry_point_stdout_matches_golden_bytes(name):
+def test_entry_point_stdout_matches_golden_bytes(name, tmp_path):
+    # and the file written with --out, which the process's fast exit must not cut short
+    golden = (GOLDEN / f"{name}.json").read_bytes()
     proc = run_entry(CASES[name])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+    assert proc.stdout == golden
+    out = tmp_path / "out.json"
+    proc = run_entry([*CASES[name], "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    assert out.read_bytes() == golden
+
+
+def test_entry_point_keeps_the_renormalization_warning(tmp_path):
+    near = tmp_path / "near.json"
+    near.write_text('{"frame": ["x", "y"], "masses": {"x": 0.499999, "x,y": 0.5}}')
+    argv = ["inspect", str(near)]
+    proc = run_entry(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout_of(argv)
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].endswith("; renormalized"), lines
+
+
+def test_entry_point_failed_verify_exits_1_with_the_whole_report(monkeypatch):
+    # no closed form converges when the match tolerance is negative
+    monkeypatch.setattr(csbf.oracle, "TOL", -1.0)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(CASES["ternary-verify"]) == 1
+    code = (
+        "import sys\n"
+        "import csbf.oracle\n"
+        "from csbf.cli import entry\n"
+        "csbf.oracle.TOL = -1.0\n"
+        f"sys.argv = ['csbf', *{CASES['ternary-verify']!r}]\n"
+        "entry()\n"
+    )
+    proc = run_python("-c", code, PYTHONUNBUFFERED="")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == buf.getvalue().encode("utf-8")
+    assert json.loads(proc.stdout)["all_ok"] is False
 
 
 def test_entry_point_malformed_document_exits_2(tmp_path):
@@ -231,8 +271,9 @@ BROKEN_STDOUT = {
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("name", ["ternary-l1-mass-global", "n6-inspect"])
 def test_entry_point_failed_stdout_exits_6(name, unbuffered, target):
-    # buffered, the small output fails at the flush and leaves its bytes in
-    # the buffer for the flush at shutdown; the large one fails in the write
+    # buffered, the small output fails at _emit's flush and leaves its bytes
+    # in the buffer, which the process's exit drops; the large one fails in
+    # the write
     if target == "full-device" and not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
     code = (
@@ -248,20 +289,31 @@ def test_entry_point_failed_stdout_exits_6(name, unbuffered, target):
     assert proc.stderr.count(b"\n") == 1, proc.stderr
 
 
-def test_only_entry_freezes_the_collector():
+def test_only_entry_freezes_the_collector(tmp_path):
     before = gc.get_freeze_count()
     stdout_of(CASES["ternary-inspect"])
     assert gc.get_freeze_count() == before
-    code = (
-        "import atexit, gc, sys\n"
-        "from csbf.cli import entry\n"
-        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
-        f"sys.argv = ['csbf', 'inspect', {str(TERNARY)!r}, '--out', {os.devnull!r}]\n"
-        "entry()\n"
-    )
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stderr) > 1000
+    # os._exit skips atexit hooks, so the child reads the count as it ends
+    for argv, exit_code in [
+        (["inspect", str(TERNARY), "--out", os.devnull], 0),
+        (["inspect", str(tmp_path / "missing.json")], 2),
+    ]:
+        code = (
+            "import gc, os, sys\n"
+            "from csbf.cli import entry\n"
+            "real_exit = os._exit\n"
+            "def hard_exit(code):\n"
+            "    print('os._exit', code, gc.get_freeze_count(), file=sys.stderr, flush=True)\n"
+            "    real_exit(code)\n"
+            "os._exit = hard_exit\n"
+            f"sys.argv = ['csbf', *{argv!r}]\n"
+            "entry()\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == exit_code, proc.stderr
+        lines = proc.stderr.decode().splitlines()
+        assert lines and lines[-1].startswith(f"os._exit {exit_code} "), proc.stderr
+        assert int(lines[-1].split()[-1]) > 1000
 
 
 def write_n6() -> None:

@@ -68,6 +68,7 @@ documents = st.recursive(
 # supersets and shared interval bounds.  Pools of at most six values, some
 # mixing the spellings the writer must keep apart or route through ``repr``.
 MIXED_POOLS = [
+    [0.0],
     [0.0, -0.0],
     [0.0, -0.0, 5e-324, -5e-324],
     [5e-324, 1.5e-310, 1e12, 123456789012.5, 9.999999999999996e15, 1e16],
