@@ -42,9 +42,12 @@ from .core import (
     mass_vector,
     ultrafilter,
 )
-# perfbench/spans.py also wraps the selectors, the partial solvers and
-# gamma_to_mass at this module's attributes, so they stay bound here; the
-# commands run ``CELLS``, and gamma_to_mass serves only that hook.
+# The commands run ``CELLS``.  The selectors, the partial solvers and
+# gamma_to_mass are bound here only for perfbench's hook sites on this
+# module (perfbench/spans.py: the ``consistent_mass.*`` and
+# ``consistent_belief.*`` spans); the oracle's two hook sites,
+# ``brute_force_partial`` and ``library_global``, resolve through
+# ``__getattr__`` below, so only ``verify`` loads the oracle.
 from .consistent_mass import (
     ApproxBox,
     LinfBox,
@@ -56,19 +59,13 @@ from .consistent_mass import (
     partial_linf_mass,
 )
 from .consistent_belief import (
+    CELLS,
     focused_transform,
     gamma_to_mass,
     global_l1_belief,
     global_l2_belief,
     global_linf_belief,
     partial_linf_belief,
-)
-from .oracle import (
-    CELLS,
-    MAX_ORACLE_FRAME,
-    brute_force_partial,
-    globals_agree,
-    library_global,
 )
 
 EXIT_OK = 0
@@ -472,6 +469,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import MAX_ORACLE_FRAME, brute_force_partial, globals_agree, library_global
+
     frame, m, echo = load_input(args.input)
     if frame.size > MAX_ORACLE_FRAME:
         raise CliError(
@@ -569,6 +568,16 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_MEMORY
+
+
+def __getattr__(name: str) -> Any:
+    """The oracle's entry points, loaded on first use: ``verify`` imports the
+    oracle itself, and this resolves them as attributes of this module."""
+    if name in ("brute_force_partial", "library_global"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def entry() -> None:

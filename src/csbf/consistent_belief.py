@@ -24,18 +24,28 @@ focus's entry:
     L1            sum of b over the subsets of x^c
     L2            sum of b**2 over the subsets of x^c    (squared)
     Linf          b(x^c), the sum of m over the same subsets
+
+``CELLS``, the package's one list of (norm, space) cells, lives here, the
+lowest module that sees both closed-form families: each row holds the
+global selector and the partial solver, whose
+:class:`~csbf.consistent_mass.Solution` carries the closed form's point
+and distance.  The CLI's ``approximate`` and the oracle read it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
+from . import consistent_mass
 from .core import (
     TOL,
+    FrozenRecord,
     MassFunction,
     PseudoMassFunction,
+    SpaceKind,
     belief_from_mass,
     mobius_transform,
     outside_sums,
@@ -141,3 +151,53 @@ def global_linf_belief(m: MassFunction) -> GlobalResult:
     """
     outside = outside_sums(m.as_array())
     return select_optima(m.frame.elements, outside, outside)
+
+
+class Cell(FrozenRecord):
+    """One (norm, space) cell: ``select(m)`` is its global selector, which
+    returns the optima, tied within ``TOL``, and the criterion values only;
+    ``solve(m, x)`` is its partial solver, which returns a
+    :class:`~csbf.consistent_mass.Solution` whose ``distances[p]`` is the
+    cell's distance and whose ``point`` is a minimizer, for Linf the
+    solution box's barycenter.  A row is the one place that pairs a
+    criterion with its partial solver.
+    """
+
+    def __init__(self, select: Callable, solve: Callable) -> None:
+        self._set(select, solve)
+
+
+#: (norm, space) -> Cell, in report order: the package's one list of cells.
+#: The rows name the library functions inside lambdas, as attributes of
+#: ``consistent_mass`` and of this module, so they are read at call time,
+#: and wrapping a function at its home module's attribute reaches these calls.
+CELLS: dict[tuple[float, SpaceKind], Cell] = {
+    (1, SpaceKind.MASS_N2): Cell(
+        lambda m: consistent_mass.global_l1_mass(m),
+        lambda m, x: consistent_mass.partial_l1_mass(m, x),
+    ),
+    (2, SpaceKind.MASS_N2): Cell(
+        lambda m: consistent_mass.global_l2_mass(m, SpaceKind.MASS_N2),
+        lambda m, x: consistent_mass.partial_l2_mass(m, x, SpaceKind.MASS_N2),
+    ),
+    (2, SpaceKind.MASS_N1): Cell(
+        lambda m: consistent_mass.global_l2_mass(m, SpaceKind.MASS_N1),
+        lambda m, x: consistent_mass.partial_l2_mass(m, x, SpaceKind.MASS_N1),
+    ),
+    (math.inf, SpaceKind.MASS_N2): Cell(
+        lambda m: consistent_mass.global_linf_mass(m),
+        lambda m, x: consistent_mass.partial_linf_mass(m, x),
+    ),
+    (1, SpaceKind.BELIEF): Cell(
+        lambda m: global_l1_belief(m),
+        lambda m, x: focused_transform(m, x),
+    ),
+    (2, SpaceKind.BELIEF): Cell(
+        lambda m: global_l2_belief(m),
+        lambda m, x: focused_transform(m, x),
+    ),
+    (math.inf, SpaceKind.BELIEF): Cell(
+        lambda m: global_linf_belief(m),
+        lambda m, x: partial_linf_belief(m, x),
+    ),
+}

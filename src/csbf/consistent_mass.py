@@ -5,7 +5,7 @@ i.e. its mass lives on the ultrafilter ``{B : x in B}``.  The consistent
 region is a union of simplices, one per element, so approximation proceeds in
 two stages: a partial solution per candidate element, then a global pick of
 the element(s) at minimal distance.  The ``global_*`` selectors do only the
-second stage; ``oracle.CELLS`` pairs each with its partial solver.
+second stage; ``consistent_belief.CELLS`` pairs each with its partial solver.
 
 Closed forms in mass coordinates:
 
@@ -149,8 +149,8 @@ class GlobalResult(FrozenRecord):
     ``optima`` lists every element whose distance ties the minimal distance
     within tolerance, in frame order; ``criterion_values`` maps each element
     to its criterion value, the distance squared for L2.  The partial solutions
-    are not built here: a cell's ``solve(m, x)`` in ``oracle.CELLS`` gives each
-    as a :class:`Solution`.
+    are not built here: a cell's ``solve(m, x)`` in
+    ``consistent_belief.CELLS`` gives each as a :class:`Solution`.
     """
 
     __hash__ = None  # the map has no hash

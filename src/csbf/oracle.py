@@ -22,13 +22,14 @@ problem is solved exactly, with numpy alone:
 
 The reported distance is recomputed from the weights found.  Nothing here
 reuses the closed forms being checked, they enter only in the final
-comparison.  ``CELLS``, the package's one list of (norm, space) cells, is the
-one way into a closed form: each row holds the global selector and the
-partial solver, whose :class:`~csbf.consistent_mass.Solution` carries the
-closed form's point and distance; the CLI's ``approximate`` and ``verify``
-and ``library_global`` read it.  Every comparison uses the one tolerance
-``TOL``: a distance converges when it is that close to the closed form,
-and both argmin sets tie within it by the selectors' rule, ``select_optima``.
+comparison, through ``CELLS``, the package's one list of (norm, space)
+cells, which lives in :mod:`csbf.consistent_belief` and is re-exported
+here: :func:`brute_force_partial` reads a row's partial solver and
+:func:`library_global` its global selector.  Only ``verify`` imports this
+module; ``approximate`` and ``inspect`` never load it.  Every comparison
+uses the one tolerance ``TOL``: a distance converges when it is that close
+to the closed form, and both argmin sets tie within it by the selectors'
+rule, ``select_optima``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,6 +50,9 @@ from .core import (
     ultrafilter,
     zeta_transform,
 )
+# The selectors and partial solvers are bound here only for perfbench's
+# hook sites on this module (perfbench/spans.py); ``CELLS`` calls them at
+# their home modules' attributes.
 from .consistent_mass import (
     GlobalResult,
     global_l1_mass,
@@ -60,6 +64,8 @@ from .consistent_mass import (
     select_optima,
 )
 from .consistent_belief import (
+    CELLS,
+    Cell,
     focused_transform,
     global_l1_belief,
     global_l2_belief,
@@ -100,56 +106,6 @@ class OracleReport(FrozenRecord):
         self._set(
             focus, norm, space, oracle_distance, closed_form_distance, oracle_point, max_gap, converged
         )
-
-
-class Cell(FrozenRecord):
-    """One (norm, space) cell: ``select(m)`` is its global selector, which
-    returns the optima, tied within ``TOL``, and the criterion values only;
-    ``solve(m, x)`` is its partial solver, which returns a
-    :class:`~csbf.consistent_mass.Solution` whose ``distances[p]`` is the
-    cell's distance and whose ``point`` is a minimizer, for Linf the
-    solution box's barycenter.  A row is the one place that pairs a
-    criterion with its partial solver.
-    """
-
-    def __init__(self, select: Callable, solve: Callable) -> None:
-        self._set(select, solve)
-
-
-#: (norm, space) -> Cell, in report order: the package's one list of cells.
-#: The rows name the library functions inside lambdas, so they are read from
-#: this module's namespace at call time, and wrapping a module attribute
-#: reaches these calls.
-CELLS: dict[tuple[float, SpaceKind], Cell] = {
-    (1, SpaceKind.MASS_N2): Cell(
-        lambda m: global_l1_mass(m),
-        lambda m, x: partial_l1_mass(m, x),
-    ),
-    (2, SpaceKind.MASS_N2): Cell(
-        lambda m: global_l2_mass(m, SpaceKind.MASS_N2),
-        lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N2),
-    ),
-    (2, SpaceKind.MASS_N1): Cell(
-        lambda m: global_l2_mass(m, SpaceKind.MASS_N1),
-        lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N1),
-    ),
-    (math.inf, SpaceKind.MASS_N2): Cell(
-        lambda m: global_linf_mass(m),
-        lambda m, x: partial_linf_mass(m, x),
-    ),
-    (1, SpaceKind.BELIEF): Cell(
-        lambda m: global_l1_belief(m),
-        lambda m, x: focused_transform(m, x),
-    ),
-    (2, SpaceKind.BELIEF): Cell(
-        lambda m: global_l2_belief(m),
-        lambda m, x: focused_transform(m, x),
-    ),
-    (math.inf, SpaceKind.BELIEF): Cell(
-        lambda m: global_linf_belief(m),
-        lambda m, x: partial_linf_belief(m, x),
-    ),
-}
 
 
 def _cell(p: float, space: SpaceKind, what: str) -> Cell:

@@ -20,7 +20,7 @@ from csbf import (
     partial_linf_mass,
     ultrafilter,
 )
-from csbf import cli, consistent_belief, oracle
+from csbf import cli, consistent_belief, consistent_mass, oracle
 from csbf.consistent_mass import LinfBox
 from csbf.core import TOL
 from csbf.oracle import CELLS, globals_agree, library_global
@@ -174,13 +174,16 @@ def test_table_has_exactly_the_supported_cells(ternary):
 
 
 def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch, capsys):
-    # wrapping an attribute of this module must reach the calls the table
-    # makes, from the oracle and from the CLI alike
-    names = (
-        "partial_l1_mass", "partial_l2_mass", "partial_linf_mass", "focused_transform",
-        "partial_linf_belief", "global_l1_mass", "global_l2_mass", "global_linf_mass",
-        "global_l1_belief", "global_l2_belief", "global_linf_belief",
-    )
+    # wrapping a function at its home module's attribute must reach the calls
+    # the table makes, from the oracle and from the CLI alike
+    homes = {
+        consistent_mass: ("partial_l1_mass", "partial_l2_mass", "partial_linf_mass",
+                          "global_l1_mass", "global_l2_mass", "global_linf_mass"),
+        consistent_belief: ("focused_transform", "partial_linf_belief",
+                            "global_l1_belief", "global_l2_belief", "global_linf_belief"),
+    }
+    names = tuple(name for home in homes.values() for name in home)
+    assert len(names) == 11
     calls = dict.fromkeys((*names, "gamma_to_mass"), 0)
 
     def counted(name, fn):
@@ -189,8 +192,9 @@ def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch,
             return fn(*args)
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    for module, home in homes.items():
+        for name in home:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(
         consistent_belief, "gamma_to_mass", counted("gamma_to_mass", gamma_to_mass)
     )
@@ -212,16 +216,60 @@ def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch,
     assert all(calls.values()), calls
 
 
-def test_every_perfbench_hook_site_resolves(monkeypatch):
+def perfbench_spans(monkeypatch):
+    """perfbench/spans.py, loaded as a module of its own."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # for its dataclasses
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_perfbench_hook_site_resolves(monkeypatch):
+    spans = perfbench_spans(monkeypatch)
     sites = [site for sites in spans.HOOKS.values() for site in sites]
     assert len(sites) > 20
     missing = [f"{mod}.{attr}" for mod, attr in sites if not hasattr(import_module(mod), attr)]
     assert missing == []
+
+
+def test_every_perfbench_hook_measures_calls(monkeypatch, capsys):
+    # a resolving hook can still read 0 calls, when the commands reach the
+    # function through some other attribute: each table row's selector and
+    # solver must show in its own commands' spans, and every span name but
+    # gamma_to_mass, which no command runs, must record calls
+    spans = perfbench_spans(monkeypatch)
+    row_spans = {
+        "l1-belief": "consistent_belief.focused_transform",
+        "l2-belief": "consistent_belief.focused_transform",
+        "linf-belief": "consistent_belief.partial_linf_belief",
+    }
+    runs = [
+        (["approximate", str(TERNARY), *flags, *where],
+         {f"consistent_{mode.split('-')[1]}.select", row_spans.get(mode, "consistent_mass.partial")})
+        for mode, flags in MODES.items()
+        for where in (["--focus", "x"], ["--global"])
+    ]
+    runs += [(["inspect", str(TERNARY)], {"core.belief_from_mass"})]
+    runs += [(["verify", str(TERNARY)], {"oracle.brute_force_partial", "oracle.library_global"})]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for i, (argv, _) in enumerate(runs):
+            tracer.command = i
+            assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert tracer.absent == {}
+    for i, (argv, expected) in enumerate(runs):
+        seen = {span.name for span in tracer.spans if span.command == i}
+        if "--focus" in argv:  # a partial alone: no selector runs
+            expected = {name for name in expected if not name.endswith(".select")}
+        assert expected | {"cli.command", "cli.load_input"} <= seen, argv
+    calls = {name: count for name, (_, count) in tracer.layer_totals().items()}
+    assert calls.keys() == spans.HOOKS.keys()
+    assert calls.pop("consistent_belief.gamma_to_mass") == 0
+    assert calls["cli.command"] == len(runs)
+    assert all(calls.values()), calls
 
 
 @pytest.mark.parametrize("n", range(2, 7))
