@@ -144,34 +144,25 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
 
 
 def _real(v: float) -> str:
-    """JSON text of ``v`` rounded to 12 significant digits: ``repr(float(format(v, ".12g")))``.
-
-    A decimal of at most 12 significant digits survives the round trip
-    through a double, so ``repr`` spells it with the same digits as
-    ``format``.  The spellings differ only for integral values (``repr``
-    adds ``.0``), for 1e12 <= |v| < 1e16 (``repr`` writes them
-    positionally; caught by ``e+1``) and for subnormals, whose precision is
-    below 15 digits (caught by ``e-3``); those take the ``repr`` path.
-    """
-    text = format(v, ".12g")
-    if ("." in text or "e" in text) and "e+1" not in text and "e-3" not in text:
-        return text
-    return repr(float(text))
+    """JSON text of ``v`` rounded to 12 significant digits: the rule :func:`_reals` applies."""
+    return repr(float(format(v, ".12g")))
 
 
 def _reals(values: np.ndarray) -> np.ndarray:
     """:func:`_real` of each value as an object array, each distinct bit pattern formatted once.
 
-    :func:`_chunks` calls it once per document, on the values of all its
-    blocks.  ``+0.0``, most of a sparse document's values, is the one with
-    bit pattern 0 and gets its text ``0.0`` without being sorted; the other
-    values are deduplicated on their bit patterns, which keeps ``-0.0``
-    apart.  The distinct values are formatted with ``.12g`` in one ``%``
-    pass.  That text is :func:`_real`'s unless the value is zero, subnormal
-    or within 1e-11 of its magnitude of an integer: a ``.12g`` text without
-    ``.`` or ``e`` moves the value by at most 5e-12 of it, and every value
-    from 5e10 up (so each whose text has ``e+``) is within 0.5 of an
-    integer.  Those values take :func:`_real`.
+    :func:`_chunks` calls it once per document, on all its reals: the
+    scalars and the blocks' values.  ``+0.0``, most of a sparse document's
+    values, is the one with bit pattern 0 and gets its text ``0.0`` without
+    being sorted; the other values are deduplicated on their bit patterns,
+    which keeps ``-0.0`` apart.  The distinct values are formatted with
+    ``.12g`` in one ``%`` pass.  A decimal of at most 12 significant digits
+    survives the round trip through a double, so that text is
+    :func:`_real`'s unless the value is zero, subnormal or within 1e-11 of
+    its magnitude of an integer: a ``.12g`` text without ``.`` or ``e``
+    moves the value by at most 5e-12 of it, and every value from 5e10 up
+    (so each whose text has ``e+``) is within 0.5 of an integer.  Those
+    values take :func:`_real`.
     """
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -245,9 +236,9 @@ def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
 
     Their join is ``json.dumps(value, indent=2, allow_nan=False)`` with
     every real rounded by :func:`_real`.  Object keys must be strings.  A
-    :class:`_Block` is passed on as the pair ``(block, indent)``, for
-    :func:`_chunks` to write as the ``{subset: value}`` object it stands
-    for; a scalar float is written by :func:`_real` directly.
+    scalar float is passed on as itself, and a :class:`_Block` as the pair
+    ``(block, indent)``, for :func:`_chunks` to spell the real and write the
+    ``{subset: value}`` object the block stands for.
     """
     if isinstance(value, str):
         append(encode_basestring_ascii(value))
@@ -260,9 +251,7 @@ def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
     elif isinstance(value, int):
         append(int.__repr__(value))
     elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(_NON_FINITE)
-        append(_real(value))
+        append(value)
     elif isinstance(value, _Block):
         append((value, indent))
     elif isinstance(value, dict):
@@ -294,12 +283,12 @@ def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
 def _chunks(value: Any, end: str = "") -> list[str]:
     """The JSON text of ``value``, then ``end``, as few chunks.
 
-    :func:`_write` lays out the document's pieces, its blocks as
-    placeholders in write order.  The reals of all the blocks are then
-    formatted by one :func:`_reals` call, so a value repeated across blocks
-    is formatted once per document and a non-finite one raises before any
-    block's text is built, and each block is written by :func:`_block_text`
-    from its own slice of them.
+    :func:`_write` lays out the document's pieces, its scalar reals and
+    blocks as placeholders in write order.  All their reals are then
+    formatted by one :func:`_reals` call, so a value repeated across the
+    document is formatted once and a non-finite one raises before any text
+    is built; each scalar takes its own text, and each block is written by
+    :func:`_block_text` from its own slice of them.
 
     Each text of at least :data:`LONG_CHUNK` characters (a large block) is a
     chunk of its own; each run of shorter texts between them is joined into
@@ -308,8 +297,9 @@ def _chunks(value: Any, end: str = "") -> list[str]:
     """
     pieces: list = []
     _write(value, "", pieces.append)
-    blocks = [piece[0] for piece in pieces if isinstance(piece, tuple)]
-    reals = _reals(np.concatenate([block.values.ravel() for block in blocks])) if blocks else None
+    values = [[piece] if isinstance(piece, float) else piece[0].values.ravel()
+              for piece in pieces if not isinstance(piece, str)]
+    reals = _reals(np.concatenate(values)) if values else None
     start = 0
     chunks: list[str] = []
     run: list[str] = []
@@ -319,6 +309,9 @@ def _chunks(value: Any, end: str = "") -> list[str]:
             stop = start + block.values.size
             text = _block_text(block, indent, reals[start:stop].reshape(block.values.shape))
             start = stop
+        elif isinstance(text, float):
+            text = reals[start]
+            start += 1
         if len(text) < LONG_CHUNK:
             run.append(text)
             continue

@@ -16,6 +16,8 @@ problem is solved exactly, with numpy alone:
 * L1 and Linf are linear programs, solved by a dense two-phase tableau
   simplex under Bland's rule (L1: ``V^T w - u+ + u- = t``, minimize the sum
   of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``).
+  Their sums are ufunc multiply-and-sum, never a BLAS product (``@``),
+  whose rounding would follow the CPU kernel OpenBLAS picks at run time.
 * L2 has a unique minimizer, which solves the KKT system of its own support;
   every nonempty support is solved (15 at n = 3, 255 at n = 4) and the
   nearest solution with nonnegative weights is kept.
@@ -199,7 +201,7 @@ def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     tab = np.delete(tab, np.s_[n:-1], axis=1)
     basic = basis < n
     tab[-1] = np.append(c, 0.0)
-    tab[-1] -= c[basis[basic]] @ tab[:-1][basic]
+    tab[-1] -= (c[basis[basic], None] * tab[:-1][basic]).sum(axis=0)
     _simplex_phase(tab, basis, n)
     basic = basis < n
     z = np.zeros(n)
@@ -293,7 +295,7 @@ def brute_force_partial(
     values = zeta_transform(m.as_array()) if kind is SpaceKind.BELIEF else m.as_array()
     target = values[1 : _dimension(frame, kind) + 1]
     w = _l2_weights(v, target) if p == 2 else _lp_weights(v, target, p)
-    distance = _lp_norm(w @ v - target, p)
+    distance = _lp_norm((w[:, None] * v).sum(axis=0) - target, p)
     point = MassFunction(frame, np.bincount(members, weights=w, minlength=frame.n_subsets))
     gap = abs(distance - closed_distance)
     return OracleReport(

@@ -1,6 +1,9 @@
 import importlib.util
+import json
 import math
+import platform
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +28,7 @@ from csbf.consistent_mass import LinfBox
 from csbf.core import TOL
 from csbf.oracle import CELLS, globals_agree, library_global
 
-from conftest import frame_of_size, masses_close
+from conftest import frame_of_size, masses_close, run_python
 from paper_maths import embed, in_mass_box, random_mass_function
 from test_golden import MODES, TERNARY
 
@@ -381,3 +384,60 @@ def test_lp_min_matches_scipy_highs_on_random_programs():
         assert z.min() >= -1e-12 and a @ z == pytest.approx(b, abs=1e-9)
         assert c @ z == pytest.approx(ref.fun, abs=1e-9)
         solved += 1
+
+
+# One child per forced OpenBLAS kernel: `verify` on seeded documents (n = 2..4,
+# 1-5 focal sets, masses k / sum(k)), printing one digest of the L1 and Linf
+# rows (reports and global checks) and one of the L2 rows.
+KERNEL_PROBE = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from csbf import cli
+draws, path = int(sys.argv[1]), sys.argv[2]
+rng = np.random.default_rng(5)
+digests = {"lp": hashlib.sha256(), "l2": hashlib.sha256()}
+for _ in range(draws):
+    n = int(rng.integers(2, 5))
+    size = min(int(rng.integers(1, 6)), 2**n - 1)
+    masks = rng.choice(np.arange(1, 2**n), size=size, replace=False).tolist()
+    k = rng.integers(1, 10, size=size)
+    keys = [",".join("abcd"[i] for i in range(n) if mask >> i & 1) for mask in masks]
+    with open(path, "w") as fh:
+        json.dump({"frame": list("abcd"[:n]), "masses": dict(zip(keys, (k / k.sum()).tolist()))}, fh)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", path])
+    doc = json.loads(out.getvalue())
+    for row in doc["reports"] + doc["global_checks"]:
+        digests["l2" if row["norm"] == "l2" else "lp"].update(json.dumps(row).encode())
+print(json.dumps({name: digest.hexdigest() for name, digest in digests.items()}))
+"""
+
+
+def test_l1_and_linf_verify_reports_match_across_blas_kernels(tmp_path):
+    """L1 and Linf `verify` rows are the same bytes under two OpenBLAS kernels.
+
+    At 165 draws the probe covers the two draws whose L1/Linf rows differed
+    between Prescott (SSE3) and Haswell (AVX2) while the simplex and the
+    recomputed distance took BLAS products.  L2 rows still differ on some
+    draws (``np.linalg.solve``), which shows the kernel switch took effect.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+
+    def probe(kernel):
+        proc = run_python("-c", KERNEL_PROBE, "165", str(tmp_path / f"{kernel}.json"),
+                          OPENBLAS_CORETYPE=kernel)
+        if proc.returncode != 0:
+            bare = run_python("-c", "import numpy; numpy.ones((2, 2)) @ numpy.ones(2)",
+                              OPENBLAS_CORETYPE=kernel)
+            if bare.returncode != 0:
+                pytest.skip(f"numpy does not start under OPENBLAS_CORETYPE={kernel}")
+            raise AssertionError(proc.stderr.decode())
+        return json.loads(proc.stdout)
+
+    with ThreadPoolExecutor(2) as pool:
+        old, new = pool.map(probe, ["Prescott", "Haswell"])
+    if old["l2"] == new["l2"]:
+        pytest.skip("L2 rows agree too: the forced kernels did not change numpy's BLAS")
+    assert old["lp"] == new["lp"]

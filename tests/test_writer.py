@@ -226,19 +226,10 @@ def _decades():
 DECADES = [v for v in _decades() if math.isfinite(v)]
 
 
-def real_reference(v):
-    return repr(float(format(v, ".12g")))
-
-
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=1000, deadline=None)
 def test_real_matches_repr_of_rounded(v):
-    assert _real(v) == real_reference(v)
-
-
-def test_real_matches_repr_at_every_decade():
-    bad = [v for v in DECADES + [-v for v in DECADES] if _real(v) != real_reference(v)]
-    assert not bad, bad[:5]
+    assert _reals(np.array([v])).tolist() == [repr(float(format(v, ".12g")))]
 
 
 def test_reals_match_real_at_every_decade():
@@ -278,11 +269,14 @@ def test_one_reals_pass_per_document(monkeypatch):
 
     monkeypatch.setattr(cli, "_reals", counted)
     text = _dumps(doc)
-    assert calls == [3 + 6 + 3]
+    assert calls == [3 + 6 + 3 + 1]
     expected, expected_rows = (block_reference(frame, masks, b.values) for b in (masses, rows))
     assert text == reference({"a": expected, "b": [expected_rows, {"c": expected}], "d": 0.5})
     calls.clear()
     assert _dumps({"e": 0.5, "f": [1, "g"]}) == reference({"e": 0.5, "f": [1, "g"]})
+    assert calls == [1]
+    calls.clear()
+    assert _dumps({"f": [1, "g", None]}) == reference({"f": [1, "g", None]})
     assert calls == []
 
 
