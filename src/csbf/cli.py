@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
@@ -112,7 +113,7 @@ def load_input(path: str) -> tuple[Frame, MassFunction, dict]:
     if not isinstance(raw, dict) or "frame" not in raw or "masses" not in raw:
         raise CliError("input document needs 'frame' and 'masses'", EXIT_PARSE)
     labels = raw["frame"]
-    if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
+    if not isinstance(labels, list):  # Frame checks each label
         raise CliError("'frame' must be a list of strings", EXIT_PARSE)
     if not isinstance(raw["masses"], dict):
         raise CliError("'masses' must be an object", EXIT_PARSE)
@@ -332,12 +333,11 @@ def _emit(doc: dict, out_path: str | None) -> None:
     """
     chunks = _chunks(doc, "\n")
     try:
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
+        # LF on every platform; stdout stays the text stream it is
+        with (open(out_path, "w", encoding="utf-8", newline="\n") if out_path
+              else nullcontext(sys.stdout)) as fh:
+            fh.writelines(chunks)
+            fh.flush()
     except OSError as exc:
         raise CliError(f"cannot write output: {exc}", EXIT_WRITE) from None
 
@@ -462,13 +462,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .oracle import MAX_ORACLE_FRAME, brute_force_partial, globals_agree, library_global
+    from .oracle import FrameTooLargeError, brute_force_partial, globals_agree, library_global
 
     frame, m, echo = load_input(args.input)
-    if frame.size > MAX_ORACLE_FRAME:
-        raise CliError(
-            f"verification needs a frame of at most {MAX_ORACLE_FRAME} elements", EXIT_FRAME
-        )
     labels = {p: norm for norm, p in NORMS.items()}
     reports = []
     checks = []
@@ -476,7 +472,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for p, kind in CELLS:
         by_focus = {}
         for x in frame.elements:
-            rep = by_focus[x] = brute_force_partial(m, x, p, kind)
+            try:
+                rep = by_focus[x] = brute_force_partial(m, x, p, kind)
+            except FrameTooLargeError as exc:  # raised by the first call, before any output
+                raise CliError(str(exc), EXIT_FRAME) from None
             all_ok &= rep.converged
             reports.append(
                 {

@@ -23,7 +23,7 @@ focus's entry:
 
     L1            sum of b over the subsets of x^c
     L2            sum of b**2 over the subsets of x^c    (squared)
-    Linf          b(x^c), the sum of m over the same subsets
+    Linf          b(x^c), the sum of m over the same subsets (L1 mass's)
 
 ``CELLS``, the package's one list of (norm, space) cells, lives here, the
 lowest module that sees both closed-form families: each row holds the
@@ -53,6 +53,9 @@ from .core import (
     zeta_transform,
 )
 from .consistent_mass import GlobalResult, LinfBox, Solution, select_optima
+# Linf belief's criterion b(x^c) is L1 mass's: one selector, bound under
+# this name too, so each cell calls it through its own module attribute.
+from .consistent_mass import global_l1_mass as global_linf_belief
 
 
 def _focused_masses(m: MassFunction, x: str) -> MassFunction:
@@ -142,15 +145,6 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
     if not inside:
         raise ValueError("gamma point lies outside the solution box")
     return box._shifted(box._shift(gamma_point - (lower + upper) / 2.0))
-
-
-def global_linf_belief(m: MassFunction) -> GlobalResult:
-    """Global Linf pick in belief coordinates: maximal-plausibility element(s).
-
-    The criterion ``b(x^c)`` is the sum of m over the subsets of ``x^c``.
-    """
-    outside = outside_sums(m.as_array())
-    return select_optima(m.frame.elements, outside, outside)
 
 
 class Cell(FrozenRecord):

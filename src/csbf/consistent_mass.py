@@ -189,7 +189,10 @@ def partial_l1_mass(m: MassFunction, x: str) -> Solution:
 
 
 def global_l1_mass(m: MassFunction) -> GlobalResult:
-    """Global L1 pick: the maximal-plausibility element(s)."""
+    """Global L1 pick in mass and, as ``global_linf_belief``, Linf pick in belief coordinates.
+
+    Both criteria are ``b(x^c)``: both cells pick the maximal-plausibility element(s).
+    """
     moved = outside_sums(m.as_array())
     return select_optima(m.frame.elements, moved, moved)
 

@@ -86,7 +86,7 @@ _LP_EPS = 1e-12
 
 
 class FrameTooLargeError(ValueError):
-    """The frame exceeds what exhaustive verification can handle."""
+    """The frame exceeds what exhaustive verification can handle: ``verify`` exits 5 with this."""
 
 
 class OracleReport(FrozenRecord):
@@ -287,7 +287,7 @@ def brute_force_partial(
     frame = m.frame
     if frame.size > MAX_ORACLE_FRAME:
         raise FrameTooLargeError(
-            f"brute-force verification supports frames of size <= {MAX_ORACLE_FRAME}"
+            f"verification needs a frame of at most {MAX_ORACLE_FRAME} elements"
         )
     kind = SpaceKind(space)  # a member, also when given by its value
     closed_distance = _cell(p, kind, "closed form").solve(m, x).distances[p]

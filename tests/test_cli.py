@@ -1,3 +1,4 @@
+import _pyio
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csbf import EvidenceError, Frame, MassFunction, PseudoMassFunction
+from csbf import cli
 from csbf.cli import load_input, main
 from csbf.core import TOL
 
@@ -230,6 +232,24 @@ class TestApproximate:
             assert (unset[0], unset[2]) == (0, ""), name
             monkeypatch.setenv("CSBF_TOLERANCE", raw)
             assert run(capsys, GOLDEN_CASES[name]) == unset, name
+
+    def test_out_file_ends_lines_with_lf_on_every_platform(self, capsys, monkeypatch, tmp_path):
+        # the pure-Python io translates "\n" to os.linesep, which the C io
+        # has compiled in: a Windows line separator, seen on any platform
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(cli, "open", _pyio.open, raising=False)
+        target = tmp_path / "inspect.json"
+        assert run(capsys, ["inspect", TERNARY, "--out", str(target)]) == (0, "", "")
+        with open(os.path.join(HERE, "golden", "ternary-inspect.json"), "rb") as fh:
+            assert target.read_bytes() == fh.read()
+
+    def test_vertices_refused_on_a_five_element_frame(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "n5.json", {"frame": list("abcde"), "masses": {"a,b": 1.0}})
+        target = tmp_path / "out.json"
+        argv = ["approximate", path, "--norm", "linf", "--space", "mass", "--focus", "a",
+                "--vertices", "--out", str(target)]
+        assert run(capsys, argv) == (3, "", "error: frame too large for vertex enumeration\n")
+        assert not target.exists()
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -497,7 +517,15 @@ MALFORMED = {
     "one subset under two keys": (
         '{"frame": ["x", "y"], "masses": {"x,y": 0.5, "y,x": 0.5}}', "subset 'y,x' appears twice"
     ),
+    "no frame": ('{"masses": {"x": 1.0}}', "input document needs 'frame' and 'masses'"),
+    "no masses": ('{"frame": ["x", "y"]}', "input document needs 'frame' and 'masses'"),
+    "top-level array": (
+        '[{"frame": ["x"], "masses": {"x": 1.0}}]', "input document needs 'frame' and 'masses'"
+    ),
     "frame not a list": ('{"frame": "xy", "masses": {"x": 1.0}}', "'frame' must be a list"),
+    "frame label not a string": (
+        '{"frame": ["x", 1], "masses": {"x": 1.0}}', "frame elements must be nonempty strings"
+    ),
     "frame label with a comma": (
         '{"frame": ["x,y", "z"], "masses": {"z": 1.0}}', "may not contain commas"
     ),
@@ -824,9 +852,9 @@ class TestVerify:
             "big.json",
             {"frame": ["a", "b", "c", "d", "e"], "masses": {"a,b,c,d,e": 1.0}},
         )
-        code, _, err = run(capsys, ["verify", path])
-        assert code == 5
-        assert "at most" in err
+        assert run(capsys, ["verify", path]) == (
+            5, "", "error: verification needs a frame of at most 4 elements\n"
+        )
 
     def test_near_tie_lists_both_optima(self, capsys, tmp_path):
         path = write_doc(

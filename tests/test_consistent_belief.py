@@ -21,6 +21,8 @@ from csbf import (
     global_linf_belief,
     partial_linf_belief,
 )
+from csbf import consistent_mass
+from csbf.consistent_belief import CELLS
 from csbf.consistent_mass import box_corners
 from csbf.core import TOL
 
@@ -340,6 +342,20 @@ class TestGlobalLinfBelief:
                 assert partial_linf_belief(m, label).distances[math.inf] == pytest.approx(
                     1.0 - pl[label], abs=1e-12
                 )
+
+    def test_is_the_l1_mass_selector(self):
+        assert global_linf_belief is consistent_mass.global_l1_mass
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_its_cell_agrees_with_the_l1_mass_cell(self, n):
+        # both criteria are b(x^c): the two cells pick the same optima with
+        # the same criterion values on every document
+        rng = np.random.default_rng(3900 + n)
+        frame = frame_of_size(n)
+        linf_belief, l1_mass = CELLS[math.inf, SpaceKind.BELIEF], CELLS[1, SpaceKind.MASS_N2]
+        for _ in range(20):
+            m = random_mass_function(frame, rng)
+            assert linf_belief.select(m) == l1_mass.select(m)
 
 
 class TestCounterexampleFixture:

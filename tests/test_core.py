@@ -389,6 +389,10 @@ class TestMoebiusInversion:
         values = rng.normal(size=64)
         assert np.max(np.abs(mobius_transform(zeta_transform(values)) - values)) < 1e-12
 
+    def test_transforms_refuse_a_length_that_is_no_power_of_two(self):
+        with pytest.raises(ValueError, match="^array length must be a power of two$"):
+            zeta_transform(np.ones(3))
+
     def test_superset_sum_matches_brute_force(self, rng):
         values = rng.normal(size=16)
         sums = superset_sum_transform(values)

@@ -268,6 +268,10 @@ def test_every_perfbench_hook_measures_calls(monkeypatch, capsys):
         if "--focus" in argv:  # a partial alone: no selector runs
             expected = {name for name in expected if not name.endswith(".select")}
         assert expected | {"cli.command", "cli.load_input"} <= seen, argv
+        if argv[0] == "approximate":  # its own family's selector span alone, if any
+            assert {name for name in seen if name.endswith(".select")} == {
+                name for name in expected if name.endswith(".select")
+            }, argv
     calls = {name: count for name, (_, count) in tracer.layer_totals().items()}
     assert calls.keys() == spans.HOOKS.keys()
     assert calls.pop("consistent_belief.gamma_to_mass") == 0

@@ -334,6 +334,11 @@ def test_empty_containers_and_text():
     assert _dumps(doc) == reference(doc)
 
 
+def test_chunks_refuse_a_set():
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        _chunks({"a": {0.5}})
+
+
 @given(nested_poison)
 @settings(max_examples=100, deadline=None)
 def test_non_finite_raises(doc):
