@@ -10,17 +10,17 @@ The oracle minimizes an Lp distance over one component of the consistent
 region directly: candidates are *admissible* mass functions supported on the
 ultrafilter of the focus element, parametrized by their weights w >= 0,
 sum(w) = 1, on the ultrafilter members.  On frames of at most
-``MAX_ORACLE_FRAME`` elements that simplex has at most 8 vertices, so each
-problem is solved exactly, with numpy alone:
+``MAX_ORACLE_FRAME`` elements that simplex has at most 8 vertices, and one
+dense two-phase tableau simplex under Bland's rule solves each problem
+exactly, with numpy alone:
 
-* L1 and Linf are linear programs, solved by a dense two-phase tableau
-  simplex under Bland's rule (L1: ``V^T w - u+ + u- = t``, minimize the sum
-  of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``).
-  Their sums are ufunc multiply-and-sum, never a BLAS product (``@``),
-  whose rounding would follow the CPU kernel OpenBLAS picks at run time.
-* L2 has a unique minimizer, which solves the KKT system of its own support;
-  every nonempty support is solved (15 at n = 3, 255 at n = 4) and the
-  nearest solution with nonnegative weights is kept.
+* L1 and Linf are linear programs (L1: ``V^T w - u+ + u- = t``, minimize the
+  sum of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``).
+* L2's unique minimizer solves its KKT system, which phase 1 solves under
+  Wolfe's restricted basis entry (:func:`_l2_weights`).
+
+Every sum is a ufunc multiply-and-sum, never a BLAS or LAPACK call, whose
+rounding would follow the CPU kernel OpenBLAS picks at run time.
 
 The reported distance is recomputed from the weights found.  Nothing here
 reuses the closed forms being checked, they enter only in the final
@@ -36,9 +36,7 @@ rule, ``select_optima``.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -158,15 +156,22 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
+def _simplex_phase(
+    tab: np.ndarray, basis: np.ndarray, n_cols: int, complement: np.ndarray | None
+) -> None:
     """Pivot until no reduced cost in the first ``n_cols`` columns is negative.
 
     Bland's rule: the first improving column enters and ratio-test ties leave
     by smallest basic index, so the phase cannot cycle; the pivot cap only
-    catches a tableau gone numerically wrong.
+    catches a tableau gone numerically wrong.  A column whose ``complement``
+    (-1 for none) is basic may not enter.
     """
     for _ in range(LP_MAX_PIVOTS):
         entering = np.flatnonzero(tab[-1, :n_cols] < -_LP_EPS)
+        if complement is not None:
+            basic = np.zeros(tab.shape[1], dtype=bool)
+            basic[basis] = True  # index -1, the value column, is never basic
+            entering = entering[~basic[complement[entering]]]
         if entering.size == 0:
             return
         col = entering[0]
@@ -177,11 +182,14 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
     raise RuntimeError(f"simplex did not finish within {LP_MAX_PIVOTS} pivots")
 
 
-def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+def _lp_min(
+    c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, complement: np.ndarray | None = None
+) -> np.ndarray:
     """A minimizer of ``c @ z`` subject to ``a_eq @ z = b_eq``, ``z >= 0``.
 
     Two-phase dense tableau simplex; the program must be feasible and bounded.
     The last tableau row holds the reduced costs, the last column the values.
+    ``complement`` restricts which columns may enter (:func:`_simplex_phase`).
     """
     m, n = a_eq.shape
     sign = np.where(b_eq < 0, -1.0, 1.0)
@@ -193,7 +201,7 @@ def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     tab[-1] = -tab[:m].sum(axis=0)
     tab[-1, n:-1] = 0.0
     basis = np.arange(n, n + m)
-    _simplex_phase(tab, basis, n)
+    _simplex_phase(tab, basis, n, complement)
     for row in np.flatnonzero(basis >= n):
         cols = np.flatnonzero(np.abs(tab[row, :n]) > _LP_EPS)
         if cols.size:  # an all-zero row is redundant and stays so
@@ -202,7 +210,7 @@ def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     basic = basis < n
     tab[-1] = np.append(c, 0.0)
     tab[-1] -= (c[basis[basic], None] * tab[:-1][basic]).sum(axis=0)
-    _simplex_phase(tab, basis, n)
+    _simplex_phase(tab, basis, n, complement)
     basic = basis < n
     z = np.zeros(n)
     z[basis[basic]] = tab[:-1, -1][basic]
@@ -234,32 +242,21 @@ def _lp_weights(v: np.ndarray, target: np.ndarray, p: float) -> np.ndarray:
 
 
 def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Ultrafilter weights minimizing the L2 distance.
+    """Ultrafilter weights minimizing the L2 distance, by Wolfe's simplex method.
 
-    The minimizer solves the KKT system of the equality-constrained problem on
-    its own support S, ``[[E_S E_S^T, 1], [1^T, 0]] [w; lam] = [E_S t; 1]``, so
-    the best nonnegative solution over every nonempty support is exact.  The
-    categorical embeddings are affinely independent, so each system is regular.
+    The minimizer of ``|V^T w - t|^2`` on the simplex solves its KKT system
+    ``G w + lam 1 - mu = V t``, ``sum(w) = 1``, ``w, mu >= 0``, ``w . mu = 0``
+    with ``G = V V^T``.  Phase 1 finds a feasible point while no ``w_j`` enters
+    beside a basic ``mu_j`` nor the reverse, so the point it ends on is the
+    minimizer, unique since distinct members embed affinely independently.
     """
     k = v.shape[0]
-    best, best_dist = None, math.inf
-    for size in range(1, k + 1):
-        supports = np.array(list(combinations(range(k), size)))
-        e = v[supports]
-        kkt = np.ones((len(supports), size + 1, size + 1))
-        kkt[:, :size, :size] = e @ e.transpose(0, 2, 1)
-        kkt[:, size, size] = 0.0
-        rhs = np.ones((len(supports), size + 1, 1))
-        rhs[:, :size, 0] = e @ target
-        sol = np.linalg.solve(kkt, rhs)[:, :size, 0]
-        w = np.zeros((len(supports), k))
-        np.put_along_axis(w, supports, sol, axis=1)
-        dist = np.linalg.norm(w @ v - target, axis=1)
-        dist[sol.min(axis=1) < -_LP_EPS] = math.inf
-        i = int(np.argmin(dist))
-        if dist[i] < best_dist:
-            best, best_dist = w[i], dist[i]
-    return best
+    g = (v[:, None] * v[None]).sum(axis=2)
+    ones = np.ones((k, 1))
+    a = np.block([[g, ones, -ones, -np.eye(k)], [ones.T, np.zeros((1, k + 2))]])
+    b = np.append((v * target).sum(axis=1), 1.0)
+    complement = np.r_[np.arange(k + 2, 2 * k + 2), -1, -1, np.arange(k)]
+    return _lp_min(np.zeros(2 * k + 2), a, b, complement)[:k]
 
 
 def _lp_norm(diff: np.ndarray, p: float) -> float:

@@ -1,16 +1,18 @@
+import ast
 import importlib.util
 import json
 import math
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from importlib import import_module
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import csbf
 from csbf import (
     FrameTooLargeError,
     MassFunction,
@@ -229,14 +231,6 @@ def perfbench_spans(monkeypatch):
     return spans
 
 
-def test_every_perfbench_hook_site_resolves(monkeypatch):
-    spans = perfbench_spans(monkeypatch)
-    sites = [site for sites in spans.HOOKS.values() for site in sites]
-    assert len(sites) > 20
-    missing = [f"{mod}.{attr}" for mod, attr in sites if not hasattr(import_module(mod), attr)]
-    assert missing == []
-
-
 def test_every_perfbench_hook_measures_calls(monkeypatch, capsys):
     # a resolving hook can still read 0 calls, when the commands reach the
     # function through some other attribute: each table row's selector and
@@ -336,6 +330,75 @@ def test_globals_agree_compares_tolerant_argmin_sets(optima, oracle_d, closed_d,
     assert oracle.globals_agree(SimpleNamespace(optima=optima), reports) is agree
 
 
+def support_scan_weights(v, target):
+    """The L2 minimizer on the simplex by a LAPACK solve on every support.
+
+    The minimizer solves the KKT system of the equality-constrained problem on
+    its own support S, ``[[E_S E_S^T, 1], [1^T, 0]] [w; lam] = [E_S t; 1]``, so
+    the best nonnegative solution over every nonempty support is exact.  The
+    categorical embeddings are affinely independent, so each system is regular.
+    """
+    k = v.shape[0]
+    best, best_dist = None, math.inf
+    for size in range(1, k + 1):
+        supports = np.array(list(combinations(range(k), size)))
+        e = v[supports]
+        kkt = np.ones((len(supports), size + 1, size + 1))
+        kkt[:, :size, :size] = e @ e.transpose(0, 2, 1)
+        kkt[:, size, size] = 0.0
+        rhs = np.ones((len(supports), size + 1, 1))
+        rhs[:, :size, 0] = e @ target
+        sol = np.linalg.solve(kkt, rhs)[:, :size, 0]
+        w = np.zeros((len(supports), k))
+        np.put_along_axis(w, supports, sol, axis=1)
+        dist = np.linalg.norm(w @ v - target, axis=1)
+        dist[sol.min(axis=1) < -1e-12] = math.inf
+        i = int(np.argmin(dist))
+        if dist[i] < best_dist:
+            best, best_dist = w[i], dist[i]
+    return best
+
+
+def l2_reference_documents(frame, rng):
+    """Degenerate documents, then random ones: each a MassFunction on ``frame``."""
+    n_subsets = frame.n_subsets
+    yield MassFunction.vacuous(frame)
+    yield MassFunction(frame, np.r_[0.0, np.full(n_subsets - 1, 1 / (n_subsets - 1))])
+    yield MassFunction.from_labels(frame, dict.fromkeys(frame.elements, 1 / frame.size))
+    for _ in range(3):
+        yield MassFunction(frame, {int(rng.integers(1, n_subsets)): 1.0})
+    for _ in range(8):  # two-decimal masses on 1-3 focal sets
+        count = int(rng.integers(1, min(3, n_subsets - 1) + 1))
+        masks = rng.choice(np.arange(1, n_subsets), size=count, replace=False)
+        cuts = np.sort(rng.choice(np.arange(1, 100), size=count - 1, replace=False))
+        cents = np.diff(np.r_[0, cuts, 100])
+        yield MassFunction(frame, np.bincount(masks, weights=cents / 100, minlength=n_subsets))
+    for full_support in (False, True) * 4:
+        yield random_mass_function(frame, rng, full_support=full_support)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_l2_weights_match_the_support_scan(n):
+    # the oracle's L2 weights, from the tableau, against the support scan on
+    # every kind and focus; targets off the mass simplex are where a w_j
+    # entering beside a basic mu_j would go wrong
+    frame = frame_of_size(n)
+    rng = np.random.default_rng(400 + n)
+    kinds = {kind for p, kind in CELLS if p == 2}
+    assert len(kinds) == 3
+    documents = list(l2_reference_documents(frame, rng))
+    for kind in kinds:
+        targets = [embed(m, kind) for m in documents]
+        targets += list(2 * rng.standard_normal((8, len(targets[0]))))
+        for x in frame.elements:
+            _, v = oracle._categorical_coords_matrix(frame, x, kind)
+            for i, target in enumerate(targets):
+                w = oracle._l2_weights(v, target)
+                where = (kind.value, x, i)
+                assert np.abs(w - support_scan_weights(v, target)).max() <= 1e-12, where
+                assert abs(w.sum() - 1.0) <= 1e-12 and w.min() >= -1e-12, where
+
+
 def _linprog_distance(m, x, p, kind):
     """The same partial problem in inequality form, solved by HiGHS."""
     from scipy.optimize import linprog
@@ -391,15 +454,16 @@ def test_lp_min_matches_scipy_highs_on_random_programs():
 
 
 # One child per forced OpenBLAS kernel: `verify` on seeded documents (n = 2..4,
-# 1-5 focal sets, masses k / sum(k)), printing one digest of the L1 and Linf
-# rows (reports and global checks) and one of the L2 rows.
+# 1-5 focal sets, masses k / sum(k)), printing one digest of every output
+# document and the bits of a few BLAS dot products, which show whether the
+# forced kernel changed numpy's BLAS at all.
 KERNEL_PROBE = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
 from csbf import cli
 draws, path = int(sys.argv[1]), sys.argv[2]
 rng = np.random.default_rng(5)
-digests = {"lp": hashlib.sha256(), "l2": hashlib.sha256()}
+digest = hashlib.sha256()
 for _ in range(draws):
     n = int(rng.integers(2, 5))
     size = min(int(rng.integers(1, 6)), 2**n - 1)
@@ -411,26 +475,26 @@ for _ in range(draws):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(["verify", path])
-    doc = json.loads(out.getvalue())
-    for row in doc["reports"] + doc["global_checks"]:
-        digests["l2" if row["norm"] == "l2" else "lp"].update(json.dumps(row).encode())
-print(json.dumps({name: digest.hexdigest() for name, digest in digests.items()}))
+    digest.update(out.getvalue().encode())
+blas = [float(a @ a).hex() for a in np.random.default_rng(0).random((4, 1001))]
+print(json.dumps({"verify": digest.hexdigest(), "blas": blas}))
 """
 
 
-def test_l1_and_linf_verify_reports_match_across_blas_kernels(tmp_path):
-    """L1 and Linf `verify` rows are the same bytes under two OpenBLAS kernels.
+def test_verify_reports_match_across_blas_kernels(tmp_path):
+    """`verify` prints the same bytes under two OpenBLAS kernels.
 
-    At 165 draws the probe covers the two draws whose L1/Linf rows differed
-    between Prescott (SSE3) and Haswell (AVX2) while the simplex and the
-    recomputed distance took BLAS products.  L2 rows still differ on some
-    draws (``np.linalg.solve``), which shows the kernel switch took effect.
+    The probe's 300 draws cover those whose rows differed between Prescott
+    (SSE3) and Haswell (AVX2) while the oracle took BLAS products and LAPACK
+    solves: draws 55 and 161 in L1/Linf rows, 62, 157 and 251 in L2 rows.
+    The same dot products differing in their last bits show that the kernel
+    switch took effect.
     """
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
 
     def probe(kernel):
-        proc = run_python("-c", KERNEL_PROBE, "165", str(tmp_path / f"{kernel}.json"),
+        proc = run_python("-c", KERNEL_PROBE, "300", str(tmp_path / f"{kernel}.json"),
                           OPENBLAS_CORETYPE=kernel)
         if proc.returncode != 0:
             bare = run_python("-c", "import numpy; numpy.ones((2, 2)) @ numpy.ones(2)",
@@ -442,6 +506,24 @@ def test_l1_and_linf_verify_reports_match_across_blas_kernels(tmp_path):
 
     with ThreadPoolExecutor(2) as pool:
         old, new = pool.map(probe, ["Prescott", "Haswell"])
-    if old["l2"] == new["l2"]:
-        pytest.skip("L2 rows agree too: the forced kernels did not change numpy's BLAS")
-    assert old["lp"] == new["lp"]
+    if old["blas"] == new["blas"]:
+        pytest.skip("the forced kernels did not change numpy's BLAS")
+    assert old["verify"] == new["verify"]
+
+
+#: numpy attributes that reach BLAS or LAPACK.
+BLAS_ATTRIBUTES = {"linalg", "dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+
+
+def test_csbf_calls_no_blas():
+    # every product and solve in csbf is a ufunc, whose rounding no BLAS
+    # kernel choice (OpenBLAS's per-CPU kernels, Accelerate) can move
+    modules = sorted(Path(csbf.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 6
+    hits = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            if matmul or isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
