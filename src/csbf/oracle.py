@@ -10,14 +10,17 @@ The oracle minimizes an Lp distance over one component of the consistent
 region directly: candidates are *admissible* mass functions supported on the
 ultrafilter of the focus element, parametrized by their weights w >= 0,
 sum(w) = 1, on the ultrafilter members.  On frames of at most
-``MAX_ORACLE_FRAME`` elements that simplex has at most 8 vertices, and one
-dense two-phase tableau simplex under Bland's rule solves each problem
-exactly, with numpy alone:
+``MAX_ORACLE_FRAME`` elements that simplex has at most 8 vertices, and two
+dense tableau engines solve each problem exactly, with numpy alone:
 
 * L1 and Linf are linear programs (L1: ``V^T w - u+ + u- = t``, minimize the
-  sum of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``).
-* L2's unique minimizer solves its KKT system, which phase 1 solves under
-  Wolfe's restricted basis entry (:func:`_l2_weights`).
+  sum of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``),
+  which a two-phase simplex under Bland's rule solves (:func:`_lp_min`).
+* L2's unique minimizer solves its KKT system, a linear complementarity
+  problem, which Lemke's complementary pivoting solves (:func:`_l2_weights`).
+
+Neither returns a point off its constraints: a tableau gone numerically
+wrong raises ``RuntimeError``, naming the engine.
 
 Every sum is a ufunc multiply-and-sum, never a BLAS or LAPACK call, whose
 rounding would follow the CPU kernel OpenBLAS picks at run time.
@@ -76,7 +79,7 @@ from .consistent_belief import (
 #: Largest frame the oracle will grind through.
 MAX_ORACLE_FRAME = 4
 
-#: Pivots one simplex phase may take before giving up.
+#: Pivots one simplex phase, or one run of Lemke's method, may take before giving up.
 LP_MAX_PIVOTS = 1000
 
 #: Pivot, ratio-test and reduced-cost threshold; tableau entries are O(1).
@@ -156,23 +159,18 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex_phase(
-    tab: np.ndarray, basis: np.ndarray, n_cols: int, complement: np.ndarray | None
-) -> None:
+def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
     """Pivot until no reduced cost in the first ``n_cols`` columns is negative.
 
     Bland's rule: the first improving column enters and ratio-test ties leave
-    by smallest basic index, so the phase cannot cycle; the pivot cap only
-    catches a tableau gone numerically wrong.  A column whose ``complement``
-    (-1 for none) is basic may not enter.
+    by smallest basic index, so the phase cannot cycle; the pivot cap and a
+    final check of the basic values catch a tableau gone numerically wrong.
     """
     for _ in range(LP_MAX_PIVOTS):
         entering = np.flatnonzero(tab[-1, :n_cols] < -_LP_EPS)
-        if complement is not None:
-            basic = np.zeros(tab.shape[1], dtype=bool)
-            basic[basis] = True  # index -1, the value column, is never basic
-            entering = entering[~basic[complement[entering]]]
         if entering.size == 0:
+            if tab[:-1, -1].min() < -TOL:
+                raise RuntimeError(f"simplex phase ended on a basic value {tab[:-1, -1].min():.3g}")
             return
         col = entering[0]
         rows = np.flatnonzero(tab[:-1, col] > _LP_EPS)
@@ -182,14 +180,11 @@ def _simplex_phase(
     raise RuntimeError(f"simplex did not finish within {LP_MAX_PIVOTS} pivots")
 
 
-def _lp_min(
-    c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, complement: np.ndarray | None = None
-) -> np.ndarray:
+def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     """A minimizer of ``c @ z`` subject to ``a_eq @ z = b_eq``, ``z >= 0``.
 
-    Two-phase dense tableau simplex; the program must be feasible and bounded.
-    The last tableau row holds the reduced costs, the last column the values.
-    ``complement`` restricts which columns may enter (:func:`_simplex_phase`).
+    Two-phase dense tableau simplex for a bounded program; an infeasible one
+    raises.  The last tableau row holds the reduced costs, the last column the values.
     """
     m, n = a_eq.shape
     sign = np.where(b_eq < 0, -1.0, 1.0)
@@ -201,7 +196,9 @@ def _lp_min(
     tab[-1] = -tab[:m].sum(axis=0)
     tab[-1, n:-1] = 0.0
     basis = np.arange(n, n + m)
-    _simplex_phase(tab, basis, n, complement)
+    _simplex_phase(tab, basis, n)
+    if abs(tab[-1, -1]) > TOL:
+        raise RuntimeError(f"simplex phase 1 ended at {-tab[-1, -1]:.3g}, not 0: no feasible point")
     for row in np.flatnonzero(basis >= n):
         cols = np.flatnonzero(np.abs(tab[row, :n]) > _LP_EPS)
         if cols.size:  # an all-zero row is redundant and stays so
@@ -210,11 +207,8 @@ def _lp_min(
     basic = basis < n
     tab[-1] = np.append(c, 0.0)
     tab[-1] -= (c[basis[basic], None] * tab[:-1][basic]).sum(axis=0)
-    _simplex_phase(tab, basis, n, complement)
-    basic = basis < n
-    z = np.zeros(n)
-    z[basis[basic]] = tab[:-1, -1][basic]
-    return z
+    _simplex_phase(tab, basis, n)
+    return np.bincount(basis, tab[:-1, -1], n + m)[:n]
 
 
 def _lp_weights(v: np.ndarray, target: np.ndarray, p: float) -> np.ndarray:
@@ -242,21 +236,39 @@ def _lp_weights(v: np.ndarray, target: np.ndarray, p: float) -> np.ndarray:
 
 
 def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Ultrafilter weights minimizing the L2 distance, by Wolfe's simplex method.
+    """Ultrafilter weights minimizing the L2 distance, by Lemke's method.
 
-    The minimizer of ``|V^T w - t|^2`` on the simplex solves its KKT system
-    ``G w + lam 1 - mu = V t``, ``sum(w) = 1``, ``w, mu >= 0``, ``w . mu = 0``
-    with ``G = V V^T``.  Phase 1 finds a feasible point while no ``w_j`` enters
-    beside a basic ``mu_j`` nor the reverse, so the point it ends on is the
-    minimizer, unique since distinct members embed affinely independently.
+    The KKT system is the LCP ``s = M z + q``, ``s, z >= 0``, ``s . z = 0``, over
+    ``z = (w, lam+, lam-)`` with ``q = (-V t, -1, 1)``, ``G = V V^T`` and the positive
+    semidefinite ``M = [[G, -1, 1], [1^T, 0, 0], [-1^T, 0, 0]]``, which Lemke's method solves.
     """
-    k = v.shape[0]
-    g = (v[:, None] * v[None]).sum(axis=2)
-    ones = np.ones((k, 1))
-    a = np.block([[g, ones, -ones, -np.eye(k)], [ones.T, np.zeros((1, k + 2))]])
-    b = np.append((v * target).sum(axis=1), 1.0)
-    complement = np.r_[np.arange(k + 2, 2 * k + 2), -1, -1, np.arange(k)]
-    return _lp_min(np.zeros(2 * k + 2), a, b, complement)[:k]
+    k, n = len(v), len(v) + 2
+    b = np.ones((k, 1)) * [1.0, -1.0]
+    m = np.block([[(v[:, None] * v[None]).sum(axis=2), -b], [b.T, np.zeros((2, 2))]])
+    # Rows s - M z - z0 = q: the s columns, basic at first, hold the basis inverse,
+    # and z0 enters on the last least q_i, keeping every row lexicographically positive.
+    tab = np.c_[-m, np.eye(n), -np.ones(n), np.r_[-(v * target).sum(axis=1), -1.0, 1.0]]
+    basis = np.arange(n, 2 * n)
+    row, col = np.flatnonzero(tab[:, -1] <= tab[:, -1].min() + _LP_EPS)[-1], 2 * n
+    for _ in range(LP_MAX_PIVOTS):
+        leaving = basis[row]
+        _pivot(tab, basis, row, col)
+        if leaving == 2 * n:
+            w = np.bincount(basis, tab[:, -1], 2 * n + 1)[:k]
+            if w.min() < -TOL:
+                raise RuntimeError(f"Lemke's method ended on a negative weight {w.min():.3g}")
+            return w
+        col = (leaving + n) % (2 * n)  # the complement of the leaving variable
+        rows = np.flatnonzero(tab[:, col] > _LP_EPS)
+        if rows.size == 0:
+            raise RuntimeError("Lemke's method ended on a secondary ray")
+        for j in (-1, *range(n, 2 * n)):  # the values, then the basis inverse
+            ratios = tab[rows, j] / tab[rows, col]
+            rows = rows[ratios <= ratios.min() + _LP_EPS]
+            if rows.size == 1:
+                break
+        row = rows[0]
+    raise RuntimeError(f"Lemke's method did not finish within {LP_MAX_PIVOTS} pivots")
 
 
 def _lp_norm(diff: np.ndarray, p: float) -> float:

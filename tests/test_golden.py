@@ -225,8 +225,12 @@ def test_entry_point_keeps_the_renormalization_warning(tmp_path):
 
 
 def test_entry_point_failed_verify_exits_1_with_the_whole_report(monkeypatch):
-    # no closed form converges when the match tolerance is negative
-    monkeypatch.setattr(csbf.oracle, "TOL", -1.0)
+    # no closed form converges when every oracle distance is 1 too long (a
+    # negative TOL would not do: the oracle's engines check their tableaus by it)
+    from csbf import oracle  # verify's lazy import, done here so it can be patched
+
+    norm = oracle._lp_norm
+    monkeypatch.setattr(oracle, "_lp_norm", lambda diff, p: norm(diff, p) + 1.0)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(CASES["ternary-verify"]) == 1
@@ -234,7 +238,8 @@ def test_entry_point_failed_verify_exits_1_with_the_whole_report(monkeypatch):
         "import sys\n"
         "import csbf.oracle\n"
         "from csbf.cli import entry\n"
-        "csbf.oracle.TOL = -1.0\n"
+        "norm = csbf.oracle._lp_norm\n"
+        "csbf.oracle._lp_norm = lambda diff, p: norm(diff, p) + 1.0\n"
         f"sys.argv = ['csbf', *{CASES['ternary-verify']!r}]\n"
         "entry()\n"
     )

@@ -14,6 +14,7 @@ import pytest
 
 import csbf
 from csbf import (
+    Frame,
     FrameTooLargeError,
     MassFunction,
     Solution,
@@ -25,7 +26,7 @@ from csbf import (
     partial_linf_mass,
     ultrafilter,
 )
-from csbf import cli, consistent_belief, consistent_mass, oracle
+from csbf import cli, oracle
 from csbf.consistent_mass import LinfBox
 from csbf.core import TOL
 from csbf.oracle import CELLS, globals_agree, library_global
@@ -33,6 +34,9 @@ from csbf.oracle import CELLS, globals_agree, library_global
 from conftest import frame_of_size, masses_close, run_python
 from paper_maths import embed, in_mass_box, random_mass_function
 from test_golden import MODES, TERNARY
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def oracle_agrees(m, p, kind):
@@ -101,9 +105,12 @@ class TestBruteForcePartial:
                 assert by_value.converged and by_value.space is kind
 
     def test_lp_pivot_cap_raises(self, ternary, monkeypatch):
+        # the cap bounds one simplex phase (L1, Linf) and one run of Lemke's method (L2)
         monkeypatch.setattr(oracle, "LP_MAX_PIVOTS", 1)
-        with pytest.raises(RuntimeError, match="1 pivots"):
+        with pytest.raises(RuntimeError, match="^simplex did not finish within 1 pivots$"):
             brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2)
+        with pytest.raises(RuntimeError, match="^Lemke's method did not finish within 1 pivots$"):
+            brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
 
     @pytest.mark.parametrize(
         "c, a, b, expected",
@@ -121,6 +128,37 @@ class TestBruteForcePartial:
     def test_lp_min_on_small_programs(self, c, a, b, expected):
         z = oracle._lp_min(*(np.array(u, dtype=float) for u in (c, a, b)))
         assert z == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "c, a, b",
+        [
+            ([1, 1], [[1, 1]], [-1]),  # x1 + x2 = -1
+            ([0, 0, 0], [[1, 1, 0], [0, 0, 1]], [1, -2]),  # x3 = -2
+        ],
+    )
+    def test_lp_min_raises_on_an_infeasible_program(self, c, a, b):
+        # phase 1 cannot drive the artificial columns to 0; once that returned
+        # a point breaking a_eq @ z = b_eq, here [-1, 0] and [1, 0, -2]
+        with pytest.raises(RuntimeError, match=r"^simplex phase 1 ended at [12], not 0"):
+            oracle._lp_min(*(np.array(u, dtype=float) for u in (c, a, b)))
+
+    def test_lp_min_raises_on_a_negative_basic_value(self, monkeypatch):
+        # a ratio test loose by 0.5 stands in for a tableau gone numerically
+        # wrong: on x1 + x2 = 1.3, x1 + x3 = 1 it lets x1 enter at 1.3
+        monkeypatch.setattr(oracle, "_LP_EPS", 0.5)
+        c, a, b = np.array([-1.0, 0, 0]), np.array([[1.0, 1, 0], [1, 0, 1]]), np.array([1.3, 1])
+        with pytest.raises(RuntimeError, match="^simplex phase ended on a basic value -0.3$"):
+            oracle._lp_min(c, a, b)
+
+    @pytest.mark.parametrize(
+        "eps, error", [(0.5, "a negative weight -0.5"), (10.0, "a secondary ray")]
+    )
+    def test_l2_weights_fail_loudly(self, monkeypatch, eps, error):
+        # a ratio test this loose stands in for a tableau gone numerically wrong
+        monkeypatch.setattr(oracle, "_LP_EPS", eps)
+        v = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(RuntimeError, match=f"^Lemke's method ended on {error}$"):
+            oracle._l2_weights(v, np.array([1.5, -1.0]))
 
     def test_l2_weights_stay_on_the_simplex(self):
         # Unit masses on {x} and on the frame {x, y}, in mass-n2 coordinates:
@@ -176,49 +214,6 @@ def test_table_has_exactly_the_supported_cells(ternary):
                 brute_force_partial(ternary, "x", p, space)
             with pytest.raises(ValueError, match=f"no global selector {where}"):
                 library_global(ternary, p, space)
-
-
-def test_table_calls_the_library_through_module_attributes(ternary, monkeypatch, capsys):
-    # wrapping a function at its home module's attribute must reach the calls
-    # the table makes, from the oracle and from the CLI alike
-    homes = {
-        consistent_mass: ("partial_l1_mass", "partial_l2_mass", "partial_linf_mass",
-                          "global_l1_mass", "global_l2_mass", "global_linf_mass"),
-        consistent_belief: ("focused_transform", "partial_linf_belief",
-                            "global_l1_belief", "global_l2_belief", "global_linf_belief"),
-    }
-    names = tuple(name for home in homes.values() for name in home)
-    assert len(names) == 11
-    calls = dict.fromkeys((*names, "gamma_to_mass"), 0)
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for module, home in homes.items():
-        for name in home:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    monkeypatch.setattr(
-        consistent_belief, "gamma_to_mass", counted("gamma_to_mass", gamma_to_mass)
-    )
-    for (p, kind), cell in CELLS.items():
-        cell.solve(ternary, "x")
-        library_global(ternary, p, kind)
-    # the Linf belief box carries its barycenter
-    assert calls.pop("gamma_to_mass") == 0
-    assert all(calls.values()), calls
-
-    calls.update(dict.fromkeys((*names, "gamma_to_mass"), 0))
-    for mode in MODES.values():
-        for where in (["--focus", "x"], ["--global"]):
-            assert cli.main(["approximate", str(TERNARY), *mode, *where]) == 0
-    capsys.readouterr()
-    # perfbench's global-sparse run deletes consistent_belief.gamma_to_mass,
-    # so approximate must not go through that attribute
-    assert calls.pop("gamma_to_mass") == 0
-    assert all(calls.values()), calls
 
 
 def perfbench_spans(monkeypatch):
@@ -377,26 +372,48 @@ def l2_reference_documents(frame, rng):
         yield random_mass_function(frame, rng, full_support=full_support)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_l2_weights_match_the_support_scan(n):
-    # the oracle's L2 weights, from the tableau, against the support scan on
-    # every kind and focus; targets off the mass simplex are where a w_j
-    # entering beside a basic mu_j would go wrong
+    # the oracle's L2 weights, from Lemke's method, against the support scan
+    # on every kind and focus, with targets off the mass simplex too
     frame = frame_of_size(n)
     rng = np.random.default_rng(400 + n)
-    kinds = {kind for p, kind in CELLS if p == 2}
+    kinds = sorted({kind for p, kind in CELLS if p == 2}, key=lambda kind: kind.value)
     assert len(kinds) == 3
     documents = list(l2_reference_documents(frame, rng))
     for kind in kinds:
         targets = [embed(m, kind) for m in documents]
         targets += list(2 * rng.standard_normal((8, len(targets[0]))))
-        for x in frame.elements:
+        problems = [(x, i, t) for x in frame.elements for i, t in enumerate(targets)]
+        if n == 5:  # the scan solves 2^16 - 1 systems per problem: one per kind,
+            # on one of the 8 random documents or 8 Gaussian targets that end the list
+            x, i = frame.elements[rng.integers(n)], int(rng.integers(len(targets) - 16, len(targets)))
+            problems = [(x, i, targets[i])]
+        for x, i, target in problems:
             _, v = oracle._categorical_coords_matrix(frame, x, kind)
-            for i, target in enumerate(targets):
-                w = oracle._l2_weights(v, target)
-                where = (kind.value, x, i)
-                assert np.abs(w - support_scan_weights(v, target)).max() <= 1e-12, where
-                assert abs(w.sum() - 1.0) <= 1e-12 and w.min() >= -1e-12, where
+            w = oracle._l2_weights(v, target)
+            where = (kind.value, x, i)
+            assert np.abs(w - support_scan_weights(v, target)).max() <= 1e-12, where
+            assert abs(w.sum() - 1.0) <= 1e-12 and w.min() >= -1e-12, where
+
+
+@pytest.mark.parametrize("draw", [2, 34])
+def test_l2_oracle_past_the_frame_cap(draw, monkeypatch):
+    # draws 2 and 34 of random_mass_function(Frame(e0..e5), default_rng(6)),
+    # counting from 0: Wolfe's restricted basis entry, the L2 engine before
+    # Lemke's method, returned a point off the constraints on draw 2 (foci e3
+    # and e5) and a distance of 1.36109 against 1.36032 on draw 34 (focus e4)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_FRAME", 6)
+    doc = json.loads((FIXTURES / f"l2_seed6_n6_draw{draw}.json").read_text())
+    frame = Frame(tuple(doc["frame"]))
+    m = MassFunction.from_labels(frame, doc["masses"])
+    for kind in {kind for p, kind in CELLS if p == 2}:
+        for x in frame.elements:
+            report = brute_force_partial(m, x, 2, kind)
+            assert report.max_gap <= 1e-9, (kind.value, x, report.max_gap)
+            if kind is SpaceKind.BELIEF:
+                expected = focused_transform(m, x).point
+                assert masses_close(report.oracle_point, expected, tol=1e-9), x
 
 
 def _linprog_distance(m, x, p, kind):
