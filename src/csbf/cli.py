@@ -11,7 +11,8 @@ digits, which keeps repeated runs byte-identical.
 
 Exit codes: 0 ok, 1 verification found a gap, 2 unreadable or invalid input,
 3 invalid flag combination, 4 unknown focus element, 5 frame too large to
-verify, 6 output file cannot be written, 7 out of memory.
+verify, 6 output file cannot be written, 7 out of memory, 8 the oracle
+failed.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ EXIT_FOCUS = 4
 EXIT_FRAME = 5
 EXIT_WRITE = 6
 EXIT_MEMORY = 7
+EXIT_ORACLE = 8
 
 INGEST_SUM_TOL = 1e-6
 #: ``--norm`` label -> p of the Lp norm, the first half of a ``CELLS`` key.
@@ -462,7 +464,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .oracle import FrameTooLargeError, brute_force_partial, globals_agree, library_global
+    from .oracle import (
+        FrameTooLargeError,
+        OracleError,
+        brute_force_partial,
+        globals_agree,
+        library_global,
+    )
 
     frame, m, echo = load_input(args.input)
     labels = {p: norm for norm, p in NORMS.items()}
@@ -476,6 +484,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 rep = by_focus[x] = brute_force_partial(m, x, p, kind)
             except FrameTooLargeError as exc:  # raised by the first call, before any output
                 raise CliError(str(exc), EXIT_FRAME) from None
+            except OracleError as exc:  # the report is written only once complete
+                raise CliError(f"the oracle failed: {exc}", EXIT_ORACLE) from None
             all_ok &= rep.converged
             reports.append(
                 {
@@ -586,7 +596,7 @@ def entry() -> None:
     every module, freeing every numpy object).  That also skips the final
     flush of the standard streams and any ``atexit`` work, which loses
     nothing: :func:`_emit` flushes stdout after writing it (exits 0 and 1),
-    and closes ``--out`` before :func:`main` returns; exits 2 to 7 write
+    and closes ``--out`` before :func:`main` returns; exits 2 to 8 write
     nothing to stdout, and the bytes a failed stdout write (exit 6) leaves
     in its buffer are dropped, not written again; stderr is flushed here;
     csbf registers no ``atexit`` work.  ``SystemExit`` from argument

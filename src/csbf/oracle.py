@@ -10,7 +10,7 @@ The oracle minimizes an Lp distance over one component of the consistent
 region directly: candidates are *admissible* mass functions supported on the
 ultrafilter of the focus element, parametrized by their weights w >= 0,
 sum(w) = 1, on the ultrafilter members.  On frames of at most
-``MAX_ORACLE_FRAME`` elements that simplex has at most 8 vertices, and two
+``MAX_ORACLE_FRAME`` elements that simplex has at most 32 vertices, and two
 dense tableau engines solve each problem exactly, with numpy alone:
 
 * L1 and Linf are linear programs (L1: ``V^T w - u+ + u- = t``, minimize the
@@ -19,8 +19,13 @@ dense tableau engines solve each problem exactly, with numpy alone:
 * L2's unique minimizer solves its KKT system, a linear complementarity
   problem, which Lemke's complementary pivoting solves (:func:`_l2_weights`).
 
-Neither returns a point off its constraints: a tableau gone numerically
-wrong raises ``RuntimeError``, naming the engine.
+Both pick every leaving row by one least-ratio step, :func:`_leaving_row`,
+whose smallest-basic-index tie rule is Bland's leaving rule for the simplex
+and, after ties on the basis inverse, Lemke's lexicographic rule; both end
+through one check that no basic value is below ``-TOL``, :func:`_end_check`.
+Neither returns a point off its constraints: an unbounded program, a
+tableau gone numerically wrong or the pivot cap raises :class:`OracleError`,
+naming the engine.
 
 Every sum is a ufunc multiply-and-sum, never a BLAS or LAPACK call, whose
 rounding would follow the CPU kernel OpenBLAS picks at run time.
@@ -77,7 +82,7 @@ from .consistent_belief import (
 )
 
 #: Largest frame the oracle will grind through.
-MAX_ORACLE_FRAME = 4
+MAX_ORACLE_FRAME = 6
 
 #: Pivots one simplex phase, or one run of Lemke's method, may take before giving up.
 LP_MAX_PIVOTS = 1000
@@ -88,6 +93,11 @@ _LP_EPS = 1e-12
 
 class FrameTooLargeError(ValueError):
     """The frame exceeds what exhaustive verification can handle: ``verify`` exits 5 with this."""
+
+
+class OracleError(RuntimeError):
+    """An engine failed: a tableau gone numerically wrong, an unbounded program
+    or the pivot cap; ``verify`` exits 8 with this."""
 
 
 class OracleReport(FrozenRecord):
@@ -159,25 +169,49 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
+def _leaving_row(tab: np.ndarray, basis: np.ndarray, col: int, ray: str, keys=()) -> int:
+    """The row that leaves as column ``col`` enters, by the least-ratio test.
+
+    Rows with an entry above ``_LP_EPS`` in ``col`` qualify, and ties within
+    ``_LP_EPS`` of the least ratio narrow on the values, then on each ``keys``
+    column in turn, stopping at one row.  Rows still tied leave by smallest
+    basic index: Bland's rule with no keys, the lexicographic rule with the
+    basis inverse as keys.  With no row qualifying, ``col`` runs along a ray
+    and ``OracleError(ray)`` is raised.
+    """
+    rows = np.flatnonzero(tab[:, col] > _LP_EPS)
+    if rows.size == 0:
+        raise OracleError(ray)
+    for j in (-1, *keys):
+        ratios = tab[rows, j] / tab[rows, col]
+        rows = rows[ratios <= ratios.min() + _LP_EPS]
+        if rows.size == 1:
+            break
+    return rows[np.argmin(basis[rows])]
+
+
+def _end_check(values: np.ndarray, engine: str) -> None:
+    """Both engines end here: a basic value below ``-TOL`` means a tableau gone wrong."""
+    if values.min() < -TOL:
+        raise OracleError(f"{engine} ended on a basic value {values.min():.3g}")
+
+
 def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
     """Pivot until no reduced cost in the first ``n_cols`` columns is negative.
 
-    Bland's rule: the first improving column enters and ratio-test ties leave
-    by smallest basic index, so the phase cannot cycle; the pivot cap and a
-    final check of the basic values catch a tableau gone numerically wrong.
+    Bland's rule: the first improving column enters and :func:`_leaving_row`
+    picks the leaving row with no keys, so the phase cannot cycle; an
+    unbounded program, the pivot cap and the end check of the basic values
+    raise ``OracleError``.
     """
     for _ in range(LP_MAX_PIVOTS):
         entering = np.flatnonzero(tab[-1, :n_cols] < -_LP_EPS)
         if entering.size == 0:
-            if tab[:-1, -1].min() < -TOL:
-                raise RuntimeError(f"simplex phase ended on a basic value {tab[:-1, -1].min():.3g}")
-            return
+            return _end_check(tab[:-1, -1], "simplex phase")
         col = entering[0]
-        rows = np.flatnonzero(tab[:-1, col] > _LP_EPS)
-        ratios = tab[rows, -1] / tab[rows, col]
-        ties = rows[ratios <= ratios.min() + _LP_EPS]
-        _pivot(tab, basis, ties[np.argmin(basis[ties])], col)
-    raise RuntimeError(f"simplex did not finish within {LP_MAX_PIVOTS} pivots")
+        row = _leaving_row(tab[:-1], basis, col, "simplex met an unbounded program")
+        _pivot(tab, basis, row, col)
+    raise OracleError(f"simplex did not finish within {LP_MAX_PIVOTS} pivots")
 
 
 def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
@@ -198,7 +232,7 @@ def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     basis = np.arange(n, n + m)
     _simplex_phase(tab, basis, n)
     if abs(tab[-1, -1]) > TOL:
-        raise RuntimeError(f"simplex phase 1 ended at {-tab[-1, -1]:.3g}, not 0: no feasible point")
+        raise OracleError(f"simplex phase 1 ended at {-tab[-1, -1]:.3g}, not 0: no feasible point")
     for row in np.flatnonzero(basis >= n):
         cols = np.flatnonzero(np.abs(tab[row, :n]) > _LP_EPS)
         if cols.size:  # an all-zero row is redundant and stays so
@@ -248,27 +282,18 @@ def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
     # Rows s - M z - z0 = q: the s columns, basic at first, hold the basis inverse,
     # and z0 enters on the last least q_i, keeping every row lexicographically positive.
     tab = np.c_[-m, np.eye(n), -np.ones(n), np.r_[-(v * target).sum(axis=1), -1.0, 1.0]]
-    basis = np.arange(n, 2 * n)
+    basis, inverse = np.arange(n, 2 * n), range(n, 2 * n)
     row, col = np.flatnonzero(tab[:, -1] <= tab[:, -1].min() + _LP_EPS)[-1], 2 * n
     for _ in range(LP_MAX_PIVOTS):
         leaving = basis[row]
         _pivot(tab, basis, row, col)
         if leaving == 2 * n:
-            w = np.bincount(basis, tab[:, -1], 2 * n + 1)[:k]
-            if w.min() < -TOL:
-                raise RuntimeError(f"Lemke's method ended on a negative weight {w.min():.3g}")
-            return w
+            _end_check(tab[:, -1], "Lemke's method")
+            return np.bincount(basis, tab[:, -1], 2 * n + 1)[:k]
         col = (leaving + n) % (2 * n)  # the complement of the leaving variable
-        rows = np.flatnonzero(tab[:, col] > _LP_EPS)
-        if rows.size == 0:
-            raise RuntimeError("Lemke's method ended on a secondary ray")
-        for j in (-1, *range(n, 2 * n)):  # the values, then the basis inverse
-            ratios = tab[rows, j] / tab[rows, col]
-            rows = rows[ratios <= ratios.min() + _LP_EPS]
-            if rows.size == 1:
-                break
-        row = rows[0]
-    raise RuntimeError(f"Lemke's method did not finish within {LP_MAX_PIVOTS} pivots")
+        # ties break on the basis inverse, held in the s columns
+        row = _leaving_row(tab, basis, col, "Lemke's method ended on a secondary ray", inverse)
+    raise OracleError(f"Lemke's method did not finish within {LP_MAX_PIVOTS} pivots")
 
 
 def _lp_norm(diff: np.ndarray, p: float) -> float:

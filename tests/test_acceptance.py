@@ -218,7 +218,7 @@ def test_criterion_7_oracle_equivalence():
     globals_ok = True
     details = []
     elapsed = 0.0
-    for size, seed, draws in ((3, 42, 50), (4, 43, 10)):
+    for size, seed, draws in ((3, 42, 50), (4, 43, 10), (5, 44, 12), (6, 45, 6)):
         frame = frame_of_size(size)
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()

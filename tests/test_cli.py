@@ -850,11 +850,19 @@ class TestVerify:
         path = write_doc(
             tmp_path,
             "big.json",
-            {"frame": ["a", "b", "c", "d", "e"], "masses": {"a,b,c,d,e": 1.0}},
+            {"frame": list("abcdefg"), "masses": {"a,b,c,d,e,f,g": 1.0}},
         )
         assert run(capsys, ["verify", path]) == (
-            5, "", "error: verification needs a frame of at most 4 elements\n"
+            5, "", "error: verification needs a frame of at most 6 elements\n"
         )
+
+    @pytest.mark.parametrize("draw", [2, 34])
+    def test_six_element_frame_passes(self, capsys, draw):
+        path = os.path.join(HERE, "fixtures", f"l2_seed6_n6_draw{draw}.json")
+        doc, _ = run_json(capsys, ["verify", path])
+        assert doc["all_ok"] is True
+        assert len(doc["reports"]) == 42
+        assert max(r["max_gap"] for r in doc["reports"]) <= 1e-9
 
     def test_near_tie_lists_both_optima(self, capsys, tmp_path):
         path = write_doc(

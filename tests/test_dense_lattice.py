@@ -40,7 +40,7 @@ from csbf.core import outside_sums, zeta_transform
 from csbf.oracle import CELLS, brute_force_partial, globals_agree
 
 from conftest import frame_of_size, masses_close
-from paper_maths import random_mass_function
+from paper_maths import focal_list_criteria, random_mass_function
 
 TOL = 1e-12
 
@@ -513,3 +513,36 @@ def test_large_frames_match_direct_per_focus_sums(n):
                 close(payload.members, members, (key, x))
                 close(payload.lower, -value - belief[members ^ (1 << i)], (key, x))
                 close(payload.upper, value - belief[members ^ (1 << i)], (key, x))
+
+
+def assert_cells_match_the_focal_list(frame, masks, masses):
+    m = MassFunction(frame, dict(zip(masks.tolist(), masses.tolist())))
+    reference = focal_list_criteria(masks, masses, frame.size)
+    assert reference.keys() == CELLS.keys()
+    for key, cell in CELLS.items():
+        got = cell.select(m).criterion_values
+        for x, expected in zip(frame.elements, reference[key]):
+            assert abs(got[x] - expected) <= 1e-12 * max(1.0, abs(expected)), (key, x)
+
+
+@st.composite
+def sparse_documents(draw):
+    n = draw(st.integers(1, 16))
+    masks = draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=64, unique=True))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(masks), max_size=len(masks)))
+    frame = Frame(tuple(f"e{i}" for i in range(n)))
+    return frame, np.array(masks), np.array(weights) / sum(weights)
+
+
+@given(sparse_documents())
+@settings(max_examples=100, deadline=None)
+def test_every_cell_matches_the_focal_list(document):
+    assert_cells_match_the_focal_list(*document)
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_every_cell_matches_the_focal_list_on_large_frames(n):
+    rng = np.random.default_rng(2400 + n)
+    frame = Frame(tuple(f"e{i}" for i in range(n)))
+    masks = rng.choice(frame.n_subsets - 1, size=64, replace=False) + 1
+    assert_cells_match_the_focal_list(frame, masks, rng.dirichlet(np.ones(64)))

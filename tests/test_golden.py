@@ -249,6 +249,26 @@ def test_entry_point_failed_verify_exits_1_with_the_whole_report(monkeypatch):
     assert json.loads(proc.stdout)["all_ok"] is False
 
 
+def test_entry_point_oracle_failure_exits_8_with_one_line(monkeypatch, capsys):
+    # one pivot is too few for any engine: the failure is one stderr line, not a traceback
+    from csbf import oracle
+
+    monkeypatch.setattr(oracle, "LP_MAX_PIVOTS", 1)
+    line = "error: the oracle failed: simplex did not finish within 1 pivots\n"
+    assert main(CASES["ternary-verify"]) == 8
+    assert capsys.readouterr() == ("", line)
+    code = (
+        "import sys\n"
+        "import csbf.oracle\n"
+        "from csbf.cli import entry\n"
+        "csbf.oracle.LP_MAX_PIVOTS = 1\n"
+        f"sys.argv = ['csbf', *{CASES['ternary-verify']!r}]\n"
+        "entry()\n"
+    )
+    proc = run_python("-c", code, PYTHONUNBUFFERED="")
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (8, b"", line)
+
+
 def test_entry_point_malformed_document_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"frame": ["x", "y"], "masses": {"x": ')

@@ -29,7 +29,7 @@ from csbf import (
 from csbf import cli, oracle
 from csbf.consistent_mass import LinfBox
 from csbf.core import TOL
-from csbf.oracle import CELLS, globals_agree, library_global
+from csbf.oracle import CELLS, OracleError, globals_agree, library_global
 
 from conftest import frame_of_size, masses_close, run_python
 from paper_maths import embed, in_mass_box, random_mass_function
@@ -92,9 +92,9 @@ class TestBruteForcePartial:
         assert masses_close(a.oracle_point, b.oracle_point, tol=0.0)
 
     def test_frame_too_large_rejected(self):
-        frame = frame_of_size(5)
+        frame = frame_of_size(7)
         m = MassFunction.vacuous(frame)
-        with pytest.raises(FrameTooLargeError):
+        with pytest.raises(FrameTooLargeError, match="at most 6 elements$"):
             brute_force_partial(m, "x", 1, SpaceKind.MASS_N2)
 
     def test_space_given_by_its_value_is_that_space(self, ternary):
@@ -107,9 +107,9 @@ class TestBruteForcePartial:
     def test_lp_pivot_cap_raises(self, ternary, monkeypatch):
         # the cap bounds one simplex phase (L1, Linf) and one run of Lemke's method (L2)
         monkeypatch.setattr(oracle, "LP_MAX_PIVOTS", 1)
-        with pytest.raises(RuntimeError, match="^simplex did not finish within 1 pivots$"):
+        with pytest.raises(OracleError, match="^simplex did not finish within 1 pivots$"):
             brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2)
-        with pytest.raises(RuntimeError, match="^Lemke's method did not finish within 1 pivots$"):
+        with pytest.raises(OracleError, match="^Lemke's method did not finish within 1 pivots$"):
             brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
 
     @pytest.mark.parametrize(
@@ -139,7 +139,7 @@ class TestBruteForcePartial:
     def test_lp_min_raises_on_an_infeasible_program(self, c, a, b):
         # phase 1 cannot drive the artificial columns to 0; once that returned
         # a point breaking a_eq @ z = b_eq, here [-1, 0] and [1, 0, -2]
-        with pytest.raises(RuntimeError, match=r"^simplex phase 1 ended at [12], not 0"):
+        with pytest.raises(OracleError, match=r"^simplex phase 1 ended at [12], not 0"):
             oracle._lp_min(*(np.array(u, dtype=float) for u in (c, a, b)))
 
     def test_lp_min_raises_on_a_negative_basic_value(self, monkeypatch):
@@ -147,18 +147,31 @@ class TestBruteForcePartial:
         # wrong: on x1 + x2 = 1.3, x1 + x3 = 1 it lets x1 enter at 1.3
         monkeypatch.setattr(oracle, "_LP_EPS", 0.5)
         c, a, b = np.array([-1.0, 0, 0]), np.array([[1.0, 1, 0], [1, 0, 1]]), np.array([1.3, 1])
-        with pytest.raises(RuntimeError, match="^simplex phase ended on a basic value -0.3$"):
+        with pytest.raises(OracleError, match="^simplex phase ended on a basic value -0.3$"):
+            oracle._lp_min(c, a, b)
+
+    def test_lp_min_raises_on_an_unbounded_program(self):
+        # minimize -x1 subject to x1 - x2 = 0: x1 = x2 grows without bound, and the
+        # entering column has no positive entry left to leave on
+        c, a, b = np.array([-1.0, 0]), np.array([[1.0, -1]]), np.array([0.0])
+        with pytest.raises(OracleError, match="^simplex met an unbounded program$"):
             oracle._lp_min(c, a, b)
 
     @pytest.mark.parametrize(
-        "eps, error", [(0.5, "a negative weight -0.5"), (10.0, "a secondary ray")]
+        "eps, v, target, error",
+        [
+            # the end check reads every basic value: here the slack of sum(w) <= 1
+            # ends at -0.5, while the weights (1.5, 0) are nonnegative
+            (0.5, [[1.0, 1.0], [0.0, 1.0]], [1.5, 1.5], "a basic value -0.5"),
+            (10.0, [[1.0, 0.0], [0.0, 0.0]], [1.5, -1.0], "a secondary ray"),
+        ],
+        ids=["0.5-a basic value -0.5", "10.0-a secondary ray"],
     )
-    def test_l2_weights_fail_loudly(self, monkeypatch, eps, error):
+    def test_l2_weights_fail_loudly(self, monkeypatch, eps, v, target, error):
         # a ratio test this loose stands in for a tableau gone numerically wrong
         monkeypatch.setattr(oracle, "_LP_EPS", eps)
-        v = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(RuntimeError, match=f"^Lemke's method ended on {error}$"):
-            oracle._l2_weights(v, np.array([1.5, -1.0]))
+        with pytest.raises(OracleError, match=f"^Lemke's method ended on {error}$"):
+            oracle._l2_weights(np.array(v), np.array(target))
 
     def test_l2_weights_stay_on_the_simplex(self):
         # Unit masses on {x} and on the frame {x, y}, in mass-n2 coordinates:
@@ -398,12 +411,12 @@ def test_l2_weights_match_the_support_scan(n):
 
 
 @pytest.mark.parametrize("draw", [2, 34])
-def test_l2_oracle_past_the_frame_cap(draw, monkeypatch):
+def test_l2_oracle_past_the_frame_cap(draw):
     # draws 2 and 34 of random_mass_function(Frame(e0..e5), default_rng(6)),
-    # counting from 0: Wolfe's restricted basis entry, the L2 engine before
-    # Lemke's method, returned a point off the constraints on draw 2 (foci e3
-    # and e5) and a distance of 1.36109 against 1.36032 on draw 34 (focus e4)
-    monkeypatch.setattr(oracle, "MAX_ORACLE_FRAME", 6)
+    # counting from 0, at the frame cap: Wolfe's restricted basis entry, the
+    # L2 engine before Lemke's method, returned a point off the constraints on
+    # draw 2 (foci e3 and e5) and a distance of 1.36109 against 1.36032 on
+    # draw 34 (focus e4)
     doc = json.loads((FIXTURES / f"l2_seed6_n6_draw{draw}.json").read_text())
     frame = Frame(tuple(doc["frame"]))
     m = MassFunction.from_labels(frame, doc["masses"])
@@ -437,7 +450,7 @@ def _linprog_distance(m, x, p, kind):
     return res.fun
 
 
-@pytest.mark.parametrize("size, seed", [(3, 7), (4, 8)])
+@pytest.mark.parametrize("size, seed", [(3, 7), (4, 8), (5, 9), (6, 10)])
 def test_lp_optimum_matches_scipy_highs(size, seed):
     pytest.importorskip("scipy.optimize")
     frame = frame_of_size(size)
