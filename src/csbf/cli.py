@@ -241,26 +241,17 @@ def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
     every real rounded by :func:`_real`.  Object keys must be strings.  A
     scalar float is passed on as itself, and a :class:`_Block` as the pair
     ``(block, indent)``, for :func:`_chunks` to spell the real and write the
-    ``{subset: value}`` object the block stands for.
+    ``{subset: value}`` object the block stands for.  Every other scalar and
+    every empty container is spelled by ``json.dumps``, which also raises
+    its ``TypeError`` on a value JSON cannot hold.
     """
     if isinstance(value, str):
         append(encode_basestring_ascii(value))
-    elif value is None:
-        append("null")
-    elif value is True:
-        append("true")
-    elif value is False:
-        append("false")
-    elif isinstance(value, int):
-        append(int.__repr__(value))
     elif isinstance(value, float):
         append(value)
     elif isinstance(value, _Block):
         append((value, indent))
-    elif isinstance(value, dict):
-        if not value:
-            append("{}")
-            return
+    elif isinstance(value, dict) and value:
         inner = indent + "  "
         head = "{\n" + inner
         for key, item in value.items():
@@ -268,10 +259,7 @@ def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
             _write(item, inner, append)
             head = ",\n" + inner
         append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            append("[]")
-            return
+    elif isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
         head = "[\n" + inner
         for item in value:
@@ -280,7 +268,7 @@ def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
             head = ",\n" + inner
         append(f"\n{indent}]")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        append(json.dumps(value))
 
 
 def _chunks(value: Any, end: str = "") -> list[str]:

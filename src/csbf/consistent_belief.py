@@ -17,9 +17,10 @@ calls it (box corners come from ``LinfBox.corners``); it stays only for
 perfbench's hook and its self-test, until that hook moves to ``--vertices``.
 
 Each criterion is a sum over the subsets of ``x^c`` of m, of ``b = zeta(m)`` or
-of b**2, which :func:`core.outside_sums` folds for every element at once.  A
-selector takes the whole vector; a partial builds b once and takes its
-focus's entry:
+of b**2.  A selector builds the whole vector b, which
+:func:`core.outside_sums` folds for every element at once.  A belief partial
+reads b on the subsets of ``x^c`` alone, the zeta transform of their 2^(n-1)
+masses, which :func:`core.fold` sums in the same order, bit for bit:
 
     L1            sum of b over the subsets of x^c
     L2            sum of b**2 over the subsets of x^c    (squared)
@@ -47,6 +48,7 @@ from .core import (
     PseudoMassFunction,
     SpaceKind,
     belief_from_mass,
+    fold,
     mobius_transform,
     outside_sums,
     ultrafilter,
@@ -56,6 +58,11 @@ from .consistent_mass import GlobalResult, LinfBox, Solution, select_optima
 # Linf belief's criterion b(x^c) is L1 mass's: one selector, bound under
 # this name too, so each cell calls it through its own module attribute.
 from .consistent_mass import global_l1_mass as global_linf_belief
+
+
+def _outside_beliefs(m: MassFunction, x: str) -> np.ndarray:
+    """b(B) for each mask B without x, ascending; the last B is x^c."""
+    return zeta_transform(m.as_array().reshape(-1, 2, m.frame.singleton(x))[:, 0, :].ravel())
 
 
 def _focused_masses(m: MassFunction, x: str) -> MassFunction:
@@ -72,11 +79,10 @@ def focused_transform(m: MassFunction, x: str) -> Solution:
     The focused transform is both the L1 and the L2 solution, so
     ``distances`` holds both attained distances, ``{1: d1, 2: d2}``.
     """
-    belief, i = belief_from_mass(m), m.frame.index_of(x)
-    total = outside_sums(belief)[i]
-    squares = outside_sums(np.square(belief, out=belief))[i]  # b is fresh: square it in place
-    del belief  # freed before the point's vectors are built
-    return Solution(x, _focused_masses(m, x), {1: float(total), 2: math.sqrt(squares)})
+    outside = _outside_beliefs(m, x)
+    distances = {1: float(fold(outside)), 2: math.sqrt(fold(np.square(outside)))}
+    del outside  # freed before the point's vectors are built
+    return Solution(x, _focused_masses(m, x), distances)
 
 
 def global_l1_belief(m: MassFunction) -> GlobalResult:
@@ -117,8 +123,7 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     <= b(x^c)``; the attained distance is ``b(x^c)``.  b on the subsets of
     ``x^c`` is the zeta transform of their masses alone, bit for bit.
     """
-    # b(B) for each mask B without x, ascending; the last B is x^c
-    outside = zeta_transform(m.as_array().reshape(-1, 2, m.frame.singleton(x))[:, 0, :].ravel())
+    outside = _outside_beliefs(m, x)
     radius = float(outside[-1])
     members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
     inside = outside[:-1]  # b(A minus x), aligned with the members

@@ -268,22 +268,27 @@ def superset_sum_transform(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_sweep(values[::-1], np.add)[::-1])
 
 
+def fold(values: np.ndarray, op: np.ufunc = np.add) -> float:
+    """``op`` folded over a power-of-two array, pair by pair, lowest bit first."""
+    while values.size > 1:
+        values = op(values[0::2], values[1::2])
+    return values[0]
+
+
 def outside_sums(values: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
     """``op`` folded over the subsets of ``x^c`` for each element x, in frame order, in O(2^n).
 
-    Pass i reads element i from the half of the running array without bit i,
-    pair-folded lowest remaining bit first, then folds bit i away.  The bits
-    go in :func:`zeta_transform`'s order, so with ``np.add`` entry i is its
-    value at ``x^c`` bit for bit.
+    Pass i reads element i as the :func:`fold` of the half of the running
+    array without bit i, then folds bit i away.  The bits go in
+    :func:`zeta_transform`'s order, so with ``np.add`` entry i is its value at
+    ``x^c`` bit for bit; and a :func:`fold` of the subsets of ``x^c`` alone,
+    in ascending mask order, gives entry i bit for bit too.
     """
     running = values
     sums = np.empty(values.size.bit_length() - 1)
     for i in range(sums.size):
         pairs = running.reshape(-1, 2)
-        half = pairs[:, 0]
-        while half.size > 1:
-            half = op(half[0::2], half[1::2])
-        sums[i] = half[0]
+        sums[i] = fold(pairs[:, 0], op)
         running = op(pairs[:, 0], pairs[:, 1])
     return sums
 

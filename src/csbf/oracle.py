@@ -44,7 +44,6 @@ rule, ``select_optima``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -145,7 +144,6 @@ def _dimension(frame: Frame, kind: SpaceKind) -> int:
     return frame.n_subsets - 1 if kind is SpaceKind.MASS_N1 else frame.n_subsets - 2
 
 
-@lru_cache(maxsize=256)
 def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
     """Embedding coordinates of the categorical masses on each ultrafilter member.
 
@@ -156,9 +154,7 @@ def _categorical_coords_matrix(frame: Frame, x: str, kind: SpaceKind) -> tuple:
     coords = np.arange(1, _dimension(frame, kind) + 1)
     # belief coordinate A of the unit mass on B is 1 exactly when B is a subset of A
     hits = coords & members == members if kind is SpaceKind.BELIEF else coords == members
-    v = hits.astype(float)
-    v.setflags(write=False)
-    return members.ravel(), v
+    return members.ravel(), hits.astype(float)
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

@@ -329,12 +329,13 @@ def test_partial_distance_is_the_criterion_value_bit_for_bit(rng):
 def test_cells_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
     # selectors and partials fold the subsets of every x^c in one O(2^n) pass:
     # the mass cells and the Linf belief selector read m and run no O(n 2^n)
-    # sweep; the L1/L2 belief selectors and every belief partial run one, for b
+    # sweep; the L1/L2 belief selectors run one over all 2^n entries, for b,
+    # and every belief partial one over the 2^(n-1) subsets of x^c alone
     sweeps = []
     sweep = core._sweep
 
     def counted(values, op):
-        sweeps.append(op)
+        sweeps.append((op, np.size(values)))
         return sweep(values, op)
 
     monkeypatch.setattr(core, "_sweep", counted)
@@ -342,12 +343,12 @@ def test_cells_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
     for (p, kind), cell in CELLS.items():
         sweeps.clear()
         cell.select(m)
-        expected = [np.add] if kind is SpaceKind.BELIEF and p != math.inf else []
+        expected = [(np.add, 32)] if kind is SpaceKind.BELIEF and p != math.inf else []
         assert sweeps == expected, ("select", p, kind.value)
         for x in m.frame.elements:
             sweeps.clear()
             cell.solve(m, x)
-            expected = [np.add] if kind is SpaceKind.BELIEF else []
+            expected = [(np.add, 16)] if kind is SpaceKind.BELIEF else []
             assert sweeps == expected, ((p, kind.value), x)
 
 

@@ -30,7 +30,6 @@ from csbf import (
     partial_linf_mass,
 )
 from csbf.consistent_belief import GammaBox
-from csbf.oracle import _categorical_coords_matrix
 
 from conftest import run_python
 
@@ -132,9 +131,6 @@ def test_frame_and_space_are_values():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != Frame(("x", "z", "y"))
     assert SpaceKind("belief") is SpaceKind.BELIEF
-    # equal frames share the oracle's cached matrices
-    first = _categorical_coords_matrix(a, "x", SpaceKind.BELIEF)
-    assert _categorical_coords_matrix(b, "x", SpaceKind.BELIEF) is first
 
 
 def test_mass_functions_compare_by_class_and_masses(ternary):

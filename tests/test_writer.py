@@ -330,13 +330,21 @@ def test_special_floats(value):
 
 
 def test_empty_containers_and_text():
-    doc = {"": {}, "a": [], "b": [[], {}], "c": SPECIAL_TEXT, **{t: t for t in SPECIAL_TEXT}}
+    doc = {
+        "": {}, "a": [], "b": [[], {}], "c": SPECIAL_TEXT, "d": (), "e": [[]], "f": {"a": {}},
+        **{t: t for t in SPECIAL_TEXT},
+    }
     assert _dumps(doc) == reference(doc)
 
 
 def test_chunks_refuse_a_set():
-    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
-        _chunks({"a": {0.5}})
+    # and every other value JSON cannot hold, with json's own message
+    cases = [({0.5}, set), (np.bool_(True), np.bool_), (np.int64(1), np.int64), (b"x", bytes),
+             (1j, complex), ([0.5, {0.5}], set)]
+    for bad, kind in cases:
+        message = f"^Object of type {kind.__name__} is not JSON serializable$"
+        with pytest.raises(TypeError, match=message):
+            _chunks({"a": bad})
 
 
 @given(nested_poison)
