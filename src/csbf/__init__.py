@@ -6,52 +6,40 @@ together with an exact oracle that embeds them in mass or belief
 coordinates and verifies every closed form.
 
 The oracle's names load with :mod:`csbf.oracle` on first use, so that only
-``csbf verify`` pays for that module.  The eager imports, numpy's included,
-run with the cyclic collector off: the objects they create live until exit,
-so a collection during them would only walk the import graph.  The caller's
-collector state is restored afterwards.
+``csbf verify`` pays for that module.
 """
 
-import gc
-
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    from .core import (
-        EvidenceError,
-        Frame,
-        MassFunction,
-        PseudoMassFunction,
-        SpaceKind,
-        belief_from_mass,
-        contour,
-        core_of,
-        ultrafilter,
-    )
-    from .consistent_mass import (
-        ApproxBox,
-        GlobalResult,
-        Solution,
-        global_l1_mass,
-        global_l2_mass,
-        global_linf_mass,
-        partial_l1_mass,
-        partial_l2_mass,
-        partial_linf_mass,
-    )
-    from .consistent_belief import (
-        GammaBox,
-        focused_transform,
-        gamma_to_mass,
-        global_l1_belief,
-        global_l2_belief,
-        global_linf_belief,
-        partial_linf_belief,
-    )
-finally:
-    if _collecting:
-        gc.enable()
-    del _collecting
+from .core import (
+    EvidenceError,
+    Frame,
+    MassFunction,
+    PseudoMassFunction,
+    SpaceKind,
+    belief_from_mass,
+    contour,
+    core_of,
+    ultrafilter,
+)
+from .consistent_mass import (
+    ApproxBox,
+    GlobalResult,
+    Solution,
+    global_l1_mass,
+    global_l2_mass,
+    global_linf_mass,
+    partial_l1_mass,
+    partial_l2_mass,
+    partial_linf_mass,
+)
+from .consistent_belief import (
+    GammaBox,
+    focused_transform,
+    gamma_to_mass,
+    global_l1_belief,
+    global_l2_belief,
+    global_linf_belief,
+    partial_linf_belief,
+)
 
 _ORACLE_NAMES = ("FrameTooLargeError", "OracleReport", "brute_force_partial", "library_global")
 

@@ -18,7 +18,6 @@ failed.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -319,15 +318,25 @@ def _emit(doc: dict, out_path: str | None) -> None:
     """Write the JSON text of ``doc`` and a newline, chunk by chunk.
 
     The document is never joined into one string: that would hold a second
-    copy of all of it beside the chunks.
+    copy of all of it beside the chunks.  An ``--out`` file whose writing
+    fails for any reason is removed before the error goes on, so no
+    truncated document is left; only a regular file is removed, never a
+    device or a symbolic link.
     """
     chunks = _chunks(doc, "\n")
+    partial = None
     try:
-        # LF on every platform; stdout stays the text stream it is
-        with (open(out_path, "w", encoding="utf-8", newline="\n") if out_path
-              else nullcontext(sys.stdout)) as fh:
-            fh.writelines(chunks)
-            fh.flush()
+        try:
+            # LF on every platform; stdout stays the text stream it is
+            with (open(out_path, "w", encoding="utf-8", newline="\n") if out_path is not None
+                  else nullcontext(sys.stdout)) as fh:
+                partial = out_path
+                fh.writelines(chunks)
+                fh.flush()
+        except BaseException:
+            if partial is not None and os.path.isfile(partial) and not os.path.islink(partial):
+                os.remove(partial)
+            raise
     except OSError as exc:
         raise CliError(f"cannot write output: {exc}", EXIT_WRITE) from None
 
@@ -573,12 +582,6 @@ def __getattr__(name: str) -> Any:
 def entry() -> None:
     """Process entry point of ``csbf`` and ``python -m csbf.cli``.
 
-    Everything alive here (the interpreter's own objects, numpy and this
-    package) lives until exit, so it is moved out of the collector's sight
-    first: the collections during the call no longer walk the import graph.
-    :func:`main` leaves the collector alone, since it also runs inside
-    longer-lived processes.
-
     Once :func:`main` returns, the call's output is complete, and the
     process ends through ``os._exit`` without interpreter teardown (clearing
     every module, freeing every numpy object).  That also skips the final
@@ -591,7 +594,6 @@ def entry() -> None:
     parsing (``--help``, bad flags) and uncaught exceptions take the normal
     exit.
     """
-    gc.freeze()
     code = main()
     sys.stderr.flush()
     os._exit(code)

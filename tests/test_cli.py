@@ -433,6 +433,19 @@ def test_running_out_of_memory_exits_7_with_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
 
 
+def test_out_file_running_out_of_memory_midway_is_removed(capsys, monkeypatch, tmp_path):
+    # any error while --out is written removes the part written, not only an OSError
+    def chunks(doc, end):
+        yield " " * 100_000
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_chunks", chunks)
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, ["inspect", TERNARY, "--out", str(out)])
+    assert (code, stdout, err) == (7, "", "error: out of memory\n")
+    assert not out.exists()
+
+
 class TestParseFailures:
     def test_unreadable_file(self, capsys):
         code, _, _ = run(capsys, ["inspect", "/nonexistent/input.json"])

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -174,13 +174,13 @@ def test_diff_names_each_moved_field_and_writes_nothing(tmp_path):
 
 
 # The real entry point, ``python -m csbf.cli``: ``cli.entry`` in a fresh
-# process, which also freezes the import graph out of the collector and ends
-# with ``os._exit``.  Its stdout is buffered whatever the environment says,
-# so output left unflushed at that exit would be lost here and seen.
+# process, which ends with ``os._exit``.  Its stdout is buffered whatever the
+# environment says, so output left unflushed at that exit would be lost here
+# and seen.
 
 
-def run_entry(argv: list[str]) -> subprocess.CompletedProcess:
-    return run_python("-m", "csbf.cli", *argv, PYTHONUNBUFFERED="")
+def run_entry(argv: list[str], preexec_fn=None) -> subprocess.CompletedProcess:
+    return run_python("-m", "csbf.cli", *argv, preexec_fn=preexec_fn, PYTHONUNBUFFERED="")
 
 
 def test_child_processes_import_the_tested_package():
@@ -285,6 +285,42 @@ def test_entry_point_unwritable_out_exits_6(tmp_path):
     assert b"error: cannot write output" in proc.stderr
 
 
+def run_cut_short(out: Path) -> None:
+    """``inspect`` of the 8 KB n6 document to ``--out out``, in a child that may
+    write files of at most 4 KiB: a write past that fails (EFBIG) instead of
+    ending the process, so the document stops part way."""
+    resource = pytest.importorskip("resource")
+    limit = 4096
+    assert (GOLDEN / "n6-inspect.json").stat().st_size > limit
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    proc = run_entry([*CASES["n6-inspect"], "--out", str(out)], preexec_fn=limit_file_size)
+    assert (proc.returncode, proc.stdout) == (6, b""), proc.stderr
+    assert proc.stderr.startswith(b"error: cannot write output: ")
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+def test_entry_point_out_cut_short_exits_6_and_leaves_no_file(existing, tmp_path):
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_bytes((GOLDEN / "ternary-inspect.json").read_bytes())
+    run_cut_short(out)
+    assert not out.exists()
+
+
+def test_entry_point_out_cut_short_keeps_a_symbolic_link(tmp_path):
+    # only a regular file is removed: the link is the user's, as is what it names
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_bytes(b"")
+    link.symlink_to(real)
+    run_cut_short(link)
+    assert link.is_symlink() and real.exists()
+
+
 #: Python statements that point fd 1 at a target every write to fails on
 BROKEN_STDOUT = {
     "full-device": "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)",
@@ -314,31 +350,30 @@ def test_entry_point_failed_stdout_exits_6(name, unbuffered, target):
     assert proc.stderr.count(b"\n") == 1, proc.stderr
 
 
-def test_only_entry_freezes_the_collector(tmp_path):
-    before = gc.get_freeze_count()
-    stdout_of(CASES["ternary-inspect"])
-    assert gc.get_freeze_count() == before
-    # os._exit skips atexit hooks, so the child reads the count as it ends
-    for argv, exit_code in [
-        (["inspect", str(TERNARY), "--out", os.devnull], 0),
-        (["inspect", str(tmp_path / "missing.json")], 2),
+def test_entry_ends_through_os_exit_with_mains_code(tmp_path):
+    # none of the three writes to stdout; an error is one stderr line, before the exit
+    for argv, exit_code, error in [
+        (["inspect", str(TERNARY), "--out", os.devnull], 0, None),
+        (["inspect", str(tmp_path / "missing.json")], 2, "error: cannot read input document: "),
+        (["inspect", str(TERNARY), "--out", ""], 6, "error: cannot write output: "),
     ]:
         code = (
-            "import gc, os, sys\n"
+            "import os, sys\n"
             "from csbf.cli import entry\n"
             "real_exit = os._exit\n"
             "def hard_exit(code):\n"
-            "    print('os._exit', code, gc.get_freeze_count(), file=sys.stderr, flush=True)\n"
+            "    print('os._exit', code, file=sys.stderr, flush=True)\n"
             "    real_exit(code)\n"
             "os._exit = hard_exit\n"
             f"sys.argv = ['csbf', *{argv!r}]\n"
             "entry()\n"
         )
         proc = run_python("-c", code)
-        assert proc.returncode == exit_code, proc.stderr
-        lines = proc.stderr.decode().splitlines()
-        assert lines and lines[-1].startswith(f"os._exit {exit_code} "), proc.stderr
-        assert int(lines[-1].split()[-1]) > 1000
+        assert (proc.returncode, proc.stdout) == (exit_code, b""), proc.stderr
+        *errors, last = proc.stderr.decode().splitlines()
+        assert last == f"os._exit {exit_code}", proc.stderr
+        assert len(errors) == (error is not None), proc.stderr
+        assert all(line.startswith(error) for line in errors), proc.stderr
 
 
 def write_n6() -> None:

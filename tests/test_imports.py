@@ -1,8 +1,8 @@
 """What each command loads, and what ``import csbf`` leaves behind.
 
 Only ``verify`` loads :mod:`csbf.oracle`; the package's oracle names resolve
-on first use.  ``import csbf`` runs its imports with the cyclic collector
-off and leaves it as the importer had it.
+on first use.  ``import csbf`` leaves the cyclic collector as the importer
+had it.
 """
 
 import json
