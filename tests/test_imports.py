@@ -1,8 +1,9 @@
 """What each command loads, and what ``import csbf`` leaves behind.
 
-Only ``verify`` loads :mod:`csbf.oracle`; the package's oracle names resolve
-on first use.  ``import csbf`` leaves the cyclic collector as the importer
-had it.
+``import csbf`` loads no csbf module and no numpy: each public name, and
+each module that holds one, loads on first use.  Only ``verify`` loads
+:mod:`csbf.oracle`.  ``import csbf`` leaves the cyclic collector as the
+importer had it.
 """
 
 import json
@@ -34,6 +35,39 @@ def test_only_verify_loads_the_oracle():
     assert json.loads(proc.stdout) == [False] * (len(runs) - 1) + [True]
 
 
+def test_import_loads_each_module_on_first_use():
+    names = (
+        "import json, sys\n"
+        "import csbf\n"
+        "bare = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('csbf.'))\n"
+        "names = [name for name in csbf.__all__ if name != '__version__']\n"
+        "# the first getattr loads the home module the second reads\n"
+        "wrong = [name for name in names if getattr(csbf, name)\n"
+        "         is not getattr(sys.modules.get('csbf.' + csbf._HOMES[name]), name, None)]\n"
+        "try:\n"
+        "    csbf.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps([bare, wrong, unknown]))\n"
+    )
+    proc = run_python("-c", names)
+    assert proc.returncode == 0, proc.stderr
+    bare, wrong, unknown = json.loads(proc.stdout)
+    assert (bare, wrong) == ([], [])
+    assert "no_such_name" in unknown
+    # each module resolves from the bare package, before any name loads it
+    # (README reads ``csbf.core.TOL``)
+    modules = (
+        "import sys\n"
+        "import csbf\n"
+        "homes = ('core', 'consistent_mass', 'consistent_belief', 'oracle')\n"
+        "print(all(getattr(csbf, home) is sys.modules['csbf.' + home] for home in homes))\n"
+    )
+    proc = run_python("-c", modules)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["True"]
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 def test_import_leaves_the_collector_as_it_found_it(collecting):
     code = "import gc\n" + ("" if collecting else "gc.disable()\n")
@@ -51,9 +85,8 @@ def test_star_import_and_dir_name_every_public_name():
         "namespace = {}\n"
         "exec('from csbf import *', namespace)\n"
         "unbound = [name for name in csbf.__all__ if name not in namespace]\n"
-        "oracle = getattr(csbf, 'oracle', None)\n"
-        "same = all(namespace[name] is getattr(oracle, name) for name in\n"
-        "           ('FrameTooLargeError', 'OracleReport', 'brute_force_partial', 'library_global'))\n"
+        "same = all(namespace[name] is getattr(sys.modules['csbf.' + home], name)\n"
+        "           for name, home in csbf._HOMES.items())\n"
         "print(json.dumps([unlisted, unbound, same]))\n"
     )
     proc = run_python("-c", code)
