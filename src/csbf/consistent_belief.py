@@ -20,7 +20,8 @@ Each criterion is a sum over the subsets of ``x^c`` of m, of ``b = zeta(m)`` or
 of b**2.  A selector builds the whole vector b, which
 :func:`core.outside_sums` folds for every element at once.  A belief partial
 reads b on the subsets of ``x^c`` alone, the zeta transform of their 2^(n-1)
-masses, which :func:`core.fold` sums in the same order, bit for bit:
+masses (the half of m without x from :func:`core.split`), which
+:func:`core.fold` sums in the same order, bit for bit:
 
     L1            sum of b over the subsets of x^c
     L2            sum of b**2 over the subsets of x^c    (squared)
@@ -51,26 +52,14 @@ from .core import (
     fold,
     mobius_transform,
     outside_sums,
+    split,
     ultrafilter,
     zeta_transform,
 )
-from .consistent_mass import GlobalResult, LinfBox, Solution, select_optima
+from .consistent_mass import GlobalResult, LinfBox, Solution, _ultrafilter_point, select_optima
 # Linf belief's criterion b(x^c) is L1 mass's: one selector, bound under
 # this name too, so each cell calls it through its own module attribute.
 from .consistent_mass import global_l1_mass as global_linf_belief
-
-
-def _outside_beliefs(m: MassFunction, x: str) -> np.ndarray:
-    """b(B) for each mask B without x, ascending; the last B is x^c."""
-    return zeta_transform(m.as_array().reshape(-1, 2, m.frame.singleton(x))[:, 0, :].ravel())
-
-
-def _focused_masses(m: MassFunction, x: str) -> MassFunction:
-    """The focused transform's masses: ``m(A) + m(A minus x)`` on every A containing x."""
-    by_x = m.as_array().reshape(-1, 2, m.frame.singleton(x))  # [:, 1, :] holds x, [:, 0, :] not
-    moved = np.zeros_like(by_x)
-    moved[:, 1, :] = by_x[:, 1, :] + by_x[:, 0, :]
-    return MassFunction(m.frame, moved.ravel())
 
 
 def focused_transform(m: MassFunction, x: str) -> Solution:
@@ -79,10 +68,11 @@ def focused_transform(m: MassFunction, x: str) -> Solution:
     The focused transform is both the L1 and the L2 solution, so
     ``distances`` holds both attained distances, ``{1: d1, 2: d2}``.
     """
-    outside = _outside_beliefs(m, x)
-    distances = {1: float(fold(outside)), 2: math.sqrt(fold(np.square(outside)))}
+    xbit = m.frame.singleton(x)
+    outside = zeta_transform(split(m.as_array(), xbit)[0].ravel())  # b on the subsets of x^c
+    distances = {1: fold(outside), 2: math.sqrt(fold(np.square(outside)))}
     del outside  # freed before the point's vectors are built
-    return Solution(x, _focused_masses(m, x), distances)
+    return Solution(x, _ultrafilter_point(m, xbit, split(m.as_array(), xbit)[0]), distances)
 
 
 def global_l1_belief(m: MassFunction) -> GlobalResult:
@@ -120,15 +110,15 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     """Linf solution box focused on x, in gamma coordinates.
 
     For each proper A containing x the bound is ``|gamma(A) + b(A minus x)|
-    <= b(x^c)``; the attained distance is ``b(x^c)``.  b on the subsets of
-    ``x^c`` is the zeta transform of their masses alone, bit for bit.
+    <= b(x^c)``; the attained distance is ``b(x^c)``.
     """
-    outside = _outside_beliefs(m, x)
+    xbit = m.frame.singleton(x)
+    outside = zeta_transform(split(m.as_array(), xbit)[0].ravel())  # b(B) for B without x; last x^c
     radius = float(outside[-1])
     members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
     inside = outside[:-1]  # b(A minus x), aligned with the members
     # 0.0 - radius, not -radius: the bound is 0.0, never -0.0, when both terms are 0
-    focused = _focused_masses(m, x)
+    focused = _ultrafilter_point(m, xbit, split(m.as_array(), xbit)[0])
     return GammaBox(x, focused, {math.inf: radius}, members, 0.0 - radius - inside, radius - inside)
 
 

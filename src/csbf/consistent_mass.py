@@ -7,7 +7,8 @@ two stages: a partial solution per candidate element, then a global pick of
 the element(s) at minimal distance.  The ``global_*`` selectors do only the
 second stage; ``consistent_belief.CELLS`` pairs each with its partial solver.
 
-Closed forms in mass coordinates:
+Closed forms in mass coordinates (one builder makes their points and the
+focused transform of belief space):
 
 * L1 (and L2 in the ``mass-n2`` embedding): keep the masses inside the
   ultrafilter, move everything else onto the full frame.  Distance is the
@@ -19,8 +20,9 @@ Closed forms in mass coordinates:
   ``2^(n-1)`` ultrafilter members.
 
 Each criterion is a sum or a maximum of m or m**2 over the subsets of
-``x^c``, which :func:`core.outside_sums` folds for every element at once.  A
-selector takes the whole vector; a partial takes its focus's entry, same bits:
+``x^c``.  A selector folds every element at once (:func:`core.outside_sums`);
+a partial folds its own half, the masses without x (:func:`core.split`),
+with :func:`core.fold`, same bits:
 
     L1            sum of m = b(x^c)
     L2 mass-n2    sum of m**2                                   (squared)
@@ -43,7 +45,9 @@ from .core import (
     MassFunction,
     PseudoMassFunction,
     SpaceKind,
+    fold,
     outside_sums,
+    split,
     ultrafilter,
 )
 
@@ -169,10 +173,11 @@ def select_optima(
     return GlobalResult(optima, dict(zip(labels, criterion.tolist())))
 
 
-def _keep_and_move(m: MassFunction, xbit: int, moved: float) -> MassFunction:
-    """Ultrafilter masses kept, the outside mass ``moved`` added to the full frame."""
-    vector = m.as_array().copy()
-    vector.reshape(-1, 2, xbit)[:, 0, :] = 0.0  # the masks without x
+def _ultrafilter_point(m: MassFunction, xbit: int, added, moved: float = 0.0) -> MassFunction:
+    """Each closed-form point: ``m(A) + added`` on every A holding ``xbit``, ``moved`` more on
+    the full frame, no mass elsewhere.  ``added`` broadcasts over :func:`core.split`'s half."""
+    vector = np.zeros(m.frame.n_subsets)
+    np.add(split(m.as_array(), xbit)[1], added, out=split(vector, xbit)[1])
     vector[-1] += moved
     return MassFunction(m.frame, vector)
 
@@ -183,9 +188,9 @@ def partial_l1_mass(m: MassFunction, x: str) -> Solution:
     Ultrafilter masses are kept, the outside mass ``b(x^c)`` moves to the
     full frame.  Always admissible.
     """
-    i = m.frame.index_of(x)
-    moved = float(outside_sums(m.as_array())[i])
-    return Solution(x, _keep_and_move(m, 1 << i, moved), {1: moved})
+    xbit = m.frame.singleton(x)
+    moved = fold(split(m.as_array(), xbit)[0])
+    return Solution(x, _ultrafilter_point(m, xbit, 0.0, moved), {1: moved})
 
 
 def global_l1_mass(m: MassFunction) -> GlobalResult:
@@ -204,11 +209,12 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     ``m(B) +- M`` with M the largest mass outside the ultrafilter; the
     attained distance is M and the barycenter is the partial L1 solution.
     """
-    arr, i = m.as_array(), m.frame.index_of(x)
-    slack = float(outside_sums(arr, np.maximum)[i])
+    xbit = m.frame.singleton(x)
+    outside = split(m.as_array(), xbit)[0]
+    slack, moved = fold(outside, np.maximum), fold(outside)
     members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = arr[members]
-    barycenter = _keep_and_move(m, 1 << i, float(outside_sums(arr)[i]))
+    inside = m.as_array()[members]
+    barycenter = _ultrafilter_point(m, xbit, 0.0, moved)
     return ApproxBox(x, barycenter, {math.inf: slack}, members, inside - slack, inside + slack)
 
 
@@ -225,19 +231,16 @@ def _mass_kind(kind: SpaceKind | str) -> SpaceKind:
     return kind
 
 
-def _l2_criterion(m: MassFunction, kind: SpaceKind, moved: np.ndarray | None = None) -> np.ndarray:
-    """Squared L2 distance from m to each element's partial L2 solution in ``kind``.
+def _l2_criterion(kind: SpaceKind, size: int, moved, squares):
+    """Squared L2 distance to the partial L2 solution in ``kind``, from the sums of m
+    (``moved``) and of m**2 over the subsets of ``x^c``: n-vectors or floats, same bits.
 
-    Only the outside coordinates differ, and in ``mass-n1`` the full frame,
-    which takes the moved mass ``b(x^c)`` spread over the whole ultrafilter.
-    ``moved``, the sums ``b(x^c)`` when the caller holds them, spares a fold.
+    Only the outside coordinates differ, and in ``mass-n1`` the full frame, which
+    takes the moved mass spread over the ultrafilter; ``mass-n2`` reads no ``moved``.
     """
-    arr = m.as_array()
-    squares = outside_sums(arr * arr)
     if kind is SpaceKind.MASS_N2:
         return squares
-    moved = outside_sums(arr) if moved is None else moved
-    return moved * moved / (1 << (m.frame.size - 1)) + squares
+    return moved * moved / (1 << (size - 1)) + squares
 
 
 def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> Solution:
@@ -247,16 +250,15 @@ def partial_l2_mass(m: MassFunction, x: str, kind: SpaceKind) -> Solution:
     ``mass-n1`` the outside mass is split evenly over the whole ultrafilter.
     Either way ``distances[2]`` is the attained L2 norm in that embedding.
     """
-    kind = _mass_kind(kind)
-    frame, arr, i = m.frame, m.as_array(), m.frame.index_of(x)
-    moved = outside_sums(arr)
+    kind, xbit, size = _mass_kind(kind), m.frame.singleton(x), m.frame.size
+    outside = split(m.as_array(), xbit)[0]
+    moved = fold(outside)
+    distance = math.sqrt(_l2_criterion(kind, size, moved, fold(np.square(outside))))
     if kind is SpaceKind.MASS_N2:
-        point = _keep_and_move(m, 1 << i, float(moved[i]))
+        point = _ultrafilter_point(m, xbit, 0.0, moved)
     else:
-        members = ultrafilter(frame, x)
-        shared = arr[members] + float(moved[i]) / (1 << (frame.size - 1))
-        point = MassFunction(frame, np.bincount(members, weights=shared, minlength=frame.n_subsets))
-    return Solution(x, point, {2: math.sqrt(_l2_criterion(m, kind, moved)[i])})
+        point = _ultrafilter_point(m, xbit, moved / (1 << (size - 1)))
+    return Solution(x, point, {2: distance})
 
 
 def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:
@@ -265,5 +267,7 @@ def global_l2_mass(m: MassFunction, kind: SpaceKind) -> GlobalResult:
     Criterion values are the squared distances, built from the sum and the
     sum of squares of the masses outside each ultrafilter; optima tie on distances.
     """
-    criterion = _l2_criterion(m, _mass_kind(kind))
+    kind, arr = _mass_kind(kind), m.as_array()
+    moved = outside_sums(arr) if kind is SpaceKind.MASS_N1 else None
+    criterion = _l2_criterion(kind, m.frame.size, moved, outside_sums(arr * arr))
     return select_optima(m.frame.elements, criterion, np.sqrt(criterion))

@@ -222,10 +222,16 @@ def ultrafilter(frame: Frame, label: str) -> np.ndarray:
 
     The full frame is always the last, largest mask.
     """
-    xbit = frame.singleton(label)
-    members = np.arange(frame.n_subsets, dtype=np.int64).reshape(-1, 2, xbit)[:, 1, :].ravel()
+    members = split(np.arange(frame.n_subsets, dtype=np.int64), frame.singleton(label))[1].ravel()
     members.setflags(write=False)
     return members
+
+
+def split(values: np.ndarray, xbit: int) -> tuple[np.ndarray, np.ndarray]:
+    """2-D views of a mask-indexed vector on the masks without ``xbit`` and with it, each
+    ascending in C order."""
+    halves = values.reshape(-1, 2, xbit)
+    return halves[:, 0, :], halves[:, 1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +275,10 @@ def superset_sum_transform(values: np.ndarray) -> np.ndarray:
 
 
 def fold(values: np.ndarray, op: np.ufunc = np.add) -> float:
-    """``op`` folded over a power-of-two array, pair by pair, lowest bit first."""
-    while values.size > 1:
-        values = op(values[0::2], values[1::2])
-    return values[0]
+    """``op`` folded over a power-of-two array in C order, pair by pair, lowest bit first."""
+    while values.size > 1:  # the first reshape copies a :func:`split` half of rows of 2 or more
+        values = op(*values.reshape(-1, 2).T)
+    return values.item()
 
 
 def outside_sums(values: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
@@ -281,8 +287,7 @@ def outside_sums(values: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
     Pass i reads element i as the :func:`fold` of the half of the running
     array without bit i, then folds bit i away.  The bits go in
     :func:`zeta_transform`'s order, so with ``np.add`` entry i is its value at
-    ``x^c`` bit for bit; and a :func:`fold` of the subsets of ``x^c`` alone,
-    in ascending mask order, gives entry i bit for bit too.
+    ``x^c`` bit for bit, as is a :func:`fold` of :func:`split`'s half without x.
     """
     running = values
     sums = np.empty(values.size.bit_length() - 1)

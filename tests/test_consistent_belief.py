@@ -19,7 +19,10 @@ from csbf import (
     global_l1_belief,
     global_l2_belief,
     global_linf_belief,
+    partial_l1_mass,
+    partial_l2_mass,
     partial_linf_belief,
+    partial_linf_mass,
 )
 from csbf import consistent_mass
 from csbf.consistent_belief import CELLS
@@ -385,17 +388,34 @@ def peak_vectors(solve, m) -> float:
     return peak / (8 * m.frame.n_subsets)
 
 
+def sparse_n16() -> MassFunction:
+    """64 focal sets on 16 elements, the document of the memory checks."""
+    frame = Frame(tuple(f"e{i}" for i in range(16)))
+    rng = np.random.default_rng(16)
+    masks = rng.choice(np.arange(1, frame.n_subsets), size=64, replace=False)
+    weights = rng.dirichlet(np.ones(len(masks)))
+    return MassFunction(frame, np.bincount(masks, weights=weights, minlength=frame.n_subsets))
+
+
 def test_belief_criteria_hold_the_belief_vector_once():
     # numpy reports its buffers to tracemalloc, so the peak counts the arrays
     # held at once: b = zeta(m), squared in place, and the outside_sums fold
     # (3/4 of a vector); focused_transform holds b on the subsets of x^c alone
     # (half a vector) and frees it before building its point
-    n = 16
-    frame = Frame(tuple(f"e{i}" for i in range(n)))
-    rng = np.random.default_rng(16)
-    masks = rng.choice(np.arange(1, frame.n_subsets), size=64, replace=False)
-    weights = rng.dirichlet(np.ones(len(masks)))
-    m = MassFunction(frame, np.bincount(masks, weights=weights, minlength=frame.n_subsets))
+    m = sparse_n16()
     assert peak_vectors(global_l1_belief, m) <= 2.0
     assert peak_vectors(global_l2_belief, m) <= 2.0
     assert peak_vectors(lambda m: focused_transform(m, "e5"), m) <= 2.5
+
+
+def test_mass_partials_free_their_half_before_the_point():
+    # each mass partial folds the half of m without its focus, and its
+    # folded copies are gone before it builds its point; the Linf box also
+    # holds its members and bounds.  Each bound is the peak from when every
+    # partial folded all of m (2.38, 3.75, 2.75, 4.50) plus 0.05 vector: a
+    # half vector still held while the point is built breaks it
+    m = sparse_n16()
+    assert peak_vectors(lambda m: partial_l1_mass(m, "e5"), m) <= 2.43
+    assert peak_vectors(lambda m: partial_l2_mass(m, "e5", SpaceKind.MASS_N1), m) <= 3.80
+    assert peak_vectors(lambda m: partial_l2_mass(m, "e5", SpaceKind.MASS_N2), m) <= 2.80
+    assert peak_vectors(lambda m: partial_linf_mass(m, "e5"), m) <= 4.55

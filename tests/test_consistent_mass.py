@@ -20,7 +20,7 @@ from csbf import (
 )
 from csbf import consistent_mass
 from csbf.consistent_mass import box_corners
-from csbf.core import outside_sums
+from csbf.core import fold, outside_sums
 
 from conftest import frame_of_size, masses_close
 from paper_maths import embed, in_mass_box, random_mass_function
@@ -297,23 +297,29 @@ class TestPartialL2:
 
     @pytest.mark.parametrize("kind, n_partial, n_select", [("mass-n1", 2, 2), ("mass-n2", 2, 1)])
     def test_each_outside_sum_is_folded_once(self, rng, monkeypatch, kind, n_partial, n_select):
-        # a partial's point and distance share one fold of m, a selector
-        # folds m only for mass-n1, and both give the same distance bits
-        folds = 0
+        # a selector folds every focus at once, m only for mass-n1 and m**2
+        # always; a partial folds its own half of m and of m**2 once each,
+        # never every focus, and both give the same distance bits
+        sums, folds = [], []
 
-        def counted(*args):
-            nonlocal folds
-            folds += 1
+        def counted_sums(*args):
+            sums.append(np.size(args[0]))
             return outside_sums(*args)
 
-        monkeypatch.setattr(consistent_mass, "outside_sums", counted)
+        def counted_fold(*args):
+            folds.append(np.size(args[0]))
+            return fold(*args)
+
+        monkeypatch.setattr(consistent_mass, "outside_sums", counted_sums)
+        monkeypatch.setattr(consistent_mass, "fold", counted_fold)
         m = random_mass_function(frame_of_size(5), rng)
         criterion = global_l2_mass(m, kind).criterion_values
-        assert folds == n_select
+        assert (sums, folds) == ([32] * n_select, [])
         for x in m.frame.elements:
-            folds = 0
+            sums.clear()
+            folds.clear()
             assert partial_l2_mass(m, x, kind).distances[2] == math.sqrt(criterion[x])
-            assert folds == n_partial
+            assert (sums, folds) == ([], [16] * n_partial)
 
 
 class TestDegenerateFrames:

@@ -36,7 +36,7 @@ from csbf import (
 )
 from csbf import consistent_belief, consistent_mass, core
 from csbf.consistent_mass import select_optima
-from csbf.core import outside_sums, zeta_transform
+from csbf.core import fold, outside_sums, split, zeta_transform
 from csbf.oracle import CELLS, brute_force_partial, globals_agree
 
 from conftest import frame_of_size, masses_close
@@ -327,18 +327,30 @@ def test_partial_distance_is_the_criterion_value_bit_for_bit(rng):
 
 
 def test_cells_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
-    # selectors and partials fold the subsets of every x^c in one O(2^n) pass:
-    # the mass cells and the Linf belief selector read m and run no O(n 2^n)
-    # sweep; the L1/L2 belief selectors run one over all 2^n entries, for b,
-    # and every belief partial one over the 2^(n-1) subsets of x^c alone
-    sweeps = []
+    # selectors fold the subsets of every x^c in one O(2^n) pass: the mass
+    # cells and the Linf belief selector read m and run no O(n 2^n) sweep;
+    # the L1/L2 belief selectors run one over all 2^n entries, for b, and
+    # every belief partial one over the 2^(n-1) subsets of x^c alone.  Every
+    # partial folds only its own half, the 2^(n-1) entries without x: the
+    # sums of m (L1 mass), and with them the squares (L2 mass, the focused
+    # transform's b) or the maxima (Linf mass); Linf belief reads b(x^c) off
+    # its sweep and folds nothing
+    folds_per_partial = {key: 2 for key in CELLS}
+    folds_per_partial[1, SpaceKind.MASS_N2], folds_per_partial[math.inf, SpaceKind.BELIEF] = 1, 0
+    sweeps, folds = [], []
     sweep = core._sweep
 
     def counted(values, op):
         sweeps.append((op, np.size(values)))
         return sweep(values, op)
 
+    def counted_fold(values, op=np.add):
+        folds.append(np.size(values))
+        return core.fold(values, op)
+
     monkeypatch.setattr(core, "_sweep", counted)
+    for module in (consistent_mass, consistent_belief):
+        monkeypatch.setattr(module, "fold", counted_fold)
     m = random_mass_function(frame_of_size(5), rng)
     for (p, kind), cell in CELLS.items():
         sweeps.clear()
@@ -347,9 +359,34 @@ def test_cells_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
         assert sweeps == expected, ("select", p, kind.value)
         for x in m.frame.elements:
             sweeps.clear()
+            folds.clear()
             cell.solve(m, x)
             expected = [(np.add, 16)] if kind is SpaceKind.BELIEF else []
             assert sweeps == expected, ((p, kind.value), x)
+            assert folds == [16] * folds_per_partial[p, kind], ((p, kind.value), x)
+
+
+def test_no_partial_folds_every_focus(rng, monkeypatch):
+    # outside_sums folds every focus at once, for the selectors alone (m and
+    # m**2 for L2 mass-n1, one vector for every other cell); a partial folds
+    # only its own half and never calls it
+    calls = []
+
+    def counted(*args):
+        calls.append(np.size(args[0]))
+        return outside_sums(*args)
+
+    for module in (core, consistent_mass, consistent_belief):
+        monkeypatch.setattr(module, "outside_sums", counted)
+    m = random_mass_function(frame_of_size(5), rng)
+    for (p, kind), cell in CELLS.items():
+        calls.clear()
+        cell.select(m)
+        assert calls == [32] * (2 if kind is SpaceKind.MASS_N1 else 1), ("select", p, kind.value)
+        for x in m.frame.elements:
+            calls.clear()
+            cell.solve(m, x)
+            assert calls == [], ((p, kind.value), x)
 
 
 #: Signed reals from 1e-300 to 1e300 in magnitude, zeros of both signs included.
@@ -382,6 +419,21 @@ def test_outside_sums_are_the_zeta_transform_at_the_coatoms_bit_for_bit(n, palet
     for i in range(n):
         expected = float(magnitudes.reshape(-1, 2, 1 << i)[:, 0, :].max())
         assert float.hex(float(largest[i])) == float.hex(expected), i
+    # every mass partial folds its own half, the masks without bit i in
+    # ascending order: the same entry, bit for bit, for both operations
+    masks = np.arange(values.size)
+    for i in range(n):
+        without, within = split(masks, 1 << i)
+        assert np.array_equal(without.ravel(), masks[masks >> i & 1 == 0]), i
+        assert np.array_equal(within.ravel(), masks[masks >> i & 1 == 1]), i
+        assert float.hex(fold(split(values, 1 << i)[0])) == float.hex(float(sums[i])), i
+        largest_i = fold(split(magnitudes, 1 << i)[0], np.maximum)
+        assert float.hex(largest_i) == float.hex(float(largest[i])), i
+    # the halves are views: writing through either changes the input
+    for xbit in (1, 1 << (n - 1)):
+        without, within = split(values, xbit)
+        without[0, 0], within[0, 0] = 7.0, 8.0
+        assert values[0] == 7.0 and values[xbit] == 8.0, xbit
 
 
 @st.composite
