@@ -14,8 +14,11 @@ sum(w) = 1, on the ultrafilter members.  On frames of at most
 dense tableau engines solve each problem exactly, with numpy alone:
 
 * L1 and Linf are linear programs (L1: ``V^T w - u+ + u- = t``, minimize the
-  sum of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``),
-  which a two-phase simplex under Bland's rule solves (:func:`_lp_min`).
+  sum of ``u``; Linf: the epigraph ``|V^T w - t| <= s``, minimize ``s``).
+  The unit mass on the full frame is a vertex of both, so each tableau is
+  built in canonical form there, Linf's after one pivot of ``s`` into the
+  row with the least value, and one simplex phase under Bland's rule
+  solves it (:func:`_lp_weights`).
 * L2's unique minimizer solves its KKT system, a linear complementarity
   problem, which Lemke's complementary pivoting solves (:func:`_l2_weights`).
 
@@ -161,7 +164,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * tab[row]
     basis[row] = col
 
 
@@ -210,59 +213,43 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
     raise OracleError(f"simplex did not finish within {LP_MAX_PIVOTS} pivots")
 
 
-def _lp_min(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
-    """A minimizer of ``c @ z`` subject to ``a_eq @ z = b_eq``, ``z >= 0``.
-
-    Two-phase dense tableau simplex for a bounded program; an infeasible one
-    raises.  The last tableau row holds the reduced costs, the last column the values.
-    """
-    m, n = a_eq.shape
-    sign = np.where(b_eq < 0, -1.0, 1.0)
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a_eq * sign[:, None]
-    tab[:m, n:-1] = np.eye(m)
-    tab[:m, -1] = b_eq * sign
-    # Phase 1 minimizes the sum of the artificial columns, which start basic.
-    tab[-1] = -tab[:m].sum(axis=0)
-    tab[-1, n:-1] = 0.0
-    basis = np.arange(n, n + m)
-    _simplex_phase(tab, basis, n)
-    if abs(tab[-1, -1]) > TOL:
-        raise OracleError(f"simplex phase 1 ended at {-tab[-1, -1]:.3g}, not 0: no feasible point")
-    for row in np.flatnonzero(basis >= n):
-        cols = np.flatnonzero(np.abs(tab[row, :n]) > _LP_EPS)
-        if cols.size:  # an all-zero row is redundant and stays so
-            _pivot(tab, basis, row, cols[0])
-    tab = np.delete(tab, np.s_[n:-1], axis=1)
-    basic = basis < n
-    tab[-1] = np.append(c, 0.0)
-    tab[-1] -= (c[basis[basic], None] * tab[:-1][basic]).sum(axis=0)
-    _simplex_phase(tab, basis, n)
-    return np.bincount(basis, tab[:-1, -1], n + m)[:n]
-
-
 def _lp_weights(v: np.ndarray, target: np.ndarray, p: float) -> np.ndarray:
-    """Ultrafilter weights minimizing the L1 or Linf distance, as one LP."""
+    """Ultrafilter weights minimizing the L1 or Linf distance, as one LP.
+
+    The tableau is built in canonical form at the unit mass on the full frame,
+    a vertex of both programs, so one simplex phase solves it.  Taking
+    w_F = 1 - sum(other w) off every coordinate row leaves the residual
+    r = t - V_F on the right and w_F basic in the sum row, the last but one;
+    the last row holds the reduced costs, the last column the values.
+    """
     k, d = v.shape
-    eye, zeros = np.eye(d), np.zeros((d, d))
+    diff, r = v.T - v[-1, :, None], target - v[-1]
+    m = d if p == 1 else 2 * d  # coordinate rows
+    tab = np.zeros((m + 2, k + 2 * d + (p != 1) + 1))
+    tab[m, :k] = tab[m, -1] = 1.0
+    at = np.arange(m)
     if p == 1:
-        # V^T w - u+ + u- = t; minimize sum(u+) + sum(u-).
-        a = np.block([[v.T, -eye, eye], [np.ones((1, k)), np.zeros((1, 2 * d))]])
-        b = np.append(target, 1.0)
-        c = np.r_[np.zeros(k), np.ones(2 * d)]
+        # V^T w - u+ + u- = t; minimize sum(u+) + sum(u-).  Row i starts with
+        # u-_i basic when r_i >= 0; else it is negated and u+_i starts basic.
+        tab[at, k + at], tab[at, k + d + at] = -1.0, 1.0
+        tab[:d, :k], tab[:d, -1] = diff, r
+        tab[:d] *= np.where(r < 0, -1.0, 1.0)[:, None]
+        basis = np.r_[k + at + d * (r >= 0), k - 1]
+        tab[-1, k:-1] = 1.0
+        tab[-1] -= tab[:d].sum(axis=0)
     else:
         # V^T w - s + r+ = t and -V^T w - s + r- = -t bound |V^T w - t| by s;
-        # minimize s.
-        ones = np.ones((d, 1))
-        a = np.block([
-            [v.T, -ones, eye, zeros],
-            [-v.T, -ones, zeros, eye],
-            [np.ones((1, k)), np.zeros((1, 1 + 2 * d))],
-        ])
-        b = np.r_[target, -target, 1.0]
-        c = np.zeros(k + 1 + 2 * d)
-        c[k] = 1.0
-    return _lp_min(c, a, b)[:k]
+        # minimize s.  r+ and r- start basic, and s enters on the row with the
+        # least value, which leaves every value nonnegative.
+        tab[:d, :k], tab[d:m, :k] = diff, -diff
+        tab[:m, k], tab[at, k + 1 + at] = -1.0, 1.0
+        tab[:d, -1], tab[d:m, -1] = r, -r
+        tab[-1, k] = 1.0
+        basis = np.r_[k + 1 + at, k - 1]
+        if d:  # with no coordinates there is no row, and s stays 0
+            _pivot(tab, basis, np.argmin(tab[:m, -1]), k)
+    _simplex_phase(tab, basis, tab.shape[1] - 1)
+    return np.bincount(basis, tab[:-1, -1], tab.shape[1] - 1)[:k]
 
 
 def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -273,11 +260,13 @@ def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
     semidefinite ``M = [[G, -1, 1], [1^T, 0, 0], [-1^T, 0, 0]]``, which Lemke's method solves.
     """
     k, n = len(v), len(v) + 2
-    b = np.ones((k, 1)) * [1.0, -1.0]
-    m = np.block([[(v[:, None] * v[None]).sum(axis=2), -b], [b.T, np.zeros((2, 2))]])
     # Rows s - M z - z0 = q: the s columns, basic at first, hold the basis inverse,
     # and z0 enters on the last least q_i, keeping every row lexicographically positive.
-    tab = np.c_[-m, np.eye(n), -np.ones(n), np.r_[-(v * target).sum(axis=1), -1.0, 1.0]]
+    tab = np.zeros((n, 2 * n + 2))
+    tab[:k, :k] = -(v[:, None] * v[None]).sum(axis=2)
+    tab[:k, k:n], tab[k:n, :k] = [1.0, -1.0], [[-1.0], [1.0]]
+    tab[:, n : 2 * n], tab[:, 2 * n] = np.eye(n), -1.0
+    tab[:k, -1], tab[k:, -1] = -(v * target).sum(axis=1), [-1.0, 1.0]
     basis, inverse = np.arange(n, 2 * n), range(n, 2 * n)
     row, col = np.flatnonzero(tab[:, -1] <= tab[:, -1].min() + _LP_EPS)[-1], 2 * n
     for _ in range(LP_MAX_PIVOTS):

@@ -112,50 +112,29 @@ class TestBruteForcePartial:
         with pytest.raises(OracleError, match="^Lemke's method did not finish within 1 pivots$"):
             brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
 
-    @pytest.mark.parametrize(
-        "c, a, b, expected",
-        [
-            # max x1 + x2 s.t. x1 + 2 x2 <= 4 and 3 x1 + x2 <= 6, with slacks;
-            # the second row is negated, so its right-hand side starts negative.
-            ([-1, -1, 0, 0], [[1, 2, 1, 0], [-3, -1, 0, -1]], [4, -6], [1.6, 1.2, 0, 0]),
-            # Phase 1 leaves x1 basic; phase 2 must price it out to reach x2.
-            ([2, 1], [[1, 1]], [1], [0, 1]),
-            # One feasible point; phase 1 ends with an artificial basic at zero
-            # in a row that must be pivoted onto an original column.
-            ([2, 2, 2], [[1, -2, 0], [-2, 0, -2], [2, 2, -2]], [-2, -4, 8], [2, 2, 0]),
-        ],
-    )
-    def test_lp_min_on_small_programs(self, c, a, b, expected):
-        z = oracle._lp_min(*(np.array(u, dtype=float) for u in (c, a, b)))
-        assert z == pytest.approx(expected, abs=1e-12)
+    def test_simplex_phase_on_a_small_program(self):
+        # max x1 + x2 s.t. x1 + 2 x2 + x3 = 4 and 3 x1 + x2 + x4 = 6, from the
+        # canonical tableau at the slack vertex; the last row holds the costs
+        tab = np.array([[1.0, 2, 1, 0, 4], [3, 1, 0, 1, 6], [-1, -1, 0, 0, 0]])
+        basis = np.array([2, 3])
+        oracle._simplex_phase(tab, basis, 4)
+        assert np.bincount(basis, tab[:-1, -1], 4) == pytest.approx([1.6, 1.2, 0, 0], abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "c, a, b",
-        [
-            ([1, 1], [[1, 1]], [-1]),  # x1 + x2 = -1
-            ([0, 0, 0], [[1, 1, 0], [0, 0, 1]], [1, -2]),  # x3 = -2
-        ],
-    )
-    def test_lp_min_raises_on_an_infeasible_program(self, c, a, b):
-        # phase 1 cannot drive the artificial columns to 0; once that returned
-        # a point breaking a_eq @ z = b_eq, here [-1, 0] and [1, 0, -2]
-        with pytest.raises(OracleError, match=r"^simplex phase 1 ended at [12], not 0"):
-            oracle._lp_min(*(np.array(u, dtype=float) for u in (c, a, b)))
-
-    def test_lp_min_raises_on_a_negative_basic_value(self, monkeypatch):
+    def test_simplex_phase_raises_on_a_negative_basic_value(self, monkeypatch):
         # a ratio test loose by 0.5 stands in for a tableau gone numerically
-        # wrong: on x1 + x2 = 1.3, x1 + x3 = 1 it lets x1 enter at 1.3
+        # wrong: on x1 + x2 = 1.3, x1 + x3 = 1, from x2 and x3 basic, it lets
+        # x1 enter at 1.3
         monkeypatch.setattr(oracle, "_LP_EPS", 0.5)
-        c, a, b = np.array([-1.0, 0, 0]), np.array([[1.0, 1, 0], [1, 0, 1]]), np.array([1.3, 1])
+        tab = np.array([[1.0, 1, 0, 1.3], [1, 0, 1, 1], [-1, 0, 0, 0]])
         with pytest.raises(OracleError, match="^simplex phase ended on a basic value -0.3$"):
-            oracle._lp_min(c, a, b)
+            oracle._simplex_phase(tab, np.array([1, 2]), 3)
 
-    def test_lp_min_raises_on_an_unbounded_program(self):
-        # minimize -x1 subject to x1 - x2 = 0: x1 = x2 grows without bound, and the
-        # entering column has no positive entry left to leave on
-        c, a, b = np.array([-1.0, 0]), np.array([[1.0, -1]]), np.array([0.0])
+    def test_simplex_phase_raises_on_an_unbounded_program(self):
+        # minimize -x1 subject to -x1 + x2 = 0, from x2 basic: x1 = x2 grows
+        # without bound, and the entering column has no positive entry to leave on
+        tab = np.array([[-1.0, 1, 0], [-1, 0, 0]])
         with pytest.raises(OracleError, match="^simplex met an unbounded program$"):
-            oracle._lp_min(c, a, b)
+            oracle._simplex_phase(tab, np.array([1]), 2)
 
     @pytest.mark.parametrize(
         "eps, v, target, error",
@@ -464,23 +443,49 @@ def test_lp_optimum_matches_scipy_highs(size, seed):
                     assert ours == pytest.approx(_linprog_distance(m, label, p, kind), abs=1e-9)
 
 
-def test_lp_min_matches_scipy_highs_on_random_programs():
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = np.random.default_rng(2014)
-    solved = 0
-    while solved < 300:
-        # Small integer programs with a known feasible point: many are degenerate.
-        m, n = rng.integers(1, 4), rng.integers(2, 6)
-        a = rng.integers(-2, 3, size=(m, n)).astype(float)
-        b = a @ rng.integers(0, 3, size=n)
-        c = rng.integers(-1, 3, size=n).astype(float)
-        ref = linprog(c, A_eq=a, b_eq=b, method="highs")
-        if ref.status != 0:  # unbounded
-            continue
-        z = oracle._lp_min(c, a, b)
-        assert z.min() >= -1e-12 and a @ z == pytest.approx(b, abs=1e-9)
-        assert c @ z == pytest.approx(ref.fun, abs=1e-9)
-        solved += 1
+@pytest.mark.parametrize("size, seed", [(7, 11), (8, 12)])
+def test_lp_engine_past_the_frame_cap_matches_scipy_highs(size, seed):
+    # the simplex starts at the full-frame vertex, so past MAX_ORACLE_FRAME
+    # every L1 and Linf program still ends well within LP_MAX_PIVOTS; from an
+    # all-artificial basis, Linf belief hit the cap at n = 8
+    pytest.importorskip("scipy.optimize")
+    frame = frame_of_size(size)
+    m = random_mass_function(frame, np.random.default_rng(seed))
+    for p in (1, math.inf):
+        for kind in (SpaceKind.MASS_N2, SpaceKind.BELIEF):
+            target = embed(m, kind)
+            for x in frame.elements:
+                _, v = oracle._categorical_coords_matrix(frame, x, kind)
+                w = oracle._lp_weights(v, target, p)
+                ours = oracle._lp_norm((w[:, None] * v).sum(axis=0) - target, p)
+                where = (p, kind.value, x)
+                assert abs(w.sum() - 1.0) <= 1e-12 and w.min() >= -1e-12, where
+                assert ours == pytest.approx(_linprog_distance(m, x, p, kind), abs=1e-9), where
+
+
+@pytest.mark.parametrize("draw", [2, 34])
+def test_verify_lp_pivots_at_the_frame_cap(draw, monkeypatch, capsys):
+    # verify's L1 and Linf programs on an n = 6 document, every focus of every
+    # cell: 430 and 446 pivots from the full-frame vertex, 2,942 and 3,028
+    # from an all-artificial basis
+    pivots, lp_pivots = [0], [0]
+    pivot, lp_weights = oracle._pivot, oracle._lp_weights
+
+    def counting_pivot(*args):
+        pivots[0] += 1
+        pivot(*args)
+
+    def counting_lp_weights(*args):
+        before = pivots[0]
+        weights = lp_weights(*args)
+        lp_pivots[0] += pivots[0] - before
+        return weights
+
+    monkeypatch.setattr(oracle, "_pivot", counting_pivot)
+    monkeypatch.setattr(oracle, "_lp_weights", counting_lp_weights)
+    assert cli.main(["verify", str(FIXTURES / f"l2_seed6_n6_draw{draw}.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["all_ok"]
+    assert 0 < lp_pivots[0] <= 600
 
 
 # One child per forced OpenBLAS kernel: `verify` on seeded documents (n = 2..4,
