@@ -250,22 +250,15 @@ def _write(value: Any, indent: str, append: Callable[[Any], None]) -> None:
         append(value)
     elif isinstance(value, _Block):
         append((value, indent))
-    elif isinstance(value, dict) and value:
+    elif isinstance(value, (dict, list, tuple)) and value:
         inner = indent + "  "
-        head = "{\n" + inner
-        for key, item in value.items():
-            append(head + encode_basestring_ascii(key) + ": ")
+        keyed = isinstance(value, dict)
+        head = "{\n" if keyed else "[\n"
+        for key, item in value.items() if keyed else enumerate(value):
+            append(head + inner + (encode_basestring_ascii(key) + ": " if keyed else ""))
             _write(item, inner, append)
-            head = ",\n" + inner
-        append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        head = "[\n" + inner
-        for item in value:
-            append(head)
-            _write(item, inner, append)
-            head = ",\n" + inner
-        append(f"\n{indent}]")
+            head = ",\n"
+        append(f"\n{indent}" + ("}" if keyed else "]"))
     else:
         append(json.dumps(value))
 
@@ -473,42 +466,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     labels = {p: norm for norm, p in NORMS.items()}
     reports = []
     checks = []
-    all_ok = True
     for p, kind in CELLS:
-        by_focus = {}
-        for x in frame.elements:
-            try:
-                rep = by_focus[x] = brute_force_partial(m, x, p, kind)
-            except FrameTooLargeError as exc:  # raised by the first call, before any output
-                raise CliError(str(exc), EXIT_FRAME) from None
-            except OracleError as exc:  # the report is written only once complete
-                raise CliError(f"the oracle failed: {exc}", EXIT_ORACLE) from None
-            all_ok &= rep.converged
-            reports.append(
-                {
-                    "norm": labels[p],
-                    "space": kind.value,
-                    "focus": x,
-                    "oracle_distance": rep.oracle_distance,
-                    "closed_form_distance": rep.closed_form_distance,
-                    "max_gap": rep.max_gap,
-                    "converged": rep.converged,
-                }
-            )
+        try:
+            by_focus = {x: brute_force_partial(m, x, p, kind) for x in frame.elements}
+        except FrameTooLargeError as exc:  # raised by the first call, before any output
+            raise CliError(str(exc), EXIT_FRAME) from None
+        except OracleError as exc:  # the report is written only once complete
+            raise CliError(f"the oracle failed: {exc}", EXIT_ORACLE) from None
+        head = {"norm": labels[p], "space": kind.value}
+        reports += (
+            {
+                **head,
+                "focus": x,
+                "oracle_distance": rep.oracle_distance,
+                "closed_form_distance": rep.closed_form_distance,
+                "max_gap": rep.max_gap,
+                "converged": rep.converged,
+            }
+            for x, rep in by_focus.items()
+        )
         result = library_global(m, p, kind)
-        agree = globals_agree(result, by_focus)
-        all_ok &= agree
         checks.append(
             {
-                "norm": labels[p],
-                "space": kind.value,
+                **head,
                 "library_optima": list(result.optima),
                 "oracle_distances": _element_block(
-                    frame, {x: by_focus[x].oracle_distance for x in frame.elements}
+                    frame, {x: rep.oracle_distance for x, rep in by_focus.items()}
                 ),
-                "agree": agree,
+                "agree": globals_agree(result, by_focus),
             }
         )
+    all_ok = all(r["converged"] for r in reports) and all(c["agree"] for c in checks)
     doc = {
         "command": "verify",
         "input": echo,

@@ -195,8 +195,8 @@ def _end_check(values: np.ndarray, engine: str) -> None:
         raise OracleError(f"{engine} ended on a basic value {values.min():.3g}")
 
 
-def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
-    """Pivot until no reduced cost in the first ``n_cols`` columns is negative.
+def _simplex_phase(tab: np.ndarray, basis: np.ndarray) -> None:
+    """Pivot until no reduced cost (the last row, left of the values) is negative.
 
     Bland's rule: the first improving column enters and :func:`_leaving_row`
     picks the leaving row with no keys, so the phase cannot cycle; an
@@ -204,7 +204,7 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
     raise ``OracleError``.
     """
     for _ in range(LP_MAX_PIVOTS):
-        entering = np.flatnonzero(tab[-1, :n_cols] < -_LP_EPS)
+        entering = np.flatnonzero(tab[-1, :-1] < -_LP_EPS)
         if entering.size == 0:
             return _end_check(tab[:-1, -1], "simplex phase")
         col = entering[0]
@@ -248,7 +248,7 @@ def _lp_weights(v: np.ndarray, target: np.ndarray, p: float) -> np.ndarray:
         basis = np.r_[k + 1 + at, k - 1]
         if d:  # with no coordinates there is no row, and s stays 0
             _pivot(tab, basis, np.argmin(tab[:m, -1]), k)
-    _simplex_phase(tab, basis, tab.shape[1] - 1)
+    _simplex_phase(tab, basis)
     return np.bincount(basis, tab[:-1, -1], tab.shape[1] - 1)[:k]
 
 
@@ -283,13 +283,11 @@ def _l2_weights(v: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _lp_norm(diff: np.ndarray, p: float) -> float:
     """L1 or L2 norm of a coordinate difference, else Linf; 0.0 with no coordinates."""
-    if diff.size == 0:
-        return 0.0
     if p == 1:
         return float(np.sum(np.abs(diff)))
     if p == 2:
         return float(np.sqrt(np.sum(diff * diff)))
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def brute_force_partial(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from csbf import EvidenceError, Frame, MassFunction, PseudoMassFunction
 from csbf import cli
 from csbf.cli import load_input, main
-from csbf.core import TOL
+from csbf.core import TOL, SpaceKind
 
 from conftest import frame_of_size, run_python
 from paper_maths import random_mass_function
@@ -876,6 +876,49 @@ class TestVerify:
         assert doc["all_ok"] is True
         assert len(doc["reports"]) == 42
         assert max(r["max_gap"] for r in doc["reports"]) <= 1e-9
+
+    def test_one_disagreeing_check_alone_fails_the_run(self, capsys, monkeypatch):
+        # every report converges, and one cell's global check reads False
+        from csbf import oracle  # verify's lazy import, done here so it can be patched
+
+        agree = oracle.globals_agree
+
+        def l2_belief_disagrees(result, reports):
+            first = next(iter(reports.values()))
+            return agree(result, reports) and (first.norm, first.space) != (2, SpaceKind.BELIEF)
+
+        monkeypatch.setattr(oracle, "globals_agree", l2_belief_disagrees)
+        code, out, err = run(capsys, ["verify", TERNARY])
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert all(r["converged"] is True for r in doc["reports"])
+        checks = [(c["norm"], c["space"], c["agree"]) for c in doc["global_checks"]]
+        assert [check for check in checks if check[2] is not True] == [("l2", "belief", False)]
+        assert doc["all_ok"] is False
+
+    def test_one_missed_report_alone_fails_the_run(self, capsys, monkeypatch):
+        # every check agrees, and one report misses on x, outside its cell's optima
+        from csbf import oracle
+
+        solve = oracle.brute_force_partial
+
+        def x_misses_in_l1_mass(m, x, p, kind):
+            rep = solve(m, x, p, kind)
+            if (x, p, kind) != ("x", 1, SpaceKind.MASS_N2):
+                return rep
+            return oracle.OracleReport(
+                rep.focus, rep.norm, rep.space, rep.oracle_distance,
+                rep.closed_form_distance, rep.oracle_point, 1.0, False,
+            )
+
+        monkeypatch.setattr(oracle, "brute_force_partial", x_misses_in_l1_mass)
+        code, out, err = run(capsys, ["verify", TERNARY])
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        missed = [(r["norm"], r["space"], r["focus"]) for r in doc["reports"] if not r["converged"]]
+        assert missed == [("l1", "mass-n2", "x")]
+        assert all(c["agree"] is True and c["library_optima"] == ["y"] for c in doc["global_checks"])
+        assert doc["all_ok"] is False
 
     def test_near_tie_lists_both_optima(self, capsys, tmp_path):
         path = write_doc(

@@ -117,7 +117,7 @@ class TestBruteForcePartial:
         # canonical tableau at the slack vertex; the last row holds the costs
         tab = np.array([[1.0, 2, 1, 0, 4], [3, 1, 0, 1, 6], [-1, -1, 0, 0, 0]])
         basis = np.array([2, 3])
-        oracle._simplex_phase(tab, basis, 4)
+        oracle._simplex_phase(tab, basis)
         assert np.bincount(basis, tab[:-1, -1], 4) == pytest.approx([1.6, 1.2, 0, 0], abs=1e-12)
 
     def test_simplex_phase_raises_on_a_negative_basic_value(self, monkeypatch):
@@ -127,14 +127,14 @@ class TestBruteForcePartial:
         monkeypatch.setattr(oracle, "_LP_EPS", 0.5)
         tab = np.array([[1.0, 1, 0, 1.3], [1, 0, 1, 1], [-1, 0, 0, 0]])
         with pytest.raises(OracleError, match="^simplex phase ended on a basic value -0.3$"):
-            oracle._simplex_phase(tab, np.array([1, 2]), 3)
+            oracle._simplex_phase(tab, np.array([1, 2]))
 
     def test_simplex_phase_raises_on_an_unbounded_program(self):
         # minimize -x1 subject to -x1 + x2 = 0, from x2 basic: x1 = x2 grows
         # without bound, and the entering column has no positive entry to leave on
         tab = np.array([[-1.0, 1, 0], [-1, 0, 0]])
         with pytest.raises(OracleError, match="^simplex met an unbounded program$"):
-            oracle._simplex_phase(tab, np.array([1]), 2)
+            oracle._simplex_phase(tab, np.array([1]))
 
     @pytest.mark.parametrize(
         "eps, v, target, error",
