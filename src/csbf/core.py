@@ -132,9 +132,6 @@ class Frame(FrozenRecord):
     def full_mask(self) -> int:
         return self.n_subsets - 1
 
-    def index_of(self, label: str) -> int:
-        return self.singleton(label).bit_length() - 1
-
     def singleton(self, label: str) -> int:
         try:
             return self._bits[label]

@@ -12,14 +12,13 @@
 * :func:`verify_orthogonality`, the L2-optimality certificate of the
   focused transform;
 * :func:`in_mass_box`, whether a mass function lies in a mass-space Linf
-  solution box;
-* :func:`focal_list_criteria`, every cell's per-element criterion read from
-  the focal sets alone, without a 2^n vector.
+  solution box.
+
+Every cell's exact criteria, points and Linf boxes, read from the focal sets
+alone, are in :mod:`reference`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -165,40 +164,3 @@ def in_mass_box(box: ApproxBox, masses: PseudoMassFunction, tol: float = TOL) ->
     inside = arr[box.members]
     within = (box.lower - tol <= inside) & (inside <= box.upper + tol)  # NaN is outside
     return bool((np.abs(outside) <= tol).all() and within.all())
-
-
-def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
-    return sum((masks >> i) & 1 for i in range(n))
-
-
-def focal_list_criteria(masks: np.ndarray, masses: np.ndarray, n: int) -> dict:
-    """(norm, space) -> each element's criterion, in frame order, from the focal sets alone.
-
-    ``masks`` and ``masses`` list the focal sets B of a mass function on n
-    elements.  For element x, every sum or maximum runs over the B that miss x:
-    sum m(B) for L1 mass and Linf belief (both b(x^c)), max m(B) for Linf mass,
-    sum m(B)^2 for L2 mass-n2, plus b(x^c)^2 / 2^(n-1) for mass-n1,
-    sum m(B) 2^(n-1-|B|) for L1 belief and sum m(B) m(B') 2^(n-1-|B u B'|) over
-    pairs for L2 belief, since 2^(n-1-|B|) subsets of x^c contain B.  Never a
-    2^n vector, and the pair sum is a ufunc product, not a BLAS call.
-    """
-    masks, masses = np.asarray(masks), np.asarray(masses, dtype=float)
-    cells: dict = {}
-    for i in range(n):
-        miss = masks & (1 << i) == 0
-        b, m = masks[miss], masses[miss]
-        outside = m.sum()
-        squares = (m * m).sum()
-        unions = _popcount(b[:, None] | b[None, :], n)
-        values = {
-            (1, SpaceKind.MASS_N2): outside,
-            (2, SpaceKind.MASS_N2): squares,
-            (2, SpaceKind.MASS_N1): squares + outside * outside / 2.0 ** (n - 1),
-            (math.inf, SpaceKind.MASS_N2): m.max(initial=0.0),
-            (1, SpaceKind.BELIEF): (m * 2.0 ** (n - 1 - _popcount(b, n))).sum(),
-            (2, SpaceKind.BELIEF): (m[:, None] * m[None, :] * 2.0 ** (n - 1 - unions)).sum(),
-            (math.inf, SpaceKind.BELIEF): outside,
-        }
-        for key, value in values.items():
-            cells.setdefault(key, []).append(float(value))
-    return cells

@@ -140,9 +140,6 @@ class TestFrameLabels:
                 frame.parse_subset(text)
             assert str(info.value) == message
         assert frame.parse_subset(" y , x") == 0b011
-        assert frame.index_of("z") == 2
-        with pytest.raises(EvidenceError, match="unknown frame element"):
-            frame.index_of("q")
 
     def test_tables_stay_out_of_eq_hash_and_repr(self):
         a, b = Frame(("x", "y", "z")), Frame(["x", "y", "z"])

@@ -1,18 +1,20 @@
 """The dense lattice criteria and gamma inversion against their definitions.
 
-The reference functions below are the definitional submask loops, kept here
-only to check the transform-based code, at frame sizes up to 7; at sizes 9 to
-12 every cell is checked against direct per-focus sums in plain numpy.
+Every cell's criteria are checked against the exact values of
+:mod:`reference`, read from the focal sets alone: at frame sizes up to 7, on
+sparse documents up to 16 and at 20 and 22, and at 9 to 12 with every focus's
+distance, point and Linf box too.  The gamma inversion is checked against its
+definitional submask loop.
 """
 
 import math
-
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from csbf import (
     ApproxBox,
     Frame,
@@ -21,18 +23,8 @@ from csbf import (
     PseudoMassFunction,
     SpaceKind,
     core_of,
-    focused_transform,
     gamma_to_mass,
-    global_l1_belief,
-    global_l1_mass,
-    global_l2_belief,
-    global_l2_mass,
-    global_linf_belief,
-    global_linf_mass,
-    partial_l1_mass,
-    partial_l2_mass,
     partial_linf_belief,
-    partial_linf_mass,
 )
 from csbf import consistent_belief, consistent_mass, core
 from csbf.consistent_mass import select_optima
@@ -40,30 +32,9 @@ from csbf.core import fold, outside_sums, split, zeta_transform
 from csbf.oracle import CELLS, brute_force_partial, globals_agree
 
 from conftest import frame_of_size, masses_close
-from paper_maths import focal_list_criteria, random_mass_function
+from paper_maths import random_mass_function
 
 TOL = 1e-12
-
-SELECTORS = {
-    "l1/mass": global_l1_mass,
-    "l2/mass-n1": lambda m: global_l2_mass(m, SpaceKind.MASS_N1),
-    "l2/mass-n2": lambda m: global_l2_mass(m, SpaceKind.MASS_N2),
-    "linf/mass": global_linf_mass,
-    "l1/belief": global_l1_belief,
-    "l2/belief": global_l2_belief,
-    "linf/belief": global_linf_belief,
-}
-
-#: Attained partial distance per mode; L2 criteria are squared distances.
-PARTIAL_DISTANCES = {
-    "l1/mass": lambda m, x: partial_l1_mass(m, x).distances[1],
-    "l2/mass-n1": lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N1).distances[2] ** 2,
-    "l2/mass-n2": lambda m, x: partial_l2_mass(m, x, SpaceKind.MASS_N2).distances[2] ** 2,
-    "linf/mass": lambda m, x: partial_linf_mass(m, x).distances[math.inf],
-    "l1/belief": lambda m, x: focused_transform(m, x).distances[1],
-    "l2/belief": lambda m, x: focused_transform(m, x).distances[2] ** 2,
-    "linf/belief": lambda m, x: partial_linf_belief(m, x).distances[math.inf],
-}
 
 
 def submasks(mask):
@@ -73,29 +44,6 @@ def submasks(mask):
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def reference_criteria(m):
-    """Every global criterion by its definition, one submask loop per element."""
-    frame = m.frame
-    crit = {mode: {} for mode in SELECTORS}
-
-    def belief(a):
-        return sum(m.masses.get(b, 0.0) for b in submasks(a))
-
-    for i, x in enumerate(frame.elements):
-        comp = frame.full_mask ^ (1 << i)
-        outside = [m.masses.get(b, 0.0) for b in submasks(comp)]
-        beliefs = [belief(a) for a in submasks(comp)]
-        moved, squares = sum(outside), sum(v * v for v in outside)
-        crit["l1/mass"][x] = moved
-        crit["l2/mass-n1"][x] = moved * moved / (1 << (frame.size - 1)) + squares
-        crit["l2/mass-n2"][x] = squares
-        crit["linf/mass"][x] = max(outside)
-        crit["l1/belief"][x] = sum(beliefs)
-        crit["l2/belief"][x] = sum(v * v for v in beliefs)
-        crit["linf/belief"][x] = belief(comp)
-    return crit
 
 
 def reference_gamma_to_mass(m, box, gamma_point):
@@ -129,14 +77,16 @@ def mass_functions(draw, max_size=7):
 @given(mass_functions())
 @settings(max_examples=150, deadline=None)
 def test_dense_criteria_match_their_definitions(m):
-    reference = reference_criteria(m)
-    for mode, select in SELECTORS.items():
-        values = select(m).criterion_values
+    # a partial's distance, squared for L2, is its criterion too
+    exact = reference.criteria(m.frame.size, m.masses)
+    for (p, kind), cell in CELLS.items():
+        values = cell.select(m).criterion_values
         assert list(values) == list(m.frame.elements)
-        for x, expected in reference[mode].items():
-            assert type(values[x]) is float, (mode, x)
-            assert abs(values[x] - expected) <= TOL, (mode, x, values[x], expected)
-            assert abs(PARTIAL_DISTANCES[mode](m, x) - expected) <= TOL, (mode, x)
+        for x, expected in zip(m.frame.elements, exact[p, kind]):
+            distance = cell.solve(m, x).distances[p]
+            assert type(values[x]) is float, (p, kind, x)
+            assert abs(values[x] - expected) <= TOL, (p, kind, x, values[x], expected)
+            assert abs((distance**2 if p == 2 else distance) - expected) <= TOL, (p, kind, x)
 
 
 @given(mass_functions(), st.integers(0, 2**32 - 1))
@@ -213,9 +163,9 @@ def test_symmetric_ties_are_returned_in_full(m):
             masses[b] = masses.get(b, 0.0) + v / 2
     sym = MassFunction(frame, masses)
     first, second = frame.elements[:2]
-    for mode, select in SELECTORS.items():
-        optima = select(sym).optima
-        assert (first in optima) == (second in optima), (mode, optima)
+    for key, cell in CELLS.items():
+        optima = cell.select(sym).optima
+        assert (first in optima) == (second in optima), (key, optima)
 
 
 @given(st.integers(1, 7), st.data())
@@ -307,8 +257,8 @@ def test_selectors_build_no_partial_solution(ternary, rng, monkeypatch):
         for name in names:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for m in (ternary, *(random_mass_function(frame_of_size(n), rng) for n in range(1, 7))):
-        for mode, select in SELECTORS.items():
-            assert select(m).optima, mode
+        for key, cell in CELLS.items():
+            assert cell.select(m).optima, key
     assert calls == []
 
 
@@ -496,86 +446,47 @@ def test_every_cell_is_equivariant_under_relabelling(pair):
                     )
 
 
-def direct_cells(m):
-    """Per focus: every cell's criterion value and closed-form point, by direct sums.
+def assert_near(got, exact, what):
+    """Each of ``got`` within TOL * max(1, |e|) of e, its exact value rounded once."""
+    expected = np.array([float(v) for v in np.ravel(exact)])
+    assert (np.abs(got - expected) <= TOL * np.maximum(1.0, np.abs(expected))).all(), what
 
-    Plain numpy over boolean masks of the subsets, with no lattice transform:
-    ``b(A)`` sums the focal masses inside A, and each criterion sums (or
-    maximizes) over the subsets missing the focus.
-    """
-    frame, vector = m.frame, m.as_array()
-    subsets = np.arange(frame.n_subsets)
-    focal = np.flatnonzero(vector)
-    belief = ((focal[None, :] & ~subsets[:, None]) == 0) @ vector[focal]
-    spread = 1 << (frame.size - 1)
-    cells = {}
-    for i, x in enumerate(frame.elements):
-        has_x = (subsets >> i & 1) == 1
-        outside, outside_belief = vector[~has_x], belief[~has_x]
-        moved, squares = outside.sum(), (outside * outside).sum()
-        kept = np.where(has_x, vector, 0.0)
-        kept[-1] += moved
-        focused = np.where(has_x, vector + vector[subsets ^ (1 << i)], 0.0)
-        cells[x] = {
-            (1, SpaceKind.MASS_N2): (moved, kept),
-            (2, SpaceKind.MASS_N2): (squares, kept),
-            (2, SpaceKind.MASS_N1): (
-                squares + moved * moved / spread, np.where(has_x, vector + moved / spread, 0.0)
-            ),
-            (math.inf, SpaceKind.MASS_N2): (outside.max(), kept),
-            (1, SpaceKind.BELIEF): (outside_belief.sum(), focused),
-            (2, SpaceKind.BELIEF): ((outside_belief * outside_belief).sum(), focused),
-            (math.inf, SpaceKind.BELIEF): (belief[frame.full_mask ^ (1 << i)], focused),
-        }
-    return belief, cells
+
+def assert_cells_match_the_focal_list(frame, masks, masses):
+    """Every cell's criteria against the exact ones; returns the document and those."""
+    focal = dict(zip(masks.tolist(), masses.tolist()))
+    m, exact = MassFunction(frame, focal), reference.criteria(frame.size, focal)
+    assert exact.keys() == CELLS.keys()
+    for key, cell in CELLS.items():
+        got = cell.select(m).criterion_values
+        for x, expected in zip(frame.elements, exact[key]):
+            assert_near(got[x], expected, (key, x))
+    return m, exact
 
 
 @pytest.mark.parametrize("n", range(9, 13))
 def test_large_frames_match_direct_per_focus_sums(n):
+    # every focus of every cell: criterion, optima, distance, point and Linf box
     rng = np.random.default_rng(900 + n)
     frame = Frame(tuple(f"e{i}" for i in range(n)))
     masks = rng.choice(np.arange(1, frame.n_subsets), size=3 * n, replace=False)
-    vector = np.zeros(frame.n_subsets)
-    vector[masks] = rng.dirichlet(np.ones(masks.size))
-    m = MassFunction(frame, vector)
-    belief, cells = direct_cells(m)
-
-    def close(got, expected, what):
-        assert np.allclose(got, expected, rtol=TOL, atol=TOL), what
-
+    m, exact = assert_cells_match_the_focal_list(frame, masks, rng.dirichlet(np.ones(masks.size)))
     for key, cell in CELLS.items():
-        result = cell.select(m)
-        expected = {x: cells[x][key][0] for x in frame.elements}
-        close([result.criterion_values[x] for x in frame.elements], list(expected.values()), key)
-        direct = {x: math.sqrt(v) if key[0] == 2 else v for x, v in expected.items()}
-        best = min(direct.values())
-        assert result.optima == tuple(x for x in frame.elements if direct[x] <= best + core.TOL)
-        for x in result.optima:
+        p, distances = key[0], [math.sqrt(v) if key[0] == 2 else v for v in exact[key]]
+        best = min(distances)
+        within = tuple(x for x, d in zip(frame.elements, distances) if d <= best + core.TOL)
+        assert cell.select(m).optima == within, key
+        for i, x in enumerate(frame.elements):
             payload = cell.solve(m, x)
-            distance, point = payload.distances[key[0]], payload.point
-            value, direct_point = cells[x][key]
-            close(distance, math.sqrt(value) if key[0] == 2 else value, (key, x))
-            close(point.as_array(), direct_point, (key, x))
-            i = frame.index_of(x)
-            members = np.flatnonzero(np.arange(frame.n_subsets) >> i & 1)[:-1]
-            if isinstance(payload, ApproxBox):
-                close(payload.members, members, (key, x))
-                close(payload.lower, m.as_array()[members] - value, (key, x))
-                close(payload.upper, m.as_array()[members] + value, (key, x))
-            if isinstance(payload, GammaBox):
-                close(payload.members, members, (key, x))
-                close(payload.lower, -value - belief[members ^ (1 << i)], (key, x))
-                close(payload.upper, value - belief[members ^ (1 << i)], (key, x))
-
-
-def assert_cells_match_the_focal_list(frame, masks, masses):
-    m = MassFunction(frame, dict(zip(masks.tolist(), masses.tolist())))
-    reference = focal_list_criteria(masks, masses, frame.size)
-    assert reference.keys() == CELLS.keys()
-    for key, cell in CELLS.items():
-        got = cell.select(m).criterion_values
-        for x, expected in zip(frame.elements, reference[key]):
-            assert abs(got[x] - expected) <= 1e-12 * max(1.0, abs(expected)), (key, x)
+            assert_near(payload.distances[p], distances[i], (key, x))
+            point = reference.point(n, m.masses, key, i)
+            expected = [point.get(a, 0) for a in range(frame.n_subsets)]
+            assert_near(payload.point.as_array(), expected, (key, x))
+            if isinstance(payload, (ApproxBox, GammaBox)):
+                ends = reference.bounds(n, m.masses, key, i)
+                assert payload.members.tolist() == list(ends), (key, x)
+                for bound, exact_ends in zip((payload.lower, payload.upper), zip(*ends.values())):
+                    assert_near(bound, exact_ends, (key, x))
 
 
 @st.composite

@@ -4,18 +4,17 @@ Masses with two decimals are exact as fractions, and so is every quantity
 the Linf belief cell prints.  A printed real is right when it is the 12-digit
 text of the exact value rounded once to a double, ``cli._real(float(exact))``;
 float noise around an exact 0 and a ``-0.0`` both break that rule.  The
-expected values come from the definitions, not from the library:
+expected values are :mod:`reference`'s, read from the focal sets, not from
+the library: the criterion and distance b(x^c), the gamma bounds and the
+barycenter, the focused transform.
 
-* barycenter (focused transform) mass of A containing x: ``m(A) + m(A minus x)``;
-* gamma bounds of a proper A containing x: ``-+b(x^c) - b(A minus x)``;
-* distance and criterion value of x: ``b(x^c)``.
+Two fixed documents pin the corners printed by ``--vertices``, which the
+reference does not model.  Corner i has signs s, ``s_A = +1`` where bit j of
+i picks the upper bound of the j-th member A; the expected masses are
 
-Two fixed documents pin the corners printed by ``--vertices``.  Corner i has
-signs s, ``s_A = +1`` where bit j of i picks the upper bound of the j-th
-member A; the expected masses are
-
-* Linf mass: ``m(A) + s_A M`` on a member, with M the largest mass outside
-  the ultrafilter, and ``m(frame) + b(x^c) - M sum(s)`` on the full frame;
+* Linf mass: the barycenter's ``m(A) + s_A M`` on a member, with M the
+  largest mass outside the ultrafilter, and ``m(frame) + b(x^c) - M sum(s)``
+  on the full frame;
 * Linf belief: the focused mass of A minus the Moebius sum
   ``sum over x in B subset of A of (-1)^|A minus B| s_B b(x^c)``, with
   ``s_frame = 0``.
@@ -27,6 +26,7 @@ exact 0, so only these two are checked.
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from csbf import cli
 
 from conftest import frame_of_size
@@ -52,32 +53,26 @@ def decimal_documents(draw):
     return frame, {mask: Fraction(hi - lo, 100) for mask, lo, hi in zip(masks, edges, edges[1:])}
 
 
-def belief(masses: dict[int, Fraction], subset: int) -> Fraction:
-    return sum((v for mask, v in masses.items() if mask & ~subset == 0), Fraction(0))
-
-
-def outside(frame, masses: dict[int, Fraction], x: str) -> Fraction:
-    return belief(masses, frame.full_mask ^ frame.singleton(x))
+LINF_MASS, LINF_BELIEF = (math.inf, "mass-n2"), (math.inf, "belief")
 
 
 def box_reals(frame, masses, x, payload) -> list[tuple[str, str, Fraction]]:
     """(what, printed text, exact value) for every printed real of x's gamma box."""
-    xbit = frame.singleton(x)
-    radius = outside(frame, masses, x)
+    n, i = frame.size, frame.elements.index(x)
+    radius = reference.criteria(n, masses)[LINF_BELIEF][i]
     printed = [(f"{x} distance", payload["distance"], radius)]
+    ends = reference.bounds(n, masses, LINF_BELIEF, i)
     intervals = payload["gamma_intervals"]
     for key, (lo, hi) in intervals.items():
-        inside = belief(masses, frame.parse_subset(key) ^ xbit)
-        printed.append((f"{x} lower {key}", lo, -radius - inside))
-        printed.append((f"{x} upper {key}", hi, radius - inside))
+        exact_lo, exact_hi = ends[frame.parse_subset(key)]
+        printed.append((f"{x} lower {key}", lo, exact_lo))
+        printed.append((f"{x} upper {key}", hi, exact_hi))
+    point = reference.point(n, masses, LINF_BELIEF, i)
     barycenter = payload["barycenter"]["masses"]
     for key, text in barycenter.items():
-        mask = frame.parse_subset(key)
-        exact = masses.get(mask, Fraction(0)) + masses.get(mask ^ xbit, Fraction(0))
-        printed.append((f"{x} barycenter {key}", text, exact))
+        printed.append((f"{x} barycenter {key}", text, point[frame.parse_subset(key)]))
     # every ultrafilter member is printed, the full frame only in the barycenter
-    members = 1 << (frame.size - 1)
-    assert (len(intervals), len(barycenter)) == (members - 1, members)
+    assert (len(intervals), len(barycenter)) == (len(ends), len(point))
     return printed
 
 
@@ -102,9 +97,8 @@ def test_linf_belief_prints_the_exact_values(document):
     wheres = [["--global"], *(["--focus", x] for x in frame.elements)]
     outputs = results(frame, masses, "linf-belief", wheres)
     glob, focused = outputs[0], outputs[1:]
-    printed = [
-        (f"{x} criterion", text, outside(frame, masses, x)) for x, text in glob["criterion"].items()
-    ]
+    exact = dict(zip(frame.elements, reference.criteria(frame.size, masses)[LINF_BELIEF]))
+    printed = [(f"{x} criterion", text, exact[x]) for x, text in glob["criterion"].items()]
     for x in glob["optima"]:
         printed += box_reals(frame, masses, x, glob["partials"][x])
     for x, payload in zip(frame.elements, focused):
@@ -114,24 +108,24 @@ def test_linf_belief_prints_the_exact_values(document):
 
 
 def mass_corner(frame, masses, x, signs: dict[int, int]) -> dict[int, Fraction]:
-    largest = max((v for mask, v in masses.items() if not mask & frame.singleton(x)), default=0)
-    corner = {a: masses.get(a, Fraction(0)) + s * largest for a, s in signs.items()}
-    full, moved = frame.full_mask, outside(frame, masses, x)
-    corner[full] = masses.get(full, Fraction(0)) + moved - largest * sum(signs.values())
+    n, i = frame.size, frame.elements.index(x)
+    largest = reference.criteria(n, masses)[LINF_MASS][i]
+    corner = reference.point(n, masses, LINF_MASS, i)  # the barycenter, b(x^c) on the frame
+    for a, s in signs.items():
+        corner[a] += s * largest
+    corner[frame.full_mask] -= largest * sum(signs.values())
     return corner
 
 
 def gamma_corner(frame, masses, x, signs: dict[int, int]) -> dict[int, Fraction]:
-    xbit, full = frame.singleton(x), frame.full_mask
-    radius = outside(frame, masses, x)
-    offsets = {**signs, full: 0}
-    corner = {}
+    n, i = frame.size, frame.elements.index(x)
+    radius = reference.criteria(n, masses)[LINF_BELIEF][i]
+    corner = reference.point(n, masses, LINF_BELIEF, i)  # the focused transform
+    offsets = {**signs, frame.full_mask: 0}
     for a in offsets:
-        shift = sum(
+        corner[a] -= sum(
             (-1) ** bin(a ^ b).count("1") * s * radius for b, s in offsets.items() if b & ~a == 0
         )
-        focused = masses.get(a, Fraction(0)) + masses.get(a ^ xbit, Fraction(0))
-        corner[a] = focused - shift
     return corner
 
 

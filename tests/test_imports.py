@@ -3,10 +3,13 @@
 ``import csbf`` loads no csbf module and no numpy: each public name, and
 each module that holds one, loads on first use.  Only ``verify`` loads
 :mod:`csbf.oracle`.  ``import csbf`` leaves the cyclic collector as the
-importer had it.
+importer had it.  The tests' exact reference loads the standard library only.
 """
 
+import ast
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +95,20 @@ def test_star_import_and_dir_name_every_public_name():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], [], True]
+
+
+def test_reference_imports_only_the_standard_library():
+    # the answer checks are independent of the library only while their
+    # yardstick shares no code with it: no csbf, no numpy, no relative import
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    names, dynamic = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+        if getattr(node, "id", getattr(node, "attr", None)) in ("__import__", "import_module"):
+            dynamic.append(ast.unparse(node))
+    assert "fractions" in names
+    assert [name for name in names if name.split(".")[0] not in sys.stdlib_module_names] == []
+    assert dynamic == []
