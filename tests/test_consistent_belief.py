@@ -49,12 +49,6 @@ def assert_masses(frame, result, expected, tol=1e-12):
 
 
 class TestFocusedTransform:
-    def test_ternary_tables(self, ternary, ternary_frame):
-        ft = focused_transform(ternary, "x")
-        assert_masses(ternary_frame, ft.point, {"x": 0.2, "x,y": 0.5, "x,z": 0.0, "x,y,z": 0.3})
-        ft = focused_transform(ternary, "y")
-        assert_masses(ternary_frame, ft.point, {"y": 0.1, "x,y": 0.6, "y,z": 0.3, "x,y,z": 0.0})
-
     def test_focal_elements_absorb_the_focus(self):
         # four-element case: {y}, {y,z}, {x,z,w} keep their masses, unioned with x
         frame = Frame(("x", "y", "z", "w"))
@@ -93,13 +87,6 @@ class TestOrthogonality:
 
 
 class TestGlobalL1Belief:
-    def test_ternary_criterion(self, ternary):
-        result = global_l1_belief(ternary)
-        assert result.optima == ("y",)
-        assert result.criterion_values["x"] == pytest.approx(0.5, abs=1e-12)
-        assert result.criterion_values["y"] == pytest.approx(0.4, abs=1e-12)
-        assert result.criterion_values["z"] == pytest.approx(1.0, abs=1e-12)
-
     def test_binary_frame_picks_max_plausibility(self, rng):
         frame = Frame(("x", "y"))
         for _ in range(100):
@@ -120,31 +107,6 @@ class TestGlobalL1Belief:
 
 
 class TestGlobalL2Belief:
-    def test_ternary_criterion(self, ternary):
-        result = global_l2_belief(ternary)
-        assert result.optima == ("y",)
-        assert result.criterion_values["x"] == pytest.approx(0.17, abs=1e-12)
-        assert result.criterion_values["y"] == pytest.approx(0.08, abs=1e-12)
-        assert result.criterion_values["z"] == pytest.approx(0.54, abs=1e-12)
-
-    def test_vacuous_ties_at_zero(self):
-        frame = frame_of_size(3)
-        result = global_l2_belief(MassFunction.vacuous(frame))
-        assert result.optima == frame.elements
-        assert all(v == 0.0 for v in result.criterion_values.values())
-
-    def test_criterion_is_squared_belief_distance(self, rng):
-        frame = frame_of_size(4)
-        for _ in range(25):
-            m = random_mass_function(frame, rng)
-            origin = embed(m, SpaceKind.BELIEF)
-            result = global_l2_belief(m)
-            for label in frame.elements:
-                ft = focused_transform(m, label)
-                direct = np.linalg.norm(origin - embed(ft.point, SpaceKind.BELIEF), ord=2)
-                assert result.criterion_values[label] == pytest.approx(direct**2, abs=1e-12)
-                assert ft.distances[2] == pytest.approx(direct, abs=1e-12)
-
     def test_can_diverge_from_global_l1(self):
         # documented instance where the L1 and L2 belief picks differ
         frame = frame_of_size(3)
@@ -156,34 +118,6 @@ class TestGlobalL2Belief:
                 found = m
                 break
         assert found is not None
-
-    def test_l1_distance_identity(self, rng):
-        # direct belief-space L1 distance matches the closed-form criterion
-        frame = frame_of_size(4)
-        for _ in range(25):
-            m = random_mass_function(frame, rng)
-            origin = embed(m, SpaceKind.BELIEF)
-            for label in frame.elements:
-                ft = focused_transform(m, label)
-                direct = np.linalg.norm(origin - embed(ft.point, SpaceKind.BELIEF), ord=1)
-                assert ft.distances[1] == pytest.approx(direct, abs=1e-12)
-
-    def test_l1_local_optimality_probe(self, ternary, rng):
-        # random points of the ultrafilter simplex never beat the closed form
-        frame = ternary.frame
-        origin = embed(ternary, SpaceKind.BELIEF)
-        from csbf import ultrafilter
-
-        for label in frame.elements:
-            ft = focused_transform(ternary, label)
-            members = ultrafilter(frame, label)
-            for _ in range(200):
-                weights = rng.dirichlet(np.ones(len(members)))
-                candidate = MassFunction(
-                    frame, {mask: float(w) for mask, w in zip(members.tolist(), weights)}
-                )
-                d = np.linalg.norm(origin - embed(candidate, SpaceKind.BELIEF), ord=1)
-                assert d >= ft.distances[1] - 1e-12
 
 
 class TestGammaBox:
@@ -325,16 +259,6 @@ class TestGammaBox:
 
 
 class TestGlobalLinfBelief:
-    def test_ternary_optimum(self, ternary):
-        result = global_linf_belief(ternary)
-        assert result.optima == ("y",)
-        distance = partial_linf_belief(ternary, "y").distances[math.inf]
-        assert distance == pytest.approx(0.2, abs=1e-12)
-
-    def test_vacuous_ties(self):
-        frame = frame_of_size(3)
-        assert global_linf_belief(MassFunction.vacuous(frame)).optima == frame.elements
-
     def test_distance_complements_plausibility(self, rng):
         frame = frame_of_size(4)
         for _ in range(40):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -125,10 +125,13 @@ def partial_masses(payload):
 
 
 @given(consistent_mass_functions())
+@example(MassFunction.vacuous(frame_of_size(3)))
+@example(MassFunction.vacuous(frame_of_size(1)))
 @settings(max_examples=150, deadline=None)
 def test_consistent_inputs_are_fixed_points(m):
     # every other element misses a focal set of mass >= 0.01 / 12, whose
-    # criterion contribution is far above the tie tolerance
+    # criterion contribution is far above the tie tolerance; the vacuous
+    # documents tie every element at 0.0
     core = tuple(x for i, x in enumerate(m.frame.elements) if core_of(m) >> i & 1)
     for key, cell in CELLS.items():
         result = cell.select(m)
@@ -136,6 +139,7 @@ def test_consistent_inputs_are_fixed_points(m):
         assert result.optima == core, key
         for x in result.optima:
             payload = cell.solve(m, x)
+            assert payload.distances[key[0]] == 0.0, (key, x)
             if isinstance(payload, ApproxBox):
                 assert (payload.lower == payload.upper).all(), (key, x)
             if isinstance(payload, GammaBox):
@@ -452,8 +456,31 @@ def assert_near(got, exact, what):
     assert (np.abs(got - expected) <= TOL * np.maximum(1.0, np.abs(expected))).all(), what
 
 
-def assert_cells_match_the_focal_list(frame, masks, masses):
-    """Every cell's criteria against the exact ones; returns the document and those."""
+#: Each cell's bound, in units in the last place, on a criterion's distance from
+#: its exact value rounded once, on seeded documents.  The n = 4 documents of
+#: test_criteria_lie_within_their_ulp_bounds reach it at seeds 47 (L1 mass, Linf
+#: belief), 49 (L2 mass-n2), 19 (L2 mass-n1), 50 (L1 belief) and 21 (L2 belief).
+ULPS = {
+    (1, SpaceKind.MASS_N2): 2,
+    (2, SpaceKind.MASS_N2): 2,
+    (2, SpaceKind.MASS_N1): 2,
+    (math.inf, SpaceKind.MASS_N2): 0,
+    (1, SpaceKind.BELIEF): 2,
+    (2, SpaceKind.BELIEF): 3,
+    (math.inf, SpaceKind.BELIEF): 2,
+}
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """How many doubles apart a and b are: 0 when equal, 1 when adjacent."""
+    bits = (int(np.float64(v).view(np.int64)) for v in (a, b))
+    first, second = (i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF) for i in bits)
+    return abs(first - second)
+
+
+def assert_cells_match_the_focal_list(frame, masks, masses, ulps=False):
+    """Every cell's criteria against the exact ones, and with ``ulps`` within the
+    cell's ``ULPS`` of them; returns the document and those."""
     focal = dict(zip(masks.tolist(), masses.tolist()))
     m, exact = MassFunction(frame, focal), reference.criteria(frame.size, focal)
     assert exact.keys() == CELLS.keys()
@@ -461,7 +488,18 @@ def assert_cells_match_the_focal_list(frame, masks, masses):
         got = cell.select(m).criterion_values
         for x, expected in zip(frame.elements, exact[key]):
             assert_near(got[x], expected, (key, x))
+            if ulps:
+                off = ulps_apart(got[x], float(expected))
+                assert off <= ULPS[key], (key, x, off)
     return m, exact
+
+
+def test_criteria_lie_within_their_ulp_bounds():
+    # 200 full-support documents on 4 elements, seeded [4, s]
+    frame = Frame(tuple(f"e{i}" for i in range(4)))
+    for seed in range(200):
+        masses = np.random.default_rng([4, seed]).dirichlet(np.ones(15))
+        assert_cells_match_the_focal_list(frame, np.arange(1, 16), masses, ulps=True)
 
 
 @pytest.mark.parametrize("n", range(9, 13))
@@ -470,7 +508,8 @@ def test_large_frames_match_direct_per_focus_sums(n):
     rng = np.random.default_rng(900 + n)
     frame = Frame(tuple(f"e{i}" for i in range(n)))
     masks = rng.choice(np.arange(1, frame.n_subsets), size=3 * n, replace=False)
-    m, exact = assert_cells_match_the_focal_list(frame, masks, rng.dirichlet(np.ones(masks.size)))
+    masses = rng.dirichlet(np.ones(masks.size))
+    m, exact = assert_cells_match_the_focal_list(frame, masks, masses, ulps=True)
     for key, cell in CELLS.items():
         p, distances = key[0], [math.sqrt(v) if key[0] == 2 else v for v in exact[key]]
         best = min(distances)
@@ -509,4 +548,4 @@ def test_every_cell_matches_the_focal_list_on_large_frames(n):
     rng = np.random.default_rng(2400 + n)
     frame = Frame(tuple(f"e{i}" for i in range(n)))
     masks = rng.choice(frame.n_subsets - 1, size=64, replace=False) + 1
-    assert_cells_match_the_focal_list(frame, masks, rng.dirichlet(np.ones(64)))
+    assert_cells_match_the_focal_list(frame, masks, rng.dirichlet(np.ones(64)), ulps=True)

@@ -1,4 +1,5 @@
-"""Line counts of the modules under ``src/csbf``: total lines and code lines.
+"""Line counts of the modules under ``src/csbf``, then of ``tests/*.py``: total
+lines and code lines.
 
 Code lines leave out blank lines, ``#`` comment lines and module, class and
 function docstrings.  Run from anywhere: ``python tools/loc.py``.
@@ -7,7 +8,8 @@ function docstrings.  Run from anywhere: ``python tools/loc.py``.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csbf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE, TESTS = ROOT / "src" / "csbf", ROOT / "tests"
 
 
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -35,14 +37,22 @@ def counts(path: Path) -> tuple[int, int]:
     return len(lines), code
 
 
-def main() -> None:
-    total = code = 0
-    print(f"{'module':<24}{'lines':>7}{'code':>7}")
-    for path in sorted(PACKAGE.glob("*.py")):
+def table(directory: Path, title: str) -> None:
+    """One row per module of ``directory``, then their total."""
+    paths = sorted(directory.glob("*.py"))
+    width, total, code = max(24, *(len(path.name) + 1 for path in paths)), 0, 0
+    print(f"{title:<{width}}{'lines':>7}{'code':>7}")
+    for path in paths:
         lines, code_lines = counts(path)
         total, code = total + lines, code + code_lines
-        print(f"{path.name:<24}{lines:>7}{code_lines:>7}")
-    print(f"{'total':<24}{total:>7}{code:>7}")
+        print(f"{path.name:<{width}}{lines:>7}{code_lines:>7}")
+    print(f"{'total':<{width}}{total:>7}{code:>7}")
+
+
+def main() -> None:
+    table(PACKAGE, "module")
+    print()
+    table(TESTS, "test module")
 
 
 if __name__ == "__main__":
