@@ -222,6 +222,7 @@ def test_entry_point_keeps_the_renormalization_warning(tmp_path):
     assert proc.stdout == stdout_of(argv)
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].endswith("; renormalized"), lines
+    assert abs(sum(json.loads(proc.stdout)["input"]["masses"].values()) - 1.0) <= 1e-9
 
 
 def test_entry_point_failed_verify_exits_1_with_the_whole_report(monkeypatch):

@@ -465,9 +465,9 @@ def test_lp_engine_past_the_frame_cap_matches_scipy_highs(size, seed):
 
 @pytest.mark.parametrize("draw", [2, 34])
 def test_verify_lp_pivots_at_the_frame_cap(draw, monkeypatch, capsys):
-    # verify's L1 and Linf programs on an n = 6 document, every focus of every
-    # cell: 430 and 446 pivots from the full-frame vertex, 2,942 and 3,028
-    # from an all-artificial basis
+    # verify passes on an n = 6 document; its L1 and Linf programs, every focus
+    # of every cell, take 430 and 446 pivots from the full-frame vertex, 2,942
+    # and 3,028 from an all-artificial basis
     pivots, lp_pivots = [0], [0]
     pivot, lp_weights = oracle._pivot, oracle._lp_weights
 
@@ -484,7 +484,10 @@ def test_verify_lp_pivots_at_the_frame_cap(draw, monkeypatch, capsys):
     monkeypatch.setattr(oracle, "_pivot", counting_pivot)
     monkeypatch.setattr(oracle, "_lp_weights", counting_lp_weights)
     assert cli.main(["verify", str(FIXTURES / f"l2_seed6_n6_draw{draw}.json")]) == 0
-    assert json.loads(capsys.readouterr().out)["all_ok"]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_ok"] is True
+    assert len(doc["reports"]) == 42
+    assert max(r["max_gap"] for r in doc["reports"]) <= 1e-9
     assert 0 < lp_pivots[0] <= 600
 
 
