@@ -150,6 +150,16 @@ class TestFrameLabels:
 
 
 class TestMassFunction:
+    def test_sum_must_be_one(self):
+        frame = Frame(("x", "y"))
+        with pytest.raises(EvidenceError):
+            MassFunction(frame, {1: 0.5, 2: 0.4})
+
+    def test_empty_set_mass_rejected(self):
+        frame = Frame(("x", "y"))
+        with pytest.raises(EvidenceError):
+            MassFunction(frame, {0: 0.5, 3: 0.5})
+
     def test_tiny_negative_clamped_larger_rejected(self):
         frame = Frame(("x", "y"))
         m = MassFunction(frame, {1: -5e-10, 3: 1.0 + 5e-10})
