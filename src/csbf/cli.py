@@ -38,7 +38,6 @@ from .core import (
     SpaceKind,
     belief_from_mass,
     clear_noise,
-    contour,
     core_of,
     mass_vector,
     ultrafilter,
@@ -438,6 +437,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     # where 1 - b(complement A) need not be; complementing reverses the order.
     plausibility = belief[-1] - belief[::-1]
     nonempty = np.arange(1, frame.n_subsets, dtype=np.int64)
+    singletons = 1 << np.arange(frame.size, dtype=np.int64)
     core = core_of(m)
     doc = {
         "command": "inspect",
@@ -447,7 +447,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         "consistent": core != 0,
         "belief": _Block(frame, nonempty, belief[1:]),
         "plausibility": _Block(frame, nonempty, plausibility[1:]),
-        "contour": _element_block(frame, contour(m)),
+        # the singletons' row of the plausibility block, so the two blocks agree
+        "contour": _Block(frame, singletons, plausibility[singletons]),
     }
     _emit(doc, args.out)
     return EXIT_OK

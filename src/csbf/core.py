@@ -186,9 +186,11 @@ class Frame(FrozenRecord):
         return heads[(masks & ((1 << shift) - 1)) + (high != 0) * (1 << shift)], tails[high]
 
     def parse_subset(self, text: str) -> int:
-        parts = text.split(",")
         try:
+            parts = text.split(",")
             mask = sum(map(self._bits.__getitem__, parts))
+        except (AttributeError, TypeError):
+            raise EvidenceError(f"subset key {text!r} is not a string") from None
         except KeyError:
             labels = [part.strip() for part in parts]
             if any(not lbl for lbl in labels):

@@ -158,6 +158,18 @@ class TestInspect:
             if argv[0] == "inspect":
                 assert doc["focal_elements"] == expected
 
+    def test_contour_is_the_plausibility_of_each_singleton(self, capsys, tmp_path):
+        # draw 97 of the n = 2…8 sweep: a sum of the stored masses printed
+        # contour z one unit in the 12th digit off plausibility z
+        rng = np.random.default_rng(1)
+        for i in range(98):
+            m = random_mass_function(frame_of_size(2 + i % 7), rng)
+        frame = m.frame
+        masses = {frame.format_subset(mask): mass for mask, mass in m.masses.items()}
+        path = write_doc(tmp_path, "n8.json", {"frame": list(frame.elements), "masses": masses})
+        doc, _ = run_json(capsys, ["inspect", path])
+        assert doc["contour"] == {x: doc["plausibility"][x] for x in frame.elements}
+
 
 def _load(path: str) -> tuple[bytes, str]:
     """``load_input``'s mass vector, as bytes, and what it printed to stderr."""

@@ -17,9 +17,7 @@ from csbf import (
     partial_l2_mass,
     partial_linf_mass,
 )
-from csbf import consistent_mass
 from csbf.consistent_mass import box_corners
-from csbf.core import fold, outside_sums
 
 from conftest import frame_of_size, masses_close
 from paper_maths import embed, in_mass_box, random_mass_function
@@ -133,16 +131,6 @@ class TestPartialLinf:
             assert in_mass_box(box, point(0.625, stray), tol)
             assert not in_mass_box(box, point(0.625, math.nextafter(stray, 2 * stray)), tol)
 
-    def test_barycenter_equals_partial_l1(self, rng):
-        frame = frame_of_size(3)
-        for _ in range(50):
-            m = random_mass_function(frame, rng)
-            for label in frame.elements:
-                box = partial_linf_mass(m, label)
-                l1 = partial_l1_mass(m, label).point
-                assert np.array_equal(box.point.as_array(), l1.as_array())
-                assert masses_close(box.point, l1, tol=1e-12)
-
 
 class TestPartialL2:
     def test_always_admissible(self, rng):
@@ -168,32 +156,6 @@ class TestPartialL2:
                 assert partial_l2_mass(m, label, kind.value) == partial_l2_mass(m, label, kind)
         n1, n2 = (global_l2_mass(m, kind).criterion_values for kind in ("mass-n1", "mass-n2"))
         assert n1 != n2
-
-    @pytest.mark.parametrize("kind, n_partial, n_select", [("mass-n1", 2, 2), ("mass-n2", 2, 1)])
-    def test_each_outside_sum_is_folded_once(self, rng, monkeypatch, kind, n_partial, n_select):
-        # a selector folds every focus at once, m only for mass-n1 and m**2
-        # always; a partial folds its own half of m and of m**2 once each,
-        # never every focus, and both give the same distance bits
-        sums, folds = [], []
-
-        def counted_sums(*args):
-            sums.append(np.size(args[0]))
-            return outside_sums(*args)
-
-        def counted_fold(*args):
-            folds.append(np.size(args[0]))
-            return fold(*args)
-
-        monkeypatch.setattr(consistent_mass, "outside_sums", counted_sums)
-        monkeypatch.setattr(consistent_mass, "fold", counted_fold)
-        m = random_mass_function(frame_of_size(5), rng)
-        criterion = global_l2_mass(m, kind).criterion_values
-        assert (sums, folds) == ([32] * n_select, [])
-        for x in m.frame.elements:
-            sums.clear()
-            folds.clear()
-            assert partial_l2_mass(m, x, kind).distances[2] == math.sqrt(criterion[x])
-            assert (sums, folds) == ([], [16] * n_partial)
 
 
 class TestDegenerateFrames:

