@@ -37,7 +37,8 @@ and distance.  The CLI's ``approximate`` and the oracle read it.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -53,7 +54,6 @@ from .core import (
     mobius_transform,
     outside_sums,
     split,
-    ultrafilter,
     zeta_transform,
 )
 from .consistent_mass import GlobalResult, LinfBox, Solution, _ultrafilter_point, select_optima
@@ -96,10 +96,23 @@ class GammaBox(LinfBox):
     """Linf solution box in belief coordinates, boxed in gamma variables.
 
     One gamma coordinate per proper subset A containing x, aligned with
-    ``members``.  Each interval has width ``2 * b(x^c)``; the box degenerates
-    to a point exactly when the input is already consistent on x.  The
-    ``point`` is the focused transform, the image of the box's centre.
+    ``members``: ``gamma(A)`` sums ``m(B) - w(B)`` over the members B inside
+    A, for the input m and a point w of the box.  The ``point`` is the
+    focused transform, the box's barycenter, and ``centre`` its gamma
+    coordinates, ``-b(A minus x)``: a read-only float vector, one entry per
+    member, which is the one field a gamma box adds.  Each interval has width
+    ``2 * b(x^c)``; the box degenerates to a point exactly when the input is
+    already consistent on x.
     """
+
+    def __init__(
+        self, focus: str, point: MassFunction, distances: Mapping[float, float], centre: np.ndarray
+    ) -> None:
+        centre = np.array(centre, float)
+        if centre.shape != (point.frame.n_subsets // 2 - 1,):
+            raise ValueError("a gamma box centre holds one coordinate per member")
+        centre.setflags(write=False)
+        self._set(focus, point, MappingProxyType(dict(distances)), centre)
 
     def _shift(self, offsets: np.ndarray) -> np.ndarray:
         # every point of the box has the same gamma on the full frame
@@ -113,13 +126,12 @@ def partial_linf_belief(m: MassFunction, x: str) -> GammaBox:
     <= b(x^c)``; the attained distance is ``b(x^c)``.
     """
     xbit = m.frame.singleton(x)
-    outside = zeta_transform(split(m.as_array(), xbit)[0].ravel())  # b(B) for B without x; last x^c
-    radius = float(outside[-1])
-    members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = outside[:-1]  # b(A minus x), aligned with the members
-    # 0.0 - radius, not -radius: the bound is 0.0, never -0.0, when both terms are 0
+    belief = zeta_transform(split(m.as_array(), xbit)[0].ravel())  # b(B) for B without x; last x^c
+    radius = float(belief[-1])
+    # the centre, in place: 0.0 - b, not -b, so it is 0.0, never -0.0, where b is 0
+    centre = np.subtract(0.0, belief, out=belief)[:-1]
     focused = _ultrafilter_point(m, xbit, split(m.as_array(), xbit)[0])
-    return GammaBox(x, focused, {math.inf: radius}, members, 0.0 - radius - inside, radius - inside)
+    return GammaBox(x, focused, {math.inf: radius}, centre)
 
 
 def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
@@ -127,11 +139,11 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
 
     Moebius inversion on the sublattice of sets containing the focus (the
     box's ``_shift``, which also builds its corners) turns the point's
-    offsets from the centre ``(lower + upper) / 2`` into mass shifts of
-    every member, which are subtracted from the box's ``point``.  Every
-    point of the box has the same gamma on the full frame, so its offset
-    there is 0, and the centre maps to ``point`` bit for bit.  A point of the
-    wrong shape, holding a NaN or more than ``TOL`` outside raises ``ValueError``.
+    offsets from the stored ``centre`` into mass shifts of every member,
+    which are subtracted from the box's ``point``.  Every point of the box
+    has the same gamma on the full frame, so its offset there is 0, and the
+    centre maps to ``point`` bit for bit.  A point of the wrong shape,
+    holding a NaN or more than ``TOL`` outside raises ``ValueError``.
     """
     lower, upper = box.lower, box.upper
     inside = np.shape(gamma_point) == lower.shape and bool(
@@ -139,7 +151,7 @@ def gamma_to_mass(box: GammaBox, gamma_point: np.ndarray) -> PseudoMassFunction:
     )
     if not inside:
         raise ValueError("gamma point lies outside the solution box")
-    return box._shifted(box._shift(gamma_point - (lower + upper) / 2.0))
+    return box._shifted(box._shift(gamma_point - box.centre))
 
 
 class Cell(FrozenRecord):

@@ -72,37 +72,31 @@ class Solution(FrozenRecord):
 class LinfBox(Solution):
     """Linf solution set of one ultrafilter, an axis-aligned box in some coordinates.
 
-    ``point`` is the box's centre as a mass function and ``distances[inf]``
-    the attained Linf distance, the half-width of every interval.
-    ``members`` are the ultrafilter masks except the full frame, ascending,
-    and ``lower`` and ``upper`` the bounds aligned with them.  All three are
-    stored as read-only int64 and float copies, so a box compares by
-    identity.  A subclass's ``_shift`` maps offsets from the centre in box
-    coordinates to the mass shifts of the ultrafilter, full frame last.
+    ``point`` is the box's barycenter as a mass function and ``distances[inf]``
+    the attained Linf distance, the half-width of every interval.  The box
+    stores nothing it can derive: ``members``, the ultrafilter masks except
+    the full frame, ascending, come from the focus, and the bounds ``lower``
+    and ``upper`` are ``centre -+ distances[inf]``, aligned with them, where
+    a subclass gives the ``centre`` in box coordinates.  Each is read from the
+    fields on every access.  A box compares by identity.  A subclass's
+    ``_shift`` maps offsets from the centre in box coordinates to the mass
+    shifts of the ultrafilter, full frame last.
     """
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        focus: str,
-        point: MassFunction,
-        distances: Mapping[float, float],
-        members: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> None:
-        arrays = np.array(members, np.int64), np.array(lower, float), np.array(upper, float)
-        for arr in arrays:
-            if arr.shape != (len(arrays[0]),):
-                raise ValueError("box bounds must be 1-D and aligned with the members")
-            arr.setflags(write=False)
-        self._set(focus, point, MappingProxyType(dict(distances)), *arrays)
-
     @property
     def frame(self) -> Frame:
         return self.point.frame
+
+    @property
+    def members(self) -> np.ndarray:
+        return ultrafilter(self.frame, self.focus)[:-1]  # the full frame is the last, largest mask
+
+    # the bounds: the centre minus and plus the half-width
+    lower = property(lambda self: self.centre - self.distances[math.inf])
+    upper = property(lambda self: self.centre + self.distances[math.inf])
 
     def corners(self) -> list[PseudoMassFunction]:
         """Every box corner as a (possibly pseudo) mass function.
@@ -110,35 +104,41 @@ class LinfBox(Solution):
         Bit j of the corner number picks ``upper[j]``.  The corner with signs
         s in {-1, +1}^k lies ``distance * s`` from the centre in box
         coordinates, so its masses are ``point - distance * _shift(s)``,
-        one multiply and one subtract from the stored centre.
+        one multiply and one subtract from the stored barycenter.
         """
         ones, distance = np.ones(len(self.members)), self.distances[math.inf]
         return [self._shifted(distance * self._shift(s)) for s in box_corners(-ones, ones)]
 
     def _shifted(self, shift: np.ndarray) -> PseudoMassFunction:
-        """The centre minus ``shift`` on the ultrafilter, full frame last."""
+        """The barycenter minus ``shift`` on the ultrafilter, full frame last."""
         vector = self.point.as_array().copy()
-        vector[np.append(self.members, self.frame.full_mask)] -= shift
+        vector[ultrafilter(self.frame, self.focus)] -= shift
         return PseudoMassFunction(self.frame, vector)
 
 
 class ApproxBox(LinfBox):
     """Linf solution box in mass coordinates, centred on the partial L1 solution.
 
-    The full frame is not a box coordinate: a corner moves it by minus the
-    sum of the members' moves, so every corner sums to one.  Intervals are
-    stored unclipped, so parts of the box may be inadmissible (negative
-    masses); :meth:`admissible_intervals` gives the view intersected with
-    [0, 1].
+    The box coordinates are the members' masses, so the ``centre`` is the
+    barycenter's masses on the members.  The full frame is not a box
+    coordinate: a corner moves it by minus the sum of the members' moves, so
+    every corner sums to one.  Intervals are unclipped, so parts of the box
+    may be inadmissible (negative masses); :meth:`admissible_intervals` gives
+    the view intersected with [0, 1].
     """
+
+    @property
+    def centre(self) -> np.ndarray:
+        return self.point.as_array()[self.members]
 
     def _shift(self, offsets: np.ndarray) -> np.ndarray:
         return np.append(-offsets, offsets.sum())
 
     def admissible_intervals(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """Intervals intersected with [0, 1], plus a flag when that clips anything."""
-        lo, hi = np.maximum(0.0, self.lower), np.minimum(1.0, self.upper)
-        return lo, hi, bool((lo > self.lower).any() or (hi < self.upper).any())
+        lower, upper = self.lower, self.upper
+        lo, hi = np.maximum(0.0, lower), np.minimum(1.0, upper)
+        return lo, hi, bool((lo > lower).any() or (hi < upper).any())
 
 
 def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -212,10 +212,7 @@ def partial_linf_mass(m: MassFunction, x: str) -> ApproxBox:
     xbit = m.frame.singleton(x)
     outside = split(m.as_array(), xbit)[0]
     slack, moved = fold(outside, np.maximum), fold(outside)
-    members = ultrafilter(m.frame, x)[:-1]  # the full frame is the last, largest mask
-    inside = m.as_array()[members]
-    barycenter = _ultrafilter_point(m, xbit, 0.0, moved)
-    return ApproxBox(x, barycenter, {math.inf: slack}, members, inside - slack, inside + slack)
+    return ApproxBox(x, _ultrafilter_point(m, xbit, 0.0, moved), {math.inf: slack})
 
 
 def global_linf_mass(m: MassFunction) -> GlobalResult:

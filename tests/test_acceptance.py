@@ -32,7 +32,7 @@ from csbf import (
     partial_linf_belief,
     partial_linf_mass,
 )
-from csbf.core import TOL
+from csbf.core import TOL, split, zeta_transform
 from csbf.oracle import CELLS, globals_agree, library_global
 
 from conftest import ACCEPTANCE_LINES, TERNARY_MASSES, frame_of_size, masses_close
@@ -176,22 +176,35 @@ def test_criterion_4_focused_transforms_and_belief_globals():
 
 
 def test_criterion_5_barycenter_identities():
-    worst = 0.0
+    # the points are exact: each box's barycenter equals its solution, and the
+    # gamma box's centre maps back to it, bit for bit on every mass.  Each
+    # gamma centre entry is gamma(A) of the focused transform w, the sum of
+    # m(B) - w(B) over x in B subset A, from the two mass vectors.  Both sides
+    # sum at most 2^(n-1) = 8 terms whose magnitudes add up to at most 1, and
+    # each gamma term carries two roundings (w(B) and the difference): within
+    # 16 units of roundoff, 2^-49
+    gamma_bound = 2.0**-49
+    worst_point = worst_gamma = 0.0
     for frame, m in random_instances(1000, (2, 3, 4), seed=202):
         for x in frame.elements:
             gamma_box = partial_linf_belief(m, x)
-            bary = gamma_to_mass(gamma_box, (gamma_box.lower + gamma_box.upper) / 2)
             ft = focused_transform(m, x).point
-            keys = set(bary.masses) | set(ft.masses)
-            worst = max(worst, max(abs(bary.as_array()[k] - ft.as_array()[k]) for k in keys))
-
-            mass_box = partial_linf_mass(m, x)
-            mid = mass_box.point
-            l1 = partial_l1_mass(m, x).point
-            keys = set(mid.masses) | set(l1.masses)
-            worst = max(worst, max(abs(mid.as_array()[k] - l1.as_array()[k]) for k in keys))
-    # exact: each midpoint equals its solution bit for bit, on every mass
-    check(5, "box midpoints are the L1/focused solutions", worst == 0.0, f"max dev {worst:.2e}")
+            pairs = (
+                (gamma_to_mass(gamma_box, gamma_box.centre), ft),
+                (partial_linf_mass(m, x).point, partial_l1_mass(m, x).point),
+            )
+            for got, want in pairs:
+                worst_point = max(worst_point, np.abs(got.as_array() - want.as_array()).max())
+            shifts = split(m.as_array() - ft.as_array(), frame.singleton(x))[1].ravel()
+            gamma = zeta_transform(shifts)[:-1]  # the full frame is no box coordinate
+            worst_gamma = max(worst_gamma, np.abs(gamma - gamma_box.centre).max(initial=0.0))
+    check(
+        5,
+        "box barycenters and gamma centres",
+        worst_point == 0.0 and worst_gamma <= gamma_bound,
+        f"max dev {worst_point:.2e} on points, {worst_gamma:.2e} on gamma centres"
+        f" (bound {gamma_bound:.2e})",
+    )
 
 
 def test_criterion_6_orthogonality_and_lemma_indicator():

@@ -116,9 +116,10 @@ class TestPartialLinf:
 
     def test_tolerance_edges_are_inside(self):
         # dyadic bounds and tolerance: every edge sum below is exact
-        tol, lower, upper = 2.0**-4, np.array([0.5]), np.array([0.75])
-        frame = Frame(("x", "y"))
-        box = ApproxBox("x", MassFunction.vacuous(frame), {math.inf: 0.125}, [1], lower, upper)
+        tol, frame = 2.0**-4, Frame(("x", "y"))
+        barycenter = MassFunction(frame, {1: 0.625, 3: 0.375})
+        box = ApproxBox("x", barycenter, {math.inf: 0.125})
+        assert (box.lower.tolist(), box.upper.tolist()) == ([0.5], [0.75])
 
         def point(inside, stray=0.0):  # mass on x, on y (off the ultrafilter), rest on x,y
             return PseudoMassFunction(frame, {1: inside, 2: stray, 3: 1.0 - inside - stray})

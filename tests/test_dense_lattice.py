@@ -96,7 +96,7 @@ def test_dense_gamma_to_mass_matches_the_reference_loop(m, seed):
     x = m.frame.elements[int(rng.integers(m.frame.size))]
     box = partial_linf_belief(m, x)
     count = box.members.size
-    points = [(box.lower + box.upper) / 2]
+    points = [box.centre]
     for _ in range(3):
         points.append(np.where(rng.integers(2, size=count).astype(bool), box.upper, box.lower))
         points.append(box.lower + rng.random(count) * (box.upper - box.lower))
@@ -120,7 +120,7 @@ def consistent_mass_functions(draw, max_size=7):
 def partial_masses(payload):
     """The mass functions a partial solution stands for; a box's are its center."""
     if isinstance(payload, GammaBox):
-        return [gamma_to_mass(payload, (payload.lower + payload.upper) / 2)]
+        return [gamma_to_mass(payload, payload.centre)]
     return [payload.point]
 
 

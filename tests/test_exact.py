@@ -21,6 +21,11 @@ i picks the upper bound of the j-th member A; the expected masses are
 
 On random documents a printed corner can still show float noise around an
 exact 0, so only these two are checked.
+
+The ``approximate`` golden files are held to the same rule: every
+criterion, distance, point mass and interval end they print but the
+vertices, from their own input documents.  An L2 value printed as a
+distance is the correctly rounded square root of the exact square.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from csbf import cli
+from csbf import Frame, cli
 
 from conftest import frame_of_size
-from test_golden import MODES, stdout_of
+from test_golden import CASES, GOLDEN, MODES, stdout_of
 
 
 @st.composite
@@ -155,3 +160,71 @@ def test_fixed_documents_print_exact_corners(name):
     assert len(printed) == 8 * 4
     mismatches = [row for row in printed if row[1] != cli._real(float(row[2]))]
     assert mismatches == [], mismatches
+
+
+def sqrt_rounded(square: Fraction) -> float:
+    """The double nearest the square root of an exact nonnegative ``square``."""
+    root = math.sqrt(square)
+    while ((Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2) ** 2 < square:
+        root = math.nextafter(root, math.inf)
+    while ((Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2) ** 2 > square:
+        root = math.nextafter(root, 0.0)
+    return root
+
+
+def golden_reals(scale: Fraction = Fraction(1)) -> list[tuple[str, str, float]]:
+    """(where, printed text, exact value times ``scale`` as a double) for every real of
+    the ``approximate`` golden files but the vertices."""
+    printed = []
+    for name, argv in CASES.items():
+        if argv[0] != "approximate":
+            continue
+        doc = json.loads(Path(argv[1]).read_bytes())
+        frame = Frame(tuple(doc["frame"]))
+        masses = {frame.parse_subset(key): v for key, v in doc["masses"].items()}
+        golden = json.loads((GOLDEN / f"{name}.json").read_bytes(), parse_float=str)
+        p = {"l1": 1, "l2": 2, "linf": math.inf}[golden["norm"]]
+        space = "belief" if golden["space"] == "belief" else f"mass-{golden['rep'] or 'n2'}"
+        exact = reference.criteria(frame.size, masses)
+
+        def distance(q: float, i: int) -> float:  # an L2 criterion is the distance squared
+            value = exact[q, space][i]
+            return sqrt_rounded(value * scale * scale) if q == 2 else float(value * scale)
+
+        result = golden["result"]
+        solutions = [(golden["focus"], result)]
+        if golden["focus"] == "global":
+            for x, text in result["criterion"].items():
+                value = exact[p, space][frame.elements.index(x)] * scale
+                printed.append((f"{name} criterion {x}", text, float(value)))
+            solutions = result["partials"].items()
+        for x, solution in solutions:
+            i, where = frame.elements.index(x), f"{name} {x}"
+            printed.append((f"{where} distance", solution["distance"], distance(p, i)))
+            for q in (1, 2):
+                if f"distance_l{q}" in solution:
+                    printed.append((f"{where} L{q}", solution[f"distance_l{q}"], distance(q, i)))
+            point = reference.point(frame.size, masses, (p, space), i)
+            if p == math.inf:
+                ends = reference.bounds(frame.size, masses, (p, space), i)
+                intervals = solution.get("intervals") or solution["gamma_intervals"]
+                for key, texts in intervals.items():
+                    values = ends[frame.parse_subset(key)]
+                    for end, text, value in zip(("lower", "upper"), texts, values):
+                        printed.append((f"{where} {end} {key}", text, float(value * scale)))
+                solution = solution["barycenter"]
+            for key, text in solution["masses"].items():
+                value = point[frame.parse_subset(key)] * scale
+                printed.append((f"{where} mass {key}", text, float(value)))
+    return printed
+
+
+def test_golden_approximate_files_print_the_exact_values():
+    printed = golden_reals()
+    assert len(printed) == 670
+    mismatches = [row for row in printed if row[1] != cli._real(row[2])]
+    assert mismatches == [], mismatches
+    # the check can fail: one part in 1e11 moves every nonzero value's text
+    scaled = golden_reals(1 + Fraction(1, 10**11))
+    kept = [row for row in scaled if row[1] == cli._real(row[2])]
+    assert kept == [row for row in scaled if row[2] == 0.0] and len(kept) == 37

@@ -261,7 +261,7 @@ def test_linf_belief_barycenter_is_the_focused_transform(rng):
                 point = CELLS[math.inf, SpaceKind.BELIEF].solve(m, x).point
                 assert np.array_equal(point.as_array(), focused_transform(m, x).point.as_array())
                 box = partial_linf_belief(m, x)
-                centre = gamma_to_mass(box, (box.lower + box.upper) / 2).as_array()
+                centre = gamma_to_mass(box, box.centre).as_array()
                 assert np.array_equal(centre, box.point.as_array())
 
 

@@ -30,6 +30,7 @@ from csbf import (
     partial_linf_mass,
 )
 from csbf.consistent_belief import GammaBox
+from csbf.consistent_mass import ApproxBox
 
 from conftest import run_python
 
@@ -113,7 +114,7 @@ def test_fields_cannot_be_assigned_or_deleted(ternary):
         "masses": ternary,
         "distances": partial_l1_mass(ternary, "x"),
         "point": partial_linf_mass(ternary, "x"),
-        "lower": partial_linf_belief(ternary, "x"),
+        "centre": partial_linf_belief(ternary, "x"),
     }
     for field, record in records.items():
         value = getattr(record, field)
@@ -153,11 +154,16 @@ def test_keyword_construction(ternary):
     assert sol.distances[1] == 0.5
     with pytest.raises(TypeError):
         sol.distances[1] = 0.0
-    box = GammaBox(
-        focus="x", point=ternary, distances={math.inf: 0.5}, members=[1], lower=[0.0], upper=[1.0]
-    )
+    box = GammaBox(focus="x", point=ternary, distances={math.inf: 0.5}, centre=[-0.25, 0.0, 0.25])
     assert (box.focus, box.point, box.distances) == ("x", ternary, {math.inf: 0.5})
-    assert (box.members.tolist(), box.lower.tolist(), box.upper.tolist()) == ([1], [0.0], [1.0])
+    assert (box.members.tolist(), box.lower.tolist(), box.upper.tolist()) == (
+        [1, 3, 5],
+        [-0.75, -0.5, -0.25],
+        [0.25, 0.5, 0.75],
+    )
+    box = ApproxBox(focus="x", point=ternary, distances={math.inf: 0.5})
+    assert (box.focus, box.point, box.distances) == ("x", ternary, {math.inf: 0.5})
+    assert (box.members.tolist(), box.centre.tolist()) == ([1, 3, 5], [0.2, 0.4, 0.0])
 
 
 def test_repr_names_the_fields(ternary):
@@ -201,14 +207,22 @@ def test_records_without_a_value_hash_are_not_hashable(ternary):
 
 
 def test_box_arrays_are_read_only_copies(ternary):
-    for box in (partial_linf_mass(ternary, "x"), partial_linf_belief(ternary, "x")):
-        assert box.members.dtype == np.int64 and box.lower.dtype == box.upper.dtype == float
-        for field in ("members", "lower", "upper"):
+    # the members and a gamma box's stored centre are read-only; a mass box's
+    # centre and every bound are built on each read, so no write reaches a box
+    mass_box, gamma_box = partial_linf_mass(ternary, "x"), partial_linf_belief(ternary, "x")
+    for box, read_only in ((mass_box, ("members",)), (gamma_box, ("members", "centre"))):
+        assert box.members.dtype == np.int64
+        assert box.centre.dtype == box.lower.dtype == box.upper.dtype == float
+        for field in read_only:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(box, field)[0] = 0
-    members, lower, upper = np.array([1, 3, 5]), np.zeros(3), np.ones(3)
-    box = GammaBox("x", ternary, {math.inf: 0.5}, members, lower, upper)
-    lower[0] = 9.0
-    assert box.lower[0] == 0.0 and lower.flags.writeable
-    with pytest.raises(ValueError, match="aligned"):
-        GammaBox("x", ternary, {math.inf: 0.5}, members, lower[:2], upper)
+        for field in {"centre", "lower", "upper"} - set(read_only):
+            getattr(box, field)[0] = 9.0
+            assert getattr(box, field)[0] != 9.0, field
+    centre = np.zeros(3)
+    box = GammaBox("x", ternary, {math.inf: 0.5}, centre)
+    centre[0] = 9.0
+    assert box.centre[0] == 0.0 and centre.flags.writeable
+    for misshapen in (centre[:2], centre[None, :], np.zeros(4)):
+        with pytest.raises(ValueError, match="one coordinate per member"):
+            GammaBox("x", ternary, {math.inf: 0.5}, misshapen)
